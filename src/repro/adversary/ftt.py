@@ -73,12 +73,11 @@ def transition_time(
     configuration = initial_configuration
     if _project_pair(simulator, configuration) == target:
         return 0
+    step = model.bind(simulator)
     for index, interaction in enumerate(run):
         starter_pre = configuration[interaction.starter]
         reactor_pre = configuration[interaction.reactor]
-        starter_post, reactor_post = model.apply(
-            simulator, starter_pre, reactor_pre, interaction.omission
-        )
+        starter_post, reactor_post = step(starter_pre, reactor_pre, interaction.omission)
         configuration = configuration.apply_interaction(
             interaction.starter, interaction.reactor, starter_post, reactor_post
         )
@@ -117,6 +116,7 @@ def fastest_transition_time(
         )
 
     moves = (Interaction(0, 1, NO_OMISSION), Interaction(1, 0, NO_OMISSION))
+    step = model.bind(simulator)
     queue = deque([(initial_configuration, ())])
     visited = {initial_configuration}
     explored = 1
@@ -128,9 +128,7 @@ def fastest_transition_time(
         for interaction in moves:
             starter_pre = configuration[interaction.starter]
             reactor_pre = configuration[interaction.reactor]
-            starter_post, reactor_post = model.apply(
-                simulator, starter_pre, reactor_pre, interaction.omission
-            )
+            starter_post, reactor_post = step(starter_pre, reactor_pre, interaction.omission)
             successor = configuration.apply_interaction(
                 interaction.starter, interaction.reactor, starter_post, reactor_post
             )

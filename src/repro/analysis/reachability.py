@@ -61,6 +61,7 @@ def _successors(
     """All configurations reachable in one interaction, tagged with omission use."""
     n = len(configuration)
     omissions = model.admissible_omissions() if allow_omission else [NO_OMISSION]
+    step = model.bind(program)
     for starter in range(n):
         for reactor in range(n):
             if starter == reactor:
@@ -68,8 +69,7 @@ def _successors(
             starter_pre = configuration[starter]
             reactor_pre = configuration[reactor]
             for omission in omissions:
-                starter_post, reactor_post = model.apply(
-                    program, starter_pre, reactor_pre, omission)
+                starter_post, reactor_post = step(starter_pre, reactor_pre, omission)
                 successor = configuration.apply_interaction(
                     starter, reactor, starter_post, reactor_post)
                 yield successor, omission.is_omissive

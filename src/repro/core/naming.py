@@ -18,7 +18,7 @@ would give every agent the same id ``n``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.base import SimulatorError, TwoWaySimulator
@@ -133,16 +133,15 @@ class KnownSizeSimulator(TwoWaySimulator):
             max_id = max(reactor.naming.max_id, my_id, starter_id, starter_max)
             if max_id >= n:
                 return (
-                    replace(
-                        reactor,
-                        phase=SIMULATING,
-                        naming=None,
-                        sid=SIDState(my_id=my_id, sim=reactor.p_initial),
+                    KnownSizeState(
+                        SIMULATING, reactor.p_initial, None, SIDState(my_id, reactor.p_initial)
                     ),
                     [],
                 )
             return (
-                replace(reactor, naming=NamingState(my_id=my_id, max_id=max_id)),
+                KnownSizeState(
+                    reactor.phase, reactor.p_initial, NamingState(my_id, max_id), reactor.sid
+                ),
                 [],
             )
 
@@ -153,7 +152,7 @@ class KnownSizeSimulator(TwoWaySimulator):
             new_sid, events = self._sid._observe(starter.sid, reactor.sid)
             if new_sid is reactor.sid:
                 return reactor, events
-            return replace(reactor, sid=new_sid), events
+            return KnownSizeState(reactor.phase, reactor.p_initial, reactor.naming, new_sid), events
         return reactor, []
 
     # -- event extraction and matching ---------------------------------------------------------------------

@@ -29,7 +29,7 @@ of Definition 3 to be consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.base import SimulatorError, TwoWaySimulator
@@ -120,12 +120,7 @@ class SIDSimulator(TwoWaySimulator):
         # Lines 3-5: start pairing with an available starter.
         if reactor.phase == AVAILABLE and starter.phase == AVAILABLE:
             return (
-                replace(
-                    reactor,
-                    phase=PAIRING,
-                    id_other=starter.my_id,
-                    state_other=starter.sim,
-                ),
+                SIDState(reactor.my_id, reactor.sim, PAIRING, starter.my_id, starter.sim),
                 events,
             )
 
@@ -153,13 +148,7 @@ class SIDSimulator(TwoWaySimulator):
                 )
             )
             return (
-                replace(
-                    reactor,
-                    phase=LOCKED,
-                    id_other=starter.my_id,
-                    state_other=partner_sim,
-                    sim=new_sim,
-                ),
+                SIDState(reactor.my_id, new_sim, LOCKED, starter.my_id, partner_sim),
                 events,
             )
 
@@ -185,23 +174,11 @@ class SIDSimulator(TwoWaySimulator):
                     key=None,
                 )
             )
-            return (
-                replace(
-                    reactor,
-                    phase=AVAILABLE,
-                    id_other=None,
-                    state_other=None,
-                    sim=new_sim,
-                ),
-                events,
-            )
+            return SIDState(reactor.my_id, new_sim), events
 
         # Lines 14-16: roll back (pairing agent abandoned, or locked agent released).
         if reactor.id_other == starter.my_id and starter.id_other != reactor.my_id:
-            return (
-                replace(reactor, phase=AVAILABLE, id_other=None, state_other=None),
-                events,
-            )
+            return SIDState(reactor.my_id, reactor.sim), events
 
         return reactor, events
 

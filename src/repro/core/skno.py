@@ -50,7 +50,7 @@ correctness-preserving; see DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import SimulatorError, TwoWaySimulator
@@ -71,6 +71,10 @@ VARIANT_I4 = "I4"
 # ---------------------------------------------------------------------------------------------
 # Tokens
 # ---------------------------------------------------------------------------------------------
+#
+# The ``repr`` of tokens and states is part of the determinism contract: it
+# breaks ties between candidate runs and orders the ``owed`` multiset (see
+# docs/invariants.md), so no representation change may alter it.
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,17 @@ class ChangeToken:
 
 @dataclass(frozen=True)
 class JokerToken:
-    """The wildcard token generated when an omission is detected."""
+    """The wildcard token generated when an omission is detected.
+
+    All jokers are equal, so the simulator enqueues the shared :data:`JOKER`
+    instance; tokens are recognised by exact type, never by identity.
+    """
 
 
-def _is_joker(token) -> bool:
-    return isinstance(token, JokerToken)
+JOKER = JokerToken()
+
+#: Positions in a sending queue of the first token of each index of one run.
+RunIndex = Dict[int, int]
 
 
 # ---------------------------------------------------------------------------------------------
@@ -123,7 +133,7 @@ class SKnOState:
     owed:
         The ``Jokers`` multiset of the paper: tokens that jokers stood in
         for, kept so that late-arriving originals can be converted back into
-        jokers (stored as a sorted tuple for hashability).
+        jokers (stored as a repr-sorted tuple for hashability).
     """
 
     sim: State
@@ -137,7 +147,17 @@ class SKnOState:
 
     def joker_count(self) -> int:
         """Number of joker tokens currently in the sending queue."""
-        return sum(1 for token in self.sending if _is_joker(token))
+        return sum(1 for token in self.sending if type(token) is JokerToken)
+
+
+def _without(queue: Tuple, positions: Sequence[int]) -> Tuple:
+    """``queue`` with the tokens at ``positions`` removed."""
+    result: Tuple = ()
+    start = 0
+    for position in sorted(positions):
+        result += queue[start:position]
+        start = position + 1
+    return result + queue[start:]
 
 
 # ---------------------------------------------------------------------------------------------
@@ -172,6 +192,11 @@ class SKnOSimulator(TwoWaySimulator):
             self.compatible_models = ("I3", "IT") if omission_bound == 0 else ("I3",)
         else:
             self.compatible_models = ("I4", "IT") if omission_bound == 0 else ("I4",)
+        self._run_indices = tuple(range(1, omission_bound + 2))
+        # Runs are immutable and there is one per simulated state (or state
+        # pair), so each is built once per simulator.
+        self._state_runs: Dict[State, Tuple[StateToken, ...]] = {}
+        self._change_runs: Dict[Tuple[State, State], Tuple[ChangeToken, ...]] = {}
 
     # -- basic quantities ---------------------------------------------------------------------
 
@@ -181,10 +206,18 @@ class SKnOSimulator(TwoWaySimulator):
         return self.omission_bound + 1
 
     def _state_run(self, q: State) -> Tuple[StateToken, ...]:
-        return tuple(StateToken(q, i) for i in range(1, self.run_length + 1))
+        run = self._state_runs.get(q)
+        if run is None:
+            run = tuple(StateToken(q, i) for i in self._run_indices)
+            self._state_runs[q] = run
+        return run
 
     def _change_run(self, q: State, r_old: State) -> Tuple[ChangeToken, ...]:
-        return tuple(ChangeToken(q, r_old, i) for i in range(1, self.run_length + 1))
+        run = self._change_runs.get((q, r_old))
+        if run is None:
+            run = tuple(ChangeToken(q, r_old, i) for i in self._run_indices)
+            self._change_runs[(q, r_old)] = run
+        return run
 
     # -- initial states -----------------------------------------------------------------------
 
@@ -200,13 +233,33 @@ class SKnOSimulator(TwoWaySimulator):
         return state.sim
 
     # -- starter behaviour (function g) ----------------------------------------------------------
+    #
+    # An available starter with an empty queue first goes pending and
+    # enqueues its state run; then (in any case) the front token of the
+    # queue, if any, is transmitted and removed.
+
+    def outgoing_token(self, state: SKnOState) -> Optional[object]:
+        """The token a starter in ``state`` would transmit (``None`` if nothing to send)."""
+        if state.sending:
+            return state.sending[0]
+        if state.phase == AVAILABLE:
+            return self._state_run(state.sim)[0]
+        return None
+
+    def g(self, starter: SKnOState) -> SKnOState:
+        queue = starter.sending
+        if queue:
+            return SKnOState(starter.sim, starter.phase, queue[1:], starter.owed)
+        if starter.phase == AVAILABLE:
+            return SKnOState(starter.sim, PENDING, self._state_run(starter.sim)[1:], starter.owed)
+        return starter
 
     def _effective_outgoing(self, state: SKnOState) -> Tuple[Optional[object], SKnOState]:
         """What a starter transmits, and its post-transmission state.
 
-        An available starter with an empty queue first goes pending and
-        enqueues its state run; then (in any case) the front token of the
-        queue, if any, is transmitted and removed.
+        The reference definition of the starter side, spelled out as above;
+        :meth:`outgoing_token` and :meth:`g` compute its two halves without
+        building the intermediate queue (tests pin them equal).
         """
         phase = state.phase
         queue = state.sending
@@ -214,25 +267,13 @@ class SKnOSimulator(TwoWaySimulator):
             phase = PENDING
             queue = self._state_run(state.sim)
         if queue:
-            token = queue[0]
-            return token, replace(state, phase=phase, sending=queue[1:])
-        return None, replace(state, phase=phase, sending=queue)
-
-    def outgoing_token(self, state: SKnOState) -> Optional[object]:
-        """The token a starter in ``state`` would transmit (``None`` if nothing to send)."""
-        token, _ = self._effective_outgoing(state)
-        return token
-
-    def g(self, starter: SKnOState) -> SKnOState:
-        _, new_state = self._effective_outgoing(starter)
-        return new_state
+            return queue[0], SKnOState(state.sim, phase, queue[1:], state.owed)
+        return None, SKnOState(state.sim, phase, queue, state.owed)
 
     # -- reactor behaviour (function f) -------------------------------------------------------------
 
     def f(self, starter: SKnOState, reactor: SKnOState) -> SKnOState:
-        token = self.outgoing_token(starter)
-        new_state, _ = self._receive(reactor, token)
-        return new_state
+        return self._receive(reactor, self.outgoing_token(starter))[0]
 
     # -- omission handlers -------------------------------------------------------------------------
 
@@ -240,190 +281,183 @@ class SKnOSimulator(TwoWaySimulator):
         """``h`` for the ``I3`` variant: enqueue a joker, then run the usual checks."""
         if self.variant != VARIANT_I3:
             return reactor
-        new_state, _ = self._receive(reactor, JokerToken())
-        return new_state
+        return self._receive(reactor, JOKER)[0]
 
     def on_starter_omission(self, starter: SKnOState) -> SKnOState:
         """``o`` for the ``I4`` variant: keep the queue intact and enqueue a joker."""
         if self.variant != VARIANT_I4:
             return starter
-        return replace(starter, sending=starter.sending + (JokerToken(),))
+        return SKnOState(starter.sim, starter.phase, starter.sending + (JOKER,), starter.owed)
 
     # -- token reception and consumption ----------------------------------------------------------------
 
     def _receive(
         self, reactor: SKnOState, token: Optional[object]
-    ) -> Tuple[SKnOState, List[SimulationEvent]]:
+    ) -> Tuple[SKnOState, Sequence[SimulationEvent]]:
         """Process a received token (or joker, or nothing) and run the check pipeline.
 
-        Returns the new state together with the simulation events generated,
-        so the same code path serves both execution (events discarded) and
-        post-hoc event extraction.
+        The pipeline is: enqueue the token (with the joker bookkeeping of
+        the paper), then the preliminary check of a pending agent, then the
+        core check.  Returns the new state together with the simulation
+        events generated, so the same code path serves both execution
+        (events discarded) and post-hoc event extraction.  The event objects
+        carry ``step=-1`` and ``agent=-1``; the trace-level extractor fills
+        those fields in.
         """
-        state = reactor
+        sim = reactor.sim
+        phase = reactor.phase
+        queue = reactor.sending
+        owed = reactor.owed
         if token is not None:
-            state = self._enqueue_received(state, token)
-        state = self._preliminary_check(state)
-        state, events = self._core_check(state)
-        return state, events
+            if owed and type(token) is not JokerToken and token in owed:
+                # A real token arrives for a slot that a joker already
+                # filled: the original is converted back into a joker so
+                # the global token count per run stays (o + 1).
+                remaining = list(owed)
+                remaining.remove(token)
+                owed = tuple(remaining)
+                token = JOKER
+            queue = queue + (token,)
+        events: Sequence[SimulationEvent] = ()
+        state_runs, change_runs, jokers = self._index(queue, sim)
 
-    def _enqueue_received(self, state: SKnOState, token) -> SKnOState:
-        """Enqueue a received token, applying the joker bookkeeping of the paper."""
-        if not _is_joker(token) and token in state.owed:
-            # A real token arrives for a slot that a joker already filled:
-            # the original is converted back into a joker so the global
-            # token count per run stays (o + 1).
-            owed = list(state.owed)
-            owed.remove(token)
-            return replace(
-                state,
-                sending=state.sending + (JokerToken(),),
-                owed=tuple(owed),
-            )
-        return replace(state, sending=state.sending + (token,))
-
-    # .. run-completion search ..................................................................
-
-    def _find_state_run(
-        self, state: SKnOState, target: State
-    ) -> Optional[Tuple[List[object], List[StateToken]]]:
-        """Find a complete run of state tokens for ``target`` in the queue.
-
-        Returns ``(tokens_to_remove, slots_filled_by_jokers)`` or ``None``.
-        ``tokens_to_remove`` includes the jokers that are consumed as
-        wildcards.
-        """
-        present: Dict[int, StateToken] = {}
-        for token in state.sending:
-            if isinstance(token, StateToken) and token.state == target and token.index not in present:
-                present[token.index] = token
-        missing = [i for i in range(1, self.run_length + 1) if i not in present]
-        jokers = [token for token in state.sending if _is_joker(token)]
-        if len(missing) > len(jokers):
-            return None
-        to_remove: List[object] = list(present.values()) + jokers[: len(missing)]
-        joker_slots = [StateToken(target, i) for i in missing]
-        return to_remove, joker_slots
-
-    def _find_change_run(
-        self, state: SKnOState
-    ) -> Optional[Tuple[List[object], List[ChangeToken], State]]:
-        """Find a complete run of change tokens whose starter state is ``state.sim``.
-
-        Returns ``(tokens_to_remove, slots_filled_by_jokers, reactor_old_state)``
-        or ``None``; when several reactor states could complete, the one
-        needing the fewest jokers (ties broken by repr) is chosen so
-        executions stay deterministic.
-        """
-        candidates: Dict[State, Dict[int, ChangeToken]] = {}
-        for token in state.sending:
-            if isinstance(token, ChangeToken) and token.starter_state == state.sim:
-                candidates.setdefault(token.reactor_old_state, {})
-                candidates[token.reactor_old_state].setdefault(token.index, token)
-        jokers = [token for token in state.sending if _is_joker(token)]
-        best = None
-        for reactor_old, present in candidates.items():
-            missing = [i for i in range(1, self.run_length + 1) if i not in present]
-            if len(missing) > len(jokers):
-                continue
-            key = (len(missing), repr(reactor_old))
-            if best is None or key < best[0]:
-                to_remove = list(present.values()) + jokers[: len(missing)]
-                joker_slots = [ChangeToken(state.sim, reactor_old, i) for i in missing]
-                best = (key, to_remove, joker_slots, reactor_old)
-        if best is None:
-            return None
-        return best[1], best[2], best[3]
-
-    def _consume(
-        self, state: SKnOState, to_remove: Sequence[object], joker_slots: Sequence[object]
-    ) -> SKnOState:
-        """Remove consumed tokens from the queue and record joker substitutions."""
-        queue = list(state.sending)
-        for token in to_remove:
-            queue.remove(token)
-        owed = tuple(sorted(state.owed + tuple(joker_slots), key=repr))
-        return replace(state, sending=tuple(queue), owed=owed)
-
-    # .. the two check passes ...................................................................
-
-    def _preliminary_check(self, state: SKnOState) -> SKnOState:
-        """A pending agent that sees its own un-consumed state run retracts it."""
-        if state.phase != PENDING:
-            return state
-        found = self._find_state_run(state, state.sim)
-        if found is None:
-            return state
-        to_remove, joker_slots = found
-        state = self._consume(state, to_remove, joker_slots)
-        return replace(state, phase=AVAILABLE)
-
-    def _core_check(self, state: SKnOState) -> Tuple[SKnOState, List[SimulationEvent]]:
-        """The core consumption step; returns the new state and any simulation events.
-
-        The event objects produced here carry ``step=-1`` and ``agent=-1``;
-        the trace-level extractor fills those fields in.
-        """
-        events: List[SimulationEvent] = []
-        if state.phase == AVAILABLE:
-            candidate_states = sorted(
-                {
-                    token.state
-                    for token in state.sending
-                    if isinstance(token, StateToken)
-                },
-                key=repr,
-            )
-            best = None
-            for q in candidate_states:
-                found = self._find_state_run(state, q)
-                if found is None:
-                    continue
-                to_remove, joker_slots = found
-                key = (len(joker_slots), repr(q))
-                if best is None or key < best[0]:
-                    best = (key, q, to_remove, joker_slots)
-            if best is not None:
-                _, q, to_remove, joker_slots = best
-                old_sim = state.sim
-                new_sim = self.delta(q, old_sim)[1]
-                state = self._consume(state, to_remove, joker_slots)
-                state = replace(
-                    state,
-                    sim=new_sim,
-                    sending=state.sending + self._change_run(q, old_sim),
+        if phase == PENDING:
+            # Preliminary check: a pending agent that sees its own
+            # un-consumed state run retracts it.
+            present = state_runs.get(sim, {})
+            missing = [i for i in self._run_indices if i not in present]
+            if len(missing) <= len(jokers):
+                queue, owed = self._consume(
+                    queue, owed, present, jokers, missing, self._state_run(sim)
                 )
-                events.append(
+                phase = AVAILABLE
+                state_runs, change_runs, jokers = self._index(queue, sim)
+
+        # Core check.  When several runs could complete, the one needing the
+        # fewest jokers (ties broken by repr) is consumed, so executions
+        # stay deterministic.
+        if phase == AVAILABLE:
+            best = self._best_run(state_runs, len(jokers))
+            if best is not None:
+                q, present, missing = best
+                old_sim = sim
+                sim = self.delta(q, old_sim)[1]
+                queue, owed = self._consume(
+                    queue, owed, present, jokers, missing, self._state_run(q)
+                )
+                queue += self._change_run(q, old_sim)
+                events = (
                     SimulationEvent(
                         step=-1,
                         agent=-1,
                         role=REACTOR_ROLE,
                         pre_sim=old_sim,
-                        post_sim=new_sim,
+                        post_sim=sim,
                         partner_pre_sim=q,
                         key=(q, old_sim),
-                    )
+                    ),
                 )
-        elif state.phase == PENDING:
-            found = self._find_change_run(state)
-            if found is not None:
-                to_remove, joker_slots, reactor_old = found
-                old_sim = state.sim
-                new_sim = self.delta(old_sim, reactor_old)[0]
-                state = self._consume(state, to_remove, joker_slots)
-                state = replace(state, sim=new_sim, phase=AVAILABLE)
-                events.append(
+        else:
+            best = self._best_run(change_runs, len(jokers))
+            if best is not None:
+                reactor_old, present, missing = best
+                old_sim = sim
+                sim = self.delta(old_sim, reactor_old)[0]
+                queue, owed = self._consume(
+                    queue, owed, present, jokers, missing, self._change_run(old_sim, reactor_old)
+                )
+                phase = AVAILABLE
+                events = (
                     SimulationEvent(
                         step=-1,
                         agent=-1,
                         role=STARTER_ROLE,
                         pre_sim=old_sim,
-                        post_sim=new_sim,
+                        post_sim=sim,
                         partner_pre_sim=reactor_old,
                         key=(old_sim, reactor_old),
-                    )
+                    ),
                 )
-        return state, events
+
+        if token is None and phase == reactor.phase and not events:
+            return reactor, events  # nothing received, nothing consumed
+        return SKnOState(sim, phase, queue, owed), events
+
+    # .. run-completion search ..................................................................
+
+    def _index(
+        self, queue: Tuple, sim: State
+    ) -> Tuple[Dict[State, RunIndex], Dict[State, RunIndex], List[int]]:
+        """Index ``queue`` in one pass.
+
+        Returns ``(state_runs, change_runs, jokers)``: ``state_runs[q]`` maps
+        each index ``i`` to the position of the first ``<q, i>``;
+        ``change_runs[r_old]`` does the same for the change tokens
+        ``<(sim, r_old), i>`` whose starter state is ``sim``; ``jokers``
+        lists the joker positions in queue order.
+        """
+        state_runs: Dict[State, RunIndex] = {}
+        change_runs: Dict[State, RunIndex] = {}
+        jokers: List[int] = []
+        for position, token in enumerate(queue):
+            kind = type(token)
+            if kind is StateToken:
+                present = state_runs.get(token.state)
+                if present is None:
+                    state_runs[token.state] = {token.index: position}
+                elif token.index not in present:
+                    present[token.index] = position
+            elif kind is JokerToken:
+                jokers.append(position)
+            elif kind is ChangeToken and token.starter_state == sim:
+                present = change_runs.get(token.reactor_old_state)
+                if present is None:
+                    change_runs[token.reactor_old_state] = {token.index: position}
+                elif token.index not in present:
+                    present[token.index] = position
+        return state_runs, change_runs, jokers
+
+    def _best_run(
+        self, runs: Dict[State, RunIndex], available_jokers: int
+    ) -> Optional[Tuple[State, RunIndex, List[int]]]:
+        """The run that completes with the fewest jokers, ties broken by repr of its key.
+
+        Returns ``(key, present, missing)``, where ``missing`` lists the run
+        indices the jokers must fill, or ``None`` when no run can complete.
+        """
+        best: Optional[Tuple[State, RunIndex, List[int]]] = None
+        indices = self._run_indices
+        for key, present in runs.items():
+            missing = [i for i in indices if i not in present]
+            if len(missing) > available_jokers:
+                continue
+            if (
+                best is None
+                or len(missing) < len(best[2])
+                or (len(missing) == len(best[2]) and repr(key) < repr(best[0]))
+            ):
+                best = (key, present, missing)
+        return best
+
+    @staticmethod
+    def _consume(
+        queue: Tuple,
+        owed: Tuple,
+        present: RunIndex,
+        jokers: List[int],
+        missing: List[int],
+        run: Tuple,
+    ) -> Tuple[Tuple, Tuple]:
+        """Remove a completed ``run`` from ``queue`` and record joker substitutions.
+
+        The run's present tokens and the first ``len(missing)`` jokers leave
+        the queue; the slots the jokers filled join ``owed``, which stays
+        repr-sorted.
+        """
+        queue = _without(queue, list(present.values()) + jokers[: len(missing)])
+        if missing:
+            owed = tuple(sorted(owed + tuple(run[i - 1] for i in missing), key=repr))
+        return queue, owed
 
     # -- event extraction ----------------------------------------------------------------------------
 
@@ -441,9 +475,9 @@ class SKnOSimulator(TwoWaySimulator):
             interaction = step.interaction
             if interaction.is_omissive:
                 if self.variant == VARIANT_I3:
-                    _, step_events = self._receive(step.reactor_pre, JokerToken())
+                    _, step_events = self._receive(step.reactor_pre, JOKER)
                 else:
-                    step_events = []
+                    step_events = ()
             else:
                 token = self.outgoing_token(step.starter_pre)
                 _, step_events = self._receive(step.reactor_pre, token)

@@ -169,12 +169,12 @@ def compile_program(program: Any, model: Any) -> CompiledProgram:
     size = len(interner)
     delta_starter = np.empty(size * size, dtype=np.int32)
     delta_reactor = np.empty(size * size, dtype=np.int32)
-    apply = model.apply
+    step = model.bind(program)
     encode = interner.encode
     for i, starter in enumerate(interner.states):
         base = i * size
         for j, reactor in enumerate(interner.states):
-            starter_post, reactor_post = apply(program, starter, reactor)
+            starter_post, reactor_post = step(starter, reactor, NO_OMISSION)
             try:
                 delta_starter[base + j] = encode(starter_post)
                 delta_reactor[base + j] = encode(reactor_post)
@@ -279,14 +279,14 @@ def compile_adversary(
     reactor_stack = np.empty((1 + len(kinds), size * size), dtype=np.int32)
     starter_stack[0] = compiled.delta_starter
     reactor_stack[0] = compiled.delta_reactor
-    apply = model.apply
+    step = model.bind(program)
     encode = compiled.interner.encode
     states = compiled.interner.states
     for row, omission in enumerate(kinds, start=1):
         for i, starter in enumerate(states):
             base = i * size
             for j, reactor in enumerate(states):
-                starter_post, reactor_post = apply(program, starter, reactor, omission)
+                starter_post, reactor_post = step(starter, reactor, omission)
                 try:
                     starter_stack[row, base + j] = encode(starter_post)
                     reactor_stack[row, base + j] = encode(reactor_post)

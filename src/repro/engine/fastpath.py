@@ -436,7 +436,9 @@ def run_core(
         raise ValueError("chunk_size must be at least 1")
     executed = 0
     scheduler_step = 0
-    model_apply = model.apply
+    # The program is resolved against the model once per run (see
+    # InteractionModel.bind), not once per interaction.
+    step = model.bind(program)
     record = recorder.record
     # The raw list behind the buffer: indexing MutableConfiguration goes
     # through Python-level dunders, four calls per step that this loop is
@@ -477,8 +479,8 @@ def run_core(
                 reactor = interaction.reactor
                 starter_pre = states[starter]
                 reactor_pre = states[reactor]
-                starter_post, reactor_post = model_apply(
-                    program, starter_pre, reactor_pre, interaction.omission
+                starter_post, reactor_post = step(
+                    starter_pre, reactor_pre, interaction.omission
                 )
                 states[starter] = starter_post
                 states[reactor] = reactor_post
@@ -490,8 +492,8 @@ def run_core(
                 reactor = interaction.reactor
                 starter_pre = states[starter]
                 reactor_pre = states[reactor]
-                starter_post, reactor_post = model_apply(
-                    program, starter_pre, reactor_pre, interaction.omission
+                starter_post, reactor_post = step(
+                    starter_pre, reactor_pre, interaction.omission
                 )
                 states[starter] = starter_post
                 states[reactor] = reactor_post

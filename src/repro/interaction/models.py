@@ -51,18 +51,19 @@ class ModelError(Exception):
     """Raised when a program or an omission is incompatible with a model."""
 
 
-def _starter_omission_handler(program: Any) -> Callable[[State], State]:
-    handler = getattr(program, "on_starter_omission", None)
-    if handler is None:
-        return lambda state: state
-    return handler
+#: A bound interaction: ``(starter_state, reactor_state, omission) ->
+#: (new_starter, new_reactor)`` (see :meth:`InteractionModel.bind`).
+Step = Callable[[State, State, Omission], Tuple[State, State]]
 
 
-def _reactor_omission_handler(program: Any) -> Callable[[State], State]:
-    handler = getattr(program, "on_reactor_omission", None)
-    if handler is None:
-        return lambda state: state
-    return handler
+def _identity(state: State) -> State:
+    return state
+
+
+def _handler(program: Any, name: str) -> Callable[[State], State]:
+    """The program's unary function ``name`` (``g``, ``o``, ``h``), or the identity."""
+    handler = getattr(program, name, None)
+    return _identity if handler is None else handler
 
 
 class InteractionModel:
@@ -83,6 +84,18 @@ class InteractionModel:
 
     # -- core semantics -----------------------------------------------------------------
 
+    def bind(self, program: Any) -> Step:
+        """Resolve ``program`` against this model once; return its step function.
+
+        The returned ``step(starter_state, reactor_state, omission)`` maps
+        the pre-states of one interaction to ``(new_starter, new_reactor)``.
+        The program is checked and its transition functions and omission
+        handlers are looked up here, once, instead of on every interaction.
+        Every omission other than the :data:`NO_OMISSION` singleton is still
+        validated by the step itself.
+        """
+        raise NotImplementedError
+
     def apply(
         self,
         program: Any,
@@ -91,7 +104,7 @@ class InteractionModel:
         omission: Omission = NO_OMISSION,
     ) -> Tuple[State, State]:
         """Apply one interaction and return ``(new_starter, new_reactor)``."""
-        raise NotImplementedError
+        return self.bind(program)(starter_state, reactor_state, omission)
 
     def validate_omission(self, omission: Omission) -> None:
         """Raise :class:`ModelError` when ``omission`` is not expressible in this model."""
@@ -115,10 +128,11 @@ class InteractionModel:
         self, program: Any, starter_state: State, reactor_state: State
     ) -> FrozenSet[Tuple[State, State]]:
         """The set of possible outcomes of an interaction, per Figure 1."""
-        outcomes = set()
-        for omission in self.admissible_omissions():
-            outcomes.add(self.apply(program, starter_state, reactor_state, omission))
-        return frozenset(outcomes)
+        step = self.bind(program)
+        return frozenset(
+            step(starter_state, reactor_state, omission)
+            for omission in self.admissible_omissions()
+        )
 
     def __repr__(self) -> str:
         return f"<InteractionModel {self.name}>"
@@ -139,33 +153,34 @@ class TwoWayModel(InteractionModel):
                 f"got {type(program).__name__}"
             )
 
-    def apply(
-        self,
-        program: Any,
-        starter_state: State,
-        reactor_state: State,
-        omission: Omission = NO_OMISSION,
-    ) -> Tuple[State, State]:
+    def bind(self, program: Any) -> Step:
         self._require_two_way_program(program)
-        self.validate_omission(omission)
+        fs = program.fs
+        fr = program.fr
+        on_starter = _identity
+        if self.starter_detects_omission:
+            on_starter = _handler(program, "on_starter_omission")
+        on_reactor = _identity
+        if self.reactor_detects_omission:
+            on_reactor = _handler(program, "on_reactor_omission")
+        validate_omission = self.validate_omission
 
-        if omission.starter_lost:
-            if self.starter_detects_omission:
-                new_starter = _starter_omission_handler(program)(starter_state)
-            else:
-                new_starter = starter_state
-        else:
-            new_starter = program.fs(starter_state, reactor_state)
+        def step(
+            starter_state: State, reactor_state: State, omission: Omission = NO_OMISSION
+        ) -> Tuple[State, State]:
+            if omission is not NO_OMISSION:
+                validate_omission(omission)
+                return (
+                    on_starter(starter_state)
+                    if omission.starter_lost
+                    else fs(starter_state, reactor_state),
+                    on_reactor(reactor_state)
+                    if omission.reactor_lost
+                    else fr(starter_state, reactor_state),
+                )
+            return fs(starter_state, reactor_state), fr(starter_state, reactor_state)
 
-        if omission.reactor_lost:
-            if self.reactor_detects_omission:
-                new_reactor = _reactor_omission_handler(program)(reactor_state)
-            else:
-                new_reactor = reactor_state
-        else:
-            new_reactor = program.fr(starter_state, reactor_state)
-
-        return new_starter, new_reactor
+        return step
 
 
 class OneWayModel(InteractionModel):
@@ -182,43 +197,33 @@ class OneWayModel(InteractionModel):
                 f"got {type(program).__name__}"
             )
 
-    def _apply_g(self, program: Any, state: State) -> State:
-        if not self.starter_detects_proximity:
-            return state
-        g = getattr(program, "g", None)
-        if g is None:
-            return state
-        return g(state)
-
-    def apply(
-        self,
-        program: Any,
-        starter_state: State,
-        reactor_state: State,
-        omission: Omission = NO_OMISSION,
-    ) -> Tuple[State, State]:
+    def bind(self, program: Any) -> Step:
         self._require_one_way_program(program)
-        self.validate_omission(omission)
-
-        if not omission.is_omissive:
-            new_starter = self._apply_g(program, starter_state)
-            new_reactor = program.f(starter_state, reactor_state)
-            return new_starter, new_reactor
-
-        # Omissive interaction: the reactor did not receive the starter's state.
+        f = program.f
+        # g is forced to the identity when the starter is oblivious (IO).
+        g = _handler(program, "g") if self.starter_detects_proximity else _identity
+        on_starter = g
         if self.starter_detects_omission:
-            new_starter = _starter_omission_handler(program)(starter_state)
-        else:
-            new_starter = self._apply_g(program, starter_state)
-
+            on_starter = _handler(program, "on_starter_omission")
         if self.reactor_detects_omission:
-            new_reactor = _reactor_omission_handler(program)(reactor_state)
+            on_reactor = _handler(program, "on_reactor_omission")
         elif self.reactor_detects_proximity_on_omission:
-            new_reactor = self._apply_g(program, reactor_state)
+            on_reactor = g
         else:
-            new_reactor = reactor_state
+            on_reactor = _identity
+        validate_omission = self.validate_omission
 
-        return new_starter, new_reactor
+        def step(
+            starter_state: State, reactor_state: State, omission: Omission = NO_OMISSION
+        ) -> Tuple[State, State]:
+            if omission is not NO_OMISSION:
+                validate_omission(omission)
+                if omission.is_omissive:
+                    # The reactor did not receive the starter's state.
+                    return on_starter(starter_state), on_reactor(reactor_state)
+            return g(starter_state), f(starter_state, reactor_state)
+
+        return step
 
 
 # -- concrete two-way models -----------------------------------------------------------------

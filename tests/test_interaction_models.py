@@ -283,3 +283,84 @@ class TestMetadataFlags:
         assert I4.starter_detects_omission and not I4.reactor_detects_omission
         assert not IO.starter_detects_proximity
         assert IT.starter_detects_proximity
+
+
+#: Figure 1's outcome formulas for the test programs above, per model and
+#: omission: ``(new_starter, new_reactor)`` as built by their g/f/fs/fr/o/h.
+S, R = "s", "r"
+ONE_WAY_OUTCOMES = {
+    NO_OMISSION: {
+        model: (S if model is IO else ("g", S), ("f", S, R))
+        for model in (IT, IO, I1, I2, I3, I4)
+    },
+    REACTOR_OMISSION: {
+        I1: (("g", S), R),
+        I2: (("g", S), ("g", R)),
+        I3: (("g", S), ("h", R)),
+        I4: (("o", S), ("g", R)),
+    },
+}
+TWO_WAY_OUTCOMES = {
+    NO_OMISSION: {model: (("fs", S, R), ("fr", S, R)) for model in (TW, T1, T2, T3)},
+    STARTER_OMISSION: {T1: (S, ("fr", S, R)), T2: (("o", S), ("fr", S, R)),
+                       T3: (("o", S), ("fr", S, R))},
+    REACTOR_OMISSION: {T1: (("fs", S, R), R), T2: (("fs", S, R), R),
+                       T3: (("fs", S, R), ("h", R))},
+    FULL_OMISSION: {T1: (S, R), T2: (("o", S), R), T3: (("o", S), ("h", R))},
+}
+
+
+class TestBind:
+    """``bind`` resolves a program once; its step is the model's transition."""
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=str)
+    @pytest.mark.parametrize("program", [TwoWayTestProgram(), OneWayTestProgram()],
+                             ids=["two-way", "one-way"])
+    def test_bound_step_equals_apply_and_figure_1(self, model, program):
+        outcomes = ONE_WAY_OUTCOMES if model.one_way else TWO_WAY_OUTCOMES
+        if model.one_way != isinstance(program, OneWayTestProgram):
+            with pytest.raises(ModelError):
+                model.bind(program)
+            return
+        step = model.bind(program)
+        for omission in model.admissible_omissions():
+            bound = step(S, R, omission)
+            assert bound == model.apply(program, S, R, omission)
+            assert bound == outcomes[omission][model]
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=str)
+    def test_equal_non_omission_is_not_omissive(self, model):
+        program = OneWayTestProgram() if model.one_way else TwoWayTestProgram()
+        step = model.bind(program)
+        assert step(S, R, Omission(False, False)) == step(S, R, NO_OMISSION)
+
+    @pytest.mark.parametrize("model,omission", [
+        (I3, STARTER_OMISSION),
+        (I4, FULL_OMISSION),
+        (IO, REACTOR_OMISSION),
+        (IT, REACTOR_OMISSION),
+        (TW, STARTER_OMISSION),
+    ], ids=lambda value: str(value))
+    def test_bound_step_still_validates_omissions(self, model, omission):
+        program = OneWayTestProgram() if model.one_way else TwoWayTestProgram()
+        step = model.bind(program)
+        with pytest.raises(ModelError):
+            step(S, R, omission)
+
+    def test_program_without_f_is_rejected_at_bind_time(self):
+        class OnlyG:
+            def g(self, starter):
+                return starter
+
+        with pytest.raises(ModelError):
+            I3.bind(OnlyG())
+
+    @pytest.mark.parametrize("missing", ["fs", "fr"])
+    def test_program_without_fs_or_fr_is_rejected_at_bind_time(self, missing):
+        class Partial:
+            pass
+
+        other = "fr" if missing == "fs" else "fs"
+        setattr(Partial, other, lambda self, s, r: s)
+        with pytest.raises(ModelError):
+            TW.bind(Partial())

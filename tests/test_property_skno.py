@@ -137,3 +137,35 @@ class TestTokenInvariants:
         assert len({hash(state) for state in final}) >= 1
         for state in final:
             assert simulator.project(state) in protocol.states
+
+
+class TestStarterSide:
+    @given(skno_scenario())
+    @settings(max_examples=60, deadline=None)
+    def test_outgoing_token_and_g_match_the_reference(self, scenario):
+        """The O(1) starter side equals the reference: go pending, enqueue, pop."""
+        simulator, _, trace = run_scenario(*scenario)
+        for configuration in trace.configurations():
+            for state in configuration:
+                token, after = simulator._effective_outgoing(state)
+                assert simulator.outgoing_token(state) == token
+                assert simulator.g(state) == after
+
+
+class TestMemoisedRuns:
+    def test_runs_are_built_once_per_simulator(self):
+        simulator = SKnOSimulator(protocol, omission_bound=2)
+        assert simulator._state_run("p") is simulator._state_run("p")
+        assert simulator._change_run("p", "c") is simulator._change_run("p", "c")
+        assert simulator._state_run("p") == tuple(StateToken("p", i) for i in (1, 2, 3))
+        assert simulator._change_run("p", "c") == tuple(
+            ChangeToken("p", "c", i) for i in (1, 2, 3))
+
+    def test_runs_are_not_shared_across_simulators(self):
+        first = SKnOSimulator(protocol, omission_bound=1)
+        second = SKnOSimulator(protocol, omission_bound=1)
+        assert first._state_run("p") == second._state_run("p")
+        assert first._state_run("p") is not second._state_run("p")
+        assert first._change_run("p", "c") is not second._change_run("p", "c")
+        assert SKnOSimulator(protocol, omission_bound=0)._state_run("p") == (
+            StateToken("p", 1),)

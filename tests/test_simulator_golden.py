@@ -3,10 +3,12 @@
 Every case below runs one simulator to stability (or to the step cap) with a
 full trace and pins what the run produced: the sha256 of ``repr`` of the
 final configuration, the step count, the omission count, and the sha256 of
-the ``extract_events`` / ``extract_matching`` output.  The table was
-recorded before the simulators' hot path was rewritten for speed; any
-change to a transition, a tie-break or the token order shows up here as a
-changed digest.
+the ``extract_events`` / ``extract_matching`` output.  Any change to a
+transition, a tie-break or the token order shows up here as a changed
+digest, so an optimisation of the simulators must leave this table alone.
+
+The exact ``repr`` of every simulator state and token type is pinned too:
+``SKnO`` breaks ties and orders its ``owed`` multiset by ``repr``.
 
 The grid covers what the campaign benchmark pins do not: the ``I4``
 variant of ``SKnO``, the ring-graph scheduler under both adversaries, and
@@ -26,9 +28,9 @@ from typing import Dict, Iterator, NamedTuple, Tuple
 import pytest
 
 from repro.adversary.omission import BoundedOmissionAdversary, UOAdversary
-from repro.core.naming import KnownSizeSimulator
-from repro.core.sid import SIDSimulator
-from repro.core.skno import SKnOSimulator
+from repro.core.naming import KnownSizeSimulator, KnownSizeState, NamingState
+from repro.core.sid import SIDSimulator, SIDState
+from repro.core.skno import ChangeToken, JokerToken, SKnOSimulator, SKnOState, StateToken
 from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
 from repro.interaction.models import get_model
@@ -285,6 +287,33 @@ def test_simulator_run_matches_golden(case):
 
 def test_golden_table_covers_the_grid():
     assert sorted(GOLDEN) == sorted(case.id for case in _cases())
+
+
+# The reprs below break ties between SKnO runs and order the owed multiset,
+# so they are part of the determinism contract (docs/invariants.md).
+REPRS = [
+    (StateToken("p", 1), "StateToken(state='p', index=1)"),
+    (ChangeToken("p", "c", 2),
+     "ChangeToken(starter_state='p', reactor_old_state='c', index=2)"),
+    (JokerToken(), "JokerToken()"),
+    (SKnOState("c", "pending", (StateToken("p", 1), JokerToken()), (StateToken("p", 2),)),
+     "SKnOState(sim='c', phase='pending', sending=(StateToken(state='p', index=1), "
+     "JokerToken()), owed=(StateToken(state='p', index=2),))"),
+    (SIDState(3, "c", "pairing", 1, "p"),
+     "SIDState(my_id=3, sim='c', phase='pairing', id_other=1, state_other='p')"),
+    (NamingState(2, 4), "NamingState(my_id=2, max_id=4)"),
+    (KnownSizeState("naming", "c", NamingState()),
+     "KnownSizeState(phase='naming', p_initial='c', naming=NamingState(my_id=1, max_id=1), "
+     "sid=None)"),
+    (KnownSizeState("simulating", "c", None, SIDState(1, "cs")),
+     "KnownSizeState(phase='simulating', p_initial='c', naming=None, sid=SIDState(my_id=1, "
+     "sim='cs', phase='available', id_other=None, state_other=None))"),
+]
+
+
+@pytest.mark.parametrize("value,expected", REPRS, ids=lambda value: type(value).__name__)
+def test_repr_contract(value, expected):
+    assert repr(value) == expected
 
 
 if __name__ == "__main__":
