@@ -16,9 +16,10 @@ Pipeline (one module each)::
     store     ResultStore           append-only JSONL, atomic per-cell writes
               SharedResultStore     one cell pool shared by many campaigns
               compact_store         canonical rewrite, atomic via rename
-    runner    run_campaign          serial cell walk through repeat_experiment
-    executor  run_campaign_parallel cell-level worker pool (``--cell-jobs``)
-    queue     CampaignQueue         prioritised multi-campaign scheduler
+    runner    run_campaign          one campaign's run: a one-entry queue drain
+              build_cell_record     one cell through repeat_experiment
+    executor  CampaignQueue         the one scheduler: prioritised, deduplicating,
+                                    inline at width 1, pooled (``--cell-jobs``)
     report    render_report         fold the store into verdict grids + tables
 
 Resumability is the design center: every planned cell has a stable
@@ -36,9 +37,8 @@ resume semantics, and ``examples/figure4_omission_sweep.json`` for a
 shipped campaign reproducing a Figure-4 omission-budget sweep slice.
 """
 
-from repro.campaign.executor import run_campaign_parallel
+from repro.campaign.executor import CampaignQueue, QueuedCampaign
 from repro.campaign.planner import CampaignPlan, PlannedCell, plan_campaign
-from repro.campaign.queue import CampaignQueue, QueuedCampaign
 from repro.campaign.report import render_report
 from repro.campaign.runner import CampaignRunStatus, campaign_status, run_campaign
 from repro.campaign.spec import CampaignError, CampaignSpec
@@ -68,6 +68,5 @@ __all__ = [
     "plan_campaign",
     "render_report",
     "run_campaign",
-    "run_campaign_parallel",
     "store_kind",
 ]

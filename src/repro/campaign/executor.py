@@ -1,56 +1,55 @@
-"""Cell-level parallel campaign execution.
+"""The campaign scheduler: one prioritised cell queue behind every run.
 
-One campaign's cells are embarrassingly parallel by construction:
-content-addressed specs plus per-cell seed blocks make every cell a pure
-function of its own inputs, independent of every other cell.  This
-module overlaps pending cells across a thread pool — each worker runs
-one cell through :func:`~repro.campaign.runner.build_cell_record`, whose
-cell-internal fan-out (``jobs``/``jobs_backend``/``run_chunk``/
-``result_transport``, the thread/process machinery of
-:mod:`repro.engine.experiment`) composes underneath, so ``--cell-jobs 4
---jobs 2 --backend process`` keeps four cells in flight with two worker
-processes each — under the shm transport each cell's worker thread
-ingests its own arenas and still hands the main thread a plain record.
-
-Determinism under concurrency
------------------------------
-
-The executor preserves the serial walk's semantics in *set* terms, which
-is all the folds consume:
+Every campaign execution goes through :meth:`CampaignQueue.drain`;
+:func:`~repro.campaign.runner.run_campaign` is a one-entry queue.
+Several submitted campaigns merge their pending cells into one work
+list ordered by ``(-priority, submission order, plan index)``.  Each
+cell is computed by :func:`~repro.campaign.runner.build_cell_record`,
+whose cell-internal fan-out (``jobs``/``jobs_backend``/``run_chunk``/
+``result_transport``) composes underneath, so ``--cell-jobs 4 --jobs 2
+--backend process`` keeps four cells in flight with two worker
+processes each.
 
 * **Which cells run** is deterministic: the first ``max_cells`` pending
-  cells in plan order (exactly the serial prefix), whatever the pool
-  width.  ``--max-cells`` therefore still interrupts campaigns at a
-  reproducible point.
-* **What each cell produces** is deterministic: workers never share
-  state — ``build_cell_record`` touches neither the store nor the other
-  cells.
-* **Append order is not** deterministic: records persist in completion
-  order.  The store and report layers fold the record *set* (sorted by
-  cell id), so the rendered report is byte-identical to the serial
-  run's for every ``cell_jobs`` — the fold-equivalence contract pinned
-  by ``tests/test_campaign_executor.py``.
+  items in schedule order — for one campaign, the first ``max_cells``
+  pending cells in plan order — whatever the pool width.
+* **What each cell produces** is deterministic: ``build_cell_record``
+  touches neither the store nor the other cells.
+* **Append order is not**: a pool persists records in completion order.
+  Stores and reports fold the record *set*, so reports are
+  byte-identical for every ``cell_jobs`` (fold-equivalence, pinned by
+  ``tests/test_campaign_executor.py``).
 
-The store stays **single-writer**: workers return records to the main
-thread, which is the only appender — in-process concurrency never
-interleaves file writes (cross-process appenders are serialised by the
-store's ``O_APPEND`` single-``write`` discipline instead).
+The pool width is ``min(cell_jobs, cells to compute)``.  At width 1 the
+cells run inline on the draining thread — the serial reference, and what
+keeps a per-thread profiler seeing the simulators; only a wider pool
+uses threads.  Either way workers return records and the draining
+thread is every store's only appender.
 
-On ``KeyboardInterrupt``, queued cells are cancelled, in-flight cells
-run to completion (they cannot be safely stopped mid-run), and every
-finished record is persisted before returning — the store is always
-resumable.
+Content addressing makes the queue deduplicating: overlapping campaigns
+share cell ids, so each distinct cell executes once, and a cell already
+persisted in *any* submitted store is delivered instead of recomputed —
+re-headed with each plan's own index/coordinates, so every store is
+record-identical to its campaign run alone.  Campaigns sharing one store
+must be submitted with the *same* store object.
+
+On ``KeyboardInterrupt`` queued cells are cancelled, in-flight cells run
+to completion, and every finished record is persisted — the stores are
+always resumable.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
-from typing import Callable, Dict, Iterator, List, Optional
+from contextlib import closing
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.campaign.planner import CampaignPlan, PlannedCell
 from repro.campaign.runner import (
     INTERRUPT_MESSAGE,
     CampaignRunStatus,
+    _cell_record_header,
     _tally,
     build_cell_record,
     progress_line,
@@ -70,85 +69,228 @@ def _completed_in_order(futures: List[Future]) -> Iterator[Future]:
     return as_completed(futures)
 
 
-def run_campaign_parallel(
-    plan: CampaignPlan,
-    store: _BaseStore,
-    *,
-    cell_jobs: int = 1,
-    jobs: int = 1,
-    jobs_backend: str = "thread",
-    run_chunk: int = 1,
-    max_cells: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    result_transport: str = "pickle",
-) -> CampaignRunStatus:
-    """Execute pending cells of ``plan`` over a ``cell_jobs``-wide pool.
+@dataclass
+class QueuedCampaign:
+    """One submitted campaign: its plan, store, priority and fan-out knobs."""
 
-    Semantically the parallel twin of
-    :func:`~repro.campaign.runner.run_campaign`: the same cell set runs
-    (the first ``max_cells`` pending cells in plan order), every record
-    is identical, and the resulting store folds to byte-identical
-    reports — only wall-clock overlap and on-disk append order differ.
+    plan: CampaignPlan
+    store: _BaseStore
+    priority: int
+    order: int
+    jobs: int
+    jobs_backend: str
+    run_chunk: int
+    result_transport: str
+    status: CampaignRunStatus
+
+
+@dataclass
+class _WorkItem:
+    """One distinct cell to produce, with every campaign that wants it."""
+
+    cell_id: str
+    #: ``(-priority, submission order, plan index)`` of the best subscriber
+    #: — the deterministic schedule key (smaller starts first).
+    sort_key: Tuple[int, int, int]
+    #: That best subscriber: the ``(campaign, planned cell)`` that computes it.
+    owner: Tuple[QueuedCampaign, PlannedCell]
+    #: ``(campaign, its planned cell)`` pairs, in submission order.
+    subscribers: List[Tuple[QueuedCampaign, PlannedCell]] = field(
+        default_factory=list)
+
+
+def _reheaded(record: dict, cell: PlannedCell) -> dict:
+    """``record``'s outcome under ``cell``'s own header fields.
+
+    Cell records carry the owning plan's ``index``/``coordinates``; the
+    outcome fields (``status``/``result``/``reason``/``error``) are pure
+    functions of the content-addressed cell, so re-heading a record for
+    another plan's view of the same cell reproduces exactly what that
+    plan would have computed itself.
     """
-    if cell_jobs < 1:
-        raise ValueError("cell_jobs must be at least 1")
-    if max_cells is not None and max_cells < 1:
-        raise ValueError("max_cells must be at least 1")
-    emit = progress if progress is not None else (lambda _message: None)
-    status = CampaignRunStatus(total=plan.total)
-    pending: List[PlannedCell] = []
-    for cell in plan.cells:
-        existing = store.record_for(cell.cell_id)
-        if existing is not None:
-            _tally(status, existing)
-        else:
-            pending.append(cell)
-    selected = pending if max_cells is None else pending[:max_cells]
-    if len(selected) < len(pending):
-        status.interrupted = True
+    fresh = _cell_record_header(cell)
+    for key, value in record.items():
+        if key not in fresh:
+            fresh[key] = value
+    return fresh
 
-    def persist(future: Future, cell: PlannedCell) -> None:
-        record = future.result()
-        emit(progress_line(cell, plan.total, record))
-        store.append_cell(record)
-        status.executed_now += 1
-        _tally(status, record)
 
-    if selected:
+def _build(item: _WorkItem) -> dict:
+    """Compute one item under its owner's fan-out knobs.
+
+    ``build_cell_record`` is looked up as a module global on every call,
+    so a rebinding (a test's counter, a tracer's span wrapper) applies.
+    """
+    entry, cell = item.owner
+    return build_cell_record(cell, entry.plan, jobs=entry.jobs,
+                             jobs_backend=entry.jobs_backend,
+                             run_chunk=entry.run_chunk,
+                             result_transport=entry.result_transport)
+
+
+def _computed(items: List[_WorkItem], width: int,
+              submitted: Dict[Future, _WorkItem],
+              ) -> Generator[Tuple[_WorkItem, dict], None, None]:
+    """Yield ``(item, record)`` for every item, over ``width`` threads.
+
+    Width 1 computes inline, in schedule order.  A wider pool records each
+    future in ``submitted`` and yields in completion order; closing the
+    generator (or an error inside it) cancels the queued cells, and the
+    pool's shutdown waits for the in-flight ones.
+    """
+    if width <= 1:
+        for item in items:
+            yield item, _build(item)
+        return
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        for item in items:
+            submitted[pool.submit(_build, item)] = item
+        try:
+            for future in _completed_in_order(list(submitted)):
+                yield submitted[future], future.result()
+        finally:
+            for future in submitted:
+                future.cancel()
+
+
+class CampaignQueue:
+    """Accumulate pending campaigns; drain them through one scheduler."""
+
+    def __init__(self) -> None:
+        self._entries: List[QueuedCampaign] = []
+
+    def submit(self, plan: CampaignPlan, store: _BaseStore, *,
+               priority: Optional[int] = None, jobs: int = 1,
+               jobs_backend: str = "thread", run_chunk: int = 1,
+               result_transport: str = "pickle") -> QueuedCampaign:
+        """Enqueue a campaign.  ``priority`` defaults to the spec's own
+        ``priority`` field; larger values drain first."""
+        entry = QueuedCampaign(
+            plan=plan,
+            store=store,
+            priority=plan.campaign.priority if priority is None else priority,
+            order=len(self._entries),
+            jobs=jobs,
+            jobs_backend=jobs_backend,
+            run_chunk=run_chunk,
+            result_transport=result_transport,
+            status=CampaignRunStatus(total=plan.total),
+        )
+        self._entries.append(entry)
+        return entry
+
+    def drain(self, *, cell_jobs: int = 1, max_cells: Optional[int] = None,
+              progress: Optional[Callable[[str], None]] = None,
+              ) -> List[CampaignRunStatus]:
+        """Run the pending cells of every submitted campaign.
+
+        ``max_cells`` caps how many cells this drain computes (the first
+        ones in schedule order); a status whose campaign still has pending
+        cells afterwards reports ``interrupted=True``.  ``progress``
+        receives one line per delivered cell, prefixed ``[name] `` when the
+        queue holds more than one campaign.  Returns the per-campaign
+        statuses in submission order.
+        """
+        if cell_jobs < 1:
+            raise ValueError("cell_jobs must be at least 1")
+        if max_cells is not None and max_cells < 1:
+            raise ValueError("max_cells must be at least 1")
+        emit = progress if progress is not None else (lambda _message: None)
+        for entry in self._entries:
+            entry.status = CampaignRunStatus(total=entry.plan.total)
+
+        queue = sorted(self._collect_items().values(),
+                       key=lambda item: item.sort_key)
+        # Satisfy from any submitted store's cache before computing anything:
+        # a record persisted by one campaign serves every other subscriber.
+        to_run: List[_WorkItem] = []
+        for item in queue:
+            cached = self._cached_record(item)
+            if cached is not None:
+                self._deliver(item, cached, emit, executed=False)
+            else:
+                to_run.append(item)
+        selected = to_run if max_cells is None else to_run[:max_cells]
+        width = min(cell_jobs, len(selected))
         obs = get_recorder()
         if obs is not NULL_RECORDER:
-            obs.gauge("campaign.pool_width", min(cell_jobs, len(selected)))
-            obs.counter("campaign.cells.submitted", len(selected))
-        futures: List[Future] = []
-        cell_of: Dict[Future, PlannedCell] = {}
+            obs.gauge("campaign.pool_width", width)
+            obs.gauge("queue.campaigns", len(self._entries))
+            obs.gauge("queue.depth", len(queue))
+            obs.counter("queue.cache_hits", len(queue) - len(to_run))
+            obs.counter("queue.executed", len(selected))
+
+        submitted: Dict[Future, _WorkItem] = {}
         try:
-            with ThreadPoolExecutor(
-                    max_workers=min(cell_jobs, len(selected))) as pool:
-                for cell in selected:
-                    future = pool.submit(
-                        build_cell_record, cell, plan, jobs=jobs,
-                        jobs_backend=jobs_backend, run_chunk=run_chunk,
-                        result_transport=result_transport)
-                    futures.append(future)
-                    cell_of[future] = cell
-                try:
-                    for future in _completed_in_order(futures):
-                        persist(future, cell_of[future])
-                except KeyboardInterrupt:
-                    # Queued cells are cancelled; the pool's shutdown (the
-                    # with-block exit) waits for in-flight ones to finish.
-                    for future in futures:
-                        future.cancel()
-                    raise
+            # Leaving the block closes the generator: queued cells are
+            # cancelled and in-flight ones finish before the handler runs.
+            with closing(_computed(selected, width, submitted)) as records:
+                for item, record in records:
+                    self._deliver(item, record, emit, executed=True)
         except KeyboardInterrupt:
-            status.interrupted = True
-            status.keyboard_interrupt = True
-            for future in futures:
+            for future, item in submitted.items():
+                entry, cell = item.owner
                 if future.done() and not future.cancelled() \
                         and future.exception() is None \
-                        and store.record_for(cell_of[future].cell_id) is None:
-                    persist(future, cell_of[future])
+                        and entry.store.record_for(cell.cell_id) is None:
+                    self._deliver(item, future.result(), emit, executed=True)
+            for entry in self._entries:
+                entry.status.interrupted = True
+                entry.status.keyboard_interrupt = True
             emit(INTERRUPT_MESSAGE)
-    status.pending_cells = [
-        cell for cell in plan.cells if store.record_for(cell.cell_id) is None]
-    return status
+        for entry in self._entries:
+            entry.status.pending_cells = [
+                cell for cell in entry.plan.cells
+                if entry.store.record_for(cell.cell_id) is None]
+            if entry.status.pending_cells:
+                entry.status.interrupted = True
+        return [entry.status for entry in self._entries]
+
+    # -- drain internals --------------------------------------------------------
+
+    def _collect_items(self) -> Dict[str, _WorkItem]:
+        """Pending cells of every campaign, merged by content address."""
+        items: Dict[str, _WorkItem] = {}
+        for entry in self._entries:
+            for cell in entry.plan.cells:
+                existing = entry.store.record_for(cell.cell_id)
+                if existing is not None:
+                    _tally(entry.status, existing)
+                    continue
+                key = (-entry.priority, entry.order, cell.index)
+                item = items.get(cell.cell_id)
+                if item is None:
+                    item = items[cell.cell_id] = _WorkItem(
+                        cell.cell_id, key, (entry, cell))
+                elif key < item.sort_key:
+                    item.sort_key, item.owner = key, (entry, cell)
+                item.subscribers.append((entry, cell))
+        return items
+
+    def _cached_record(self, item: _WorkItem) -> Optional[dict]:
+        """A finished record for this cell in any submitted store, if one
+        exists (scanned in submission order, so the source is deterministic)."""
+        for entry in self._entries:
+            record = entry.store.record_for(item.cell_id)
+            if record is not None:
+                return record
+        return None
+
+    def _deliver(self, item: _WorkItem, record: dict,
+                 emit: Callable[[str], None], *, executed: bool) -> None:
+        """Hand one finished record to every subscriber lacking it."""
+        owner_entry, _ = item.owner
+        named = len(self._entries) > 1
+        for entry, cell in item.subscribers:
+            delivered = entry.store.record_for(cell.cell_id)
+            if delivered is None:
+                delivered = _reheaded(record, cell)
+                entry.store.append_cell(delivered)
+                # Per delivered record, not per step: the NullRecorder call
+                # is a single no-op method dispatch when telemetry is off.
+                get_recorder().counter("queue.delivered")
+                if executed and entry is owner_entry:
+                    entry.status.executed_now += 1
+            _tally(entry.status, delivered)
+            line = progress_line(cell, entry.plan.total, delivered)
+            emit(f"[{entry.plan.campaign.name}] {line}" if named else line)

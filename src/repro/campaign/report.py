@@ -6,7 +6,7 @@ the acceptance property hold: an interrupted-and-resumed campaign, whose
 store holds the same records in a different append order, renders a
 report byte-identical to an uninterrupted run's.
 
-With parallel executors the pin is stated as **fold-equivalence**:
+With pooled execution the pin is stated as **fold-equivalence**:
 ``render_report(plan, records)`` consumes the record *set* — the
 ``records`` mapping is keyed by content-addressed cell id and every
 lookup walks the plan's own cell order, so on-disk append order (which

@@ -1,31 +1,25 @@
-"""Campaign execution: dispatch planned cells and stream results to the store.
+"""Campaign execution: build cell records and stream them to the store.
 
-The runner walks the plan in cell order, skips every cell the store
-already holds, and executes the rest through
+A campaign's cells run through
 :func:`~repro.engine.experiment.repeat_experiment` — each cell fans its
 ``runs`` seeds out over the existing sequential/thread/process backends
-(``jobs``/``jobs_backend``/``run_chunk`` are forwarded untouched), so a
-campaign inherits all the determinism guarantees those backends pin:
-a cell's result is a pure function of its resolved spec and seed block,
-whatever the fan-out.
+(``jobs``/``jobs_backend``/``run_chunk``/``result_transport`` are
+forwarded untouched), so a campaign inherits all the determinism
+guarantees those backends pin: a cell's result is a pure function of its
+resolved spec and seed block, whatever the fan-out.
+:func:`build_cell_record` is that per-cell computation, with no store
+access.
 
-Interruption is a first-class outcome, not an error: cells are persisted
-one by one with atomic appends, so killing the runner between (or during)
-cells loses at most the cell in flight.  ``max_cells`` bounds how many
-*new* cells one invocation executes — the CI smoke and the resume tests
-use it to interrupt campaigns at a deterministic prefix — and a
-``KeyboardInterrupt`` mid-campaign is caught, reported, and leaves the
-store resumable.  ``repro campaign resume`` is the same walk again: done
-cells are skipped by content-addressed id, pending ones run, and the
-finished store folds to a report byte-identical to an uninterrupted run.
-
-``cell_jobs > 1`` hands the same walk to the cell-level parallel
-executor (:mod:`repro.campaign.executor`): the *set* of cells executed
-is identical — the first ``max_cells`` pending cells in plan order —
-but they overlap across a worker pool and persist in completion order.
-Folds are record-set functions (see :mod:`repro.campaign.store`), so
-the serial walk remains the semantic reference the executor is pinned
-against.
+:func:`run_campaign` drains a one-entry
+:class:`~repro.campaign.executor.CampaignQueue`, the one campaign
+scheduler: it skips every cell the store already holds, computes the
+first ``max_cells`` pending cells in plan order — inline at
+``cell_jobs=1``, across a worker pool otherwise — and persists each
+record with an atomic append, so killing the run between (or during)
+cells loses at most the cells in flight.  A ``KeyboardInterrupt`` is
+caught, reported, and leaves the store resumable; ``repro campaign
+resume`` is the same drain again, and the finished store folds to a
+report byte-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -204,18 +198,19 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
     """The persistent record for one planned cell: ``n/a`` or executed.
 
     A pure function of (cell, seed block, fan-out knobs) with no store
-    access — which is what lets the parallel executor and the cell queue
-    call it from worker threads while a single writer owns the store.
+    access — which is what lets the campaign scheduler
+    (:mod:`repro.campaign.executor`) call it from worker threads while a
+    single writer owns the store.
     ``result_transport`` rides along with the other fan-out knobs
     (mechanism only — records are byte-identical for every transport);
     even under the shm transport the record returned here is plain data,
     so the main thread stays the store's only appender.
 
-    This is also the one per-cell observability seam: every executor —
-    the serial walk, the parallel pool, the multi-campaign queue — funnels
-    through here, so per-cell wall time and verdicts are recorded exactly
-    once per computed cell, whatever scheduled it.  Telemetry is
-    write-only: the returned record never carries it.
+    This is also the one per-cell observability seam: the scheduler
+    funnels every computed cell through here, inline or on a pool thread,
+    so per-cell wall time and verdicts are recorded exactly once per
+    computed cell.  Telemetry is write-only: the returned record never
+    carries it.
     """
     obs = get_recorder()
     if obs is NULL_RECORDER:
@@ -279,32 +274,23 @@ def run_campaign(
 
     ``max_cells`` caps the number of cells *newly executed* by this call
     (``None`` = no cap); the return value reports ``interrupted=True`` when
-    the cap stopped the walk early.  ``progress`` (e.g. ``print``) receives
+    the cap stopped the run early.  ``progress`` (e.g. ``print``) receives
     one line per cell.  ``cell_jobs > 1`` overlaps independent cells across
-    a worker pool (:func:`repro.campaign.executor.run_campaign_parallel`);
-    the executed cell *set* and the folded results are identical to this
-    serial walk for every value.
+    a worker pool; the executed cell *set* and the folded results are
+    identical for every value.
     """
-    if max_cells is not None and max_cells < 1:
-        raise ValueError("max_cells must be at least 1")
-    if cell_jobs < 1:
-        raise ValueError("cell_jobs must be at least 1")
+    # Deferred: the scheduler imports this module's per-cell seam.
+    from repro.campaign.executor import CampaignQueue
+
+    queue = CampaignQueue()
+    queue.submit(plan, store, jobs=jobs, jobs_backend=jobs_backend,
+                 run_chunk=run_chunk, result_transport=result_transport)
     obs = get_recorder()
     begin = 0.0 if obs is NULL_RECORDER else time.perf_counter()
     if obs is not NULL_RECORDER:
         record_campaign_planned(obs, plan)
-    if cell_jobs > 1:
-        from repro.campaign.executor import run_campaign_parallel
-        status = run_campaign_parallel(
-            plan, store, cell_jobs=cell_jobs, jobs=jobs,
-            jobs_backend=jobs_backend, run_chunk=run_chunk,
-            max_cells=max_cells, progress=progress,
-            result_transport=result_transport)
-    else:
-        status = _run_campaign_serial(
-            plan, store, jobs=jobs, jobs_backend=jobs_backend,
-            run_chunk=run_chunk, max_cells=max_cells, progress=progress,
-            result_transport=result_transport)
+    status, = queue.drain(cell_jobs=cell_jobs, max_cells=max_cells,
+                          progress=progress)
     if obs is not NULL_RECORDER:
         _record_campaign_done(obs, plan, status,
                               time.perf_counter() - begin)
@@ -340,41 +326,3 @@ def _record_campaign_done(obs: Recorder, plan: CampaignPlan,
               skipped=store_hits, errors=status.errors, na=status.na,
               interrupted=status.interrupted, seconds=round(seconds, 6))
 
-
-def _run_campaign_serial(
-    plan: CampaignPlan,
-    store: ResultStore,
-    *,
-    jobs: int,
-    jobs_backend: str,
-    run_chunk: int,
-    max_cells: Optional[int],
-    progress: Optional[Callable[[str], None]],
-    result_transport: str,
-) -> CampaignRunStatus:
-    """The serial reference walk behind :func:`run_campaign`."""
-    emit = progress if progress is not None else (lambda _message: None)
-    status = CampaignRunStatus(total=plan.total)
-    try:
-        for cell in plan.cells:
-            existing = store.record_for(cell.cell_id)
-            if existing is not None:
-                _tally(status, existing)
-                continue
-            if max_cells is not None and status.executed_now >= max_cells:
-                status.interrupted = True
-                break
-            record = build_cell_record(
-                cell, plan, jobs=jobs, jobs_backend=jobs_backend,
-                run_chunk=run_chunk, result_transport=result_transport)
-            emit(progress_line(cell, plan.total, record))
-            store.append_cell(record)
-            status.executed_now += 1
-            _tally(status, record)
-    except KeyboardInterrupt:
-        status.interrupted = True
-        status.keyboard_interrupt = True
-        emit(INTERRUPT_MESSAGE)
-    status.pending_cells = [
-        cell for cell in plan.cells if store.record_for(cell.cell_id) is None]
-    return status

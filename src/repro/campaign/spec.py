@@ -24,7 +24,7 @@ with no third-party dependencies — declaring a *grid* of experiments:
     span the report's verdict grids (default: the first two).
 ``priority``
     Optional integer (default 0) ranking this campaign when several drain
-    through one :class:`~repro.campaign.queue.CampaignQueue` — larger
+    through one :class:`~repro.campaign.executor.CampaignQueue` — larger
     runs first.  Pure scheduling metadata: it is **not** part of any
     cell's identity hash, so re-prioritising never re-runs cells.
 

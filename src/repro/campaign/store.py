@@ -164,8 +164,8 @@ class _BaseStore:
         self.path = path
         self.manifest = manifest
         self._cells = cell_records
-        #: Serialises in-process appenders (the parallel executor appends
-        #: from one thread, but the queue and library callers need not).
+        #: Serialises in-process appenders (the campaign scheduler appends
+        #: from its draining thread, but library callers need not).
         self._lock = threading.Lock()
 
     # -- reading ----------------------------------------------------------------
@@ -181,7 +181,7 @@ class _BaseStore:
     def cell_records(self) -> Dict[str, Dict[str, Any]]:
         """Records keyed by cell id, **ordered by sorted cell id**.
 
-        Append order tracks execution order, which a parallel executor is
+        Append order tracks execution order, which a pooled drain is
         allowed to permute — so the iteration order handed to folds is
         normalised here, making every downstream consumer independent of
         completion order by construction.

@@ -23,9 +23,9 @@ recoverable, compactions all-or-nothing.  Any other write path inside
 ``repro.campaign`` — an ``open(..., "w"/"a")``, ``os.open`` with write
 flags, ``Path.write_text`` — could interleave partial lines or skip the
 fsync and silently void crash recovery, so constructing a writable file
-handle outside the sanctioned writer modules is a finding.  The parallel
-executor and the campaign queue deliberately hold no write path of their
-own: workers return records, and the store appends them.  The
+handle outside the sanctioned writer modules is a finding.  The campaign
+scheduler (:mod:`repro.campaign.executor`) deliberately holds no write
+path of its own: workers return records, and the store appends them.  The
 shared-memory result transport (:mod:`repro.engine.transport`) is scoped
 in for the same reason: it moves results *between* processes, and the
 single-writer contract only holds if no transport lane ever grows a

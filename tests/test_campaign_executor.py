@@ -14,12 +14,12 @@ the folds, not an accident of thread timing.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
-from repro.campaign.executor import run_campaign_parallel
+from repro.campaign.executor import CampaignQueue
 from repro.campaign.planner import plan_campaign
-from repro.campaign.queue import CampaignQueue
 from repro.campaign.report import render_report
 from repro.campaign.runner import campaign_status, run_campaign
 from repro.campaign.spec import campaign_from_dict
@@ -77,7 +77,7 @@ class TestParallelEquivalence:
         expected_records, expected_report = serial_reference(tmp_path, plan)
 
         store = fresh_store(tmp_path, plan)
-        status = run_campaign_parallel(
+        status = run_campaign(
             plan, store, cell_jobs=cell_jobs, jobs=jobs,
             jobs_backend=jobs_backend, run_chunk=run_chunk)
         assert status.complete and status.executed_now == plan.total
@@ -88,8 +88,8 @@ class TestParallelEquivalence:
         plan = plan_campaign(campaign_from_dict(small_campaign()))
         expected_records, expected_report = serial_reference(tmp_path, plan)
         store = fresh_store(tmp_path, plan)
-        run_campaign_parallel(plan, store, cell_jobs=2, jobs=2,
-                              jobs_backend="process", run_chunk=2)
+        run_campaign(plan, store, cell_jobs=2, jobs=2,
+                     jobs_backend="process", run_chunk=2)
         assert canonical_records(store) == expected_records
         assert render_report(plan, store.cell_records) == expected_report
 
@@ -106,7 +106,7 @@ class TestParallelEquivalence:
         plan = plan_campaign(campaign_from_dict(small_campaign()))
         store = fresh_store(tmp_path, plan)
         with pytest.raises(ValueError):
-            run_campaign_parallel(plan, store, cell_jobs=0)
+            run_campaign(plan, store, cell_jobs=0)
         with pytest.raises(ValueError):
             run_campaign(plan, store, cell_jobs=0)
 
@@ -117,9 +117,9 @@ class TestParallelEquivalence:
         plan = plan_campaign(campaign_from_dict(small_campaign(backend="array")))
         expected_records, expected_report = serial_reference(tmp_path, plan)
         store = fresh_store(tmp_path, plan)
-        run_campaign_parallel(plan, store, cell_jobs=2,
-                              max_cells=interrupt_after)
-        run_campaign_parallel(plan, store, cell_jobs=2)
+        run_campaign(plan, store, cell_jobs=2,
+                     max_cells=interrupt_after)
+        run_campaign(plan, store, cell_jobs=2)
         assert canonical_records(store) == expected_records
         assert render_report(plan, store.cell_records) == expected_report
 
@@ -138,7 +138,7 @@ class TestInterruptResumeEquivalence:
         expected_records, expected_report = serial_reference(tmp_path, plan)
 
         store = fresh_store(tmp_path, plan)
-        partial = run_campaign_parallel(
+        partial = run_campaign(
             plan, store, cell_jobs=cell_jobs, max_cells=interrupt_after)
         assert partial.interrupted and not partial.keyboard_interrupt
         assert partial.executed_now == interrupt_after
@@ -149,7 +149,7 @@ class TestInterruptResumeEquivalence:
 
         resumed = ResultStore.open(store.path, plan.campaign.name,
                                    plan.campaign_hash)
-        status = run_campaign_parallel(plan, resumed, cell_jobs=cell_jobs)
+        status = run_campaign(plan, resumed, cell_jobs=cell_jobs)
         assert status.complete
         assert status.executed_now == plan.total - interrupt_after
         assert canonical_records(resumed) == expected_records
@@ -164,7 +164,7 @@ class TestInterruptResumeEquivalence:
         def step(executor: str, store, **kwargs):
             if executor == "serial":
                 return run_campaign(plan, store, **kwargs)
-            return run_campaign_parallel(plan, store, cell_jobs=4, **kwargs)
+            return run_campaign(plan, store, cell_jobs=4, **kwargs)
 
         store = fresh_store(tmp_path, plan)
         step(first, store, max_cells=2)
@@ -192,14 +192,14 @@ class TestInterruptResumeEquivalence:
             return real(cell, plan_, **kwargs)
 
         monkeypatch.setattr(executor_module, "build_cell_record", interrupting)
-        status = run_campaign_parallel(plan, store, cell_jobs=1)
+        status = run_campaign(plan, store, cell_jobs=1)
         assert status.interrupted and status.keyboard_interrupt
         assert 0 < status.done < plan.total
 
         monkeypatch.setattr(executor_module, "build_cell_record", real)
         resumed = ResultStore.open(store.path, plan.campaign.name,
                                    plan.campaign_hash)
-        final = run_campaign_parallel(plan, resumed, cell_jobs=4)
+        final = run_campaign(plan, resumed, cell_jobs=4)
         assert final.complete
         assert canonical_records(resumed) == expected_records
         assert render_report(plan, resumed.cell_records) == expected_report
@@ -242,7 +242,7 @@ class TestInjectedCompletionOrder:
         monkeypatch.setattr(executor_module, "_completed_in_order",
                             permuting(PERMUTATIONS[permutation]))
         store = fresh_store(tmp_path, plan)
-        status = run_campaign_parallel(plan, store, cell_jobs=4)
+        status = run_campaign(plan, store, cell_jobs=4)
         assert status.complete
         assert canonical_records(store) == expected_records
         assert render_report(plan, store.cell_records) == expected_report
@@ -257,7 +257,7 @@ class TestInjectedCompletionOrder:
         monkeypatch.setattr(executor_module, "_completed_in_order",
                             permuting(PERMUTATIONS["reversed"]))
         store = fresh_store(tmp_path, plan)
-        run_campaign_parallel(plan, store, cell_jobs=4)
+        run_campaign(plan, store, cell_jobs=4)
         with open(store.path, "r", encoding="utf-8") as handle:
             lines = [json.loads(line) for line in handle if line.strip()]
         on_disk = [record["cell_id"] for record in lines
@@ -274,10 +274,10 @@ class TestInjectedCompletionOrder:
         monkeypatch.setattr(executor_module, "_completed_in_order",
                             permuting(PERMUTATIONS[permutation]))
         store = fresh_store(tmp_path, plan)
-        run_campaign_parallel(plan, store, cell_jobs=4, max_cells=2)
+        run_campaign(plan, store, cell_jobs=4, max_cells=2)
         resumed = ResultStore.open(store.path, plan.campaign.name,
                                    plan.campaign_hash)
-        run_campaign_parallel(plan, resumed, cell_jobs=4)
+        run_campaign(plan, resumed, cell_jobs=4)
         assert canonical_records(resumed) == expected_records
         assert render_report(plan, resumed.cell_records) == expected_report
 
@@ -295,7 +295,7 @@ class TestStatusOrderIndependence:
         monkeypatch.setattr(executor_module, "_completed_in_order",
                             permuting(PERMUTATIONS["reversed"]))
         store = fresh_store(tmp_path, plan)
-        run_campaign_parallel(plan, store, cell_jobs=4, max_cells=3)
+        run_campaign(plan, store, cell_jobs=4, max_cells=3)
 
         reopened = ResultStore.open(store.path, plan.campaign.name,
                                     plan.campaign_hash, recover=False)
@@ -315,7 +315,7 @@ class TestStatusOrderIndependence:
         monkeypatch.setattr(executor_module, "_completed_in_order",
                             permuting(PERMUTATIONS["interleaved"]))
         store = fresh_store(tmp_path, plan)
-        run_campaign_parallel(plan, store, cell_jobs=4)
+        run_campaign(plan, store, cell_jobs=4)
 
         code = main(["campaign", "status", str(spec_path),
                      "--store", store.path])
@@ -332,15 +332,15 @@ class TestStatusOrderIndependence:
 
 def counting_build(monkeypatch):
     """Count (and order) the cells the queue actually computes."""
-    import repro.campaign.queue as queue_module
-    real = queue_module.build_cell_record
+    import repro.campaign.executor as executor_module
+    real = executor_module.build_cell_record
     executed = []
 
     def counted(cell, plan, **kwargs):
         executed.append(cell.cell_id)
         return real(cell, plan, **kwargs)
 
-    monkeypatch.setattr(queue_module, "build_cell_record", counted)
+    monkeypatch.setattr(executor_module, "build_cell_record", counted)
     return executed
 
 
@@ -470,3 +470,159 @@ class TestCampaignQueue:
         queue.submit(plan, fresh_store(tmp_path, plan))
         with pytest.raises(ValueError):
             queue.drain(cell_jobs=0)
+
+
+# ---------------------------------------------------------------------------
+# the one scheduler: transport, max_cells, width-1 dispatch, progress lines
+# ---------------------------------------------------------------------------
+
+
+def recording_build(monkeypatch):
+    """Record the kwargs and calling thread of every computed cell."""
+    import repro.campaign.executor as executor_module
+    real = executor_module.build_cell_record
+    calls = []
+
+    def recorded(cell, plan, **kwargs):
+        calls.append((cell.cell_id, kwargs, threading.get_ident()))
+        return real(cell, plan, **kwargs)
+
+    monkeypatch.setattr(executor_module, "build_cell_record", recorded)
+    return calls
+
+
+#: ``run_campaign(plan, store, progress=lines.append)`` for
+#: ``small_campaign()``, recorded before the schedulers were unified.
+SMALL_CAMPAIGN_PROGRESS = [
+    "cell 1/4 [scheduler=random population=4] 2/2 runs converged",
+    "cell 2/4 [scheduler=random population=6] 2/2 runs converged",
+    "cell 3/4 [scheduler=round-robin population=4] 2/2 runs converged",
+    "cell 4/4 [scheduler=round-robin population=6] 2/2 runs converged",
+]
+
+
+class TestOneScheduler:
+    def overlapping_plans(self):
+        return TestCampaignQueue().overlapping_plans()
+
+    def test_submitted_result_transport_reaches_every_cell(self, tmp_path,
+                                                           monkeypatch):
+        plan = plan_campaign(campaign_from_dict(small_campaign()))
+        calls = recording_build(monkeypatch)
+        queue = CampaignQueue()
+        entry = queue.submit(plan, fresh_store(tmp_path, plan),
+                             jobs_backend="process", result_transport="shm")
+        assert entry.result_transport == "shm"
+        status, = queue.drain()
+        assert status.complete
+        assert len(calls) == plan.total
+        assert all(kwargs["result_transport"] == "shm"
+                   for _cell_id, kwargs, _thread in calls)
+
+    def test_shm_drain_of_overlapping_campaigns_matches_serial_pickle(
+            self, tmp_path):
+        plan_a, plan_b = self.overlapping_plans()
+        queue = CampaignQueue()
+        stores = []
+        for plan in (plan_a, plan_b):
+            store = fresh_store(tmp_path, plan,
+                                name=f"{plan.campaign.name}.jsonl")
+            queue.submit(plan, store, jobs=2, jobs_backend="process",
+                         result_transport="shm")
+            stores.append((plan, store))
+        statuses = queue.drain(cell_jobs=2)
+        assert all(status.complete for status in statuses)
+        for plan, store in stores:
+            isolated = fresh_store(tmp_path, plan,
+                                   name=f"isolated-{plan.campaign.name}.jsonl")
+            run_campaign(plan, isolated)
+            assert canonical_records(store) == canonical_records(isolated)
+
+    @pytest.mark.parametrize("max_cells", [1, 3, 5])
+    @pytest.mark.parametrize("cell_jobs", [1, 2])
+    def test_drain_max_cells_computes_the_schedule_prefix(
+            self, tmp_path, monkeypatch, max_cells, cell_jobs):
+        plan_a, plan_b = self.overlapping_plans()
+        queue = CampaignQueue()
+        store_a = fresh_store(tmp_path, plan_a, name="a.jsonl")
+        store_b = fresh_store(tmp_path, plan_b, name="b.jsonl")
+        queue.submit(plan_a, store_a, priority=0)
+        queue.submit(plan_b, store_b, priority=10)
+        calls = recording_build(monkeypatch)
+        statuses = queue.drain(cell_jobs=cell_jobs, max_cells=max_cells)
+
+        # Schedule order: the high-priority campaign's grid, then nothing
+        # (the low-priority grid is a subset of it).
+        schedule = [cell.cell_id for cell in plan_b.cells]
+        assert sorted(cell_id for cell_id, _kwargs, _thread in calls) == \
+            sorted(schedule[:max_cells])
+        for status in statuses:
+            assert status.interrupted == (status.pending > 0)
+            assert not status.keyboard_interrupt
+        assert statuses[1].interrupted
+
+        monkeypatch.undo()
+        final = queue.drain(cell_jobs=cell_jobs)
+        assert all(status.complete and not status.interrupted
+                   for status in final)
+        for plan, store in ((plan_a, store_a), (plan_b, store_b)):
+            isolated = fresh_store(tmp_path, plan,
+                                   name=f"isolated-{plan.campaign.name}.jsonl")
+            run_campaign(plan, isolated)
+            assert canonical_records(store) == canonical_records(isolated)
+
+    def test_drain_rejects_nonpositive_max_cells(self, tmp_path):
+        plan = plan_campaign(campaign_from_dict(small_campaign()))
+        queue = CampaignQueue()
+        queue.submit(plan, fresh_store(tmp_path, plan))
+        with pytest.raises(ValueError):
+            queue.drain(max_cells=0)
+        with pytest.raises(ValueError):
+            run_campaign(plan, fresh_store(tmp_path, plan, name="b.jsonl"),
+                         max_cells=0)
+
+    def test_width_one_runs_every_cell_on_the_calling_thread(
+            self, tmp_path, monkeypatch):
+        plan = plan_campaign(campaign_from_dict(small_campaign()))
+        calls = recording_build(monkeypatch)
+        run_campaign(plan, fresh_store(tmp_path, plan), cell_jobs=1)
+        assert len(calls) == plan.total
+        assert {thread for _cell_id, _kwargs, thread in calls} == {
+            threading.get_ident()}
+
+    def test_a_single_pending_cell_runs_inline_whatever_cell_jobs(
+            self, tmp_path, monkeypatch):
+        plan = plan_campaign(campaign_from_dict(small_campaign()))
+        store = fresh_store(tmp_path, plan)
+        run_campaign(plan, store, max_cells=plan.total - 1)
+        calls = recording_build(monkeypatch)
+        status = run_campaign(plan, store, cell_jobs=4)
+        assert status.complete and status.executed_now == 1
+        assert [(cell_id, thread) for cell_id, _kwargs, thread in calls] == [
+            (plan.cells[-1].cell_id, threading.get_ident())]
+
+    def test_progress_lines_are_pinned(self, tmp_path):
+        plan = plan_campaign(campaign_from_dict(small_campaign()))
+        lines = []
+        run_campaign(plan, fresh_store(tmp_path, plan), progress=lines.append)
+        assert lines == SMALL_CAMPAIGN_PROGRESS
+
+        pooled = []
+        run_campaign(plan, fresh_store(tmp_path, plan, name="pooled.jsonl"),
+                     cell_jobs=2, progress=pooled.append)
+        assert sorted(pooled) == sorted(SMALL_CAMPAIGN_PROGRESS)
+
+    def test_multi_campaign_progress_lines_carry_the_campaign_name(
+            self, tmp_path):
+        plan_a, plan_b = self.overlapping_plans()
+        queue = CampaignQueue()
+        queue.submit(plan_a, fresh_store(tmp_path, plan_a, name="a.jsonl"))
+        queue.submit(plan_b, fresh_store(tmp_path, plan_b, name="b.jsonl"))
+        lines = []
+        queue.drain(progress=lines.append)
+        assert len(lines) == plan_a.total + plan_b.total
+        assert sum(line.startswith("[first] cell ") for line in lines) == \
+            plan_a.total
+        assert sum(line.startswith("[second] cell ") for line in lines) == \
+            plan_b.total
+        assert "[first] " + SMALL_CAMPAIGN_PROGRESS[0] in lines

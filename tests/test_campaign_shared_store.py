@@ -123,16 +123,16 @@ class TestStoreKinds:
 
 
 def counting_runner(monkeypatch):
-    """Count the cells the serial runner actually executes."""
-    import repro.campaign.runner as runner_module
-    real = runner_module.build_cell_record
+    """Count the cells the campaign scheduler actually executes."""
+    import repro.campaign.executor as executor_module
+    real = executor_module.build_cell_record
     executed = []
 
     def counted(cell, plan, **kwargs):
         executed.append(cell.cell_id)
         return real(cell, plan, **kwargs)
 
-    monkeypatch.setattr(runner_module, "build_cell_record", counted)
+    monkeypatch.setattr(executor_module, "build_cell_record", counted)
     return executed
 
 

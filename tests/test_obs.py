@@ -12,8 +12,8 @@ import json
 
 import pytest
 
+from repro.campaign.executor import CampaignQueue
 from repro.campaign.planner import plan_campaign
-from repro.campaign.queue import CampaignQueue
 from repro.campaign.report import render_report
 from repro.campaign.runner import build_cell_record, run_campaign
 from repro.campaign.spec import campaign_from_dict
@@ -370,6 +370,22 @@ class TestCampaignSeam:
         # deliveries needed — the gauges still record the drain's shape.
         assert recorder.snapshot()["gauges"]["queue.campaigns"] == 1
         assert recorder.snapshot()["gauges"]["queue.depth"] == 0
+
+    def test_run_campaign_records_the_scheduler_metrics(self, tmp_path):
+        plan = self._plan()
+        store = ResultStore.create(str(tmp_path / "store.jsonl"),
+                                   plan.campaign.name, plan.campaign_hash)
+        recorder = MetricsRecorder()
+        with recording(recorder):
+            status = run_campaign(plan, store, cell_jobs=2)
+        snapshot = recorder.snapshot()
+        assert snapshot["gauges"]["campaign.pool_width"] == 2
+        assert snapshot["gauges"]["queue.campaigns"] == 1
+        assert snapshot["gauges"]["queue.depth"] == plan.total
+        assert snapshot["counters"]["queue.executed"] == status.executed_now
+        assert snapshot["counters"]["queue.delivered"] == status.executed_now
+        assert snapshot["counters"]["queue.cache_hits"] == 0
+        assert "campaign.cells.submitted" not in snapshot["counters"]
 
 
 # ---------------------------------------------------------------------------
