@@ -1,10 +1,14 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one figure or theorem of the paper (see
-DESIGN.md, "Per-experiment index") and prints the corresponding table so the
-textual output of ``pytest benchmarks/ --benchmark-only -s`` reads like the
-paper's results section.  The timing numbers collected by pytest-benchmark
-measure the cost of regenerating each artifact.
+Every ``bench_*.py`` file regenerates one figure or theorem of the paper
+and prints the corresponding table, so the textual output of
+``pytest benchmarks/bench_*.py -s`` reads like the paper's results section.
+The files must be named explicitly: pytest does not collect ``bench_*``
+files from ``pytest benchmarks/``.  The timing numbers collected by
+pytest-benchmark measure the cost of regenerating each artifact; with
+``--benchmark-disable`` only the checks run, which is how CI gates them::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q --benchmark-disable
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from repro.analysis.reporting import format_table
 
 
 def emit(title: str, headers, rows) -> None:
-    """Print a titled table to stdout (shown with ``pytest -s`` and in EXPERIMENTS.md)."""
+    """Print a titled table to stdout (shown with ``pytest -s``)."""
     print()
     print(f"== {title} ==")
     print(format_table(headers, rows))

@@ -15,14 +15,14 @@ This subpackage contains:
 """
 
 from repro.adversary.omission import (
-    ChunkPlan,
+    ColumnSchedule,
     OmissionAdversary,
     NoOmissionAdversary,
     UOAdversary,
     NOAdversary,
     NO1Adversary,
     BoundedOmissionAdversary,
-    plan_interactions_per_step,
+    plan_columns_per_step,
 )
 from repro.adversary.ftt import FTTResult, fastest_transition_time, transition_time
 from repro.adversary.constructions import (
@@ -33,9 +33,9 @@ from repro.adversary.constructions import (
 )
 
 __all__ = [
-    "ChunkPlan",
+    "ColumnSchedule",
     "OmissionAdversary",
-    "plan_interactions_per_step",
+    "plan_columns_per_step",
     "NoOmissionAdversary",
     "UOAdversary",
     "NOAdversary",

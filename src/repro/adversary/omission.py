@@ -22,27 +22,25 @@ producing.
   interactions; this realises the "known upper bound on the number of
   omissions" assumption of Theorem 4.1.
 
-The budget-aware batched protocol
----------------------------------
+One per-step definition, one batched protocol
+---------------------------------------------
 
-Adversaries speak two protocols:
+:meth:`OmissionAdversary.interactions_before` is the definition: the
+injections for one scheduled interaction, asked once per scheduled draw.
+The engine truncates them to the remaining step budget, reserving one unit
+for the scheduled interaction itself.
 
-* :meth:`OmissionAdversary.interactions_before` — the per-step protocol:
-  the injections for one scheduled interaction, called once per scheduled
-  draw.  The engine truncates the returned list to the remaining step
-  budget (reserving one unit for the scheduled interaction itself).
-* :meth:`OmissionAdversary.plan_interactions` — the budget-aware batched
-  protocol: given a whole *chunk* of scheduled draws and the remaining
-  step budget, the adversary returns a :class:`ChunkPlan` — the exact
-  execution order (injections interleaved before their scheduled
-  interaction) with the budget truncation already applied.
+``plan_chunk_schedule_columns(step, count, n, budget)`` is the batched
+protocol both engines execute.  For the ``count`` scheduled gaps starting
+at ``step`` it returns a :class:`ColumnSchedule`: the kept injections as
+raw index columns plus the gap each one executes before.  It reads no
+scheduled draws, because no catalog adversary looks at the interaction it
+injects before; its decisions depend only on the step index, its own RNG
+and its budgets.  The python engine merges the columns into its drawn
+chunk by position; the array engine merges them into its index arrays with
+one ``np.insert``.
 
-The two are **provably interchangeable**: for any chunking of the
-scheduled stream, concatenating the chunk plans yields exactly the
-interaction sequence of the per-step interleaving, and leaves the
-adversary in the identical internal state (RNG position, omission
-budget).  Three rules make that hold (pinned by
-``tests/test_adversary_batching.py``):
+A schedule is the per-step interleaving, bit for bit, under three rules:
 
 1. injections execute *before* their scheduled interaction, in the order
    the adversary produced them;
@@ -50,114 +48,57 @@ budget).  Three rules make that hold (pinned by
    is **discarded but still consumes the adversary's own omission budget
    and RNG stream** — exactly as a finite execution prefix truncates the
    rewritten run of Definitions 1 and 2 without changing the rewriter;
-3. a scheduled interaction is consumed only while at least one unit of
-   budget remains; the walk stops (``ChunkPlan.consumed`` short) the
-   moment the budget cannot cover another scheduled interaction, leaving
-   the adversary exactly where the per-step loop would have left it.
+3. a scheduled gap is consumed only while at least one unit of budget
+   remains; the walk stops (``ColumnSchedule.consumed`` short) the moment
+   the budget cannot cover another scheduled interaction, leaving the
+   adversary exactly where the per-step loop would have left it.
 
-The base-class implementation walks the chunk gap by gap through
-:meth:`interactions_before`, so any subclass (or duck-typed adversary)
-gets a correct batched protocol for free; the concrete adversaries
-override it with vectorized walks that hoist the per-gap method call,
-attribute lookups and empty-list allocations out of the loop — and skip
-RNG work entirely on the pass-through stretches where they can prove no
-injection is possible (``NOAdversary`` past ``active_steps``,
-``BoundedOmissionAdversary`` with an exhausted budget, ``NO1Adversary``
-away from ``inject_at``).
-
-The content-free schedule protocol (array lowering)
----------------------------------------------------
-
-:meth:`OmissionAdversary.plan_chunk_schedule` is the third protocol, the
-one the columnar array backend compiles against.  It exploits the fact
-that none of the catalog adversaries ever *read* the scheduled
-interaction they are injecting before — their decisions depend only on
-the step index, their own RNG and their budgets.  The schedule therefore
-needs no scheduled draws at all: given ``(step, count, n, budget)`` it
-returns an :class:`InjectionSchedule` — gap positions plus the kept
-injections — that the backend merges into the scheduler's index arrays
-with one vectorized ``np.insert``.  The contract is exact equivalence
-with :meth:`~OmissionAdversary.plan_interactions` on any ``count``
-scheduled draws: same kept/discarded/consumed arithmetic, same RNG
-consumption order, same end state bit for bit (pinned by
-``tests/test_array_adversary_equivalence.py``).
-
-:meth:`OmissionAdversary.plan_chunk_schedule_columns` is the same
-protocol in columnar form — raw ``starters``/``reactors``/``kinds``
-index lists instead of :class:`~repro.scheduling.runs.Interaction`
-objects (:class:`ColumnSchedule`).  It exists purely for speed: the
-array backend consumes hundreds of thousands of injections per second,
-and both the namedtuple allocation and ``random.Random``'s
-``randrange``/``choice`` wrapper layers dominate that budget.  The
-concrete adversaries override it with walks that draw the *identical*
-entropy (``getrandbits`` with the same rejection sampling CPython's
-``Random._randbelow`` performs) straight into flat lists, so the RNG end
-state stays bit-for-bit equal to the object-producing protocols — the
-columns/schedule agreement is pinned by the same equivalence suite.
+:func:`plan_columns_per_step` states those rules once, in terms of
+``interactions_before``.  It is the engine's path for adversaries without
+a columns walk of their own, and the reference the tests compare the
+catalog walks against.  The catalog walks draw the *identical* entropy
+(``getrandbits`` with the same rejection sampling CPython's
+``Random._randbelow`` performs for ``randrange`` and ``choice``) straight
+into flat lists, so the RNG end state stays bit-for-bit that of the
+per-step definition, and they skip RNG work entirely where no injection is
+possible (``NOAdversary`` past ``active_steps``,
+``BoundedOmissionAdversary`` with a spent budget, ``NO1Adversary`` away
+from ``inject_at``).
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.interaction.models import InteractionModel
-from repro.interaction.omissions import Omission
+from repro.interaction.omissions import (
+    FULL_OMISSION,
+    NO_OMISSION,
+    REACTOR_OMISSION,
+    STARTER_OMISSION,
+    Omission,
+)
 from repro.scheduling.runs import Interaction
 
 
-class ChunkPlan(NamedTuple):
-    """The execution plan an adversary returns for one chunk of scheduled draws.
-
-    ``interactions`` is the exact execution order: for each consumed
-    scheduled interaction, its (budget-truncated) injections followed by
-    the scheduled interaction itself.  ``consumed`` is how many of the
-    chunk's scheduled interactions the plan covers — short of the chunk
-    length exactly when the step budget ran out mid-chunk, in which case
-    ``len(interactions) == budget`` and the run is over.  ``discarded``
-    counts injections dropped by budget truncation (they still consumed
-    the adversary's own omission budget, rule 2 of the protocol).
-    """
-
-    interactions: List[Interaction]
-    consumed: int
-    discarded: int
-
-
-class InjectionSchedule(NamedTuple):
-    """An adversary chunk plan without the scheduled draws: just the injections.
-
-    Equivalent information to :class:`ChunkPlan` for adversaries that never
-    inspect the scheduled interactions (every catalog adversary):
-    ``positions[i]`` is the chunk-local scheduled-gap index (``< consumed``)
-    whose scheduled interaction ``injections[i]`` executes *before*;
-    repeated positions keep their list order.  Only kept injections are
-    listed — ``discarded`` counts the ones budget truncation dropped (they
-    still consumed the adversary's omission budget and RNG stream, rule 2
-    of the batched protocol) — so the executed chunk has exactly
-    ``len(injections) + consumed`` interactions, never more than the step
-    budget.  Producing a schedule advances the adversary (RNG position,
-    omission budget) exactly as planning the same chunk through
-    :meth:`OmissionAdversary.plan_interactions` would.
-    """
-
-    positions: List[int]
-    injections: List[Interaction]
-    consumed: int
-    discarded: int
-
-
 class ColumnSchedule(NamedTuple):
-    """An :class:`InjectionSchedule` in columnar form, for the array backend.
+    """The injections an adversary plans for one chunk of scheduled gaps.
 
     ``starters[i]``/``reactors[i]`` are the agent indices of kept injection
-    ``i`` and ``kinds[i]`` the index of its omission kind in the adversary's
-    admissible-omissive-kind tuple (the order of
-    ``model.admissible_omissions()`` restricted to omissive kinds — the same
-    order the backend's transition-table stack rows follow).  ``positions``,
-    ``consumed`` and ``discarded`` mean exactly what they do on
-    :class:`InjectionSchedule`, and producing a column schedule advances the
-    adversary's RNG and budgets identically.
+    ``i`` and ``kinds[i]`` the index of its omission kind in a kind tuple
+    fixed by the producer: the adversary's admissible omissive kinds (the
+    order of ``model.admissible_omissions()`` restricted to omissive kinds —
+    the same order the array backend's transition-table stack rows follow)
+    for the catalog walks, the ``kinds`` argument for
+    :func:`plan_columns_per_step`.  ``positions[i]`` is the chunk-local gap
+    index (``< consumed``) whose scheduled interaction injection ``i``
+    executes *before*; repeated positions keep their list order.  Only kept
+    injections are listed — ``discarded`` counts the ones budget truncation
+    dropped (rule 2 of the protocol) — so the executed chunk has exactly
+    ``len(starters) + consumed`` interactions, never more than the step
+    budget.
     """
 
     positions: List[int]
@@ -168,48 +109,39 @@ class ColumnSchedule(NamedTuple):
     discarded: int
 
 
-def _schedule_to_columns(
-    schedule: InjectionSchedule, kind_index: dict
-) -> ColumnSchedule:
-    """Rewrite an :class:`InjectionSchedule` in columnar form (the generic
-    fallback behind :meth:`OmissionAdversary.plan_chunk_schedule_columns`)."""
-    starters: List[int] = []
-    reactors: List[int] = []
-    kinds: List[int] = []
-    for interaction in schedule.injections:
-        starters.append(interaction.starter)
-        reactors.append(interaction.reactor)
-        kinds.append(kind_index[interaction.omission])
-    return ColumnSchedule(schedule.positions, starters, reactors, kinds,
-                          schedule.consumed, schedule.discarded)
+#: Every omission kind, the omission-free one included: the kind tuple of
+#: the engine's generic walk, so a third-party adversary may inject any
+#: :class:`~repro.interaction.omissions.Omission`.
+OMISSIONS: Tuple[Omission, ...] = (
+    NO_OMISSION, STARTER_OMISSION, REACTOR_OMISSION, FULL_OMISSION)
 
-
-#: The scheduled-interaction stand-in the reference schedule walk feeds to
-#: ``interactions_before``.  Legitimate because the schedule protocol is
-#: only defined for adversaries that never read the scheduled interaction's
-#: content (see :meth:`OmissionAdversary.plan_chunk_schedule`).
+#: The scheduled-interaction stand-in fed to ``interactions_before`` by
+#: walks that plan without the scheduled draws (see
+#: :meth:`NO1Adversary.plan_chunk_schedule_columns`).
 _SCHEDULE_PLACEHOLDER = Interaction(0, 1)
 
 
-def plan_interactions_per_step(
-    adversary, step: int, scheduled: Sequence[Interaction], n: int,
-    budget: Optional[int] = None,
-) -> ChunkPlan:
-    """The reference batched walk, in terms of the per-step protocol.
+def plan_columns_per_step(
+    adversary, step: int, scheduled: Iterable[Interaction], n: int,
+    budget: Optional[int], kinds: Sequence[Omission],
+) -> ColumnSchedule:
+    """The batched protocol in terms of the per-step definition.
 
-    Reproduces the per-step interleaving for a chunk of scheduled draws:
-    consult ``adversary.interactions_before`` once per gap (advancing the
-    adversary exactly as the per-step loop would), truncate the injections
-    to the remaining budget with one unit reserved for the scheduled
-    interaction, and stop consuming scheduled interactions once the budget
-    cannot cover another one.  Correct for **any** object implementing
-    ``interactions_before`` — this is both the default implementation of
-    :meth:`OmissionAdversary.plan_interactions` and the engine's fallback
-    for duck-typed adversaries that predate the batched protocol.
+    Consults ``adversary.interactions_before`` once per gap of ``scheduled``
+    (advancing the adversary exactly as the per-step loop would), truncates
+    the injections to the remaining ``budget`` (``None``: unlimited) with
+    one unit reserved for the scheduled interaction, and stops consuming
+    gaps once the budget cannot cover another one.  The returned schedule's
+    ``kinds`` index ``kinds``, which must hold every omission the adversary
+    injects.  Correct for **any** object implementing
+    ``interactions_before``.
     """
-    interactions: List[Interaction] = []
-    consumed = 0
-    discarded = 0
+    kind_index = {kind: index for index, kind in enumerate(kinds)}
+    positions: List[int] = []
+    starters: List[int] = []
+    reactors: List[int] = []
+    kind_column: List[int] = []
+    consumed = discarded = 0
     remaining = budget
     for scheduled_interaction in scheduled:
         if remaining is not None and remaining < 1:
@@ -217,20 +149,30 @@ def plan_interactions_per_step(
         injected = adversary.interactions_before(
             step=step + consumed, scheduled=scheduled_interaction, n=n)
         kept = len(injected)
-        if remaining is not None and kept >= remaining:
-            kept = remaining - 1
-            discarded += len(injected) - kept
-            injected = injected[:kept]
-        interactions.extend(injected)
-        interactions.append(scheduled_interaction)
-        consumed += 1
         if remaining is not None:
+            if kept >= remaining:
+                kept = remaining - 1
+                discarded += len(injected) - kept
             remaining -= kept + 1
-    return ChunkPlan(interactions, consumed, discarded)
+        for interaction in injected[:kept]:
+            positions.append(consumed)
+            starters.append(interaction.starter)
+            reactors.append(interaction.reactor)
+            kind_column.append(kind_index[interaction.omission])
+        consumed += 1
+    return ColumnSchedule(positions, starters, reactors, kind_column,
+                          consumed, discarded)
 
 
 class OmissionAdversary:
-    """Base class: decides which omissive interactions to inject before each scheduled one."""
+    """Base class: decides which omissive interactions to inject before each scheduled one.
+
+    A subclass need only define :meth:`interactions_before`; the engine
+    walks it through :func:`plan_columns_per_step` with the real scheduled
+    draws.  A subclass whose decisions never read ``scheduled`` may also
+    define ``plan_chunk_schedule_columns`` (the catalog classes all do),
+    which both engines then call instead.
+    """
 
     def interactions_before(
         self, step: int, scheduled: Interaction, n: int
@@ -238,117 +180,15 @@ class OmissionAdversary:
         """The omissive interactions to execute just before the ``step``-th scheduled one."""
         raise NotImplementedError
 
-    def plan_interactions(
-        self, step: int, scheduled: Sequence[Interaction], n: int,
-        budget: Optional[int] = None,
-    ) -> ChunkPlan:
-        """Budget-aware batched protocol: plan a whole chunk of scheduled draws.
-
-        ``scheduled`` holds the scheduler's draws for the scheduled steps
-        ``step .. step + len(scheduled) - 1``; ``budget`` is the number of
-        interactions the engine may still execute (``None`` = unlimited).
-        Returns the :class:`ChunkPlan` equivalent to consulting
-        :meth:`interactions_before` before each scheduled interaction under
-        the per-step budget rules — see the module docstring for the exact
-        contract.  Subclasses override this with vectorized walks; the
-        default delegates to :func:`plan_interactions_per_step`.
-        """
-        return plan_interactions_per_step(self, step, scheduled, n, budget)
-
-    def plan_chunk_schedule(
-        self, step: int, count: int, n: int, budget: Optional[int] = None,
-    ) -> InjectionSchedule:
-        """Content-free batched protocol: plan a chunk without its draws.
-
-        Valid only for adversaries whose :meth:`interactions_before` never
-        reads the ``scheduled`` interaction's content (true of every
-        catalog adversary) — the default implementation replays the
-        reference walk of :func:`plan_interactions_per_step` against a
-        placeholder, consuming RNG and budgets identically.  Returns the
-        :class:`InjectionSchedule` equivalent to
-        ``plan_interactions(step, <any count draws>, n, budget)``.
-        """
-        positions: List[int] = []
-        injections: List[Interaction] = []
-        consumed = 0
-        discarded = 0
-        remaining = budget
-        while consumed < count:
-            if remaining is not None and remaining < 1:
-                break
-            injected = self.interactions_before(
-                step=step + consumed, scheduled=_SCHEDULE_PLACEHOLDER, n=n)
-            kept = len(injected)
-            if remaining is not None and kept >= remaining:
-                kept = remaining - 1
-                discarded += len(injected) - kept
-                injected = injected[:kept]
-            positions.extend([consumed] * len(injected))
-            injections.extend(injected)
-            consumed += 1
-            if remaining is not None:
-                remaining -= kept + 1
-        return InjectionSchedule(positions, injections, consumed, discarded)
-
-    def plan_chunk_schedule_columns(
-        self, step: int, count: int, n: int, budget: Optional[int] = None,
-    ) -> ColumnSchedule:
-        """:meth:`plan_chunk_schedule` in columnar form (see the module
-        docstring).
-
-        The default derives the columns from :meth:`plan_chunk_schedule`, so
-        it is exactly as equivalent (and as fast) as that method; the
-        catalog adversaries override it with allocation-free walks that
-        consume the identical RNG stream.  Only defined for kinds drawn from
-        the adversary's admissible-omissive-kind tuple — which every catalog
-        adversary guarantees.
-        """
-        schedule = self.plan_chunk_schedule(step, count, n, budget)
-        kinds = getattr(self, "_omissive_kinds", ())
-        kind_index = {kind: index for index, kind in enumerate(kinds)}
-        return _schedule_to_columns(schedule, kind_index)
-
     def reset(self) -> None:
         """Reset internal state (budgets, RNG) so the adversary can be reused."""
 
-    # -- helpers shared by the concrete adversaries ---------------------------------------
-
     @staticmethod
-    def _random_pair(rng: random.Random, n: int) -> Tuple[int, int]:
-        starter = rng.randrange(n)
-        reactor = rng.randrange(n - 1)
-        if reactor >= starter:
-            reactor += 1
-        return starter, reactor
-
-    @staticmethod
-    def _pass_through(
-        scheduled: Sequence[Interaction], budget: Optional[int], discarded: int = 0
-    ) -> ChunkPlan:
-        """A plan that injects nothing: the scheduled chunk, clipped to ``budget``."""
-        count = len(scheduled)
-        if budget is not None and budget < count:
-            count = budget
-            scheduled = scheduled[:count]
-        return ChunkPlan(list(scheduled), count, discarded)
-
-    @staticmethod
-    def _pass_through_schedule(
-        count: int, budget: Optional[int], discarded: int = 0
-    ) -> InjectionSchedule:
+    def _pass_through_columns(count: int, budget: Optional[int]) -> ColumnSchedule:
         """A schedule that injects nothing: ``count`` gaps, clipped to ``budget``."""
         if budget is not None and budget < count:
             count = budget
-        return InjectionSchedule([], [], count, discarded)
-
-    @staticmethod
-    def _pass_through_columns(
-        count: int, budget: Optional[int], discarded: int = 0
-    ) -> ColumnSchedule:
-        """:meth:`_pass_through_schedule` in columnar form."""
-        if budget is not None and budget < count:
-            count = budget
-        return ColumnSchedule([], [], [], [], count, discarded)
+        return ColumnSchedule([], [], [], [], count, 0)
 
 
 class NoOmissionAdversary(OmissionAdversary):
@@ -359,17 +199,6 @@ class NoOmissionAdversary(OmissionAdversary):
     ) -> List[Interaction]:
         return []
 
-    def plan_interactions(
-        self, step: int, scheduled: Sequence[Interaction], n: int,
-        budget: Optional[int] = None,
-    ) -> ChunkPlan:
-        return self._pass_through(scheduled, budget)
-
-    def plan_chunk_schedule(
-        self, step: int, count: int, n: int, budget: Optional[int] = None,
-    ) -> InjectionSchedule:
-        return self._pass_through_schedule(count, budget)
-
     def plan_chunk_schedule_columns(
         self, step: int, count: int, n: int, budget: Optional[int] = None,
     ) -> ColumnSchedule:
@@ -377,9 +206,27 @@ class NoOmissionAdversary(OmissionAdversary):
 
 
 class _RandomOmissionMixin:
-    """Shared machinery: choose random pairs and random admissible omission kinds."""
+    """Shared machinery: choose random pairs and random admissible omission kinds.
 
-    def __init__(self, model: InteractionModel, seed: Optional[int] = None) -> None:
+    Also validates the rate parameters every random adversary takes from
+    campaign ``adversary_kwargs``: ``rate`` and, where the class has one,
+    ``max_per_gap`` must be non-negative.
+    """
+
+    def __init__(
+        self,
+        model: InteractionModel,
+        seed: Optional[int] = None,
+        rate: float = 0.0,
+        max_per_gap: Optional[int] = None,
+    ) -> None:
+        if rate < 0:
+            raise ValueError("rate must be non-negative")
+        if max_per_gap is not None:
+            if max_per_gap < 0:
+                raise ValueError("max_per_gap must be non-negative")
+            self.max_per_gap = max_per_gap
+        self.rate = rate
         self.model = model
         omissive = [o for o in model.admissible_omissions() if o.is_omissive]
         if not omissive:
@@ -390,117 +237,64 @@ class _RandomOmissionMixin:
         self._omissive_kinds: Sequence[Omission] = tuple(omissive)
         self._seed = seed
         self._rng = random.Random(seed)
+        self.total_injected = 0
 
     def _make_omissive_interaction(self, n: int) -> Interaction:
-        starter, reactor = OmissionAdversary._random_pair(self._rng, n)
-        omission = self._rng.choice(self._omissive_kinds)
-        return Interaction(starter, reactor, omission=omission)
+        rng = self._rng
+        starter = rng.randrange(n)
+        reactor = rng.randrange(n - 1)
+        if reactor >= starter:
+            reactor += 1
+        return Interaction(starter, reactor, omission=rng.choice(self._omissive_kinds))
 
-    def _reset_rng(self) -> None:
+    def reset(self) -> None:
         self._rng = random.Random(self._seed)
+        self.total_injected = 0
 
-    def _geometric_walk(
+
+class UOAdversary(_RandomOmissionMixin, OmissionAdversary):
+    """Unfair Omissive adversary: injects omissions forever (Definition 1).
+
+    Before every scheduled interaction it injects a geometrically distributed
+    number of omissive interactions with mean ``rate`` (so ``rate = 0.5``
+    averages one omission every two scheduled interactions), between random
+    pairs and with a random admissible omission kind for the model.
+    """
+
+    def __init__(
         self,
-        scheduled: Sequence[Interaction],
-        n: int,
-        budget: Optional[int],
-        plan: List[Interaction],
-    ) -> Tuple[int, int, int, Optional[int]]:
-        """Vectorized per-gap geometric injection walk (UO/NO adversaries).
+        model: InteractionModel,
+        rate: float = 0.25,
+        max_per_gap: int = 3,
+        seed: Optional[int] = None,
+    ) -> None:
+        super().__init__(model=model, seed=seed, rate=rate, max_per_gap=max_per_gap)
 
-        Appends the per-step interleaving for ``scheduled`` to ``plan``,
-        drawing ``self._rng`` exactly as repeated ``interactions_before``
-        calls would (one ``random()`` per attempted injection, three draws
-        per constructed one — constructed even when budget truncation then
-        discards it, rule 2 of the protocol).  Reads ``self.rate`` and
-        ``self.max_per_gap``.  Returns ``(consumed, discarded, injected,
-        remaining_budget)`` so callers can update ``total_injected`` and
-        continue past the walk (``NOAdversary`` pass-through tail).
-        """
+    def interactions_before(
+        self, step: int, scheduled: Interaction, n: int
+    ) -> List[Interaction]:
+        injected: List[Interaction] = []
         probability = self.rate / (1.0 + self.rate)
-        max_per_gap = self.max_per_gap
-        rng_random = self._rng.random
-        make = self._make_omissive_interaction
-        append = plan.append
-        remaining = budget
-        consumed = discarded = injected = 0
-        for scheduled_interaction in scheduled:
-            if remaining is not None and remaining < 1:
-                break
-            count = 0
-            while count < max_per_gap and rng_random() < probability:
-                count += 1
-                interaction = make(n)
-                if remaining is None or count < remaining:
-                    append(interaction)
-            if remaining is not None:
-                kept = count if count < remaining else remaining - 1
-                discarded += count - kept
-                remaining -= kept + 1
-            injected += count
-            append(scheduled_interaction)
-            consumed += 1
-        return consumed, discarded, injected, remaining
+        while len(injected) < self.max_per_gap and self._rng.random() < probability:
+            injected.append(self._make_omissive_interaction(n))
+        self.total_injected += len(injected)
+        return injected
 
-    def _geometric_schedule_walk(
-        self,
-        count: int,
-        n: int,
-        budget: Optional[int],
-        positions: List[int],
-        injections: List[Interaction],
-    ) -> Tuple[int, int, int, Optional[int]]:
-        """:meth:`_geometric_walk` without the scheduled draws.
+    def plan_chunk_schedule_columns(
+        self, step: int, count: int, n: int, budget: Optional[int] = None,
+    ) -> ColumnSchedule:
+        """The per-gap geometric injection walk (UO, and NO's active prefix).
 
-        Identical RNG consumption and kept/discarded arithmetic, gap for
-        gap — only the output form differs: kept injections land in
-        ``positions``/``injections`` instead of an interleaved plan.
-        Returns ``(consumed, discarded, injected, remaining_budget)``.
-        """
-        probability = self.rate / (1.0 + self.rate)
-        max_per_gap = self.max_per_gap
-        rng_random = self._rng.random
-        make = self._make_omissive_interaction
-        remaining = budget
-        consumed = discarded = injected = 0
-        while consumed < count:
-            if remaining is not None and remaining < 1:
-                break
-            drawn = 0
-            while drawn < max_per_gap and rng_random() < probability:
-                drawn += 1
-                interaction = make(n)
-                if remaining is None or drawn < remaining:
-                    positions.append(consumed)
-                    injections.append(interaction)
-            if remaining is not None:
-                kept = drawn if drawn < remaining else remaining - 1
-                discarded += drawn - kept
-                remaining -= kept + 1
-            injected += drawn
-            consumed += 1
-        return consumed, discarded, injected, remaining
-
-    def _geometric_columns_walk(
-        self,
-        count: int,
-        n: int,
-        budget: Optional[int],
-        positions: List[int],
-        starters: List[int],
-        reactors: List[int],
-        kinds: List[int],
-    ) -> Tuple[int, int, int, Optional[int]]:
-        """:meth:`_geometric_schedule_walk` in columnar, allocation-free form.
-
-        Consumes the identical entropy: one ``random()`` per attempted
-        injection, then per constructed injection the exact ``getrandbits``
-        rejection sampling that CPython's ``Random._randbelow`` performs for
+        Consumes the entropy of repeated :meth:`interactions_before` calls:
+        one ``random()`` per attempted injection, then per constructed
+        injection (constructed even when budget truncation then discards
+        it, rule 2 of the protocol) the exact ``getrandbits`` rejection
+        sampling that CPython's ``Random._randbelow`` performs for
         ``randrange(n)``, ``randrange(n - 1)`` and ``choice(kinds)`` — so
-        the RNG end state is bit-for-bit the one the object-producing walks
-        leave, while skipping their ``randrange``/``choice`` wrapper frames
-        and the :class:`~repro.scheduling.runs.Interaction` allocations
-        (which dominate the array backend's injection throughput).
+        the RNG end state is bit-for-bit the per-step one, without the
+        ``randrange``/``choice`` wrapper frames and the
+        :class:`~repro.scheduling.runs.Interaction` allocations (which
+        dominate the array backend's injection throughput).
         """
         probability = self.rate / (1.0 + self.rate)
         max_per_gap = self.max_per_gap
@@ -512,6 +306,10 @@ class _RandomOmissionMixin:
         shifted_bits = shifted.bit_length()
         kind_count = len(self._omissive_kinds)
         kind_bits = kind_count.bit_length()
+        positions: List[int] = []
+        starters: List[int] = []
+        reactors: List[int] = []
+        kinds: List[int] = []
         remaining = budget
         consumed = discarded = injected = 0
         while consumed < count:
@@ -542,82 +340,12 @@ class _RandomOmissionMixin:
                 remaining -= kept + 1
             injected += drawn
             consumed += 1
-        return consumed, discarded, injected, remaining
-
-
-class UOAdversary(_RandomOmissionMixin, OmissionAdversary):
-    """Unfair Omissive adversary: injects omissions forever (Definition 1).
-
-    Before every scheduled interaction it injects a geometrically distributed
-    number of omissive interactions with mean ``rate`` (so ``rate = 0.5``
-    averages one omission every two scheduled interactions), between random
-    pairs and with a random admissible omission kind for the model.
-    """
-
-    def __init__(
-        self,
-        model: InteractionModel,
-        rate: float = 0.25,
-        max_per_gap: int = 3,
-        seed: Optional[int] = None,
-    ) -> None:
-        if rate < 0:
-            raise ValueError("rate must be non-negative")
-        if max_per_gap < 0:
-            raise ValueError("max_per_gap must be non-negative")
-        super().__init__(model=model, seed=seed)
-        self.rate = rate
-        self.max_per_gap = max_per_gap
-        self.total_injected = 0
-
-    def interactions_before(
-        self, step: int, scheduled: Interaction, n: int
-    ) -> List[Interaction]:
-        injected: List[Interaction] = []
-        probability = self.rate / (1.0 + self.rate)
-        while len(injected) < self.max_per_gap and self._rng.random() < probability:
-            injected.append(self._make_omissive_interaction(n))
-        self.total_injected += len(injected)
-        return injected
-
-    def plan_interactions(
-        self, step: int, scheduled: Sequence[Interaction], n: int,
-        budget: Optional[int] = None,
-    ) -> ChunkPlan:
-        plan: List[Interaction] = []
-        consumed, discarded, injected, _ = self._geometric_walk(scheduled, n, budget, plan)
-        self.total_injected += injected
-        return ChunkPlan(plan, consumed, discarded)
-
-    def plan_chunk_schedule(
-        self, step: int, count: int, n: int, budget: Optional[int] = None,
-    ) -> InjectionSchedule:
-        positions: List[int] = []
-        injections: List[Interaction] = []
-        consumed, discarded, injected, _ = self._geometric_schedule_walk(
-            count, n, budget, positions, injections)
-        self.total_injected += injected
-        return InjectionSchedule(positions, injections, consumed, discarded)
-
-    def plan_chunk_schedule_columns(
-        self, step: int, count: int, n: int, budget: Optional[int] = None,
-    ) -> ColumnSchedule:
-        positions: List[int] = []
-        starters: List[int] = []
-        reactors: List[int] = []
-        kinds: List[int] = []
-        consumed, discarded, injected, _ = self._geometric_columns_walk(
-            count, n, budget, positions, starters, reactors, kinds)
         self.total_injected += injected
         return ColumnSchedule(positions, starters, reactors, kinds,
                               consumed, discarded)
 
-    def reset(self) -> None:
-        self._reset_rng()
-        self.total_injected = 0
 
-
-class NOAdversary(_RandomOmissionMixin, OmissionAdversary):
+class NOAdversary(UOAdversary):
     """Eventually Non-Omissive adversary (Definition 2).
 
     Behaves like :class:`UOAdversary` during the first ``active_steps``
@@ -634,88 +362,33 @@ class NOAdversary(_RandomOmissionMixin, OmissionAdversary):
     ) -> None:
         if active_steps < 0:
             raise ValueError("active_steps must be non-negative")
-        super().__init__(model=model, seed=seed)
+        super().__init__(model=model, rate=rate, max_per_gap=max_per_gap, seed=seed)
         self.active_steps = active_steps
-        self.rate = rate
-        self.max_per_gap = max_per_gap
-        self.total_injected = 0
 
     def interactions_before(
         self, step: int, scheduled: Interaction, n: int
     ) -> List[Interaction]:
         if step >= self.active_steps:
             return []
-        injected: List[Interaction] = []
-        probability = self.rate / (1.0 + self.rate)
-        while len(injected) < self.max_per_gap and self._rng.random() < probability:
-            injected.append(self._make_omissive_interaction(n))
-        self.total_injected += len(injected)
-        return injected
-
-    def plan_interactions(
-        self, step: int, scheduled: Sequence[Interaction], n: int,
-        budget: Optional[int] = None,
-    ) -> ChunkPlan:
-        active = self.active_steps - step
-        if active <= 0:
-            # Past the active prefix: no injections, no RNG — the whole
-            # chunk is a pass-through (this is where NO runs regain the
-            # full adversary-free batching speed).
-            return self._pass_through(scheduled, budget)
-        head = scheduled[:active]
-        plan: List[Interaction] = []
-        consumed, discarded, injected, remaining = self._geometric_walk(
-            head, n, budget, plan)
-        self.total_injected += injected
-        tail = scheduled[active:]
-        if tail and consumed == len(head):
-            passthrough = self._pass_through(tail, remaining)
-            plan.extend(passthrough.interactions)
-            consumed += passthrough.consumed
-        return ChunkPlan(plan, consumed, discarded)
-
-    def plan_chunk_schedule(
-        self, step: int, count: int, n: int, budget: Optional[int] = None,
-    ) -> InjectionSchedule:
-        active = self.active_steps - step
-        if active <= 0:
-            return self._pass_through_schedule(count, budget)
-        head = active if active < count else count
-        positions: List[int] = []
-        injections: List[Interaction] = []
-        consumed, discarded, injected, remaining = self._geometric_schedule_walk(
-            head, n, budget, positions, injections)
-        self.total_injected += injected
-        tail = count - head
-        if tail and consumed == head:
-            passthrough = self._pass_through_schedule(tail, remaining)
-            consumed += passthrough.consumed
-        return InjectionSchedule(positions, injections, consumed, discarded)
+        return super().interactions_before(step, scheduled, n)
 
     def plan_chunk_schedule_columns(
         self, step: int, count: int, n: int, budget: Optional[int] = None,
     ) -> ColumnSchedule:
         active = self.active_steps - step
         if active <= 0:
+            # Past the active prefix: no injections, no RNG — the whole
+            # chunk is a pass-through (this is where NO runs regain the
+            # full adversary-free batching speed).
             return self._pass_through_columns(count, budget)
-        head = active if active < count else count
-        positions: List[int] = []
-        starters: List[int] = []
-        reactors: List[int] = []
-        kinds: List[int] = []
-        consumed, discarded, injected, remaining = self._geometric_columns_walk(
-            head, n, budget, positions, starters, reactors, kinds)
-        self.total_injected += injected
-        tail = count - head
-        if tail and consumed == head:
-            passthrough = self._pass_through_columns(tail, remaining)
-            consumed += passthrough.consumed
-        return ColumnSchedule(positions, starters, reactors, kinds,
-                              consumed, discarded)
-
-    def reset(self) -> None:
-        self._reset_rng()
-        self.total_injected = 0
+        if active >= count:
+            return super().plan_chunk_schedule_columns(step, count, n, budget)
+        # The UO walk for the active head, a pass-through for the tail.
+        head = super().plan_chunk_schedule_columns(step, active, n, budget)
+        if budget is not None:
+            budget -= len(head.starters) + head.consumed
+        tail = self._pass_through_columns(count - active, budget)
+        return head._replace(consumed=head.consumed + tail.consumed)
 
 
 class BoundedOmissionAdversary(_RandomOmissionMixin, OmissionAdversary):
@@ -737,10 +410,8 @@ class BoundedOmissionAdversary(_RandomOmissionMixin, OmissionAdversary):
     ) -> None:
         if max_omissions < 0:
             raise ValueError("max_omissions must be non-negative")
-        super().__init__(model=model, seed=seed)
+        super().__init__(model=model, seed=seed, rate=rate)
         self.max_omissions = max_omissions
-        self.rate = rate
-        self.total_injected = 0
 
     def interactions_before(
         self, step: int, scheduled: Interaction, n: int
@@ -752,77 +423,54 @@ class BoundedOmissionAdversary(_RandomOmissionMixin, OmissionAdversary):
         self.total_injected += 1
         return [self._make_omissive_interaction(n)]
 
-    def plan_interactions(
-        self, step: int, scheduled: Sequence[Interaction], n: int,
-        budget: Optional[int] = None,
-    ) -> ChunkPlan:
+    def plan_chunk_schedule_columns(
+        self, step: int, count: int, n: int, budget: Optional[int] = None,
+    ) -> ColumnSchedule:
         total = self.total_injected
         max_omissions = self.max_omissions
         if total >= max_omissions:
             # Omission budget spent: the rest of the run is a pass-through
             # with no RNG consumption (matches the per-step early return).
-            return self._pass_through(scheduled, budget)
+            return self._pass_through_columns(count, budget)
+        # The entropy of interactions_before, as in the UO walk:
+        # one random() per gap, then _randbelow's getrandbits rejection
+        # sampling for the pair and the kind of each constructed injection.
         rate = self.rate
-        rng_random = self._rng.random
-        make = self._make_omissive_interaction
-        plan: List[Interaction] = []
-        append = plan.append
-        remaining = budget
-        consumed = discarded = 0
-        index = 0
-        count = len(scheduled)
-        while index < count and total < max_omissions:
-            if remaining is not None and remaining < 1:
-                self.total_injected = total
-                return ChunkPlan(plan, consumed, discarded)
-            scheduled_interaction = scheduled[index]
-            index += 1
-            if rng_random() < rate:
-                total += 1
-                interaction = make(n)
-                if remaining is None or remaining >= 2:
-                    append(interaction)
-                    if remaining is not None:
-                        remaining -= 1
-                else:
-                    discarded += 1
-            append(scheduled_interaction)
-            consumed += 1
-            if remaining is not None:
-                remaining -= 1
-        self.total_injected = total
-        if index < count:
-            passthrough = self._pass_through(scheduled[index:], remaining)
-            plan.extend(passthrough.interactions)
-            consumed += passthrough.consumed
-        return ChunkPlan(plan, consumed, discarded)
-
-    def plan_chunk_schedule(
-        self, step: int, count: int, n: int, budget: Optional[int] = None,
-    ) -> InjectionSchedule:
-        total = self.total_injected
-        max_omissions = self.max_omissions
-        if total >= max_omissions:
-            return self._pass_through_schedule(count, budget)
-        rate = self.rate
-        rng_random = self._rng.random
-        make = self._make_omissive_interaction
+        rng = self._rng
+        rng_random = rng.random
+        getrandbits = rng.getrandbits
+        n_bits = n.bit_length()
+        shifted = n - 1
+        shifted_bits = shifted.bit_length()
+        kind_count = len(self._omissive_kinds)
+        kind_bits = kind_count.bit_length()
         positions: List[int] = []
-        injections: List[Interaction] = []
+        starters: List[int] = []
+        reactors: List[int] = []
+        kinds: List[int] = []
         remaining = budget
         consumed = discarded = 0
-        gap = 0
-        while gap < count and total < max_omissions:
+        while consumed < count and total < max_omissions:
             if remaining is not None and remaining < 1:
-                self.total_injected = total
-                return InjectionSchedule(positions, injections, consumed, discarded)
-            gap += 1
+                break
             if rng_random() < rate:
                 total += 1
-                interaction = make(n)
+                starter = getrandbits(n_bits)
+                while starter >= n:
+                    starter = getrandbits(n_bits)
+                reactor = getrandbits(shifted_bits)
+                while reactor >= shifted:
+                    reactor = getrandbits(shifted_bits)
+                if reactor >= starter:
+                    reactor += 1
+                kind = getrandbits(kind_bits)
+                while kind >= kind_count:
+                    kind = getrandbits(kind_bits)
                 if remaining is None or remaining >= 2:
                     positions.append(consumed)
-                    injections.append(interaction)
+                    starters.append(starter)
+                    reactors.append(reactor)
+                    kinds.append(kind)
                     if remaining is not None:
                         remaining -= 1
                 else:
@@ -831,14 +479,10 @@ class BoundedOmissionAdversary(_RandomOmissionMixin, OmissionAdversary):
             if remaining is not None:
                 remaining -= 1
         self.total_injected = total
-        if gap < count:
-            passthrough = self._pass_through_schedule(count - gap, remaining)
-            consumed += passthrough.consumed
-        return InjectionSchedule(positions, injections, consumed, discarded)
-
-    def reset(self) -> None:
-        self._reset_rng()
-        self.total_injected = 0
+        if consumed < count:
+            consumed += self._pass_through_columns(count - consumed, remaining).consumed
+        return ColumnSchedule(positions, starters, reactors, kinds,
+                              consumed, discarded)
 
 
 class NO1Adversary(BoundedOmissionAdversary):
@@ -846,7 +490,9 @@ class NO1Adversary(BoundedOmissionAdversary):
 
     ``inject_at`` pins the scheduled step before which the single omission is
     injected (useful for deterministic attack demonstrations); by default the
-    omission is injected before the first scheduled interaction.
+    omission is injected before the first scheduled interaction.  ``pair``
+    pins its ``(starter, reactor)``; it must name two distinct agents of
+    the run's population, which is checked when the omission is planned.
     """
 
     def __init__(
@@ -865,37 +511,31 @@ class NO1Adversary(BoundedOmissionAdversary):
     ) -> List[Interaction]:
         if self.total_injected >= 1 or step != self.inject_at:
             return []
-        self.total_injected += 1
         if self.pair is not None:
             starter, reactor = self.pair
+            if not (0 <= starter < n and 0 <= reactor < n and starter != reactor):
+                raise ValueError(
+                    f"NO1Adversary pair={tuple(self.pair)!r} is not two distinct "
+                    f"agents of a population of n={n}")
+            self.total_injected += 1
             omission = self._rng.choice(self._omissive_kinds)
             return [Interaction(starter, reactor, omission=omission)]
+        self.total_injected += 1
         return [self._make_omissive_interaction(n)]
 
-    def plan_interactions(
-        self, step: int, scheduled: Sequence[Interaction], n: int,
-        budget: Optional[int] = None,
-    ) -> ChunkPlan:
+    def plan_chunk_schedule_columns(
+        self, step: int, count: int, n: int, budget: Optional[int] = None,
+    ) -> ColumnSchedule:
         if self.total_injected >= 1 or not (
-            step <= self.inject_at < step + len(scheduled)
+            step <= self.inject_at < step + count
         ):
             # The single omission is spent or pinned outside this chunk:
             # pure pass-through, no RNG.  (inject_at < step can only mean
             # "spent or unreachable" since scheduled steps never rewind.)
-            return self._pass_through(scheduled, budget)
-        # The pinned gap is inside the chunk; the reference walk consults
-        # interactions_before per gap, which is exactly NO1's semantics
-        # (and costs one method call per gap on at most one chunk per run).
-        return plan_interactions_per_step(self, step, scheduled, n, budget)
-
-    def plan_chunk_schedule(
-        self, step: int, count: int, n: int, budget: Optional[int] = None,
-    ) -> InjectionSchedule:
-        if self.total_injected >= 1 or not (
-            step <= self.inject_at < step + count
-        ):
-            return self._pass_through_schedule(count, budget)
+            return self._pass_through_columns(count, budget)
         # interactions_before never reads its scheduled argument, so the
-        # base reference schedule walk applies verbatim (and pays its
-        # per-gap method call on at most one chunk per run).
-        return OmissionAdversary.plan_chunk_schedule(self, step, count, n, budget)
+        # generic walk over placeholder draws is exactly NO1's semantics
+        # (and pays its per-gap method call on at most one chunk per run).
+        return plan_columns_per_step(
+            self, step, repeat(_SCHEDULE_PLACEHOLDER, count), n, budget,
+            self._omissive_kinds)

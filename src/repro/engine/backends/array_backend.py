@@ -28,22 +28,25 @@ the compilable subset of experiments:
   the segment's mask deltas, and the stability-window streak is scanned
   vectorially.  Counts-only runs materialise no per-step objects at all.
 * **Compiled adversary schedules** — the catalog omission adversaries
-  (Bounded, NO, NO1, UO) speak the content-free columnar
-  :meth:`~repro.adversary.omission.OmissionAdversary.plan_chunk_schedule_columns`
-  protocol: per chunk they return gap positions plus kept injections as
-  raw index lists, which one vectorized ``np.insert`` merges into the
-  scheduler's index arrays.  Omissive transitions come from per-omission-kind table stacks
-  tabulated at compile time, so injected interactions ride the same
-  gather/scatter as scheduled ones.  The adversary's RNG and budget
-  consumption is bit-identical to the python backend's plan walk.
+  (Bounded, NO, NO1, UO) speak the one batched adversary protocol,
+  ``plan_chunk_schedule_columns`` (see :mod:`repro.adversary.omission`):
+  per chunk they return gap positions plus kept injections as raw index
+  lists (a :class:`~repro.adversary.omission.ColumnSchedule`), which one
+  vectorized ``np.insert`` merges into the scheduler's index arrays.
+  Omissive transitions come from per-omission-kind table stacks tabulated
+  at compile time, so injected interactions ride the same gather/scatter
+  as scheduled ones.  The adversary's RNG and budget
+  consumption is bit-identical to the python backend's, which merges the
+  same schedules.
 * **Columnar ring traces** — under ``--trace-policy ring`` a rolling
   int64 buffer keeps the last ``K`` steps as code rows (agents, omission
   kind, pre/post codes), recorded per segment with two fancy-indexed
   writes and decoded through the :class:`StateInterner` only at dump
   time — crash forensics at n = 10^6 without per-step objects.
 
-Equivalence contract (pinned by ``tests/test_array_backend.py`` and
-``tests/test_array_adversary_equivalence.py``):
+Equivalence contract (pinned by ``tests/test_array_backend.py``,
+``tests/test_array_adversary_equivalence.py`` and, for the schedules
+themselves, ``tests/test_adversary_batching.py``):
 
 * the backend draws scheduler pairs from its own seeded ``PCG64`` streams —
   bitwise parity with the python backend's ``random.Random`` scheduler
@@ -218,8 +221,8 @@ def _compile_predicate(
 
 
 #: The adversary classes with an array lowering.  Exact types, not
-#: ``isinstance``: a subclass may override the per-step protocol in ways
-#: the schedule protocol does not mirror, so unknown subclasses fall back
+#: ``isinstance``: a subclass may override the per-step definition in ways
+#: its inherited column walk does not mirror, so unknown subclasses fall back
 #: to the python backend instead of silently diverging.
 ARRAY_COMPILED_ADVERSARIES: Tuple[type, ...] = (
     NoOmissionAdversary,
@@ -539,7 +542,7 @@ def _run_columnar(
     Returns ``(executed, omissions, stopped)`` with the exact semantics of
     :func:`repro.engine.fastpath.run_core`: chunks are clipped to the
     remaining budget, adversary injections (planned per chunk through the
-    content-free schedule protocol) execute before their scheduled
+    column-schedule protocol) execute before their scheduled
     interaction and count towards the budget, and a streak hit stops the
     run immediately after the completing step (later draws of the chunk
     are discarded unexecuted).  The scheduler stream advances by *drawn*

@@ -141,17 +141,18 @@ class SimulationEngine:
         Every run consumes the scheduler in chunks of up to ``chunk_size``
         batched draws (default
         :data:`~repro.engine.fastpath.DEFAULT_CHUNK_SIZE`); with an
-        adversary, each chunk goes through the budget-aware batched
-        injection protocol
-        (:meth:`~repro.adversary.omission.OmissionAdversary.plan_interactions`).
-        Batched draws and chunk plans are bitwise identical to their
+        adversary, each chunk goes through the adversary's column-schedule
+        protocol (``plan_chunk_schedule_columns``, or the generic walk
+        :func:`~repro.adversary.omission.plan_columns_per_step` for
+        adversaries that only define ``interactions_before``).  Batched
+        draws and column schedules are bitwise identical to their
         per-step counterparts, so the result is independent of
         ``chunk_size`` (``1`` reproduces the per-step loop).  See
         :mod:`repro.engine.fastpath` for the full contract.
 
         The run executes on the engine's configured backend; on the
         ``array`` backend only the compilable subset is accepted (catalog
-        adversaries compile via injection schedules, ``counts-only`` and
+        adversaries compile via column schedules, ``counts-only`` and
         ``ring`` trace policies are supported, stop conditions must be
         count-expressible predicates) and anything else raises
         :class:`~repro.engine.backends.base.BackendCompileError`.

@@ -58,19 +58,22 @@ draws are bitwise identical to per-step draws (the scheduler contract),
 chunking changes no executed interaction, count or final configuration —
 only the Python-level overhead per step.
 
-Runs with an adversary feed each drawn chunk, together with the remaining
-step budget, to the adversary's budget-aware batched protocol
-(:meth:`~repro.adversary.omission.OmissionAdversary.plan_interactions`):
-the adversary returns the chunk's exact execution order — injections
-interleaved before their scheduled interaction, already truncated to the
-budget, with discarded injections still charged against the adversary's
-own omission budget — provably identical to consulting the per-step
+Runs with an adversary plan each drawn chunk through the adversary's one
+batched protocol, ``plan_chunk_schedule_columns`` (see
+:mod:`repro.adversary.omission`), given the remaining step budget: the
+adversary returns a :class:`~repro.adversary.omission.ColumnSchedule` —
+the kept injections as index columns, each tagged with the gap it executes
+before, already truncated to the budget, with discarded injections still
+charged against the adversary's own omission budget — and
+:func:`plan_chunk` merges them into the chunk by position.  The result is
+provably identical to consulting the per-step
 :meth:`~repro.adversary.omission.OmissionAdversary.interactions_before`
 at every scheduled draw (the contract pinned by
-``tests/test_adversary_batching.py``).  Duck-typed adversaries that only
-implement ``interactions_before`` are wrapped in the reference walk
-(:func:`~repro.adversary.omission.plan_interactions_per_step`)
-automatically.
+``tests/test_adversary_batching.py``).  Adversaries without a columns walk
+of their own — duck-typed objects and registered third-party classes that
+only implement ``interactions_before`` — go through the generic walk
+(:func:`~repro.adversary.omission.plan_columns_per_step`) with the real
+drawn chunk, so they still see the scheduled interaction they precede.
 
 Chunks are clipped to the remaining budget (one scheduled draw consumes at
 least one unit), so an adversary-free run that exhausts its budget never
@@ -101,16 +104,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.trace import Trace, TraceStep
 from repro.interaction.models import InteractionModel
 from repro.protocols.state import Configuration, MutableConfiguration, State
 from repro.scheduling.runs import Interaction
 from repro.scheduling.scheduler import Scheduler
-
-if TYPE_CHECKING:  # the adversary layer sits above the engine; import for types only
-    from repro.adversary.omission import ChunkPlan
 
 #: The selectable trace policies, in decreasing order of detail.
 TRACE_POLICIES = ("full", "counts-only", "ring")
@@ -397,6 +397,60 @@ def as_incremental(predicate: Any) -> IncrementalPredicate:
 # ---------------------------------------------------------------------------
 
 
+def merge_columns(
+    chunk: Sequence[Interaction], schedule: Any, kinds: Sequence[Any]
+) -> Sequence[Interaction]:
+    """Execution order of ``chunk`` with ``schedule``'s injections merged in.
+
+    Each kept injection runs before the scheduled interaction at its
+    position, in schedule order; only the first ``schedule.consumed``
+    scheduled interactions run.  Injections become
+    :class:`Interaction` objects with omission ``kinds[kind]``; a chunk
+    without injections is returned as is (or sliced).
+    """
+    consumed = schedule.consumed
+    if not schedule.positions:
+        return chunk if consumed == len(chunk) else chunk[:consumed]
+    merged: List[Interaction] = []
+    cursor = 0
+    for position, starter, reactor, kind in zip(
+            schedule.positions, schedule.starters, schedule.reactors,
+            schedule.kinds):
+        if position > cursor:
+            merged.extend(chunk[cursor:position])
+            cursor = position
+        merged.append(Interaction(starter, reactor, omission=kinds[kind]))
+    merged.extend(chunk[cursor:consumed])
+    return merged
+
+
+def plan_chunk(adversary: Any) -> Callable[..., Sequence[Interaction]]:
+    """The planner ``(step, chunk, n, budget) -> execution order`` that
+    :func:`run_core` runs ``adversary`` through, once per chunk.
+
+    Adversaries with ``plan_chunk_schedule_columns`` (every catalog class)
+    are asked for the chunk's ``len(chunk)`` gaps — a finite scheduler may
+    return a short chunk — with kinds indexing their ``_omissive_kinds``.
+    Any other adversary is walked through
+    :func:`~repro.adversary.omission.plan_columns_per_step` over the real
+    chunk, with :data:`~repro.adversary.omission.OMISSIONS` as its kinds.
+    """
+    # Imported lazily because the adversary package sits above the engine
+    # in the layer map (its constructions import engine.py).
+    from repro.adversary.omission import OMISSIONS, plan_columns_per_step
+
+    columns = getattr(adversary, "plan_chunk_schedule_columns", None)
+    kinds = OMISSIONS if columns is None else getattr(adversary, "_omissive_kinds", ())
+
+    def planner(step, chunk, n, budget) -> Sequence[Interaction]:
+        if columns is None:
+            schedule = plan_columns_per_step(adversary, step, chunk, n, budget, kinds)
+        else:
+            schedule = columns(step, len(chunk), n, budget)
+        return merge_columns(chunk, schedule, kinds)
+    return planner
+
+
 def run_core(
     program: Any,
     model: InteractionModel,
@@ -414,19 +468,19 @@ def run_core(
     chunked loop for adversary-present and adversary-free runs alike.
     Scheduled interactions are drawn in chunks of up to ``chunk_size``
     through the batched scheduler protocol; with an ``adversary``, each
-    chunk (plus the remaining budget) goes through the budget-aware
-    injection protocol, which returns the chunk's exact execution order —
-    injections before their scheduled interaction, budget truncation
-    already applied.  Every executed interaction is applied through
-    ``model`` with two O(1) buffer writes, its deltas are fed to
-    ``recorder``, and ``on_step`` (when given) may end the run by
+    chunk (plus the remaining budget) goes through :func:`plan_chunk`,
+    which merges the adversary's column schedule into the chunk: its exact
+    execution order, injections before their scheduled interaction,
+    budget truncation already applied.  Every executed interaction is
+    applied through ``model`` with two O(1) buffer writes, its deltas are
+    fed to ``recorder``, and ``on_step`` (when given) may end the run by
     returning ``True``.  Chunking never changes results — batched draws
-    and chunk plans are bitwise identical to their per-step counterparts —
-    so ``chunk_size`` is purely a performance knob (``1`` reproduces the
-    per-step loop exactly, including scheduler and adversary advancement
-    on early stops; after a stop-condition end at larger chunk sizes, the
-    scheduler's and adversary's *internal* positions may sit past the
-    last executed interaction).  See the module docstring for the exact
+    and column schedules are bitwise identical to their per-step
+    counterparts — so ``chunk_size`` is purely a performance knob (``1``
+    reproduces the per-step loop exactly, including scheduler and
+    adversary advancement on early stops; after a stop-condition end at
+    larger chunk sizes, the scheduler's and adversary's *internal*
+    positions may sit past the last executed interaction).  See the module docstring for the exact
     budget, batching, stop and exhaustion semantics.
 
     Returns ``(executed, stopped)``: the number of executed interactions and
@@ -448,30 +502,18 @@ def run_core(
     n = len(states)
     next_interactions = scheduler.next_interactions
 
-    plan_chunk = None
-    if adversary is not None:
-        plan_chunk = getattr(adversary, "plan_interactions", None)
-        if plan_chunk is None:
-            # Duck-typed adversary speaking only the per-step protocol:
-            # wrap it in the reference walk.  Imported lazily because the
-            # adversary package sits above the engine in the layer map
-            # (its constructions import engine.py).
-            from repro.adversary.omission import plan_interactions_per_step
-
-            def plan_chunk(step, chunk, n, budget, _adversary=adversary) -> "ChunkPlan":
-                return plan_interactions_per_step(_adversary, step, chunk, n, budget)
+    planner = None if adversary is None else plan_chunk(adversary)
 
     infinite = max_steps == float("inf")
     while executed < max_steps:
         budget = max_steps - executed
         k = chunk_size if budget > chunk_size else int(budget)
         chunk = next_interactions(scheduler_step, k)
-        if plan_chunk is None:
+        if planner is None:
             plan = chunk
         else:
-            plan, _consumed, _discarded = plan_chunk(
-                scheduler_step, chunk, n, None if infinite else int(budget)
-            )
+            plan = planner(
+                scheduler_step, chunk, n, None if infinite else int(budget))
         scheduler_step += len(chunk)
         if on_step is None:
             for interaction in plan:

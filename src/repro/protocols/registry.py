@@ -352,13 +352,20 @@ def register_adversary(key: str, factory: Callable[..., Any]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _frozen(value: Any) -> Any:
+    """``value`` with JSON arrays (lists) as tuples, so it hashes."""
+    if isinstance(value, list):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
 def _as_items(kwargs) -> Tuple[Tuple[str, Any], ...]:
     """Normalise a kwargs mapping to a sorted, hashable tuple of pairs."""
     if kwargs is None:
         return ()
     if isinstance(kwargs, dict):
-        return tuple(sorted(kwargs.items()))
-    return tuple(sorted(tuple(pair) for pair in kwargs))
+        kwargs = kwargs.items()
+    return tuple(sorted((key, _frozen(value)) for key, value in kwargs))
 
 
 @dataclass(frozen=True)

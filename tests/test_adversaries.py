@@ -9,8 +9,16 @@ from repro.adversary.omission import (
     NoOmissionAdversary,
     UOAdversary,
 )
+from repro.engine.engine import SimulationEngine
 from repro.interaction.models import I1, I3, IO, T3, TW
+from repro.protocols.catalog.epidemic import (
+    INFORMED,
+    SUSCEPTIBLE,
+    OneWayEpidemicProtocol,
+)
+from repro.protocols.state import Configuration
 from repro.scheduling.runs import Interaction
+from repro.scheduling.scheduler import RoundRobinScheduler
 
 
 SCHEDULED = Interaction(0, 1)
@@ -108,6 +116,28 @@ class TestNOAdversary:
             NOAdversary(I3, active_steps=-1)
 
 
+class TestRateValidation:
+    """Rates reach the adversaries from campaign ``adversary_kwargs``; a
+    negative one must be rejected at construction, not fail mid-run or
+    silently inject nothing."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: UOAdversary(I3, max_per_gap=-1),
+        lambda: NOAdversary(I3, rate=-1.0),
+        lambda: NOAdversary(I3, max_per_gap=-2),
+        lambda: BoundedOmissionAdversary(I3, max_omissions=3, rate=-0.5),
+    ], ids=["uo-max-per-gap", "no-rate", "no-max-per-gap", "bounded-rate"])
+    def test_negative_rates_rejected(self, make):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            make()
+
+    def test_zero_rates_accepted(self):
+        assert count_injected(NOAdversary(I3, rate=0.0, seed=0), 100) == 0
+        assert count_injected(NOAdversary(I3, max_per_gap=0, seed=0), 100) == 0
+        assert count_injected(
+            BoundedOmissionAdversary(I3, max_omissions=3, rate=0.0, seed=0), 100) == 0
+
+
 class TestBoundedAdversary:
     def test_budget_is_hard_cap(self):
         adversary = BoundedOmissionAdversary(I3, max_omissions=3, rate=1.0, seed=0)
@@ -147,3 +177,20 @@ class TestNO1Adversary:
         injected = adversary.interactions_before(0, SCHEDULED, 4)
         assert injected[0].pair == (2, 3)
         assert injected[0].is_omissive
+
+    @pytest.mark.parametrize("pair", [(0, 9), (9, 0), (-1, 2), (3, 3)])
+    def test_out_of_range_pair_rejected_when_planned(self, pair):
+        # The per-step definition and the batched protocol both refuse it.
+        with pytest.raises(ValueError, match=r"pair=.*n=6"):
+            NO1Adversary(I3, pair=pair).interactions_before(0, SCHEDULED, 6)
+        with pytest.raises(ValueError, match=r"pair=.*n=6"):
+            NO1Adversary(I3, pair=pair).plan_chunk_schedule_columns(0, 4, 6, None)
+
+    def test_out_of_range_pair_fails_the_run_with_value_error(self):
+        engine = SimulationEngine(
+            OneWayEpidemicProtocol(), I3, RoundRobinScheduler(6),
+            adversary=NO1Adversary(I3, inject_at=3, pair=(0, 9), seed=0))
+        initial = Configuration([INFORMED] + [SUSCEPTIBLE] * 5)
+        for chunk_size in (1, 256):
+            with pytest.raises(ValueError, match=r"pair=\(0, 9\).*n=6"):
+                engine.execute(initial, 100, chunk_size=chunk_size)

@@ -1,16 +1,20 @@
-"""Budget-aware batched adversary protocol == per-step interleaving.
+"""Batched adversary protocol (column schedules) == per-step interleaving.
 
 Two layers of pins:
 
-* **Protocol layer.**  For every adversary class,
-  :meth:`~repro.adversary.omission.OmissionAdversary.plan_interactions`
-  produces exactly the interaction sequence of the per-step interleaving —
+* **Protocol layer.**  For every adversary class, the column schedule the
+  engine plans for a chunk (``plan_chunk_schedule_columns``, or the
+  generic walk :func:`~repro.adversary.omission.plan_columns_per_step`
+  for adversaries without one), merged into the chunk by position, is
+  exactly the interaction sequence of the per-step interleaving —
   injections consulted once per scheduled draw via ``interactions_before``,
   truncated to the live budget with one unit reserved for the scheduled
   interaction — and leaves the adversary in the identical internal state
   (RNG position *and* omission budget, including budget consumed by
   injections the truncation discarded).  Checked property-based over
-  random chunkings, budgets and seeds.
+  random chunkings, budgets and seeds.  Every catalog column walk also
+  equals the generic walk, ``consumed`` and ``discarded`` included.  No
+  numpy needed: the array backend merges the same schedules.
 
 * **Engine layer.**  With the single chunked ``run_core`` loop, the
   executed run is independent of ``chunk_size`` for every adversary class
@@ -32,9 +36,10 @@ from repro.adversary.omission import (
     NOAdversary,
     NoOmissionAdversary,
     UOAdversary,
-    plan_interactions_per_step,
+    plan_columns_per_step,
 )
 from repro.engine.engine import SimulationEngine
+from repro.engine.fastpath import merge_columns, plan_chunk
 from repro.interaction.models import get_model
 from repro.interaction.omissions import REACTOR_OMISSION
 from repro.protocols.catalog.epidemic import (
@@ -58,9 +63,9 @@ MODEL = get_model("I3")  # one-way, admits omissions
 class PerStepOnlyAdversary:
     """Duck-typed adversary speaking only the per-step protocol.
 
-    Exercises the engine's fallback wrapping
-    (:func:`plan_interactions_per_step`): floods ``flood`` omissive
-    interactions before every scheduled one, deterministically.
+    Exercises the engine's generic walk (:func:`plan_columns_per_step`):
+    floods ``flood`` omissive interactions before every scheduled one,
+    deterministically.
     """
 
     def __init__(self, flood=2):
@@ -74,6 +79,21 @@ class PerStepOnlyAdversary:
         ]
 
 
+class ScheduledMirrorAdversary:
+    """Duck-typed adversary that reads the scheduled draw it precedes.
+
+    Before every scheduled interaction with an even starter it injects the
+    mirrored pair, omissive; so the engine must hand the generic walk the
+    real drawn chunk, not placeholders.
+    """
+
+    def interactions_before(self, step, scheduled, n):
+        if scheduled.starter % 2:
+            return []
+        return [Interaction(scheduled.reactor, scheduled.starter,
+                            omission=REACTOR_OMISSION)]
+
+
 # (name, factory(seed)) covering every adversary class, fresh per call.
 ADVERSARIES = [
     ("none", lambda seed: None),
@@ -85,6 +105,7 @@ ADVERSARIES = [
         MODEL, max_omissions=5, rate=0.5, seed=seed)),
     ("no1", lambda seed: NO1Adversary(MODEL, inject_at=11, seed=seed)),
     ("duck-per-step", lambda seed: PerStepOnlyAdversary(flood=2)),
+    ("duck-reads-scheduled", lambda seed: ScheduledMirrorAdversary()),
 ]
 
 SCRIPT = Run([Interaction(i % 9, (i + 1 + i % 3) % 9) for i in range(150)])
@@ -307,7 +328,7 @@ class TestOmissionBudgetExactlyConsumed:
 
 
 # ---------------------------------------------------------------------------
-# protocol layer: plan_interactions == per-step interleaving, state included
+# protocol layer: merged column schedules == per-step interleaving
 # ---------------------------------------------------------------------------
 
 
@@ -339,8 +360,8 @@ def adversary_state(adversary):
     )
 
 
-planful_adversaries = st.sampled_from(
-    [name for name, _ in ADVERSARIES if name != "none"])
+PLANFUL = [name for name, _ in ADVERSARIES if name != "none"]
+CATALOG = ["no-omission", "uo", "no", "bounded", "no1"]
 seeds = st.integers(min_value=0, max_value=10_000)
 populations = st.integers(min_value=3, max_value=12)
 chunkings = st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8)
@@ -351,27 +372,20 @@ def make_adversary(name, seed):
     return dict(ADVERSARIES)[name](seed)
 
 
-def call_plan(adversary, step, scheduled, n, budget):
-    """Invoke the batched protocol the way the engine does: duck-typed
-    per-step-only adversaries go through the reference wrapper."""
-    plan = getattr(adversary, "plan_interactions", None)
-    if plan is None:
-        return plan_interactions_per_step(adversary, step, scheduled, n, budget)
-    return plan(step, scheduled, n, budget)
-
-
-class TestPlanProtocolEquivalence:
-    @settings(max_examples=120, deadline=None)
-    @given(name=planful_adversaries, seed=seeds, n=populations,
-           chunking=chunkings, budget=budgets)
-    def test_chunked_plans_equal_per_step_interleaving(
+class TestColumnProtocolEquivalence:
+    @pytest.mark.parametrize("name", PLANFUL)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=populations, chunking=chunkings, budget=budgets)
+    def test_merged_columns_equal_per_step_interleaving(
         self, name, seed, n, chunking, budget,
     ):
-        """Emulates the engine's chunk loop on both protocols in lockstep:
-        identical interaction sequences AND identical adversary end state,
-        whatever the chunking and wherever the budget lands."""
+        """Emulates the engine's chunk loop against the per-step reference
+        in lockstep: identical interaction sequences AND identical
+        adversary end state, whatever the chunking and wherever the budget
+        lands."""
         batched = make_adversary(name, seed)
         reference = make_adversary(name, seed)
+        planner = plan_chunk(batched)
         stream = RandomScheduler(n, seed=seed + 1)
         step = 0
         remaining = budget
@@ -381,62 +395,62 @@ class TestPlanProtocolEquivalence:
             if chunk_length == 0:
                 break
             chunk = stream.next_interactions(step, chunk_length)
-            plan = call_plan(batched, step, chunk, n, remaining)
-            expected, expected_consumed = per_step_interleaving(
+            plan = list(planner(step, chunk, n, remaining))
+            expected, _ = per_step_interleaving(
                 reference, step, chunk, n, remaining)
-            assert plan.interactions == expected
-            assert plan.consumed == expected_consumed
+            assert plan == expected
             assert adversary_state(batched) == adversary_state(reference)
             step += len(chunk)
             if remaining is not None:
-                remaining -= len(plan.interactions)
+                remaining -= len(plan)
         assert adversary_state(batched) == adversary_state(reference)
 
-    @settings(max_examples=60, deadline=None)
-    @given(name=planful_adversaries, seed=seeds, n=populations,
-           length=st.integers(min_value=0, max_value=60),
-           budget=budgets)
-    def test_default_walk_and_override_agree(self, name, seed, n, length, budget):
-        """Every vectorized override equals the base-class reference walk."""
-        override = make_adversary(name, seed)
-        base = make_adversary(name, seed)
+    @pytest.mark.parametrize("name", CATALOG)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=populations,
+           start=st.integers(min_value=0, max_value=60),
+           length=st.integers(min_value=0, max_value=60), budget=budgets)
+    def test_catalog_walk_equals_generic_walk(
+        self, name, seed, n, start, length, budget,
+    ):
+        """Every catalog column walk equals the generic walk over its
+        ``interactions_before``: columns, consumed, discarded and the
+        adversary's end state."""
+        catalog = make_adversary(name, seed)
+        generic = make_adversary(name, seed)
         chunk = RandomScheduler(n, seed=seed + 2).next_interactions(0, length)
-        got = call_plan(override, 0, chunk, n, budget)
-        expected = plan_interactions_per_step(base, 0, chunk, n, budget)
+        got = catalog.plan_chunk_schedule_columns(start, length, n, budget)
+        expected = plan_columns_per_step(
+            generic, start, chunk, n, budget,
+            getattr(generic, "_omissive_kinds", ()))
         assert got == expected
-        assert adversary_state(override) == adversary_state(base)
+        assert adversary_state(catalog) == adversary_state(generic)
 
     def test_discarded_injections_still_charge_the_omission_budget(self):
         adversary = BoundedOmissionAdversary(MODEL, max_omissions=10, rate=1.0, seed=0)
-        chunk = RoundRobinScheduler(6).next_interactions(0, 4)
         # Budget 5: gaps 0 and 1 keep their injections (4 executed), gap 2
         # has 1 unit left — injection discarded, scheduled kept; gap 3 is
         # not consumed at all.
-        plan = adversary.plan_interactions(0, chunk, 6, 5)
-        assert plan.consumed == 3
-        assert plan.discarded == 1
-        assert len(plan.interactions) == 5
+        schedule = adversary.plan_chunk_schedule_columns(0, 4, 6, 5)
+        assert schedule.consumed == 3
+        assert schedule.discarded == 1
+        assert schedule.positions == [0, 1]
+        assert len(schedule.starters) + schedule.consumed == 5
         assert adversary.total_injected == 3  # the discarded one still counted
 
     def test_plan_on_empty_chunk_is_empty_and_free(self):
-        for name, factory in ADVERSARIES:
-            if name == "none":
-                continue
-            adversary = factory(3)
+        for name in PLANFUL:
+            adversary = make_adversary(name, 3)
             before = adversary_state(adversary)
-            plan = call_plan(adversary, 0, [], 5, 100)
-            assert plan.interactions == [] and plan.consumed == 0
+            assert list(plan_chunk(adversary)(0, [], 5, 100)) == []
             assert adversary_state(adversary) == before
 
     def test_zero_budget_consumes_nothing(self):
-        for name, factory in ADVERSARIES:
-            if name == "none":
-                continue
-            adversary = factory(3)
+        for name in PLANFUL:
+            adversary = make_adversary(name, 3)
             chunk = RoundRobinScheduler(5).next_interactions(0, 4)
             before = adversary_state(adversary)
-            plan = call_plan(adversary, 0, chunk, 5, 0)
-            assert plan.interactions == [] and plan.consumed == 0
+            assert list(plan_chunk(adversary)(0, chunk, 5, 0)) == []
             assert adversary_state(adversary) == before
 
 
@@ -445,9 +459,9 @@ class TestNOPassThroughFastPath:
         adversary = NOAdversary(MODEL, active_steps=10, rate=0.9, seed=1)
         state = random.Random(1).getstate()
         assert adversary._rng.getstate() == state
-        chunk = RoundRobinScheduler(8).next_interactions(0, 30)
-        plan = adversary.plan_interactions(10, chunk, 8, None)
-        assert plan.interactions == list(chunk)
+        schedule = adversary.plan_chunk_schedule_columns(10, 30, 8, None)
+        assert schedule.consumed == 30
+        assert schedule.starters == [] and schedule.discarded == 0
         assert adversary._rng.getstate() == state  # untouched
 
     def test_active_boundary_inside_chunk(self):
@@ -456,8 +470,43 @@ class TestNOPassThroughFastPath:
         batched = NOAdversary(MODEL, active_steps=5, rate=0.8, max_per_gap=3, seed=2)
         reference = NOAdversary(MODEL, active_steps=5, rate=0.8, max_per_gap=3, seed=2)
         chunk = RoundRobinScheduler(8).next_interactions(0, 20)
-        plan = batched.plan_interactions(0, chunk, 8, None)
+        schedule = batched.plan_chunk_schedule_columns(0, 20, 8, None)
+        assert schedule.consumed == 20
+        assert schedule.positions and max(schedule.positions) < 5
         expected, consumed = per_step_interleaving(reference, 0, chunk, 8, None)
-        assert plan.interactions == expected
-        assert plan.consumed == consumed == 20
+        assert consumed == 20
+        assert merge_columns(chunk, schedule, batched._omissive_kinds) == expected
         assert adversary_state(batched) == adversary_state(reference)
+
+
+class TestThirdPartyAdversarySeesScheduledDraws:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_runs_identical_across_chunk_sizes(self, policy):
+        def run(chunk_size):
+            engine = SimulationEngine(
+                OneWayEpidemicProtocol(), MODEL, RandomScheduler(10, seed=5),
+                adversary=ScheduledMirrorAdversary())
+            return engine.execute(initial(), 400, trace_policy=policy,
+                                  ring_size=16, chunk_size=chunk_size)
+
+        assert run_result_key(run(256)) == run_result_key(run(1))
+
+    def test_injections_mirror_the_scheduled_draw_they_precede(self):
+        engine = SimulationEngine(
+            OneWayEpidemicProtocol(), MODEL, RandomScheduler(10, seed=5),
+            adversary=ScheduledMirrorAdversary())
+        steps = [step.interaction for step in
+                 engine.execute(initial(), 400, trace_policy="full").trace]
+        injected = [index for index, interaction in enumerate(steps)
+                    if interaction.is_omissive]
+        assert injected, "even starters occur, so injections must too"
+        for index in injected:
+            scheduled = steps[index + 1]
+            assert not scheduled.is_omissive
+            assert scheduled.starter % 2 == 0
+            assert steps[index].pair == (scheduled.reactor, scheduled.starter)
+        # Every scheduled draw with an even starter got its mirror (the
+        # last step's may have been discarded for budget).
+        for index, interaction in enumerate(steps[:-1]):
+            if not interaction.is_omissive and interaction.starter % 2 == 0:
+                assert index > 0 and steps[index - 1].is_omissive

@@ -1,24 +1,18 @@
 """Equivalence suite for the adversary/array compile gap closed by the
-injection-schedule lowering.
+column-schedule lowering.
 
-Four legs:
+Three legs (the schedules themselves are pinned to the per-step
+definition in ``tests/test_adversary_batching.py``, without numpy):
 
-1. **Protocol equivalence** (hypothesis): for every catalog adversary
-   class, under arbitrary chunkings and step budgets, the content-free
-   schedule protocol (``plan_chunk_schedule``) and its columnar form
-   (``plan_chunk_schedule_columns``) reconstruct exactly the batched plan
-   protocol (``plan_interactions``) — same interleaving, same
-   consumed/discarded arithmetic, same ``total_injected``, and a
-   bit-identical RNG end state after every chunk.
-2. **Engine bit-identity**: on the deterministic round-robin scheduler the
+1. **Engine bit-identity**: on the deterministic round-robin scheduler the
    array and python backends execute the same interaction sequence, so
    final configurations, step counts and omission counts must agree
    bit for bit — for every adversary class, including budget exhaustion
    mid-chunk and a stop condition firing mid-chunk.
-3. **Ring dumps**: under ``--trace-policy ring`` the array backend's
+2. **Ring dumps**: under ``--trace-policy ring`` the array backend's
    decoded crash window equals the python backend's interaction tail,
    injected omissive steps included.
-4. **Auto-resolution determinism**: ``backend="auto"`` resolves at plan
+3. **Auto-resolution determinism**: ``backend="auto"`` resolves at plan
    time as a pure function of the spec, so campaign cell ids are identical
    across repeated plannings and experiment results are identical across
    fan-out modes.
@@ -30,16 +24,12 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.adversary.omission import (
     BoundedOmissionAdversary,
     NO1Adversary,
     NOAdversary,
     NoOmissionAdversary,
     UOAdversary,
-    _schedule_to_columns,
 )
 from repro.campaign.planner import plan_campaign
 from repro.campaign.spec import campaign_from_dict
@@ -55,7 +45,6 @@ from repro.protocols.catalog.epidemic import (
     OneWayEpidemicProtocol,
 )
 from repro.protocols.registry import ExperimentSpec, resolve_backend
-from repro.scheduling.runs import Interaction
 from repro.scheduling.scheduler import RoundRobinScheduler
 
 I3 = get_model("I3")
@@ -78,101 +67,8 @@ def make_adversary(kind: str, seed: int):
     return NoOmissionAdversary()
 
 
-def rng_state(adversary):
-    rng = getattr(adversary, "_rng", None)
-    return None if rng is None else rng.getstate()
-
-
-def kind_index_of(adversary) -> dict:
-    kinds = getattr(adversary, "_omissive_kinds", ())
-    return {kind: index for index, kind in enumerate(kinds)}
-
-
 # ---------------------------------------------------------------------------
-# 1. protocol equivalence: plan == schedule == columns, chunking-independent
-# ---------------------------------------------------------------------------
-
-
-def reconstruct(schedule, draws):
-    """Interleave an InjectionSchedule with its scheduled draws — the
-    inverse of the content-free contract."""
-    interactions = []
-    cursor = 0
-    for gap in range(schedule.consumed):
-        while cursor < len(schedule.positions) and schedule.positions[cursor] == gap:
-            interactions.append(schedule.injections[cursor])
-            cursor += 1
-        interactions.append(draws[gap])
-    assert cursor == len(schedule.positions)
-    return interactions
-
-
-class TestScheduleProtocolEquivalence:
-    @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_schedule_and_columns_match_plan(self, kind, data):
-        n = data.draw(st.integers(min_value=2, max_value=40), label="n")
-        seed = data.draw(st.integers(min_value=0, max_value=999), label="seed")
-        budget = data.draw(
-            st.one_of(st.none(), st.integers(min_value=1, max_value=400)),
-            label="budget")
-        chunks = data.draw(
-            st.lists(st.integers(min_value=1, max_value=50), min_size=1,
-                     max_size=8),
-            label="chunks")
-
-        a_plan = make_adversary(kind, seed)
-        a_sched = make_adversary(kind, seed)
-        a_cols = make_adversary(kind, seed)
-        step = 0
-        remaining = budget
-        for count in chunks:
-            if remaining is not None and remaining < 1:
-                break
-            draws = [Interaction(i % n, (i + 1) % n if (i + 1) % n != i % n
-                                 else (i + 2) % n)
-                     for i in range(step, step + count)]
-            plan = a_plan.plan_interactions(step, draws, n, remaining)
-            schedule = a_sched.plan_chunk_schedule(step, count, n, remaining)
-            columns = a_cols.plan_chunk_schedule_columns(step, count, n, remaining)
-
-            assert reconstruct(schedule, draws) == plan.interactions
-            assert schedule.consumed == plan.consumed
-            assert schedule.discarded == plan.discarded
-            assert tuple(columns) == tuple(
-                _schedule_to_columns(schedule, kind_index_of(a_sched)))
-            assert rng_state(a_plan) == rng_state(a_sched) == rng_state(a_cols)
-            assert (getattr(a_plan, "total_injected", 0)
-                    == getattr(a_sched, "total_injected", 0)
-                    == getattr(a_cols, "total_injected", 0))
-
-            if remaining is not None:
-                remaining -= len(plan.interactions)
-            step += plan.consumed
-
-    @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
-    def test_schedule_is_chunking_independent(self, kind):
-        """One 300-gap chunk and three 100-gap chunks produce the same
-        flattened schedule and the same adversary end state."""
-        whole = make_adversary(kind, 7)
-        split = make_adversary(kind, 7)
-        one = whole.plan_chunk_schedule(0, 300, 12, None)
-        flat_positions, flat_injections = [], []
-        step = 0
-        for _ in range(3):
-            part = split.plan_chunk_schedule(step, 100, 12, None)
-            flat_positions.extend(step + p for p in part.positions)
-            flat_injections.extend(part.injections)
-            step += part.consumed
-        assert one.positions == flat_positions
-        assert one.injections == flat_injections
-        assert one.consumed == step
-        assert rng_state(whole) == rng_state(split)
-
-
-# ---------------------------------------------------------------------------
-# 2. engine bit-identity on round-robin, per class × budget/stop mid-chunk
+# 1. engine bit-identity on round-robin, per class × budget/stop mid-chunk
 # ---------------------------------------------------------------------------
 
 
@@ -220,8 +116,21 @@ class TestEngineBitIdentity:
         assert tuple(array.final_configuration) == tuple(python.final_configuration)
 
 
+    @pytest.mark.parametrize("backend", ("python", "array"))
+    def test_out_of_range_no1_pair_is_a_value_error(self, backend):
+        """Agent 9 does not exist at n=6: a ValueError (a per-cell verdict
+        in campaigns), not an IndexError deep in the merge."""
+        engine = SimulationEngine(
+            OneWayEpidemicProtocol(), I3, RoundRobinScheduler(6),
+            adversary=NO1Adversary(I3, inject_at=3, pair=(0, 9), seed=0),
+            backend=backend)
+        initial = Configuration([INFORMED] + [SUSCEPTIBLE] * 5)
+        with pytest.raises(ValueError, match=r"pair=\(0, 9\).*n=6"):
+            engine.execute(initial, 100, trace_policy="counts-only")
+
+
 # ---------------------------------------------------------------------------
-# 3. ring dumps: decoded array window == python interaction tail
+# 2. ring dumps: decoded array window == python interaction tail
 # ---------------------------------------------------------------------------
 
 
@@ -244,7 +153,7 @@ class TestRingDumpEquality:
 
 
 # ---------------------------------------------------------------------------
-# 4. auto-resolution determinism
+# 3. auto-resolution determinism
 # ---------------------------------------------------------------------------
 
 

@@ -541,6 +541,30 @@ class TestRunAndResume:
         assert record["status"] == "error"
         assert "rates" in record["error"]
 
+    def test_out_of_range_no1_pair_becomes_an_error_cell(self, tmp_path):
+        # NO1's pinned pair is checked against n only when its omission is
+        # planned: agent 9 does not exist at n=6 but does at n=12.  The bad
+        # cell is a per-cell error; the sweep completes the other one.
+        data = {
+            "name": "no1-pair",
+            "base": {"protocol": "pairing", "simulator": "skno", "model": "I3",
+                     "omission_bound": 1, "omissions": 1, "adversary": "no1",
+                     "adversary_kwargs": {"pair": [0, 9]}},
+            "axes": {"population": [6, 12]},
+            "runs": 1,
+            "max_steps": 20_000,
+        }
+        plan = plan_campaign(campaign_from_dict(data))
+        store = fresh_store(tmp_path, plan)
+        status = run_campaign(plan, store)
+        assert status.complete and status.errors == 1
+        by_population = {cell.labels["population"]: store.record_for(cell.cell_id)
+                         for cell in plan.cells}
+        assert by_population["6"]["status"] == "error"
+        assert "pair" in by_population["6"]["error"]
+        assert "n=6" in by_population["6"]["error"]
+        assert by_population["12"]["status"] == "ok"
+
     def test_build_time_failures_become_error_cells(self, tmp_path, monkeypatch):
         # A key that passes plan-time validation but fails at build time
         # (e.g. registry drift) is a per-cell error, not a campaign abort.
