@@ -234,8 +234,8 @@ def measure(model_name: str, n: int, steps: int, with_adversary: bool, seed: int
             # Shadow the vectorized batched draw with the base per-step
             # fallback so this cell measures true per-step draws
             # (next_interaction per step), not k=1 vectorized calls.
-            engine.scheduler.next_interactions = (
-                Scheduler.next_interactions.__get__(engine.scheduler))
+            engine.scheduler.next_columns = (
+                Scheduler.next_columns.__get__(engine.scheduler))
             elapsed = run_fastpath(engine, initial, steps, "counts-only", chunk_size=1)
         else:
             elapsed = run_fastpath(engine, initial, steps, policy)

@@ -2,7 +2,7 @@
 
 ``GraphScheduler`` was the last scheduler left on the per-step batched-draw
 fallback; this benchmark pins what its vectorized
-:meth:`~repro.scheduling.graph_scheduler.GraphScheduler.next_interactions`
+:meth:`~repro.scheduling.graph_scheduler.GraphScheduler.next_columns`
 buys, on the draw itself and end to end.
 
 Two tables:
@@ -64,10 +64,10 @@ def draw_rate(scheduler, draws: int, batched: bool) -> float:
     if not batched:
         # Shadow the vectorized draw with the base per-step fallback so this
         # measures true per-step draws, as the pre-vectorization engine did.
-        scheduler.next_interactions = Scheduler.next_interactions.__get__(scheduler)
+        scheduler.next_columns = Scheduler.next_columns.__get__(scheduler)
     start = time.perf_counter()
     for step in range(0, draws, CHUNK):
-        scheduler.next_interactions(step, CHUNK)
+        scheduler.next_columns(step, CHUNK)
     return draws / (time.perf_counter() - start)
 
 
@@ -76,7 +76,7 @@ def engine_rate(n: int, steps: int, batched: bool, with_adversary: bool) -> floa
     scheduler = ring_scheduler(n, seed=1)
     chunk_size = None
     if not batched:
-        scheduler.next_interactions = Scheduler.next_interactions.__get__(scheduler)
+        scheduler.next_columns = Scheduler.next_columns.__get__(scheduler)
         chunk_size = 1
     adversary = None
     if with_adversary:

@@ -14,7 +14,7 @@ from typing import Any, Callable, Optional
 
 from repro.engine.backends.base import ExecutionBackend
 from repro.engine.convergence import ConvergenceResult, run_until_stable_core
-from repro.engine.fastpath import DEFAULT_CHUNK_SIZE, RunResult, make_recorder, run_core
+from repro.engine.fastpath import DEFAULT_CHUNK_SIZE, RunResult, Watch, make_recorder, run_core
 from repro.protocols.state import Configuration, MutableConfiguration
 
 
@@ -44,11 +44,11 @@ class PythonBackend(ExecutionBackend):
         """
         recorder = make_recorder(trace_policy, ring_size)
         buffer = MutableConfiguration(initial_configuration)
-        on_step = None
+        watch = None
         if stop_condition is not None:
-            on_step = lambda *_step: stop_condition(buffer)  # noqa: E731
+            watch = Watch(1, False, lambda *_step: stop_condition(buffer))
 
-        executed, stopped = run_core(
+        executed, stopped, _chunks = run_core(
             program,
             model,
             scheduler,
@@ -56,7 +56,7 @@ class PythonBackend(ExecutionBackend):
             buffer,
             recorder,
             max_steps,
-            on_step=on_step,
+            watch,
             chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
         )
         final = buffer.freeze()

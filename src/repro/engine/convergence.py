@@ -14,7 +14,10 @@ Predicates come in two flavours:
   the live run buffer after every interaction, an O(n) rescan per step;
 * an :class:`~repro.engine.fastpath.IncrementalPredicate` — primed once on
   the initial configuration and then fed per-step
-  ``(agent, old_state, new_state)`` deltas, an O(1) check per step.
+  ``(agent, old_state, new_state)`` deltas, an O(1) check per step.  One
+  with a state-count shape (``as_state_count()``, e.g.
+  :class:`~repro.engine.fastpath.AgentCountPredicate`) is not called at
+  all: the step loop keeps its count inline.
 """
 
 from __future__ import annotations
@@ -23,7 +26,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
-from repro.engine.fastpath import DEFAULT_CHUNK_SIZE, as_incremental, make_recorder, run_core
+from repro.engine.fastpath import (
+    DEFAULT_CHUNK_SIZE,
+    IncrementalPredicate,
+    StepCallback,
+    StepDeltas,
+    Watch,
+    as_incremental,
+    make_recorder,
+    run_core,
+)
 from repro.engine.trace import Trace, TraceStep
 from repro.obs.recorder import NULL_RECORDER, Recorder, get_recorder
 from repro.protocols.state import Configuration, MutableConfiguration, State
@@ -157,6 +169,7 @@ def run_until_stable(
     otherwise).
     """
     backend = getattr(engine, "backend", "python")
+    chunks: Optional[int] = None
     # The per-run observability seam: one global read and one identity
     # check when telemetry is off (the NullRecorder guarantee); metrics
     # are per run, never per step, so the hot loops stay untouched.
@@ -180,37 +193,41 @@ def run_until_stable(
             materialize_final=materialize_final,
         )
     else:
-        result = run_until_stable_core(
+        result, chunks = _converge(
             engine.program,
             engine.model,
             engine.scheduler,
             engine.adversary,
             initial_configuration,
             predicate,
-            max_steps=max_steps,
-            stability_window=stability_window,
-            trace_policy=trace_policy,
-            ring_size=ring_size,
-            chunk_size=chunk_size,
+            max_steps,
+            stability_window,
+            trace_policy,
+            ring_size,
+            chunk_size,
         )
     if obs is not NULL_RECORDER:
         _record_run(obs, backend, result, time.perf_counter() - begin,
+                    chunks,
                     chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE)
     return result
 
 
 def _record_run(obs: Recorder, backend: str, result: ConvergenceResult,
-                seconds: float, chunk_size: int) -> None:
+                seconds: float, chunks: Optional[int], chunk_size: int) -> None:
     """Record one engine run's counters and wall time (obs enabled only).
 
-    ``engine.chunks`` is exact without touching the step loops: every
-    outer chunk iteration except possibly the one a stop fires in is
-    full, so the iteration count is ``ceil(steps_executed / chunk_size)``.
+    ``engine.chunks`` is the python loop's count of scheduler draws
+    (``chunks``, returned by :func:`~repro.engine.fastpath.run_core`).
+    The array backend reports no count, so for it the value stays
+    ``ceil(steps_executed / chunk_size)``, which overcounts whenever
+    adversary injections share a chunk's budget with its draws.
     """
+    if chunks is None:
+        chunks = -(-result.steps_executed // chunk_size) if chunk_size else 0
     obs.counter("engine.runs")
     obs.counter("engine.steps", result.steps_executed)
-    obs.counter("engine.chunks",
-                -(-result.steps_executed // chunk_size) if chunk_size else 0)
+    obs.counter("engine.chunks", chunks)
     obs.counter("engine.omissions", result.omissions)
     obs.counter("engine.converged" if result.converged else "engine.diverged")
     obs.counter(f"engine.backend.{backend}")
@@ -239,46 +256,54 @@ def run_until_stable_core(
     layer).  Semantics are exactly those documented on
     :func:`run_until_stable`.
     """
+    return _converge(
+        program, model, scheduler, adversary, initial_configuration,
+        predicate, max_steps, stability_window, trace_policy, ring_size,
+        chunk_size)[0]
+
+
+def _converge(
+    program: Any,
+    model: Any,
+    scheduler: Any,
+    adversary: Optional[Any],
+    initial_configuration: Configuration,
+    predicate: Any,
+    max_steps: int,
+    stability_window: int,
+    trace_policy: str,
+    ring_size: Optional[int],
+    chunk_size: Optional[int],
+) -> Tuple[ConvergenceResult, int]:
+    """:func:`run_until_stable_core` plus the run's chunk count.
+
+    A predicate with a state-count shape
+    (:meth:`~repro.engine.fastpath.IncrementalPredicate.as_state_count`)
+    is tracked inline by the step loop; any other predicate is fed its
+    per-step deltas through :meth:`~repro.engine.fastpath.IncrementalPredicate.update`.
+    """
     recorder = make_recorder(trace_policy, ring_size)
     buffer = MutableConfiguration(initial_configuration)
     incremental = as_incremental(predicate)
+    needed = stability_window + 1
+    shape = incremental.as_state_count()
+    if shape is None:
+        watch = Watch(needed, incremental.reset(buffer), _delta_callback(incremental))
+    else:
+        watch = Watch.state_count(shape[0], shape[1], initial_configuration, needed)
 
-    consecutive = 1 if incremental.reset(buffer) else 0
-    first_of_streak: Optional[int] = 0 if consecutive else None
-    target = stability_window + 1
-
-    if consecutive >= target:
+    if watch.met:
         return ConvergenceResult(
             converged=True,
             steps_executed=0,
-            steps_to_convergence=first_of_streak,
+            steps_to_convergence=0,
             trace=recorder.build_trace(initial_configuration, initial_configuration),
             final=initial_configuration,
             omissions=0,
             last_steps=recorder.last_steps(),
-        )
+        ), 0
 
-    progress = {"consecutive": consecutive, "first": first_of_streak, "steps": 0}
-    wants_deltas = getattr(incremental, "consumes_deltas", True)
-
-    def on_step(interaction, starter_pre, starter_post, reactor_pre, reactor_post) -> bool:
-        progress["steps"] += 1
-        deltas = ()
-        if wants_deltas:
-            if starter_pre != starter_post:
-                deltas = ((interaction.starter, starter_pre, starter_post),)
-            if reactor_pre != reactor_post:
-                deltas += ((interaction.reactor, reactor_pre, reactor_post),)
-        if incremental.update(deltas):
-            if progress["consecutive"] == 0:
-                progress["first"] = progress["steps"]
-            progress["consecutive"] += 1
-        else:
-            progress["consecutive"] = 0
-            progress["first"] = None
-        return progress["consecutive"] >= target
-
-    steps_done, _stopped = run_core(
+    steps_done, _stopped, chunks = run_core(
         program,
         model,
         scheduler,
@@ -286,18 +311,35 @@ def run_until_stable_core(
         buffer,
         recorder,
         max_steps,
-        on_step=on_step,
+        watch,
         chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
     )
 
     final = buffer.freeze()
-    converged = progress["consecutive"] >= target
     return ConvergenceResult(
-        converged=converged,
+        converged=watch.met,
         steps_executed=steps_done,
-        steps_to_convergence=progress["first"] if converged else None,
+        steps_to_convergence=watch.first if watch.met else None,
         trace=recorder.build_trace(initial_configuration, final),
         final=final,
         omissions=recorder.omissions,
         last_steps=recorder.last_steps(),
-    )
+    ), chunks
+
+
+def _delta_callback(incremental: IncrementalPredicate) -> StepCallback:
+    """The :class:`~repro.engine.fastpath.Watch` callback feeding ``incremental``
+    one step's ``(agent, old_state, new_state)`` deltas."""
+    update = incremental.update
+    if not getattr(incremental, "consumes_deltas", True):
+        return lambda *_step: update(())
+
+    def holds(starter: int, reactor: int, starter_pre: State, starter_post: State,
+              reactor_pre: State, reactor_post: State) -> bool:
+        deltas: StepDeltas = ()
+        if starter_pre != starter_post:
+            deltas = ((starter, starter_pre, starter_post),)
+        if reactor_pre != reactor_post:
+            deltas += ((reactor, reactor_pre, reactor_post),)
+        return update(deltas)
+    return holds

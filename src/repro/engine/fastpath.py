@@ -51,12 +51,24 @@ Budget semantics (the seed had two subtly different accountings):
 
 Batched draws — one chunked loop for every run:
 
-All runs consume the scheduler through the batched protocol
-(:meth:`~repro.scheduling.scheduler.Scheduler.next_interactions`), drawing
-up to :data:`DEFAULT_CHUNK_SIZE` interactions per call.  Because batched
-draws are bitwise identical to per-step draws (the scheduler contract),
-chunking changes no executed interaction, count or final configuration —
-only the Python-level overhead per step.
+All runs consume the scheduler through the column draw
+(:meth:`~repro.scheduling.scheduler.Scheduler.next_columns`), drawing up
+to :data:`DEFAULT_CHUNK_SIZE` interactions per call as ``starters`` and
+``reactors`` index columns, plus an omission column only for scripted
+runs.  Because batched draws are bitwise identical to per-step draws (the
+scheduler contract), chunking changes no executed interaction, count or
+final configuration — only the Python-level overhead per step.
+
+The loop itself makes as few Python calls per step as the run allows.
+On a one-way model every ``NO_OMISSION`` step calls the program's
+``(g, f)`` pair directly (``step.no_omission``, see
+:meth:`~repro.interaction.models.InteractionModel.bind`); other steps go
+through the model's validating step.  Omissions are counted per chunk,
+and only the ``full`` and ``ring`` recorders are called per step, with an
+:class:`Interaction` built for them.  A convergence predicate with a
+state-count shape (:meth:`IncrementalPredicate.as_state_count`) is
+tracked inline by a :class:`Watch`, so a counts-only run of one calls
+nothing per step but the transition and ``satisfies`` on changed states.
 
 Runs with an adversary plan each drawn chunk through the adversary's one
 batched protocol, ``plan_chunk_schedule_columns`` (see
@@ -65,8 +77,8 @@ adversary returns a :class:`~repro.adversary.omission.ColumnSchedule` —
 the kept injections as index columns, each tagged with the gap it executes
 before, already truncated to the budget, with discarded injections still
 charged against the adversary's own omission budget — and
-:func:`plan_chunk` merges them into the chunk by position.  The result is
-provably identical to consulting the per-step
+:func:`merge_columns` merges them into the drawn columns by position.
+The result is provably identical to consulting the per-step
 :meth:`~repro.adversary.omission.OmissionAdversary.interactions_before`
 at every scheduled draw (the contract pinned by
 ``tests/test_adversary_batching.py``).  Adversaries without a columns walk
@@ -104,29 +116,32 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.trace import Trace, TraceStep
 from repro.interaction.models import InteractionModel
+from repro.interaction.omissions import NO_OMISSION, Omission
 from repro.protocols.state import Configuration, MutableConfiguration, State
-from repro.scheduling.runs import Interaction
-from repro.scheduling.scheduler import Scheduler
+from repro.scheduling.runs import Interaction, interactions_from_columns
+from repro.scheduling.scheduler import Columns, Scheduler
 
 #: The selectable trace policies, in decreasing order of detail.
 TRACE_POLICIES = ("full", "counts-only", "ring")
 
-#: Scheduled interactions drawn per batched scheduler call on adversary-free
-#: runs.  Large enough to amortize the per-chunk call overhead, small enough
-#: that a chunk of pending :class:`Interaction` objects stays cache-friendly.
+#: Scheduled interactions drawn per batched scheduler call.  Large enough to
+#: amortize the per-chunk call overhead, small enough that a chunk's columns
+#: stay cache-friendly.
 DEFAULT_CHUNK_SIZE = 256
 
 #: Deltas handed to incremental predicates: ``(agent, old_state, new_state)``
 #: for every agent whose state actually changed at the step (0, 1 or 2 items).
 StepDeltas = Tuple[Tuple[int, State, State], ...]
 
-#: Step callback: ``(interaction, starter_pre, starter_post, reactor_pre,
-#: reactor_post) -> stop?``.  Returning ``True`` ends the run.
-StepCallback = Callable[[Interaction, State, State, State, State], bool]
+#: Step callback of a :class:`Watch`: ``(starter, reactor, starter_pre,
+#: starter_post, reactor_pre, reactor_post) -> holds?`` after one executed
+#: interaction.
+StepCallback = Callable[[int, int, State, State, State, State], bool]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +150,12 @@ StepCallback = Callable[[Interaction, State, State, State, State], bool]
 
 
 class FullRecorder:
-    """Records every step; builds a complete :class:`Trace` at freeze time."""
+    """Records every step; builds a complete :class:`Trace` at freeze time.
+
+    Recorders own the run's omission count, which :func:`run_core` adds
+    per chunk; only the recorders that keep steps define ``record``, the
+    one per-step call the loop makes into a recorder.
+    """
 
     policy = "full"
     __slots__ = ("steps", "omissions")
@@ -152,10 +172,6 @@ class FullRecorder:
         reactor_pre: State,
         reactor_post: State,
     ) -> None:
-        # interaction.omission.is_omissive, not the is_omissive property:
-        # record() runs once per step and the descriptor call is measurable.
-        if interaction.omission.is_omissive:
-            self.omissions += 1
         self.steps.append(
             TraceStep(
                 index=len(self.steps),
@@ -177,17 +193,13 @@ class FullRecorder:
 
 
 class CountsOnlyRecorder:
-    """Tracks only the omission count; allocates nothing per step."""
+    """Tracks only the omission count; is never called per step."""
 
     policy = "counts-only"
     __slots__ = ("omissions",)
 
     def __init__(self) -> None:
         self.omissions = 0
-
-    def record(self, interaction, starter_pre, starter_post, reactor_pre, reactor_post) -> None:
-        if interaction.omission.is_omissive:
-            self.omissions += 1
 
     def build_trace(self, initial: Configuration, final: Configuration) -> Optional[Trace]:
         return None
@@ -214,8 +226,6 @@ class RingRecorder:
         self._count = 0
 
     def record(self, interaction, starter_pre, starter_post, reactor_pre, reactor_post) -> None:
-        if interaction.omission.is_omissive:
-            self.omissions += 1
         self._ring.append(
             TraceStep(
                 index=self._count,
@@ -305,9 +315,18 @@ class IncrementalPredicate:
         ``satisfies`` equals ``target`` (``None``: all agents)" are
         *compilable*: the array backend
         (:mod:`repro.engine.backends.array_backend`) evaluates ``satisfies``
-        once per interned state and tracks the count columnarly.  Returning
-        ``None`` (the default) marks the predicate as non-compilable; such
-        predicates run only on the python backend.
+        once per interned state and tracks the count columnarly, and the
+        python backend's loop (:func:`run_core`) updates the count inline
+        instead of calling :meth:`update`.  Returning ``None`` (the
+        default) marks the predicate as non-compilable; such predicates
+        run only on the python backend, through :meth:`update`.
+
+        ``satisfies`` must be a pure function of the state's *value*: equal
+        states give equal answers, and calling it has no effect.  Both
+        backends rely on that.  The array backend calls it once per
+        interned state; the python loop skips it for a state object an
+        interaction left unchanged, and counts a state replaced by an
+        equal but distinct object as a zero delta.
         """
         return None
 
@@ -397,43 +416,111 @@ def as_incremental(predicate: Any) -> IncrementalPredicate:
 # ---------------------------------------------------------------------------
 
 
-def merge_columns(
-    chunk: Sequence[Interaction], schedule: Any, kinds: Sequence[Any]
-) -> Sequence[Interaction]:
-    """Execution order of ``chunk`` with ``schedule``'s injections merged in.
+class Watch:
+    """The stop test :func:`run_core` applies after every executed interaction.
 
-    Each kept injection runs before the scheduled interaction at its
-    position, in schedule order; only the first ``schedule.consumed``
-    scheduled interactions run.  Injections become
-    :class:`Interaction` objects with omission ``kinds[kind]``; a chunk
-    without injections is returned as is (or sliced).
+    The run stops once the watched predicate has held on ``needed``
+    consecutive configurations.  ``streak`` is the length of the current
+    run of satisfying configurations (the initial configuration counts
+    when it satisfies) and ``first`` the step index that began it,
+    meaningful while ``streak`` is positive.
+
+    A *state-count* watch (:meth:`state_count`) holds when ``count``, the
+    number of agents whose state satisfies ``satisfies``, equals
+    ``target``; the loop updates ``count`` inline and calls ``satisfies``
+    only on state objects an interaction replaced.  Any other watch calls
+    its ``holds`` callback (a :data:`StepCallback`) once per interaction.
+    """
+
+    __slots__ = ("needed", "streak", "first", "holds", "satisfies", "count", "target")
+
+    def __init__(self, needed: int, holding: bool,
+                 holds: Optional[StepCallback] = None,
+                 satisfies: Optional[Callable[[State], Any]] = None,
+                 count: int = 0, target: int = 0) -> None:
+        self.needed = needed
+        self.streak = 1 if holding else 0
+        self.first: Optional[int] = 0 if holding else None
+        self.holds = holds
+        self.satisfies = satisfies
+        self.count = count
+        self.target = target
+
+    @classmethod
+    def state_count(cls, satisfies: Callable[[State], Any], target: Optional[int],
+                    configuration: Any, needed: int) -> "Watch":
+        """Watch "``target`` agents (``None``: all) satisfy ``satisfies``"."""
+        count = sum(1 for state in configuration if satisfies(state))
+        target = len(configuration) if target is None else target
+        return cls(needed, count == target, satisfies=satisfies, count=count,
+                   target=target)
+
+    @property
+    def met(self) -> bool:
+        """Whether the predicate has held long enough to stop the run."""
+        return self.streak >= self.needed
+
+
+def merge_columns(
+    starters: List[int], reactors: List[int], omissions: Optional[List[Omission]],
+    schedule: Any, kinds: Sequence[Omission],
+) -> Columns:
+    """Execution order of a drawn chunk with ``schedule``'s injections merged in.
+
+    The chunk is the columns ``starters``/``reactors``/``omissions`` of a
+    scheduler draw (see
+    :meth:`~repro.scheduling.scheduler.Scheduler.next_columns`).  Each kept
+    injection runs before the scheduled interaction at its position, in
+    schedule order, with omission ``kinds[kind]``; only the first
+    ``schedule.consumed`` scheduled interactions run.  A chunk without
+    injections is returned as is (or sliced); a chunk with injections
+    always gets an omission column.
     """
     consumed = schedule.consumed
     if not schedule.positions:
-        return chunk if consumed == len(chunk) else chunk[:consumed]
-    merged: List[Interaction] = []
+        if consumed == len(starters):
+            return starters, reactors, omissions
+        return (starters[:consumed], reactors[:consumed],
+                None if omissions is None else omissions[:consumed])
+    merged_starters: List[int] = []
+    merged_reactors: List[int] = []
+    merged_omissions: List[Omission] = []
     cursor = 0
+
+    def scheduled_until(position: int) -> None:
+        merged_starters.extend(starters[cursor:position])
+        merged_reactors.extend(reactors[cursor:position])
+        if omissions is None:
+            merged_omissions.extend(repeat(NO_OMISSION, position - cursor))
+        else:
+            merged_omissions.extend(omissions[cursor:position])
+
     for position, starter, reactor, kind in zip(
             schedule.positions, schedule.starters, schedule.reactors,
             schedule.kinds):
         if position > cursor:
-            merged.extend(chunk[cursor:position])
+            scheduled_until(position)
             cursor = position
-        merged.append(Interaction(starter, reactor, omission=kinds[kind]))
-    merged.extend(chunk[cursor:consumed])
-    return merged
+        merged_starters.append(starter)
+        merged_reactors.append(reactor)
+        merged_omissions.append(kinds[kind])
+    scheduled_until(consumed)
+    return merged_starters, merged_reactors, merged_omissions
 
 
-def plan_chunk(adversary: Any) -> Callable[..., Sequence[Interaction]]:
-    """The planner ``(step, chunk, n, budget) -> execution order`` that
-    :func:`run_core` runs ``adversary`` through, once per chunk.
+def plan_chunk(adversary: Any) -> Callable[..., Columns]:
+    """The planner ``(step, starters, reactors, omissions, n, budget) ->
+    columns`` that :func:`run_core` runs ``adversary`` through, once per
+    drawn chunk.
 
     Adversaries with ``plan_chunk_schedule_columns`` (every catalog class)
-    are asked for the chunk's ``len(chunk)`` gaps — a finite scheduler may
-    return a short chunk — with kinds indexing their ``_omissive_kinds``.
-    Any other adversary is walked through
+    are asked for the chunk's ``len(starters)`` gaps — a finite scheduler
+    may return a short chunk — with kinds indexing their
+    ``_omissive_kinds``.  Any other adversary is walked through
     :func:`~repro.adversary.omission.plan_columns_per_step` over the real
-    chunk, with :data:`~repro.adversary.omission.OMISSIONS` as its kinds.
+    chunk as :class:`Interaction` objects, with
+    :data:`~repro.adversary.omission.OMISSIONS` as its kinds.  Either
+    schedule goes through :func:`merge_columns`.
     """
     # Imported lazily because the adversary package sits above the engine
     # in the layer map (its constructions import engine.py).
@@ -442,12 +529,17 @@ def plan_chunk(adversary: Any) -> Callable[..., Sequence[Interaction]]:
     columns = getattr(adversary, "plan_chunk_schedule_columns", None)
     kinds = OMISSIONS if columns is None else getattr(adversary, "_omissive_kinds", ())
 
-    def planner(step, chunk, n, budget) -> Sequence[Interaction]:
+    def planner(step: int, starters: List[int], reactors: List[int],
+                omissions: Optional[List[Omission]], n: int,
+                budget: Optional[int]) -> Columns:
         if columns is None:
-            schedule = plan_columns_per_step(adversary, step, chunk, n, budget, kinds)
+            schedule = plan_columns_per_step(
+                adversary, step,
+                interactions_from_columns(starters, reactors, omissions),
+                n, budget, kinds)
         else:
-            schedule = columns(step, len(chunk), n, budget)
-        return merge_columns(chunk, schedule, kinds)
+            schedule = columns(step, len(starters), n, budget)
+        return merge_columns(starters, reactors, omissions, schedule, kinds)
     return planner
 
 
@@ -459,92 +551,147 @@ def run_core(
     buffer: MutableConfiguration,
     recorder: Any,
     max_steps: float,
-    on_step: Optional[StepCallback] = None,
+    watch: Optional[Watch] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Tuple[int, bool]:
+) -> Tuple[int, bool, int]:
     """Execute up to ``max_steps`` interactions against ``buffer`` in place.
 
     This is the single step loop behind every public entry point: one
     chunked loop for adversary-present and adversary-free runs alike.
-    Scheduled interactions are drawn in chunks of up to ``chunk_size``
-    through the batched scheduler protocol; with an ``adversary``, each
-    chunk (plus the remaining budget) goes through :func:`plan_chunk`,
-    which merges the adversary's column schedule into the chunk: its exact
-    execution order, injections before their scheduled interaction,
-    budget truncation already applied.  Every executed interaction is
-    applied through ``model`` with two O(1) buffer writes, its deltas are
-    fed to ``recorder``, and ``on_step`` (when given) may end the run by
-    returning ``True``.  Chunking never changes results — batched draws
-    and column schedules are bitwise identical to their per-step
-    counterparts — so ``chunk_size`` is purely a performance knob (``1``
-    reproduces the per-step loop exactly, including scheduler and
-    adversary advancement on early stops; after a stop-condition end at
-    larger chunk sizes, the scheduler's and adversary's *internal*
-    positions may sit past the last executed interaction).  See the module docstring for the exact
-    budget, batching, stop and exhaustion semantics.
+    Each chunk of up to ``chunk_size`` scheduled interactions is drawn as
+    index columns; with an ``adversary`` it goes through :func:`plan_chunk`
+    (its exact execution order, budget truncation applied).  Every
+    executed interaction writes two buffer slots, dispatched and recorded
+    as the module docstring describes.
 
-    Returns ``(executed, stopped)``: the number of executed interactions and
-    whether ``on_step`` requested the stop.
+    With a ``watch``, the predicate is tested after every interaction and
+    the run stops once it has held ``watch.needed`` times in a row; the
+    watch's ``streak``/``first``/``count`` are left where the run ended.
+    A state-count watch on a run that records no steps takes the inner
+    loop that calls nothing per step but the transition and
+    ``satisfies`` on changed states; a state counts as changed when its
+    object did (``post is not pre``).
+
+    Chunking never changes results — batched draws and column schedules
+    are bitwise identical to their per-step counterparts — so
+    ``chunk_size`` is purely a performance knob (``1`` reproduces the
+    per-step loop exactly, including scheduler and adversary advancement
+    on early stops; after a stop at larger chunk sizes, the scheduler's
+    and adversary's *internal* positions may sit past the last executed
+    interaction).  See the module docstring for the exact budget,
+    batching, stop and exhaustion semantics.
+
+    Returns ``(executed, stopped, chunks)``: the number of executed
+    interactions, whether the watch stopped the run, and the number of
+    chunks drawn (scheduler calls).
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    executed = 0
-    scheduler_step = 0
     # The program is resolved against the model once per run (see
     # InteractionModel.bind), not once per interaction.
     step = model.bind(program)
-    record = recorder.record
+    g, f = getattr(step, "no_omission", (None, None))
+    record = getattr(recorder, "record", None)
     # The raw list behind the buffer: indexing MutableConfiguration goes
     # through Python-level dunders, four calls per step that this loop is
     # hot enough to care about.  Predicates holding a reference to `buffer`
     # still observe every write (same list).
     states = buffer._states
     n = len(states)
-    next_interactions = scheduler.next_interactions
-
+    next_columns = scheduler.next_columns
     planner = None if adversary is None else plan_chunk(adversary)
+    needed = streak = count = target = 0
+    first: Optional[int] = None
+    satisfies: Any = None
+    holds: Any = None
+    if watch is not None:
+        needed, streak, first = watch.needed, watch.streak, watch.first
+        satisfies, count, target = watch.satisfies, watch.count, watch.target
+        holds = watch.holds
+    counting_only = satisfies is not None and record is None and g is not None
 
+    executed = scheduler_step = chunks = omission_count = 0
+    stopped = False
     infinite = max_steps == float("inf")
     while executed < max_steps:
         budget = max_steps - executed
         k = chunk_size if budget > chunk_size else int(budget)
-        chunk = next_interactions(scheduler_step, k)
-        if planner is None:
-            plan = chunk
-        else:
-            plan = planner(
-                scheduler_step, chunk, n, None if infinite else int(budget))
-        scheduler_step += len(chunk)
-        if on_step is None:
-            for interaction in plan:
-                starter = interaction.starter
-                reactor = interaction.reactor
+        starters, reactors, omissions = next_columns(scheduler_step, k)
+        drawn = len(starters)
+        if planner is not None:
+            starters, reactors, omissions = planner(
+                scheduler_step, starters, reactors, omissions, n,
+                None if infinite else int(budget))
+        scheduler_step += drawn
+        chunks += 1
+        chunk_start = executed
+        if counting_only and omissions is None:
+            for starter, reactor in zip(starters, reactors):
                 starter_pre = states[starter]
                 reactor_pre = states[reactor]
-                starter_post, reactor_post = step(
-                    starter_pre, reactor_pre, interaction.omission
-                )
+                starter_post = g(starter_pre)
+                reactor_post = f(starter_pre, reactor_pre)
                 states[starter] = starter_post
                 states[reactor] = reactor_post
-                record(interaction, starter_pre, starter_post, reactor_pre, reactor_post)
-            executed += len(plan)
-        else:
-            for interaction in plan:
-                starter = interaction.starter
-                reactor = interaction.reactor
-                starter_pre = states[starter]
-                reactor_pre = states[reactor]
-                starter_post, reactor_post = step(
-                    starter_pre, reactor_pre, interaction.omission
-                )
-                states[starter] = starter_post
-                states[reactor] = reactor_post
-                record(interaction, starter_pre, starter_post, reactor_pre, reactor_post)
                 executed += 1
-                if on_step(
-                    interaction, starter_pre, starter_post, reactor_pre, reactor_post
-                ):
-                    return executed, True
-        if len(chunk) < k:
-            break  # exhausted mid-chunk; terminal by the scheduler contract
-    return executed, False
+                if starter_post is not starter_pre:
+                    count += satisfies(starter_post) - satisfies(starter_pre)
+                if reactor_post is not reactor_pre:
+                    count += satisfies(reactor_post) - satisfies(reactor_pre)
+                if count == target:
+                    if not streak:
+                        first = executed
+                    streak += 1
+                    if streak >= needed:
+                        stopped = True
+                        break
+                else:
+                    streak = 0
+        else:
+            for index in range(len(starters)):
+                starter = starters[index]
+                reactor = reactors[index]
+                starter_pre = states[starter]
+                reactor_pre = states[reactor]
+                omission = NO_OMISSION if omissions is None else omissions[index]
+                if omission is NO_OMISSION and g is not None:
+                    starter_post = g(starter_pre)
+                    reactor_post = f(starter_pre, reactor_pre)
+                else:
+                    starter_post, reactor_post = step(starter_pre, reactor_pre, omission)
+                states[starter] = starter_post
+                states[reactor] = reactor_post
+                executed += 1
+                if record is not None:
+                    record(Interaction(starter, reactor, omission),
+                           starter_pre, starter_post, reactor_pre, reactor_post)
+                if watch is None:
+                    continue
+                if satisfies is not None:
+                    if starter_post is not starter_pre:
+                        count += satisfies(starter_post) - satisfies(starter_pre)
+                    if reactor_post is not reactor_pre:
+                        count += satisfies(reactor_post) - satisfies(reactor_pre)
+                    holding = count == target
+                else:
+                    holding = holds(starter, reactor, starter_pre, starter_post,
+                                    reactor_pre, reactor_post)
+                if holding:
+                    if not streak:
+                        first = executed
+                    streak += 1
+                    if streak >= needed:
+                        stopped = True
+                        break
+                else:
+                    streak = 0
+        if omissions is not None:
+            omission_count += sum(
+                1 for omission in omissions[:executed - chunk_start]
+                if omission.is_omissive)
+        if stopped or drawn < k:
+            break  # a stop, or exhaustion mid-chunk (terminal by the scheduler contract)
+    recorder.omissions += omission_count
+    if watch is not None:
+        watch.streak, watch.first, watch.count = streak, first, count
+    return executed, stopped, chunks

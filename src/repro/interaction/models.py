@@ -93,6 +93,12 @@ class InteractionModel:
         handlers are looked up here, once, instead of on every interaction.
         Every omission other than the :data:`NO_OMISSION` singleton is still
         validated by the step itself.
+
+        One-way models also expose the no-omission pair on the step as
+        ``step.no_omission = (g, f)``: ``(g(s), f(s, r))`` is exactly
+        ``step(s, r, NO_OMISSION)``, without the call through ``step``.
+        The engine's step loop calls the pair directly on non-omissive
+        interactions.
         """
         raise NotImplementedError
 
@@ -223,6 +229,7 @@ class OneWayModel(InteractionModel):
                     return on_starter(starter_state), on_reactor(reactor_state)
             return g(starter_state), f(starter_state, reactor_state)
 
+        step.no_omission = (g, f)  # type: ignore[attr-defined]
         return step
 
 

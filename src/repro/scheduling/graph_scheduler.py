@@ -33,9 +33,8 @@ from typing import List, Optional, Tuple
 
 import networkx as nx
 
-from repro.interaction.omissions import NO_OMISSION
 from repro.scheduling.runs import Interaction
-from repro.scheduling.scheduler import Scheduler
+from repro.scheduling.scheduler import Columns, Scheduler
 
 
 class InteractionGraphError(Exception):
@@ -72,7 +71,7 @@ class GraphScheduler(Scheduler):
     probability; over infinite runs this is globally fair *relative to the
     graph* with probability 1.
 
-    Batched draws (:meth:`next_interactions`) are vectorized and bitwise
+    Batched draws (:meth:`next_columns`) are vectorized and bitwise
     identical to the per-step stream; the scheduler never exhausts.
     """
 
@@ -100,45 +99,36 @@ class GraphScheduler(Scheduler):
             return Interaction(first, second)
         return Interaction(second, first)
 
-    def next_interactions(self, step: int, k: int) -> List[Interaction]:
+    def next_columns(self, step: int, k: int) -> Columns:
         """Draw ``k`` graph-admissible ordered pairs in one call (never short).
 
         Bitwise identical to ``k`` calls of :meth:`next_interaction`: the
         loop inlines ``Random.choice``'s accept-reject index sampling
         (``getrandbits(bits)`` redrawn while it overshoots the edge list)
         followed by the orientation coin, consuming exactly the per-step
-        RNG stream — pinned by the batched equivalence tests.  Instances
-        are built by writing the (already graph-validated) fields straight
-        into ``Interaction.__dict__``, as the other vectorized schedulers
-        do, bypassing the frozen-dataclass machinery on the hot path.
+        RNG stream — pinned by the batched equivalence tests.
         """
-        if k <= 0:
-            return []
         getrandbits = self._getrandbits
         rng_random = self._random
         edges = self._edges
         edge_count = len(edges)
         edge_bits = self._edge_bits
-        new = Interaction.__new__
-        no_omission = NO_OMISSION
-        out: List[Interaction] = []
-        append = out.append
+        starters: List[int] = []
+        reactors: List[int] = []
+        add_starter = starters.append
+        add_reactor = reactors.append
         for _ in range(k):
             r = getrandbits(edge_bits)
             while r >= edge_count:
                 r = getrandbits(edge_bits)
             first, second = edges[r]
             if rng_random() < 0.5:
-                starter, reactor = first, second
+                add_starter(first)
+                add_reactor(second)
             else:
-                starter, reactor = second, first
-            interaction = new(Interaction)
-            d = interaction.__dict__
-            d["starter"] = starter
-            d["reactor"] = reactor
-            d["omission"] = no_omission
-            append(interaction)
-        return out
+                add_starter(second)
+                add_reactor(first)
+        return starters, reactors, None
 
     def reset(self) -> None:
         self._rng = random.Random(self._seed)

@@ -11,6 +11,7 @@ them).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.interaction.omissions import NO_OMISSION, Omission
@@ -18,15 +19,7 @@ from repro.interaction.omissions import NO_OMISSION, Omission
 
 @dataclass(frozen=True)
 class Interaction:
-    """One ordered interaction ``(starter, reactor)`` with its omission status.
-
-    Note: the batched draw of
-    :meth:`repro.scheduling.scheduler.RandomScheduler.next_interactions`
-    constructs instances by writing these three fields directly into
-    ``__dict__`` (the scheduler guarantees the invariants checked by
-    ``__post_init__``); keep the field set and storage (no ``__slots__``)
-    in sync with that fast path.
-    """
+    """One ordered interaction ``(starter, reactor)`` with its omission status."""
 
     starter: int
     reactor: int
@@ -72,6 +65,22 @@ class Interaction:
     def __str__(self) -> str:
         suffix = f" [{self.omission}]" if self.is_omissive else ""
         return f"({self.starter} -> {self.reactor}){suffix}"
+
+
+def interactions_from_columns(
+    starters: Sequence[int], reactors: Sequence[int],
+    omissions: Optional[Iterable[Omission]] = None,
+) -> List[Interaction]:
+    """The :class:`Interaction` objects of a batch of index columns.
+
+    ``omissions`` ``None`` means every interaction is ``NO_OMISSION``
+    (the column form schedulers draw in, see
+    :meth:`repro.scheduling.scheduler.Scheduler.next_columns`).
+    """
+    if omissions is None:
+        omissions = repeat(NO_OMISSION)
+    return [Interaction(starter, reactor, omission)
+            for starter, reactor, omission in zip(starters, reactors, omissions)]
 
 
 class Run:

@@ -20,15 +20,22 @@ Every scheduler supports two draw protocols:
 
 * :meth:`Scheduler.next_interaction` — the per-step protocol: one
   interaction per call, :class:`SchedulerExhausted` when none remain.
-* :meth:`Scheduler.next_interactions` — the batched protocol: up to ``k``
-  interactions per call.  The batched stream is **bitwise identical** to the
-  per-step stream for the same scheduler state (same seed, same position):
-  drawing ``[next_interaction(step + i) for i in range(k)]`` and
-  ``next_interactions(step, k)`` yields the same interactions and leaves the
-  scheduler in the same state.  This contract is pinned by
+* :meth:`Scheduler.next_columns` — the batched protocol: up to ``k``
+  interactions per call, as index columns ``(starters, reactors,
+  omissions)``.  ``omissions`` is ``None`` when every drawn interaction is
+  the :data:`~repro.interaction.omissions.NO_OMISSION` singleton, which
+  only scripted runs ever break.  The batched stream is **bitwise
+  identical** to the per-step stream for the same scheduler state (same
+  seed, same position): drawing ``[next_interaction(step + i) for i in
+  range(k)]`` and ``next_columns(step, k)`` yields the same interactions
+  and leaves the scheduler in the same state.  This contract is pinned by
   ``tests/test_batched_scheduling.py`` and is what allows the engine's
   fast path (:mod:`repro.engine.fastpath`) to consume draws in chunks
   without changing any seeded experiment.
+
+:meth:`Scheduler.next_interactions` is the same batch as
+:class:`~repro.scheduling.runs.Interaction` objects, a base-class wrapper
+over :meth:`~Scheduler.next_columns`.
 
 Exhaustion semantics under batching: a batch *shorter than requested* means
 the scheduler ran out mid-batch — the same terminal condition that
@@ -38,7 +45,7 @@ raised), every later draw yields nothing.  Infinite schedulers (random,
 weighted, round-robin, graph) always return exactly ``k`` interactions.
 
 The base class provides a per-step fallback implementation of
-:meth:`~Scheduler.next_interactions`, so subclasses only override it when a
+:meth:`~Scheduler.next_columns`, so subclasses only override it when a
 vectorized draw is profitable (:class:`RandomScheduler`,
 :class:`WeightedPairScheduler`,
 :class:`~repro.scheduling.graph_scheduler.GraphScheduler`).
@@ -49,8 +56,12 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.interaction.omissions import NO_OMISSION
-from repro.scheduling.runs import Interaction, Run
+from repro.interaction.omissions import NO_OMISSION, Omission
+from repro.scheduling.runs import Interaction, Run, interactions_from_columns
+
+#: One batched draw: ``(starters, reactors, omissions)``, where
+#: ``omissions`` is ``None`` when every interaction is ``NO_OMISSION``.
+Columns = Tuple[List[int], List[int], Optional[List[Omission]]]
 
 
 class SchedulerExhausted(Exception):
@@ -67,7 +78,7 @@ class Scheduler:
     """Base class: produces ordered pairs of distinct agent indices.
 
     Subclasses must implement :meth:`next_interaction`; they may override
-    :meth:`next_interactions` with a vectorized draw provided the batched
+    :meth:`next_columns` with a vectorized draw provided the batched
     stream stays bitwise identical to the per-step stream.
     """
 
@@ -91,34 +102,44 @@ class Scheduler:
         """
         raise NotImplementedError
 
-    def next_interactions(self, step: int, k: int) -> List[Interaction]:
-        """Return the interactions for steps ``step .. step + k - 1``.
+    def next_columns(self, step: int, k: int) -> Columns:
+        """Return the interactions for steps ``step .. step + k - 1`` as columns.
 
         This is the batched counterpart of :meth:`next_interaction` and
         draws from the same stream: for any split of a run into batches, the
         concatenated batches equal the per-step sequence exactly (same RNG
-        consumption, same interactions).
+        consumption, same interactions).  The result is ``(starters,
+        reactors, omissions)``; ``omissions`` is ``None`` when every
+        interaction of the batch carries the ``NO_OMISSION`` singleton.
 
-        A result shorter than ``k`` (possibly empty) signals exhaustion at
-        step ``step + len(result)`` — the batched equivalent of
+        A batch shorter than ``k`` (possibly empty) signals exhaustion at
+        step ``step + len(starters)`` — the batched equivalent of
         :class:`SchedulerExhausted` — and is terminal.  ``k <= 0`` returns
-        an empty list without touching the scheduler.
+        empty columns without touching the scheduler.
 
         The default implementation is the per-step fallback: it calls
         :meth:`next_interaction` ``k`` times and truncates at exhaustion,
         which is correct (if not vectorized) for every scheduler.
         """
-        if k <= 0:
-            return []
-        out: List[Interaction] = []
-        append = out.append
+        starters: List[int] = []
+        reactors: List[int] = []
+        omissions: List[Omission] = []
         next_interaction = self.next_interaction
         for offset in range(k):
             try:
-                append(next_interaction(step + offset))
+                interaction = next_interaction(step + offset)
             except SchedulerExhausted:
                 break
-        return out
+            starters.append(interaction.starter)
+            reactors.append(interaction.reactor)
+            omissions.append(interaction.omission)
+        if all(omission is NO_OMISSION for omission in omissions):
+            return starters, reactors, None
+        return starters, reactors, omissions
+
+    def next_interactions(self, step: int, k: int) -> List[Interaction]:
+        """The batch of :meth:`next_columns` as :class:`Interaction` objects."""
+        return interactions_from_columns(*self.next_columns(step, k))
 
     def reset(self) -> None:
         """Reset any internal state so the scheduler can be reused from step 0."""
@@ -155,8 +176,8 @@ class RandomScheduler(Scheduler):
     The per-step draw order (starter via ``randrange(n)``, then reactor over
     the remaining ``n - 1`` slots) is part of the seeded-stream contract
     relied on by experiments and must not change.  The batched draw
-    (:meth:`next_interactions`) consumes the identical RNG stream and is the
-    fast path of the engine's counts-only loop.
+    (:meth:`next_columns`) consumes the identical RNG stream and is the
+    fast path of the engine's loop.
     """
 
     def __init__(self, n: int, seed: Optional[int] = None) -> None:
@@ -187,7 +208,7 @@ class RandomScheduler(Scheduler):
             reactor += 1
         return Interaction(starter, reactor)
 
-    def next_interactions(self, step: int, k: int) -> List[Interaction]:
+    def next_columns(self, step: int, k: int) -> Columns:
         """Draw ``k`` uniform ordered pairs in one call (never short).
 
         Bitwise identical to ``k`` calls of :meth:`next_interaction`: the
@@ -196,40 +217,28 @@ class RandomScheduler(Scheduler):
         exactly the same underlying bit stream — pinned by the batched
         equivalence tests, which fail loudly if a Python release ever
         changes ``randrange``'s draw discipline.
-
-        Interactions are built by writing the (already validated: distinct,
-        in-range) fields straight into a fresh instance, bypassing the
-        frozen-dataclass ``__setattr__`` machinery that dominates per-draw
-        cost on the hot path.
         """
-        if k <= 0:
-            return []
         getrandbits = self._getrandbits
         n = self.n
         starter_bits = self._starter_bits
         reactor_bound = n - 1
         reactor_bits = self._reactor_bits
-        new = Interaction.__new__
-        no_omission = NO_OMISSION
-        out: List[Interaction] = []
-        append = out.append
+        starters: List[int] = []
+        reactors: List[int] = []
+        add_starter = starters.append
+        add_reactor = reactors.append
         for _ in range(k):
-            r = getrandbits(starter_bits)
-            while r >= n:
-                r = getrandbits(starter_bits)
-            starter = r
-            r = getrandbits(reactor_bits)
-            while r >= reactor_bound:
-                r = getrandbits(reactor_bits)
-            if r >= starter:
-                r += 1
-            interaction = new(Interaction)
-            d = interaction.__dict__
-            d["starter"] = starter
-            d["reactor"] = r
-            d["omission"] = no_omission
-            append(interaction)
-        return out
+            starter = getrandbits(starter_bits)
+            while starter >= n:
+                starter = getrandbits(starter_bits)
+            reactor = getrandbits(reactor_bits)
+            while reactor >= reactor_bound:
+                reactor = getrandbits(reactor_bits)
+            if reactor >= starter:
+                reactor += 1
+            add_starter(starter)
+            add_reactor(reactor)
+        return starters, reactors, None
 
     def reset(self) -> None:
         """Restore the seeded stream to step 0."""
@@ -248,7 +257,8 @@ class ScriptedScheduler(Scheduler):
     Batched draws use the inherited per-step fallback: a batch that crosses
     the script/continuation boundary (or the end of the script) is simply
     shorter or assembled step by step, with the documented exhaustion
-    semantics.
+    semantics.  It is the only scheduler whose batches can carry an
+    omission column.
     """
 
     def __init__(self, run: Run, continuation: Optional[Scheduler] = None) -> None:
@@ -310,7 +320,7 @@ class WeightedPairScheduler(Scheduler):
         starter, reactor = self._rng.choices(self._pairs, weights=self._weights, k=1)[0]
         return Interaction(starter, reactor)
 
-    def next_interactions(self, step: int, k: int) -> List[Interaction]:
+    def next_columns(self, step: int, k: int) -> Columns:
         """Draw ``k`` weighted pairs in one call (never short).
 
         ``random.choices`` consumes one ``random()`` per drawn element
@@ -319,9 +329,9 @@ class WeightedPairScheduler(Scheduler):
         cumulative-weight construction over the whole batch.
         """
         if k <= 0:
-            return []
+            return [], [], None
         pairs = self._rng.choices(self._pairs, weights=self._weights, k=k)
-        return [Interaction(starter, reactor) for starter, reactor in pairs]
+        return [pair[0] for pair in pairs], [pair[1] for pair in pairs], None
 
     def reset(self) -> None:
         """Restore the seeded stream to step 0."""

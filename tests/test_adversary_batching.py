@@ -49,7 +49,7 @@ from repro.protocols.catalog.epidemic import (
 )
 from repro.protocols.state import Configuration
 from repro.scheduling.graph_scheduler import random_graph_scheduler, ring_scheduler
-from repro.scheduling.runs import Interaction, Run
+from repro.scheduling.runs import Interaction, Run, interactions_from_columns
 from repro.scheduling.scheduler import (
     RandomScheduler,
     RoundRobinScheduler,
@@ -394,8 +394,9 @@ class TestColumnProtocolEquivalence:
                 chunk_length = min(chunk_length, remaining)
             if chunk_length == 0:
                 break
-            chunk = stream.next_interactions(step, chunk_length)
-            plan = list(planner(step, chunk, n, remaining))
+            columns = stream.next_columns(step, chunk_length)
+            chunk = interactions_from_columns(*columns)
+            plan = interactions_from_columns(*planner(step, *columns, n, remaining))
             expected, _ = per_step_interleaving(
                 reference, step, chunk, n, remaining)
             assert plan == expected
@@ -442,15 +443,15 @@ class TestColumnProtocolEquivalence:
         for name in PLANFUL:
             adversary = make_adversary(name, 3)
             before = adversary_state(adversary)
-            assert list(plan_chunk(adversary)(0, [], 5, 100)) == []
+            assert plan_chunk(adversary)(0, [], [], None, 5, 100) == ([], [], None)
             assert adversary_state(adversary) == before
 
     def test_zero_budget_consumes_nothing(self):
         for name in PLANFUL:
             adversary = make_adversary(name, 3)
-            chunk = RoundRobinScheduler(5).next_interactions(0, 4)
+            columns = RoundRobinScheduler(5).next_columns(0, 4)
             before = adversary_state(adversary)
-            assert list(plan_chunk(adversary)(0, chunk, 5, 0)) == []
+            assert plan_chunk(adversary)(0, *columns, 5, 0) == ([], [], None)
             assert adversary_state(adversary) == before
 
 
@@ -469,13 +470,15 @@ class TestNOPassThroughFastPath:
         pure pass-through for the tail — equal to the per-step reference."""
         batched = NOAdversary(MODEL, active_steps=5, rate=0.8, max_per_gap=3, seed=2)
         reference = NOAdversary(MODEL, active_steps=5, rate=0.8, max_per_gap=3, seed=2)
-        chunk = RoundRobinScheduler(8).next_interactions(0, 20)
+        columns = RoundRobinScheduler(8).next_columns(0, 20)
+        chunk = interactions_from_columns(*columns)
         schedule = batched.plan_chunk_schedule_columns(0, 20, 8, None)
         assert schedule.consumed == 20
         assert schedule.positions and max(schedule.positions) < 5
         expected, consumed = per_step_interleaving(reference, 0, chunk, 8, None)
         assert consumed == 20
-        assert merge_columns(chunk, schedule, batched._omissive_kinds) == expected
+        merged = merge_columns(*columns, schedule, batched._omissive_kinds)
+        assert interactions_from_columns(*merged) == expected
         assert adversary_state(batched) == adversary_state(reference)
 
 

@@ -3,9 +3,10 @@
 Two contracts are pinned here:
 
 * **Batched = per-step, bitwise.**  For every scheduler class, drawing
-  through :meth:`Scheduler.next_interactions` (in any chunking) yields
-  exactly the interactions that per-step :meth:`Scheduler.next_interaction`
-  calls would, for the same seed — including omission flags and RNG
+  through :meth:`Scheduler.next_columns` or its wrapper
+  :meth:`Scheduler.next_interactions` (in any chunking) yields exactly the
+  interactions that per-step :meth:`Scheduler.next_interaction` calls
+  would, for the same seed — including omission flags and RNG
   consumption.  This is what lets the engine consume draws in chunks
   without changing any seeded experiment.
 
@@ -24,7 +25,7 @@ from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
 from repro.engine.experiment import repeat_experiment, run_spec
 from repro.interaction.models import TW, get_model
-from repro.interaction.omissions import REACTOR_OMISSION, STARTER_OMISSION
+from repro.interaction.omissions import NO_OMISSION, REACTOR_OMISSION, STARTER_OMISSION
 from repro.protocols.catalog.epidemic import (
     INFORMED,
     SUSCEPTIBLE,
@@ -40,7 +41,7 @@ from repro.scheduling.graph_scheduler import (
     ring_scheduler,
     star_scheduler,
 )
-from repro.scheduling.runs import Interaction, Run
+from repro.scheduling.runs import Interaction, Run, interactions_from_columns
 from repro.scheduling.scheduler import (
     RandomScheduler,
     RoundRobinScheduler,
@@ -86,12 +87,26 @@ def draw_per_step(scheduler, count):
     return out
 
 
-def draw_chunked(scheduler, count, chunk):
+def draw_batch(scheduler, step, k, protocol):
+    if protocol == "columns":
+        return interactions_from_columns(*scheduler.next_columns(step, k))
+    return scheduler.next_interactions(step, k)
+
+
+def rng_state(scheduler):
+    """The scheduler's RNG position (and its continuation's), if any."""
+    rng = getattr(scheduler, "_rng", None)
+    continuation = getattr(scheduler, "continuation", None)
+    return (None if rng is None else rng.getstate(),
+            None if continuation is None else rng_state(continuation))
+
+
+def draw_chunked(scheduler, count, chunk, protocol="interactions"):
     out = []
     step = 0
     while step < count:
         k = min(chunk, count - step)
-        batch = scheduler.next_interactions(step, k)
+        batch = draw_batch(scheduler, step, k, protocol)
         out.extend(batch)
         step += len(batch)
         if len(batch) < k:
@@ -103,16 +118,21 @@ class TestBatchedEqualsPerStep:
     @pytest.mark.parametrize("name,factory",
                              scheduler_factories(), ids=lambda x: x if isinstance(x, str) else "")
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
-    def test_bitwise_identical_streams(self, name, factory, chunk):
-        reference = draw_per_step(factory(), 200)
-        batched = draw_chunked(factory(), 200, chunk)
+    @pytest.mark.parametrize("protocol", ["interactions", "columns"])
+    def test_bitwise_identical_streams(self, name, factory, chunk, protocol):
+        per_step = factory()
+        reference = draw_per_step(per_step, 200)
+        scheduler = factory()
+        batched = draw_chunked(scheduler, 200, chunk, protocol)
         assert batched == reference
         # omission flags survive batching untouched
         assert [i.omission for i in batched] == [i.omission for i in reference]
+        assert rng_state(scheduler) == rng_state(per_step)
 
     @pytest.mark.parametrize("name,factory",
                              scheduler_factories(), ids=lambda x: x if isinstance(x, str) else "")
-    def test_interleaved_consumption(self, name, factory):
+    @pytest.mark.parametrize("protocol", ["interactions", "columns"])
+    def test_interleaved_consumption(self, name, factory, protocol):
         """Mixing per-step and batched draws consumes one shared stream."""
         reference = draw_per_step(factory(), 60)
 
@@ -124,7 +144,7 @@ class TestBatchedEqualsPerStep:
             if kind == "step":
                 got = draw_per_step_from(scheduler, step, amount)
             else:
-                got = scheduler.next_interactions(step, amount)
+                got = draw_batch(scheduler, step, amount, protocol)
             mixed.extend(got)
             step += len(got)
             if len(got) < amount:
@@ -136,6 +156,8 @@ class TestBatchedEqualsPerStep:
         scheduler = RandomScheduler(5, seed=0)
         assert scheduler.next_interactions(0, 0) == []
         assert scheduler.next_interactions(0, -3) == []
+        assert scheduler.next_columns(0, 0) == ([], [], None)
+        assert scheduler.next_columns(0, -3) == ([], [], None)
         # the RNG stream was not consumed
         assert scheduler.next_interaction(0) == RandomScheduler(5, seed=0).next_interaction(0)
 
@@ -167,6 +189,21 @@ class TestBatchedExhaustion:
         assert len(scheduler.next_interactions(0, 5)) == 1
         assert scheduler.next_interactions(1, 5) == []
         assert scheduler.next_interactions(1, 5) == []
+
+    def test_short_column_batch_signals_exhaustion(self):
+        scheduler = ScriptedScheduler(Run([
+            Interaction(0, 1), Interaction(1, 2, omission=REACTOR_OMISSION)]))
+        starters, reactors, omissions = scheduler.next_columns(0, 10)
+        assert (starters, reactors) == ([0, 1], [1, 2])
+        assert omissions == [NO_OMISSION, REACTOR_OMISSION]
+        assert scheduler.next_columns(2, 10) == ([], [], None)
+
+    def test_omission_column_only_for_omissive_batches(self):
+        scheduler = ScriptedScheduler(Run.from_pairs([(0, 1), (1, 2), (2, 0)]))
+        assert scheduler.next_columns(0, 3) == ([0, 1, 2], [1, 2, 0], None)
+        for name, factory in scheduler_factories():
+            if not name.startswith("scripted"):
+                assert factory().next_columns(0, 50)[2] is None
 
     def test_batch_crossing_continuation_boundary(self):
         scheduler = ScriptedScheduler(

@@ -10,17 +10,32 @@ including adversary-injected runs.
 
 Final configurations, per-step trace contents, omission counts and
 convergence step counts must all be identical.
+
+A second suite pins the loop's inline state-count path against its
+callback path (:meth:`IncrementalPredicate.update` once per step) on the
+paper's simulators, across models, adversaries, schedulers and chunk sizes.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary.omission import BoundedOmissionAdversary, UOAdversary
+from repro.adversary.omission import (
+    BoundedOmissionAdversary,
+    NO1Adversary,
+    NOAdversary,
+    UOAdversary,
+)
+from repro.core.naming import KnownSizeSimulator
+from repro.core.sid import SIDSimulator
+from repro.core.skno import SKnOSimulator
 from repro.core.trivial import TrivialTwoWaySimulator
 from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
 from repro.engine.fastpath import AgentCountPredicate
 from repro.engine.trace import Trace
+from repro.interaction.adapters import OneWayAsTwoWay
 from repro.interaction.models import TW, get_model
 from repro.protocols.catalog.epidemic import (
     INFORMED,
@@ -31,7 +46,15 @@ from repro.protocols.catalog.epidemic import (
 from repro.protocols.catalog.leader_election import LEADER, LeaderElectionProtocol
 from repro.protocols.catalog.majority import A, ExactMajorityProtocol
 from repro.protocols.state import Configuration
-from repro.scheduling.scheduler import RandomScheduler, SchedulerExhausted
+from repro.scheduling.graph_scheduler import ring_scheduler
+from repro.scheduling.runs import Interaction, Run
+from repro.scheduling.scheduler import (
+    RandomScheduler,
+    RoundRobinScheduler,
+    SchedulerExhausted,
+    ScriptedScheduler,
+    WeightedPairScheduler,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -256,3 +279,142 @@ class TestConvergenceEquivalence:
         assert outcome.omissions == reference["omissions"]
         if policy == "full":
             assert outcome.trace.omission_count() == reference["omissions"]
+
+
+# ---------------------------------------------------------------------------
+# inline state-count path == callback path
+# ---------------------------------------------------------------------------
+
+
+class CallbackOnly(AgentCountPredicate):
+    """The same state-count predicate without its count shape, so the loop
+    must call :meth:`update` once per step instead of counting inline."""
+
+    def as_state_count(self):
+        return None
+
+
+class InteractionsBeforeOnly:
+    """Duck-typed adversary with only ``interactions_before``: injects the
+    mirror of a third of the scheduled draws, with a random omissive kind."""
+
+    def __init__(self, model, seed):
+        self._rng = random.Random(seed)
+        self._kinds = [kind for kind in model.admissible_omissions() if kind.is_omissive]
+
+    def interactions_before(self, step, scheduled, n):
+        if self._rng.random() < 1 / 3:
+            return [Interaction(scheduled.reactor, scheduled.starter,
+                                omission=self._rng.choice(self._kinds))]
+        return []
+
+
+MAJORITY = ExactMajorityProtocol()
+
+EQUIVALENCE_MODELS = ("I3", "I4", "IO", "IT", "T3")
+
+EQUIVALENCE_ADVERSARIES = {
+    "none": lambda model, seed: None,
+    "uo": lambda model, seed: UOAdversary(model, rate=0.3, max_per_gap=2, seed=seed),
+    "bounded": lambda model, seed: BoundedOmissionAdversary(
+        model, max_omissions=3, rate=0.4, seed=seed),
+    "no": lambda model, seed: NOAdversary(
+        model, active_steps=60, rate=0.4, max_per_gap=2, seed=seed),
+    "no1": lambda model, seed: NO1Adversary(model, inject_at=seed % 40, seed=seed),
+    "interactions-before-only": InteractionsBeforeOnly,
+}
+
+
+def _simulator(name, model, n):
+    if name == "skno":
+        variant = "I4" if model.name == "I4" else "I3"
+        program = SKnOSimulator(MAJORITY, omission_bound=1, variant=variant)
+    elif name == "sid":
+        program = SIDSimulator(MAJORITY)
+    else:
+        program = KnownSizeSimulator(MAJORITY, population_size=n)
+    return program
+
+
+def _scheduler(name, model, n, seed):
+    if name == "random":
+        return RandomScheduler(n, seed=seed)
+    if name == "graph":
+        return ring_scheduler(n, seed=seed)
+    if name == "weighted":
+        return WeightedPairScheduler(
+            n, {(i, (i + 1) % n): 1.0 + i for i in range(n)}, seed=seed)
+    if name == "round-robin":
+        return RoundRobinScheduler(n)
+    # scripted: omissive steps where the model admits them, then either
+    # exhaustion or a round-robin continuation
+    rng = random.Random(seed)
+    kinds = model.admissible_omissions()
+    script = []
+    for _ in range(rng.randrange(10, 120)):
+        starter, reactor = rng.sample(range(n), 2)
+        script.append(Interaction(starter, reactor, omission=rng.choice(kinds)))
+    continuation = RoundRobinScheduler(n) if seed % 2 else None
+    return ScriptedScheduler(Run(script), continuation=continuation)
+
+
+def _scheduler_state(scheduler):
+    rng = getattr(scheduler, "_rng", None)
+    continuation = getattr(scheduler, "continuation", None)
+    return (None if rng is None else rng.getstate(),
+            None if continuation is None else _scheduler_state(continuation))
+
+
+def _adversary_state(adversary):
+    rng = getattr(adversary, "_rng", None)
+    return (getattr(adversary, "total_injected", None),
+            None if rng is None else rng.getstate())
+
+
+def _count_path_run(simulator, model_name, adversary, scheduler, n, seed, window,
+                    max_steps, chunk_size, policy, inline):
+    model = get_model(model_name)
+    program = _simulator(simulator, model, n)
+    project = program.project
+
+    def satisfies(state):
+        return MAJORITY.output(project(state)) == A
+
+    initial = program.initial_configuration(
+        MAJORITY.initial_configuration(n // 2 + 1, n - n // 2 - 1))
+    predicate = (AgentCountPredicate if inline else CallbackOnly)(satisfies)
+    if not model.one_way:
+        program = OneWayAsTwoWay(program)
+    if not model.allows_omissions:
+        adversary = "none"
+    engine = SimulationEngine(
+        program, model, _scheduler(scheduler, model, n, seed),
+        adversary=EQUIVALENCE_ADVERSARIES[adversary](model, seed))
+    result = run_until_stable(
+        engine, initial, predicate, max_steps=max_steps,
+        stability_window=window, trace_policy=policy, chunk_size=chunk_size)
+    return (result.steps_executed, result.steps_to_convergence, result.converged,
+            result.omissions, result.final_configuration,
+            _scheduler_state(engine.scheduler), _adversary_state(engine.adversary))
+
+
+class TestInlineCountPathEquivalence:
+    @settings(max_examples=120, deadline=None)
+    @given(simulator=st.sampled_from(["skno", "sid", "nn"]),
+           model=st.sampled_from(EQUIVALENCE_MODELS),
+           adversary=st.sampled_from(sorted(EQUIVALENCE_ADVERSARIES)),
+           scheduler=st.sampled_from(
+               ["random", "graph", "weighted", "round-robin", "scripted"]),
+           n=st.integers(min_value=3, max_value=6),
+           seed=seeds,
+           window=st.integers(min_value=0, max_value=40),
+           max_steps=st.integers(min_value=0, max_value=600),
+           chunk_size=st.sampled_from([1, 7, 256]),
+           policy=st.sampled_from(["counts-only", "full", "ring"]))
+    def test_inline_count_equals_update_callback(
+            self, simulator, model, adversary, scheduler, n, seed, window,
+            max_steps, chunk_size, policy):
+        args = (simulator, model, adversary, scheduler, n, seed, window,
+                max_steps, chunk_size, policy)
+        assert (_count_path_run(*args, inline=True)
+                == _count_path_run(*args, inline=False))

@@ -18,7 +18,10 @@ from repro.campaign.report import render_report
 from repro.campaign.runner import build_cell_record, run_campaign
 from repro.campaign.spec import campaign_from_dict
 from repro.campaign.store import ResultStore
+from repro.adversary.omission import UOAdversary
 from repro.cli import main
+from repro.engine.convergence import run_until_stable
+from repro.engine.engine import SimulationEngine
 from repro.engine.experiment import repeat_experiment
 from repro.engine.transport import shm_unavailable_reason
 from repro.obs import (
@@ -37,7 +40,11 @@ from repro.obs import (
     set_recorder,
     summarize_records,
 )
+from repro.interaction.models import get_model
+from repro.protocols.catalog.epidemic import INFORMED, SUSCEPTIBLE, EpidemicProtocol
 from repro.protocols.registry import ExperimentSpec
+from repro.protocols.state import Configuration
+from repro.scheduling.scheduler import RandomScheduler
 
 
 def small_campaign(name: str = "obs-grid") -> dict:
@@ -270,6 +277,27 @@ class TestEngineSeam:
                               trace_policy="counts-only")
         counters = recorder.snapshot()["counters"]
         assert counters["engine.chunks"] == -(-counters["engine.steps"] // 7)
+
+    def test_chunks_counter_counts_scheduler_draws_not_injections(self):
+        """Injected steps share a chunk's budget with its draws, so
+        ``ceil(steps / chunk_size)`` would overcount: UO at rate 1.0 on T3
+        runs 1000 steps in 9 draws of up to 64, not 16."""
+        model = get_model("T3")
+        scheduler = RandomScheduler(8, seed=1)
+        draws = []
+        draw = scheduler.next_columns
+        scheduler.next_columns = lambda step, k: draws.append(k) or draw(step, k)
+        engine = SimulationEngine(EpidemicProtocol(), model, scheduler,
+                                  adversary=UOAdversary(model, rate=1.0, seed=1))
+        recorder = MetricsRecorder()
+        with recording(recorder):
+            result = run_until_stable(
+                engine, Configuration([INFORMED] + [SUSCEPTIBLE] * 7),
+                lambda configuration: False, max_steps=1_000,
+                trace_policy="counts-only", chunk_size=64)
+        assert result.steps_executed == 1_000
+        assert len(draws) == 9
+        assert recorder.snapshot()["counters"]["engine.chunks"] == 9
 
 
 class TestFanoutSeam:
