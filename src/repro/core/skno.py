@@ -150,6 +150,27 @@ class SKnOState:
         return sum(1 for token in self.sending if type(token) is JokerToken)
 
 
+_new = object.__new__
+
+
+def _state(sim: State, phase: str, sending: Tuple, owed: Tuple) -> SKnOState:
+    """``SKnOState(sim, phase, sending, owed)``, built on the hot path.
+
+    Fills the instance ``__dict__`` directly, in field order, instead of
+    going through the frozen ``__init__`` (one ``object.__setattr__`` per
+    field).  The result is indistinguishable from the constructor's: equal,
+    same hash, repr and pickle.  This holds only while :class:`SKnOState`
+    has no ``__post_init__`` (``docs/invariants.md``).
+    """
+    state = _new(SKnOState)
+    fields = state.__dict__
+    fields["sim"] = sim
+    fields["phase"] = phase
+    fields["sending"] = sending
+    fields["owed"] = owed
+    return state
+
+
 def _without(queue: Tuple, positions: Sequence[int]) -> Tuple:
     """``queue`` with the tokens at ``positions`` removed."""
     result: Tuple = ()
@@ -193,6 +214,7 @@ class SKnOSimulator(TwoWaySimulator):
         else:
             self.compatible_models = ("I4", "IT") if omission_bound == 0 else ("I4",)
         self._run_indices = tuple(range(1, omission_bound + 2))
+        self._run_length = omission_bound + 1
         # Runs are immutable and there is one per simulated state (or state
         # pair), so each is built once per simulator.
         self._state_runs: Dict[State, Tuple[StateToken, ...]] = {}
@@ -203,7 +225,7 @@ class SKnOSimulator(TwoWaySimulator):
     @property
     def run_length(self) -> int:
         """Number of tokens per run: ``o + 1``."""
-        return self.omission_bound + 1
+        return self._run_length
 
     def _state_run(self, q: State) -> Tuple[StateToken, ...]:
         run = self._state_runs.get(q)
@@ -249,26 +271,10 @@ class SKnOSimulator(TwoWaySimulator):
     def g(self, starter: SKnOState) -> SKnOState:
         queue = starter.sending
         if queue:
-            return SKnOState(starter.sim, starter.phase, queue[1:], starter.owed)
+            return _state(starter.sim, starter.phase, queue[1:], starter.owed)
         if starter.phase == AVAILABLE:
-            return SKnOState(starter.sim, PENDING, self._state_run(starter.sim)[1:], starter.owed)
+            return _state(starter.sim, PENDING, self._state_run(starter.sim)[1:], starter.owed)
         return starter
-
-    def _effective_outgoing(self, state: SKnOState) -> Tuple[Optional[object], SKnOState]:
-        """What a starter transmits, and its post-transmission state.
-
-        The reference definition of the starter side, spelled out as above;
-        :meth:`outgoing_token` and :meth:`g` compute its two halves without
-        building the intermediate queue (tests pin them equal).
-        """
-        phase = state.phase
-        queue = state.sending
-        if phase == AVAILABLE and not queue:
-            phase = PENDING
-            queue = self._state_run(state.sim)
-        if queue:
-            return queue[0], SKnOState(state.sim, phase, queue[1:], state.owed)
-        return None, SKnOState(state.sim, phase, queue, state.owed)
 
     # -- reactor behaviour (function f) -------------------------------------------------------------
 
@@ -318,6 +324,31 @@ class SKnOSimulator(TwoWaySimulator):
                 owed = tuple(remaining)
                 token = JOKER
             queue = queue + (token,)
+
+        # Early exit.  A run completes only when the tokens that could
+        # belong to it, plus the jokers, number at least o + 1: state tokens
+        # for an available agent; its own state tokens and the change tokens
+        # it started for a pending one.  Short of that neither check can
+        # fire, so most receives (which only enqueue) stop here.
+        needed = self._run_length
+        relevant = 0
+        if len(queue) >= needed:
+            if phase == AVAILABLE:
+                for queued in queue:
+                    if type(queued) is not ChangeToken:
+                        relevant += 1
+            else:
+                for queued in queue:
+                    kind = type(queued)
+                    if (kind is JokerToken
+                            or (kind is StateToken and queued.state == sim)
+                            or (kind is ChangeToken and queued.starter_state == sim)):
+                        relevant += 1
+        if relevant < needed:
+            if token is None:
+                return reactor, ()
+            return _state(sim, phase, queue, owed), ()
+
         events: Sequence[SimulationEvent] = ()
         state_runs, change_runs, jokers = self._index(queue, sim)
 
@@ -381,7 +412,7 @@ class SKnOSimulator(TwoWaySimulator):
 
         if token is None and phase == reactor.phase and not events:
             return reactor, events  # nothing received, nothing consumed
-        return SKnOState(sim, phase, queue, owed), events
+        return _state(sim, phase, queue, owed), events
 
     # .. run-completion search ..................................................................
 

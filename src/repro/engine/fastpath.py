@@ -68,7 +68,8 @@ and only the ``full`` and ``ring`` recorders are called per step, with an
 :class:`Interaction` built for them.  A convergence predicate with a
 state-count shape (:meth:`IncrementalPredicate.as_state_count`) is
 tracked inline by a :class:`Watch`, so a counts-only run of one calls
-nothing per step but the transition and ``satisfies`` on changed states.
+nothing per step but the transition and ``satisfies`` once per changed
+state.
 
 Runs with an adversary plan each drawn chunk through the adversary's one
 batched protocol, ``plan_chunk_schedule_columns`` (see
@@ -427,32 +428,40 @@ class Watch:
 
     A *state-count* watch (:meth:`state_count`) holds when ``count``, the
     number of agents whose state satisfies ``satisfies``, equals
-    ``target``; the loop updates ``count`` inline and calls ``satisfies``
-    only on state objects an interaction replaced.  Any other watch calls
-    its ``holds`` callback (a :data:`StepCallback`) once per interaction.
+    ``target``.  It keeps one satisfies bit per agent in ``bits`` (so
+    ``count`` is their sum); the loop updates both inline and calls
+    ``satisfies`` once per state object an interaction replaced.  Any
+    other watch calls its ``holds`` callback (a :data:`StepCallback`) once
+    per interaction.
     """
 
-    __slots__ = ("needed", "streak", "first", "holds", "satisfies", "count", "target")
+    __slots__ = ("needed", "streak", "first", "holds", "satisfies", "bits", "count",
+                 "target")
 
     def __init__(self, needed: int, holding: bool,
                  holds: Optional[StepCallback] = None,
                  satisfies: Optional[Callable[[State], Any]] = None,
-                 count: int = 0, target: int = 0) -> None:
+                 bits: Optional[List[int]] = None, target: int = 0) -> None:
         self.needed = needed
         self.streak = 1 if holding else 0
         self.first: Optional[int] = 0 if holding else None
         self.holds = holds
         self.satisfies = satisfies
-        self.count = count
+        self.bits = bits
+        self.count = 0 if bits is None else sum(bits)
         self.target = target
 
     @classmethod
     def state_count(cls, satisfies: Callable[[State], Any], target: Optional[int],
                     configuration: Any, needed: int) -> "Watch":
-        """Watch "``target`` agents (``None``: all) satisfy ``satisfies``"."""
-        count = sum(1 for state in configuration if satisfies(state))
+        """Watch "``target`` agents (``None``: all) satisfy ``satisfies``".
+
+        ``configuration`` is the run's initial configuration, in buffer
+        order: ``bits[i]`` belongs to agent ``i``.
+        """
+        bits = [1 if satisfies(state) else 0 for state in configuration]
         target = len(configuration) if target is None else target
-        return cls(needed, count == target, satisfies=satisfies, count=count,
+        return cls(needed, sum(bits) == target, satisfies=satisfies, bits=bits,
                    target=target)
 
     @property
@@ -569,8 +578,9 @@ def run_core(
     watch's ``streak``/``first``/``count`` are left where the run ended.
     A state-count watch on a run that records no steps takes the inner
     loop that calls nothing per step but the transition and
-    ``satisfies`` on changed states; a state counts as changed when its
-    object did (``post is not pre``).
+    ``satisfies`` once per changed state; a state counts as changed when
+    its object did (``post is not pre``), and the watch's ``bits`` hold
+    the value of each agent's current state.
 
     Chunking never changes results — batched draws and column schedules
     are bitwise identical to their per-step counterparts — so
@@ -603,11 +613,12 @@ def run_core(
     needed = streak = count = target = 0
     first: Optional[int] = None
     satisfies: Any = None
+    bits: Any = None
     holds: Any = None
     if watch is not None:
         needed, streak, first = watch.needed, watch.streak, watch.first
         satisfies, count, target = watch.satisfies, watch.count, watch.target
-        holds = watch.holds
+        bits, holds = watch.bits, watch.holds
     counting_only = satisfies is not None and record is None and g is not None
 
     executed = scheduler_step = chunks = omission_count = 0
@@ -635,9 +646,13 @@ def run_core(
                 states[reactor] = reactor_post
                 executed += 1
                 if starter_post is not starter_pre:
-                    count += satisfies(starter_post) - satisfies(starter_pre)
+                    bit = satisfies(starter_post)
+                    count += bit - bits[starter]
+                    bits[starter] = bit
                 if reactor_post is not reactor_pre:
-                    count += satisfies(reactor_post) - satisfies(reactor_pre)
+                    bit = satisfies(reactor_post)
+                    count += bit - bits[reactor]
+                    bits[reactor] = bit
                 if count == target:
                     if not streak:
                         first = executed
@@ -669,9 +684,13 @@ def run_core(
                     continue
                 if satisfies is not None:
                     if starter_post is not starter_pre:
-                        count += satisfies(starter_post) - satisfies(starter_pre)
+                        bit = satisfies(starter_post)
+                        count += bit - bits[starter]
+                        bits[starter] = bit
                     if reactor_post is not reactor_pre:
-                        count += satisfies(reactor_post) - satisfies(reactor_pre)
+                        bit = satisfies(reactor_post)
+                        count += bit - bits[reactor]
+                        bits[reactor] = bit
                     holding = count == target
                 else:
                     holding = holds(starter, reactor, starter_pre, starter_post,

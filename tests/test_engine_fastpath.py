@@ -18,6 +18,7 @@ paper's simulators, across models, adversaries, schedulers and chunk sizes.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -418,3 +419,46 @@ class TestInlineCountPathEquivalence:
                 max_steps, chunk_size, policy)
         assert (_count_path_run(*args, inline=True)
                 == _count_path_run(*args, inline=False))
+
+
+# ---------------------------------------------------------------------------
+# satisfies runs once per replaced state object
+# ---------------------------------------------------------------------------
+
+
+def _counted_skno_run(adversary, policy, n=6, seed=3, max_steps=3000):
+    """A counts-path SKnO run; returns its result and the number of
+    ``satisfies`` calls it made."""
+    model = get_model("I3")
+    program = SKnOSimulator(MAJORITY, omission_bound=1)
+    project = program.project
+    calls = [0]
+
+    def satisfies(state):
+        calls[0] += 1
+        return MAJORITY.output(project(state)) == A
+
+    initial = program.initial_configuration(
+        MAJORITY.initial_configuration(n // 2 + 1, n - n // 2 - 1))
+    engine = SimulationEngine(
+        program, model, RandomScheduler(n, seed=seed),
+        adversary=EQUIVALENCE_ADVERSARIES[adversary](model, seed))
+    result = run_until_stable(
+        engine, initial, AgentCountPredicate(satisfies), max_steps=max_steps,
+        stability_window=max_steps, trace_policy=policy)
+    return result, calls[0]
+
+
+class TestSatisfiesCallCount:
+    @pytest.mark.parametrize("adversary", ["none", "uo"])
+    def test_one_call_per_agent_and_per_replaced_state(self, adversary):
+        traced, traced_calls = _counted_skno_run(adversary, "full")
+        replaced = sum(
+            (step.starter_post is not step.starter_pre)
+            + (step.reactor_post is not step.reactor_pre)
+            for step in traced.trace.steps)
+        counted, counted_calls = _counted_skno_run(adversary, "counts-only")
+        n = len(traced.final_configuration)
+        assert counted.steps_executed == traced.steps_executed == 3000
+        assert replaced > traced.steps_executed  # g replaces the starter on most steps
+        assert traced_calls == counted_calls == n + replaced

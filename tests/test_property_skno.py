@@ -5,10 +5,24 @@ properties of tokens and jokers; these tests check them over randomly
 generated executions with randomly placed (bounded) omissions.
 """
 
+import dataclasses
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.skno import ChangeToken, JokerToken, SKnOSimulator, StateToken
+from repro.core.events import REACTOR_ROLE, STARTER_ROLE, SimulationEvent
+from repro.core.skno import (
+    AVAILABLE,
+    JOKER,
+    PENDING,
+    ChangeToken,
+    JokerToken,
+    SKnOSimulator,
+    SKnOState,
+    StateToken,
+    _state,
+)
 from repro.engine.engine import SimulationEngine
 from repro.interaction.models import get_model
 from repro.interaction.omissions import NO_OMISSION, REACTOR_OMISSION
@@ -139,6 +153,20 @@ class TestTokenInvariants:
             assert simulator.project(state) in protocol.states
 
 
+def effective_outgoing(simulator, state):
+    """What a starter transmits, and its post-transmission state, spelled
+    out as the paper does: an available starter with an empty queue goes
+    pending and enqueues its state run; then the front token is sent."""
+    phase = state.phase
+    queue = state.sending
+    if phase == AVAILABLE and not queue:
+        phase = PENDING
+        queue = simulator._state_run(state.sim)
+    if queue:
+        return queue[0], SKnOState(state.sim, phase, queue[1:], state.owed)
+    return None, SKnOState(state.sim, phase, queue, state.owed)
+
+
 class TestStarterSide:
     @given(skno_scenario())
     @settings(max_examples=60, deadline=None)
@@ -147,9 +175,139 @@ class TestStarterSide:
         simulator, _, trace = run_scenario(*scenario)
         for configuration in trace.configurations():
             for state in configuration:
-                token, after = simulator._effective_outgoing(state)
+                token, after = effective_outgoing(simulator, state)
                 assert simulator.outgoing_token(state) == token
                 assert simulator.g(state) == after
+
+
+# ---------------------------------------------------------------------------------------------
+# The receive early exit
+# ---------------------------------------------------------------------------------------------
+
+
+def full_receive(simulator, reactor, token):
+    """``_receive`` without its early exit: the joker conversion, then the
+    whole index / preliminary check / core check pipeline on every call."""
+    sim, phase, queue, owed = reactor.sim, reactor.phase, reactor.sending, reactor.owed
+    if token is not None:
+        if owed and type(token) is not JokerToken and token in owed:
+            remaining = list(owed)
+            remaining.remove(token)
+            owed = tuple(remaining)
+            token = JOKER
+        queue = queue + (token,)
+    events = ()
+    state_runs, change_runs, jokers = simulator._index(queue, sim)
+    if phase == PENDING:
+        present = state_runs.get(sim, {})
+        missing = [i for i in simulator._run_indices if i not in present]
+        if len(missing) <= len(jokers):
+            queue, owed = simulator._consume(
+                queue, owed, present, jokers, missing, simulator._state_run(sim))
+            phase = AVAILABLE
+            state_runs, change_runs, jokers = simulator._index(queue, sim)
+    if phase == AVAILABLE:
+        best = simulator._best_run(state_runs, len(jokers))
+        if best is not None:
+            q, present, missing = best
+            old_sim, sim = sim, simulator.delta(q, sim)[1]
+            queue, owed = simulator._consume(
+                queue, owed, present, jokers, missing, simulator._state_run(q))
+            queue += simulator._change_run(q, old_sim)
+            events = (SimulationEvent(
+                step=-1, agent=-1, role=REACTOR_ROLE, pre_sim=old_sim, post_sim=sim,
+                partner_pre_sim=q, key=(q, old_sim)),)
+    else:
+        best = simulator._best_run(change_runs, len(jokers))
+        if best is not None:
+            reactor_old, present, missing = best
+            old_sim, sim = sim, simulator.delta(sim, reactor_old)[0]
+            queue, owed = simulator._consume(
+                queue, owed, present, jokers, missing,
+                simulator._change_run(old_sim, reactor_old))
+            phase = AVAILABLE
+            events = (SimulationEvent(
+                step=-1, agent=-1, role=STARTER_ROLE, pre_sim=old_sim, post_sim=sim,
+                partner_pre_sim=reactor_old, key=(old_sim, reactor_old)),)
+    if token is None and phase == reactor.phase and not events:
+        return reactor, events
+    return SKnOState(sim, phase, queue, owed), events
+
+
+STATES = sorted(protocol.states)
+
+
+@st.composite
+def receive_scenario(draw):
+    """A reactor state and an incoming token: queues mixing state, change
+    and joker tokens, and an ``owed`` multiset the token may be in."""
+    omission_bound = draw(st.integers(min_value=0, max_value=3))
+    variant = draw(st.sampled_from(["I3", "I4"]))
+    simulator = SKnOSimulator(protocol, omission_bound=omission_bound, variant=variant)
+    sim = draw(st.sampled_from(STATES))
+    # Biased towards tokens of the reactor's own state, so runs complete.
+    near = st.sampled_from([sim, sim, sim] + STATES)
+    indices = st.integers(min_value=1, max_value=omission_bound + 1)
+    real = st.one_of(
+        st.builds(StateToken, near, indices),
+        st.builds(ChangeToken, near, near, indices),
+    )
+    queue = tuple(draw(st.lists(
+        st.one_of(real, st.just(JOKER)), max_size=3 * (omission_bound + 1))))
+    owed = tuple(sorted(draw(st.lists(real, max_size=omission_bound + 1)), key=repr))
+    token = draw(st.one_of(
+        st.none(), st.just(JOKER), real,
+        st.sampled_from(owed) if owed else st.nothing()))
+    phase = draw(st.sampled_from([AVAILABLE, PENDING]))
+    return simulator, SKnOState(sim, phase, queue, owed), token
+
+
+class TestReceiveEarlyExit:
+    @given(receive_scenario())
+    @settings(max_examples=600, deadline=None)
+    def test_receive_equals_the_full_pipeline(self, scenario):
+        simulator, reactor, token = scenario
+        state, events = simulator._receive(reactor, token)
+        expected_state, expected_events = full_receive(simulator, reactor, token)
+        assert state == expected_state
+        assert repr(state) == repr(expected_state)
+        assert tuple(events) == tuple(expected_events)
+        assert (state is reactor) == (expected_state is reactor)
+
+
+# ---------------------------------------------------------------------------------------------
+# The fast state constructor
+# ---------------------------------------------------------------------------------------------
+
+
+class TestFastStateConstructor:
+    @given(
+        sim=st.sampled_from(STATES),
+        phase=st.sampled_from([AVAILABLE, PENDING]),
+        sending=st.lists(st.one_of(
+            st.builds(StateToken, st.sampled_from(STATES), st.integers(1, 3)),
+            st.just(JOKER))).map(tuple),
+        owed=st.lists(st.builds(
+            ChangeToken, st.sampled_from(STATES), st.sampled_from(STATES),
+            st.integers(1, 3))).map(tuple),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_state_is_the_constructor(self, sim, phase, sending, owed):
+        fast = _state(sim, phase, sending, owed)
+        built = SKnOState(sim, phase, sending, owed)
+        assert type(fast) is SKnOState
+        assert fast == built
+        assert hash(fast) == hash(built)
+        assert repr(fast) == repr(built)
+        assert pickle.dumps(fast) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(fast)) == built
+        assert dataclasses.replace(fast, phase=PENDING) == dataclasses.replace(
+            built, phase=PENDING)
+        assert dataclasses.replace(fast) == built
+
+    def test_state_has_no_post_init(self):
+        """``_state`` skips ``__init__``; a ``__post_init__`` would be skipped too."""
+        assert not hasattr(SKnOState, "__post_init__")
 
 
 class TestMemoisedRuns:
