@@ -16,17 +16,24 @@ the compilable subset of experiments:
 * **Chunked vectorized draws** — scheduler pairs arrive as whole index
   arrays from the numpy draw kernels (:mod:`repro.scheduling.array_draws`),
   one ``Generator.integers`` call per component per chunk.
-* **Collision-free segments** — a chunk is split at the first step that
-  reuses an agent already touched earlier in the segment; within a segment
-  all agents are distinct, so gather → table lookup → scatter is *exactly*
-  sequential execution.  Segment boundaries are found vectorially (one
-  stable argsort of the chunk's agent indices); the expected segment length
-  is Θ(√n), so the per-segment Python overhead vanishes as populations
-  grow.
+* **Two chunk executors** — every chunk shares one prologue (draw,
+  adversary schedule, merge) and is then executed by one of two
+  executors with bit-identical results.  Above
+  :data:`STEP_EXECUTOR_MAX_POPULATION` agents the *segment executor*
+  splits the chunk at the first step that reuses an agent already touched
+  earlier in the segment; within a segment all agents are distinct, so
+  gather → table lookup → scatter is *exactly* sequential execution.
+  Segment boundaries are found vectorially (one composite-key ``np.sort``
+  of the chunk's agent indices); the expected segment length is Θ(√n), so
+  the per-segment numpy overhead is amortised only on large populations.
+  At or below the constant, segments are a few steps long and the *step
+  executor* walks the chunk one step at a time over list copies of the
+  codes and tables instead.
 * **Incremental counts** — convergence predicates compile to a per-state
-  membership mask; per-step satisfaction counts are a cumulative sum over
-  the segment's mask deltas, and the stability-window streak is scanned
-  vectorially.  Counts-only runs materialise no per-step objects at all.
+  membership mask; the satisfaction count and the stability-window streak
+  are a cumulative sum and a vectorized scan over each segment's mask
+  deltas, or updated inline per step by the step executor.  Counts-only
+  runs materialise no per-step objects at all.
 * **Compiled adversary schedules** — the catalog omission adversaries
   (Bounded, NO, NO1, UO) speak the one batched adversary protocol,
   ``plan_chunk_schedule_columns`` (see :mod:`repro.adversary.omission`):
@@ -40,9 +47,9 @@ the compilable subset of experiments:
   same schedules.
 * **Columnar ring traces** — under ``--trace-policy ring`` a rolling
   int64 buffer keeps the last ``K`` steps as code rows (agents, omission
-  kind, pre/post codes), recorded per segment with two fancy-indexed
-  writes and decoded through the :class:`StateInterner` only at dump
-  time — crash forensics at n = 10^6 without per-step objects.
+  kind, pre/post codes), recorded per segment or per chunk with
+  fancy-indexed writes and decoded through the :class:`StateInterner`
+  only at dump time — crash forensics at n = 10^6 without per-step objects.
 
 Equivalence contract (pinned by ``tests/test_array_backend.py``,
 ``tests/test_array_adversary_equivalence.py`` and, for the schedules
@@ -78,6 +85,7 @@ and ``repro list``'s array-compilable column are built on it.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -107,14 +115,23 @@ from repro.scheduling.array_draws import ArrayDrawKernel, compile_scheduler
 from repro.scheduling.runs import Interaction
 
 #: Scheduler pairs drawn per chunk.  Larger than the python backend's chunk:
-#: a chunk only bounds working-set size here, the real batching unit is the
-#: collision-free segment (expected length Θ(√n)) inside it.
+#: a chunk only bounds working-set size here; on large populations the real
+#: batching unit is the collision-free segment (expected length Θ(√n))
+#: inside it.
 DEFAULT_ARRAY_CHUNK = 4096
 
 #: Hard cap on interned state spaces: compilation evaluates k^2 transitions
 #: and the flat tables hold 2·k^2 int32 entries, so "small finite state
 #: space" is enforced rather than assumed.
 MAX_INTERNED_STATES = 1024
+
+#: Populations up to this size execute each chunk step by step over list
+#: copies of the compiled tables (:class:`_StepExecutor`); larger ones split
+#: it into collision-free segments (:class:`_SegmentExecutor`).  Both give
+#: bit-identical results, so this is a pure performance knob: the measured
+#: crossover, where segments grow long enough (Θ(√n)) to amortise their
+#: fixed numpy cost.
+STEP_EXECUTOR_MAX_POPULATION = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +217,8 @@ def _compile_predicate(
     Only state-count predicates compile (the
     :meth:`~repro.engine.fastpath.IncrementalPredicate.as_state_count`
     protocol): satisfaction is then a running count over the mask, updated
-    per segment with a cumulative sum.
+    per segment with a cumulative sum (segment executor) or inline per step
+    (step executor).
     """
     as_state_count = getattr(predicate, "as_state_count", None)
     shape = as_state_count() if callable(as_state_count) else None
@@ -320,9 +338,9 @@ class _RingBuffer:
     """Rolling columnar window over the last ``capacity`` executed steps.
 
     Rows are int64 code septuples (agents, omission-kind row, pre/post
-    codes for both participants) written per collision-free segment with
-    two fancy-indexed assignments; nothing is decoded until
-    :meth:`last_steps` renders the window as the python backend's
+    codes for both participants) written per collision-free segment or per
+    step-executed chunk with fancy-indexed assignments; nothing is decoded
+    until :meth:`last_steps` renders the window as the python backend's
     :class:`~repro.engine.trace.TraceStep` tuple (bit-identical on
     deterministic schedulers).
     """
@@ -346,7 +364,7 @@ class _RingBuffer:
         starter_post: np.ndarray,
         reactor_post: np.ndarray,
     ) -> None:
-        """Append one executed segment (only its last ``capacity`` steps land)."""
+        """Append executed steps (only the last ``capacity`` of them land)."""
         length = len(starter_idx)
         if length == 0:
             return
@@ -444,7 +462,7 @@ def _per_step_collision_horizon(starters: np.ndarray, reactors: np.ndarray) -> n
 
 
 class _CountStreakTracker:
-    """Running predicate count + consecutive-hold streak across segments.
+    """Running predicate count + consecutive-hold streak across chunks.
 
     Mirrors the python backend's convergence loop state: ``count`` is the
     number of agents currently satisfying the predicate, ``consecutive``
@@ -527,6 +545,215 @@ def _merge_injections(
     return merged_starters, merged_reactors, kinds
 
 
+class _SegmentExecutor:
+    """Execute merged chunks as collision-free segments (large populations).
+
+    Each segment is one gather → table lookup → scatter plus a
+    :meth:`_CountStreakTracker.scan`, about thirty numpy operations; the
+    expected segment length is Θ(√n), so that fixed cost is amortised only
+    on large populations.
+    """
+
+    __slots__ = ("codes", "compiled", "tracker", "adversary", "ring",
+                 "segments", "segment_steps")
+
+    def __init__(self, codes: np.ndarray, compiled: CompiledProgram,
+                 tracker: Optional[_CountStreakTracker],
+                 adversary: Optional[CompiledAdversary],
+                 ring: Optional[_RingBuffer]) -> None:
+        self.codes = codes
+        self.compiled = compiled
+        self.tracker = tracker
+        self.adversary = adversary
+        self.ring = ring
+        self.segments = 0
+        self.segment_steps = 0
+
+    def run(self, starters: np.ndarray, reactors: np.ndarray,
+            kinds: Optional[np.ndarray]) -> Optional[int]:
+        """Execute one merged chunk; returns the steps executed if it stopped.
+
+        ``None`` means the whole chunk executed without completing the
+        streak.
+        """
+        codes = self.codes
+        size = self.compiled.size
+        tracker = self.tracker
+        ring = self.ring
+        total = len(starters)
+        horizon = _per_step_collision_horizon(starters, reactors)
+        start = 0
+        while start < total:
+            conflicts = np.nonzero(horizon[start:] >= start)[0]
+            end = start + int(conflicts[0]) if conflicts.size else total
+            self.segments += 1
+            self.segment_steps += end - start
+            starter_idx = starters[start:end]
+            reactor_idx = reactors[start:end]
+            seg_kinds = kinds[start:end] if kinds is not None else None
+            starter_pre = codes[starter_idx]
+            reactor_pre = codes[reactor_idx]
+            flat = starter_pre * size + reactor_pre
+            if seg_kinds is None:
+                starter_post = self.compiled.delta_starter[flat]
+                reactor_post = self.compiled.delta_reactor[flat]
+            else:
+                starter_post = self.adversary.starter_stack[seg_kinds, flat]
+                reactor_post = self.adversary.reactor_stack[seg_kinds, flat]
+            stop_at = None
+            if tracker is not None:
+                stop_at = tracker.scan(
+                    starter_pre, reactor_pre, starter_post, reactor_post
+                )
+            if stop_at is not None:
+                keep = stop_at + 1
+                starter_idx = starter_idx[:keep]
+                reactor_idx = reactor_idx[:keep]
+                seg_kinds = None if seg_kinds is None else seg_kinds[:keep]
+                starter_pre = starter_pre[:keep]
+                reactor_pre = reactor_pre[:keep]
+                starter_post = starter_post[:keep]
+                reactor_post = reactor_post[:keep]
+            codes[starter_idx] = starter_post
+            codes[reactor_idx] = reactor_post
+            if ring is not None:
+                ring.record(starter_idx, reactor_idx, seg_kinds,
+                            starter_pre, reactor_pre,
+                            starter_post, reactor_post)
+            if stop_at is not None:
+                return start + stop_at + 1
+            start = end
+        return None
+
+    def finish(self, obs: Any) -> None:
+        """Fold the run's segment telemetry (``codes`` is already current)."""
+        if obs is not NULL_RECORDER:
+            obs.counter("engine.array.segments", self.segments)
+            if self.segments:
+                obs.observe("engine.array.segment_size",
+                            self.segment_steps / self.segments)
+
+
+class _StepExecutor:
+    """Execute merged chunks one step at a time (small populations).
+
+    At small populations a collision-free segment is only a few steps long
+    (≈1.9 at n ≤ 14), so the segment executor pays about thirty numpy
+    operations for about two interactions.  This executor instead walks
+    each chunk in Python: the codes, the transition tables and the
+    predicate mask become lists once per run, a chunk's columns once per
+    chunk, and the predicate count and streak update inline with the python
+    loop's rule.  The codes array is written back once, by :meth:`finish`;
+    ring rows are recorded once per chunk, up to the stop.
+    """
+
+    __slots__ = ("codes", "values", "size", "row_size", "starter_table",
+                 "reactor_table", "tracker", "mask", "ring")
+
+    def __init__(self, codes: np.ndarray, compiled: CompiledProgram,
+                 tracker: Optional[_CountStreakTracker],
+                 adversary: Optional[CompiledAdversary],
+                 ring: Optional[_RingBuffer]) -> None:
+        self.codes = codes
+        self.values = codes.tolist()
+        self.size = compiled.size
+        # One flat list per participant; table-stack row ``r`` starts at
+        # ``r * row_size``, so a step's lookup is one subscript.
+        self.row_size = compiled.size * compiled.size
+        if adversary is None:
+            self.starter_table = compiled.delta_starter.tolist()
+            self.reactor_table = compiled.delta_reactor.tolist()
+        else:
+            self.starter_table = adversary.starter_stack.ravel().tolist()
+            self.reactor_table = adversary.reactor_stack.ravel().tolist()
+        self.tracker = tracker
+        self.mask = None if tracker is None else tracker.mask.tolist()
+        self.ring = ring
+
+    def run(self, starters: np.ndarray, reactors: np.ndarray,
+            kinds: Optional[np.ndarray]) -> Optional[int]:
+        """Execute one merged chunk; returns the steps executed if it stopped.
+
+        ``None`` means the whole chunk executed without completing the
+        streak.
+        """
+        total = len(starters)
+        offsets = (repeat(0, total) if kinds is None
+                   else (kinds * self.row_size).tolist())
+        columns = zip(starters.tolist(), reactors.tolist(), offsets)
+        log: Optional[List[int]] = [] if self.ring is not None else None
+        if self.tracker is None:
+            self._walk(columns, log)
+            stop = None
+        else:
+            stop = self._walk_tracked(columns, log)
+        if log is not None:
+            executed = total if stop is None else stop
+            pre_post = np.asarray(log, dtype=np.int64).reshape(executed, 4)
+            self.ring.record(
+                starters[:executed], reactors[:executed],
+                None if kinds is None else kinds[:executed],
+                pre_post[:, 0], pre_post[:, 1], pre_post[:, 2], pre_post[:, 3])
+        return stop
+
+    def _walk(self, columns: Any, log: Optional[List[int]]) -> None:
+        """Execute every ``(starter, reactor, table offset)`` step (runs
+        without a predicate, which need no count)."""
+        values = self.values
+        size = self.size
+        starter_table = self.starter_table
+        reactor_table = self.reactor_table
+        for a, b, offset in columns:
+            a_pre = values[a]
+            b_pre = values[b]
+            flat = offset + a_pre * size + b_pre
+            a_post = values[a] = starter_table[flat]
+            b_post = values[b] = reactor_table[flat]
+            if log is not None:
+                log += (a_pre, b_pre, a_post, b_post)
+
+    def _walk_tracked(self, columns: Any, log: Optional[List[int]]) -> Optional[int]:
+        """:meth:`_walk`, stopping after the step that completes the streak."""
+        values = self.values
+        size = self.size
+        starter_table = self.starter_table
+        reactor_table = self.reactor_table
+        mask = self.mask
+        tracker = self.tracker
+        target_count = tracker.target_count
+        streak_target = tracker.streak_target
+        count = tracker.count
+        consecutive = tracker.consecutive
+        stop = None
+        for t, (a, b, offset) in enumerate(columns):
+            a_pre = values[a]
+            b_pre = values[b]
+            flat = offset + a_pre * size + b_pre
+            a_post = values[a] = starter_table[flat]
+            b_post = values[b] = reactor_table[flat]
+            if log is not None:
+                log += (a_pre, b_pre, a_post, b_post)
+            # Null interactions, the common case, leave the count as it is.
+            if a_post != a_pre or b_post != b_pre:
+                count += mask[a_post] - mask[a_pre] + mask[b_post] - mask[b_pre]
+            if count == target_count:
+                consecutive += 1
+                if consecutive >= streak_target:
+                    stop = t + 1
+                    break
+            else:
+                consecutive = 0
+        tracker.count = count
+        tracker.consecutive = consecutive
+        return stop
+
+    def finish(self, obs: Any) -> None:
+        """Write the codes back and count the run as a step-executor run."""
+        self.codes[:] = self.values
+        if obs is not NULL_RECORDER:
+            obs.counter("engine.array.step_runs")
+
+
 def _run_columnar(
     codes: np.ndarray,
     kernel: ArrayDrawKernel,
@@ -548,22 +775,24 @@ def _run_columnar(
     are discarded unexecuted).  The scheduler stream advances by *drawn*
     interactions — one chunk of ``k`` draws per iteration — matching the
     python loop's ``scheduler_step`` accounting under injections.
+
+    Every chunk goes through one prologue (draw, adversary schedule,
+    merge); populations of at most :data:`STEP_EXECUTOR_MAX_POPULATION`
+    agents then execute it with :class:`_StepExecutor`, larger ones with
+    :class:`_SegmentExecutor`.  Both give bit-identical results.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    size = compiled.size
-    delta_starter = compiled.delta_starter
-    delta_reactor = compiled.delta_reactor
     n = len(codes)
+    executor_type = (
+        _StepExecutor if n <= STEP_EXECUTOR_MAX_POPULATION else _SegmentExecutor)
+    executor = executor_type(codes, compiled, tracker, adversary, ring)
     executed = 0
     scheduler_step = 0
     omissions = 0
-    # Segment telemetry is folded locally (two int adds per segment, which
-    # already costs several numpy kernels) and recorded once per run, so
+    # Executor telemetry is folded locally and recorded once per run, so
     # the NullRecorder path pays one identity check per run here.
     obs = get_recorder()
-    segments = 0
-    segment_steps = 0
     while executed < max_steps:
         remaining = max_steps - executed
         k = chunk_size if remaining > chunk_size else remaining
@@ -577,64 +806,16 @@ def _run_columnar(
             injected = len(schedule.starters)
             starters, reactors, kinds = _merge_injections(
                 schedule, starters, reactors)
-        total = len(starters)
-        horizon = _per_step_collision_horizon(starters, reactors)
-        start = 0
-        while start < total:
-            conflicts = np.nonzero(horizon[start:] >= start)[0]
-            end = start + int(conflicts[0]) if conflicts.size else total
-            segments += 1
-            segment_steps += end - start
-            starter_idx = starters[start:end]
-            reactor_idx = reactors[start:end]
-            seg_kinds = kinds[start:end] if kinds is not None else None
-            starter_pre = codes[starter_idx]
-            reactor_pre = codes[reactor_idx]
-            flat = starter_pre * size + reactor_pre
-            if seg_kinds is None:
-                starter_post = delta_starter[flat]
-                reactor_post = delta_reactor[flat]
-            else:
-                starter_post = adversary.starter_stack[seg_kinds, flat]
-                reactor_post = adversary.reactor_stack[seg_kinds, flat]
-            if tracker is not None:
-                stop_at = tracker.scan(
-                    starter_pre, reactor_pre, starter_post, reactor_post
-                )
-                if stop_at is not None:
-                    keep = stop_at + 1
-                    codes[starter_idx[:keep]] = starter_post[:keep]
-                    codes[reactor_idx[:keep]] = reactor_post[:keep]
-                    if ring is not None:
-                        ring.record(
-                            starter_idx[:keep], reactor_idx[:keep],
-                            None if seg_kinds is None else seg_kinds[:keep],
-                            starter_pre[:keep], reactor_pre[:keep],
-                            starter_post[:keep], reactor_post[:keep])
-                    if kinds is not None:
-                        omissions += int((kinds[:start + keep] != 0).sum())
-                    if obs is not NULL_RECORDER:
-                        _record_segments(obs, segments, segment_steps)
-                    return executed + start + keep, omissions, True
-            codes[starter_idx] = starter_post
-            codes[reactor_idx] = reactor_post
-            if ring is not None:
-                ring.record(starter_idx, reactor_idx, seg_kinds,
-                            starter_pre, reactor_pre,
-                            starter_post, reactor_post)
-            start = end
+        stop = executor.run(starters, reactors, kinds)
+        if stop is not None:
+            if kinds is not None:
+                omissions += int((kinds[:stop] != 0).sum())
+            executor.finish(obs)
+            return executed + stop, omissions, True
         omissions += injected
-        executed += total
-    if obs is not NULL_RECORDER:
-        _record_segments(obs, segments, segment_steps)
+        executed += len(starters)
+    executor.finish(obs)
     return executed, omissions, False
-
-
-def _record_segments(obs: Any, segments: int, segment_steps: int) -> None:
-    """Fold one columnar run's collision-free-segment telemetry."""
-    obs.counter("engine.array.segments", segments)
-    if segments:
-        obs.observe("engine.array.segment_size", segment_steps / segments)
 
 
 # ---------------------------------------------------------------------------

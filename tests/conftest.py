@@ -91,3 +91,19 @@ def small_workloads():
 @pytest.fixture(params=range(3), ids=["exact-majority", "leader-election", "or"])
 def workload(request):
     return small_workloads()[request.param]
+
+
+@pytest.fixture(params=("step", "segment"))
+def array_executor(request, monkeypatch):
+    """Run a test under each of the array backend's chunk executors.
+
+    The backend picks its executor by population size, and the array suites
+    mostly use small populations, so without this fixture they would only
+    ever exercise the step executor.  Needs numpy: use it from modules that
+    ``importorskip`` it.
+    """
+    from repro.engine.backends import array_backend
+
+    limit = 2 ** 62 if request.param == "step" else 0
+    monkeypatch.setattr(array_backend, "STEP_EXECUTOR_MAX_POPULATION", limit)
+    return request.param

@@ -49,6 +49,9 @@ from repro.scheduling.scheduler import RoundRobinScheduler
 
 I3 = get_model("I3")
 
+# Every test runs under both chunk executors (see tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("array_executor")
+
 ADVERSARY_KINDS = ("none", "bounded", "no", "no1", "uo")
 
 

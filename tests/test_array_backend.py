@@ -63,6 +63,9 @@ from repro.scheduling.scheduler import (
 
 TW = get_model("TW")
 
+# Every test runs under both chunk executors (see tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("array_executor")
+
 
 def epidemic_system(n):
     program = TrivialTwoWaySimulator(EpidemicProtocol())
