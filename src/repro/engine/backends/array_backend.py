@@ -19,20 +19,24 @@ the compilable subset of experiments:
 * **Two chunk executors** — every chunk shares one prologue (draw,
   adversary schedule, merge) and is then executed by one of two
   executors with bit-identical results.  Above
-  :data:`STEP_EXECUTOR_MAX_POPULATION` agents the *segment executor*
-  splits the chunk at the first step that reuses an agent already touched
-  earlier in the segment; within a segment all agents are distinct, so
-  gather → table lookup → scatter is *exactly* sequential execution.
-  Segment boundaries are found vectorially (one composite-key ``np.sort``
-  of the chunk's agent indices); the expected segment length is Θ(√n), so
-  the per-segment numpy overhead is amortised only on large populations.
-  At or below the constant, segments are a few steps long and the *step
+  :data:`STEP_EXECUTOR_MAX_POPULATION` agents the *wave executor* gives
+  each step a level: 1 + the level of the latest earlier step of the
+  chunk that touched its starter or its reactor (0 if none did).  Steps
+  of one level touch disjoint agents and each agent's levels strictly
+  increase, so gather → table lookup → scatter level by level is
+  *exactly* sequential execution.  The predecessors come from one
+  composite-key ``np.sort`` of the chunk's agent indices; steps without
+  one (92% of a 4096-step chunk at n = 10^5) run as one level-0 group,
+  and only the dependent steps are swept level by level (3.4 levels per
+  chunk on average at n = 10^5).  At or below the constant a
+  chunk has too many levels to amortise their numpy cost, and the *step
   executor* walks the chunk one step at a time over list copies of the
   codes and tables instead.
 * **Incremental counts** — convergence predicates compile to a per-state
   membership mask; the satisfaction count and the stability-window streak
-  are a cumulative sum and a vectorized scan over each segment's mask
-  deltas, or updated inline per step by the step executor.  Counts-only
+  are a cumulative sum and one vectorized scan over each chunk's per-step
+  count deltas (looked up from a per-run table of each transition's mask
+  change), or updated inline per step by the step executor.  Counts-only
   runs materialise no per-step objects at all.
 * **Compiled adversary schedules** — the catalog omission adversaries
   (Bounded, NO, NO1, UO) speak the one batched adversary protocol,
@@ -47,7 +51,7 @@ the compilable subset of experiments:
   same schedules.
 * **Columnar ring traces** — under ``--trace-policy ring`` a rolling
   int64 buffer keeps the last ``K`` steps as code rows (agents, omission
-  kind, pre/post codes), recorded per segment or per chunk with
+  kind, pre/post codes), recorded once per chunk with
   fancy-indexed writes and decoded through the :class:`StateInterner`
   only at dump time — crash forensics at n = 10^6 without per-step objects.
 
@@ -115,9 +119,8 @@ from repro.scheduling.array_draws import ArrayDrawKernel, compile_scheduler
 from repro.scheduling.runs import Interaction
 
 #: Scheduler pairs drawn per chunk.  Larger than the python backend's chunk:
-#: a chunk only bounds working-set size here; on large populations the real
-#: batching unit is the collision-free segment (expected length Θ(√n))
-#: inside it.
+#: a chunk only bounds working-set size here; on large populations the wave
+#: executor runs most of it as one vectorized level.
 DEFAULT_ARRAY_CHUNK = 4096
 
 #: Hard cap on interned state spaces: compilation evaluates k^2 transitions
@@ -126,12 +129,11 @@ DEFAULT_ARRAY_CHUNK = 4096
 MAX_INTERNED_STATES = 1024
 
 #: Populations up to this size execute each chunk step by step over list
-#: copies of the compiled tables (:class:`_StepExecutor`); larger ones split
-#: it into collision-free segments (:class:`_SegmentExecutor`).  Both give
-#: bit-identical results, so this is a pure performance knob: the measured
-#: crossover, where segments grow long enough (Θ(√n)) to amortise their
-#: fixed numpy cost.
-STEP_EXECUTOR_MAX_POPULATION = 2 ** 15
+#: copies of the compiled tables (:class:`_StepExecutor`); larger ones run
+#: it as dependency waves (:class:`_WaveExecutor`).  Both give bit-identical
+#: results, so this is a pure performance knob: the measured crossover,
+#: where a chunk has few enough levels to amortise their fixed numpy cost.
+STEP_EXECUTOR_MAX_POPULATION = 2 ** 12
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +219,8 @@ def _compile_predicate(
     Only state-count predicates compile (the
     :meth:`~repro.engine.fastpath.IncrementalPredicate.as_state_count`
     protocol): satisfaction is then a running count over the mask, updated
-    per segment with a cumulative sum (segment executor) or inline per step
-    (step executor).
+    per chunk with a cumulative sum of per-step deltas (wave executor) or
+    inline per step (step executor).
     """
     as_state_count = getattr(predicate, "as_state_count", None)
     shape = as_state_count() if callable(as_state_count) else None
@@ -338,8 +340,8 @@ class _RingBuffer:
     """Rolling columnar window over the last ``capacity`` executed steps.
 
     Rows are int64 code septuples (agents, omission-kind row, pre/post
-    codes for both participants) written per collision-free segment or per
-    step-executed chunk with fancy-indexed assignments; nothing is decoded
+    codes for both participants) written once per chunk, up to its stop,
+    with fancy-indexed assignments; nothing is decoded
     until :meth:`last_steps` renders the window as the python backend's
     :class:`~repro.engine.trace.TraceStep` tuple (bit-identical on
     deterministic schedulers).
@@ -430,35 +432,103 @@ def _check_run_request(trace_policy: str, max_steps: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _per_step_collision_horizon(starters: np.ndarray, reactors: np.ndarray) -> np.ndarray:
-    """For each step of a chunk, the latest earlier step sharing an agent.
+class _ChunkDependencies:
+    """The agent dependencies of one merged chunk, as dependency waves.
 
-    ``horizon[t] == p`` means step ``t`` touches an agent last touched at
-    step ``p`` of the same chunk (``-1``: none).  A slice ``[u, v)`` is
-    collision-free — safe to execute as one vectorized gather/scatter —
-    iff ``horizon[t] < u`` for all ``t`` in it.
+    Everything is indexed by the chunk's *occurrences*: for a chunk of
+    ``k`` steps, occurrence ``t`` is the starter of step ``t`` and
+    ``k + t`` its reactor.
 
-    Computed with one value sort of ``(agent << shift) | position``
-    composite keys over the chunk's interleaved agent indices: sorting
-    brings equal agents together ordered by position, and the low bits
-    recover each occurrence's predecessor.  A composite ``np.sort`` is
-    ~5x faster than the equivalent stable ``np.argsort`` + gathers, and
-    this function is the dominant fixed cost of the columnar loop.
+    * ``agents[i]`` — the agent of occurrence ``i``;
+    * ``source[i]`` — where occurrence ``i`` reads its pre code: the latest
+      earlier occurrence of the same agent (whose post code it is), or
+      ``2k + i`` when the chunk has not touched the agent before (its
+      chunk-start code);
+    * ``repeats`` — the occurrences that have such a predecessor, with
+      ``repeats_step`` their steps and ``repeats_next_step`` the step of
+      the agent's next occurrence (``k``: none);
+    * ``waves[l - 1]`` — the steps of level ``l >= 1``, in chunk order.
+
+    A step's *level* is 1 + the larger level of the steps that last
+    touched its starter and its reactor earlier in the chunk (0 if neither
+    was touched).  Steps of one level touch disjoint agents, and each
+    agent's steps have strictly increasing levels, so executing the chunk
+    level by level, each level as one gather → table lookup → scatter, is
+    exactly sequential execution.
     """
-    k = len(starters)
-    two_k = 2 * k
-    shift = two_k.bit_length()
-    agents = np.empty(two_k, dtype=np.int64)
-    agents[0::2] = starters
-    agents[1::2] = reactors
-    keys = (agents << shift) | np.arange(two_k, dtype=np.int64)
-    keys.sort()
-    position = keys & ((1 << shift) - 1)
-    same = (keys[1:] >> shift) == (keys[:-1] >> shift)
-    previous = np.full(two_k, -1, dtype=np.int64)
-    previous[position[1:][same]] = position[:-1][same]
-    previous //= 2  # interleaved position -> step index (-1 stays -1)
-    return np.maximum(previous[0::2], previous[1::2])
+
+    __slots__ = ("agents", "source", "repeats", "repeats_step",
+                 "repeats_next_step", "waves")
+
+    def __init__(self, starters: np.ndarray, reactors: np.ndarray) -> None:
+        # The predecessors come from one value sort of ``(agent << shift) |
+        # position`` composite keys, where position ``2t`` is step ``t``'s
+        # starter and ``2t + 1`` its reactor: sorting brings equal agents
+        # together in step order, and the low bits recover each position.
+        # A composite ``np.sort`` is over ten times faster than a stable
+        # ``np.argsort`` of the agents.
+        k = len(starters)
+        two_k = 2 * k
+        shift = two_k.bit_length()
+        agents = np.concatenate((starters, reactors), dtype=np.int64)
+        keys = agents << shift
+        even = np.arange(0, two_k, 2, dtype=np.int64)
+        keys[:k] |= even
+        keys[k:] |= even + 1
+        keys.sort()
+        low = (1 << shift) - 1
+        pairs = np.flatnonzero((keys[1:] ^ keys[:-1]) <= low)
+        earlier = keys[pairs] & low
+        later = keys[pairs + 1] & low
+        repeats_step = later >> 1
+        repeats = repeats_step + (later & 1) * k
+        source = np.arange(two_k, 2 * two_k, dtype=np.int64)
+        source[repeats] = (earlier >> 1) + (earlier & 1) * k
+        # The pairs are sorted by agent, so an agent's next pair starts
+        # where its previous one ended.
+        repeats_next_step = np.full(len(later), k, dtype=np.int64)
+        chained = earlier[1:] == later[:-1]
+        repeats_next_step[:-1][chained] = repeats_step[1:][chained]
+        self.agents = agents
+        self.source = source
+        self.repeats = repeats
+        self.repeats_step = repeats_step
+        self.repeats_next_step = repeats_next_step
+        self.waves = self._sweep(k, source, repeats_step)
+
+    @staticmethod
+    def _sweep(k: int, source: np.ndarray,
+               repeats_step: np.ndarray) -> List[np.ndarray]:
+        """Group the steps with a predecessor into levels 1, 2, ….
+
+        A frontier sweep over those steps only (a few percent of a chunk
+        on large populations); all the other steps are level 0.
+        """
+        dependent = np.zeros(k, dtype=bool)
+        dependent[repeats_step] = True
+        pending = np.flatnonzero(dependent)
+        waves: List[np.ndarray] = []
+        if not pending.size:
+            return waves
+        # done[i]: occurrence i has executed; sources of 2k and above are
+        # chunk-start codes, which are always there.
+        done = np.ones(2 * len(source), dtype=bool)
+        done[pending] = False
+        done[pending + k] = False
+        before_starter = source[pending]
+        before_reactor = source[pending + k]
+        while True:
+            ready = done[before_starter] & done[before_reactor]
+            wave = pending[ready]
+            waves.append(wave)
+            if len(wave) == len(pending):
+                return waves
+            done[wave] = True
+            done[wave + k] = True
+            waiting = ~ready
+            pending = pending[waiting]
+            before_starter = before_starter[waiting]
+            before_reactor = before_reactor[waiting]
 
 
 class _CountStreakTracker:
@@ -480,34 +550,35 @@ class _CountStreakTracker:
         self.count = count
         self.consecutive = consecutive
 
-    def scan(self, starter_pre, reactor_pre, starter_post, reactor_post) -> Optional[int]:
-        """Fold one collision-free segment; returns the stop offset, if any.
+    def scan(self, deltas: np.ndarray) -> Optional[int]:
+        """Fold one chunk's per-step count deltas; returns the stop offset.
 
-        The returned offset ``t`` is the first step of the segment after
+        The returned offset ``t`` is the first step of the chunk after
         which the streak reaches ``streak_target`` (the python loop's stop
-        point); ``None`` means the segment completes without converging and
-        the running count/streak were advanced past it.
+        point); ``None`` means the chunk completes without converging.
+        Either way the running count/streak advance to the last step
+        folded.
         """
-        mask = self.mask
-        deltas = (
-            mask[starter_post] - mask[starter_pre]
-            + mask[reactor_post] - mask[reactor_pre]
-        )
-        counts = self.count + np.cumsum(deltas)
+        counts = self.count + np.cumsum(deltas, dtype=np.int64)
         holds = counts == self.target_count
         length = len(holds)
+        if length and not holds.any():
+            # The common case: no configuration of the chunk holds.
+            self.count = int(counts[-1])
+            self.consecutive = 0
+            return None
         indices = np.arange(length, dtype=np.int64)
         last_miss = np.maximum.accumulate(np.where(holds, -1, indices))
         streaks = np.where(
             last_miss < 0, indices + 1 + self.consecutive, indices - last_miss
         )
         hits = np.nonzero(streaks >= self.streak_target)[0]
-        if hits.size:
-            return int(hits[0])
+        stop = int(hits[0]) if hits.size else None
         if length:
-            self.count = int(counts[-1])
-            self.consecutive = int(streaks[-1])
-        return None
+            last = length - 1 if stop is None else stop
+            self.count = int(counts[last])
+            self.consecutive = int(streaks[last])
+        return stop
 
 
 def _merge_injections(
@@ -545,29 +616,56 @@ def _merge_injections(
     return merged_starters, merged_reactors, kinds
 
 
-class _SegmentExecutor:
-    """Execute merged chunks as collision-free segments (large populations).
+class _WaveExecutor:
+    """Execute merged chunks as dependency waves (large populations).
 
-    Each segment is one gather → table lookup → scatter plus a
-    :meth:`_CountStreakTracker.scan`, about thirty numpy operations; the
-    expected segment length is Θ(√n), so that fixed cost is amortised only
-    on large populations.
+    A chunk costs one :class:`_ChunkDependencies` sort, one gather → table
+    lookup over all its steps (level 0, from the chunk-start codes), about
+    twenty numpy operations per further level (its sweep and its lookups)
+    over that level's steps only, one count scan and one scatter of the
+    final codes.  A chunk of 4096 steps has 3.4 levels on average at
+    n = 10^5 but about 13 at n = 4096, so the fixed numpy cost is
+    amortised only on large populations.
+
+    The codes array is not touched until the chunk's end: ``values[:2k]``
+    holds each occurrence's post code and ``values[2k:]`` its agent's
+    chunk-start code, so an occurrence's pre code is ``values[source]``.
+    A stop after step ``t`` writes back each agent's code after its last
+    step up to ``t`` and nothing of the steps after it.
     """
 
-    __slots__ = ("codes", "compiled", "tracker", "adversary", "ring",
-                 "segments", "segment_steps")
+    __slots__ = ("codes", "size", "row_size", "starter_table",
+                 "reactor_table", "delta_table", "tracker", "ring",
+                 "wave_count", "wave_steps")
 
     def __init__(self, codes: np.ndarray, compiled: CompiledProgram,
                  tracker: Optional[_CountStreakTracker],
                  adversary: Optional[CompiledAdversary],
                  ring: Optional[_RingBuffer]) -> None:
         self.codes = codes
-        self.compiled = compiled
+        self.size = compiled.size
+        # Flat table stacks, as in :class:`_StepExecutor`: table-stack row
+        # ``r`` starts at ``r * row_size``, so every lookup is 1-D.
+        self.row_size = compiled.size * compiled.size
+        if adversary is None:
+            self.starter_table = compiled.delta_starter
+            self.reactor_table = compiled.delta_reactor
+        else:
+            self.starter_table = adversary.starter_stack.ravel()
+            self.reactor_table = adversary.reactor_stack.ravel()
+        self.delta_table = None
+        if tracker is not None:
+            # The predicate count change of each table entry's step.
+            mask = tracker.mask
+            within = np.arange(len(self.starter_table)) % self.row_size
+            self.delta_table = (
+                mask[self.starter_table] + mask[self.reactor_table]
+                - mask[within // self.size] - mask[within % self.size]
+            ).astype(np.int8)
         self.tracker = tracker
-        self.adversary = adversary
         self.ring = ring
-        self.segments = 0
-        self.segment_steps = 0
+        self.wave_count = 0
+        self.wave_steps = 0
 
     def run(self, starters: np.ndarray, reactors: np.ndarray,
             kinds: Optional[np.ndarray]) -> Optional[int]:
@@ -577,74 +675,77 @@ class _SegmentExecutor:
         streak.
         """
         codes = self.codes
-        size = self.compiled.size
-        tracker = self.tracker
-        ring = self.ring
-        total = len(starters)
-        horizon = _per_step_collision_horizon(starters, reactors)
-        start = 0
-        while start < total:
-            conflicts = np.nonzero(horizon[start:] >= start)[0]
-            end = start + int(conflicts[0]) if conflicts.size else total
-            self.segments += 1
-            self.segment_steps += end - start
-            starter_idx = starters[start:end]
-            reactor_idx = reactors[start:end]
-            seg_kinds = kinds[start:end] if kinds is not None else None
-            starter_pre = codes[starter_idx]
-            reactor_pre = codes[reactor_idx]
-            flat = starter_pre * size + reactor_pre
-            if seg_kinds is None:
-                starter_post = self.compiled.delta_starter[flat]
-                reactor_post = self.compiled.delta_reactor[flat]
-            else:
-                starter_post = self.adversary.starter_stack[seg_kinds, flat]
-                reactor_post = self.adversary.reactor_stack[seg_kinds, flat]
-            stop_at = None
-            if tracker is not None:
-                stop_at = tracker.scan(
-                    starter_pre, reactor_pre, starter_post, reactor_post
-                )
-            if stop_at is not None:
-                keep = stop_at + 1
-                starter_idx = starter_idx[:keep]
-                reactor_idx = reactor_idx[:keep]
-                seg_kinds = None if seg_kinds is None else seg_kinds[:keep]
-                starter_pre = starter_pre[:keep]
-                reactor_pre = reactor_pre[:keep]
-                starter_post = starter_post[:keep]
-                reactor_post = reactor_post[:keep]
-            codes[starter_idx] = starter_post
-            codes[reactor_idx] = reactor_post
-            if ring is not None:
-                ring.record(starter_idx, reactor_idx, seg_kinds,
-                            starter_pre, reactor_pre,
-                            starter_post, reactor_post)
-            if stop_at is not None:
-                return start + stop_at + 1
-            start = end
-        return None
+        size = self.size
+        starter_table = self.starter_table
+        reactor_table = self.reactor_table
+        k = len(starters)
+        chunk = _ChunkDependencies(starters, reactors)
+        source = chunk.source
+        self.wave_count += 1 + len(chunk.waves)
+        self.wave_steps += k
+        offsets = None if kinds is None else kinds * self.row_size
+        values = np.empty(4 * k, dtype=codes.dtype)
+        codes.take(chunk.agents, out=values[2 * k:])
+        # Level 0 runs every step from the chunk-start codes; each wave
+        # then reruns its steps from their predecessors' post codes.
+        flat = values[2 * k:3 * k] * size + values[3 * k:]
+        if offsets is not None:
+            flat += offsets
+        starter_table.take(flat, out=values[:k])
+        reactor_table.take(flat, out=values[k:2 * k])
+        for wave in chunk.waves:
+            wave_flat = (values.take(source.take(wave)) * size
+                         + values.take(source.take(wave + k)))
+            if offsets is not None:
+                wave_flat += offsets.take(wave)
+            flat[wave] = wave_flat
+            values[wave] = starter_table.take(wave_flat)
+            values[wave + k] = reactor_table.take(wave_flat)
+        stop = None
+        if self.tracker is not None:
+            stop = self.tracker.scan(self.delta_table.take(flat))
+        executed = k if stop is None else stop + 1
+        codes[starters[:executed]] = values[:executed]
+        codes[reactors[:executed]] = values[k:k + executed]
+        # An agent touched more than once got one of its post codes above,
+        # in unspecified order; rewrite its last one.
+        last = chunk.repeats[(chunk.repeats_step < executed)
+                             & (chunk.repeats_next_step >= executed)]
+        codes[chunk.agents.take(last)] = values.take(last)
+        if self.ring is not None:
+            self.ring.record(
+                starters[:executed], reactors[:executed],
+                None if kinds is None else kinds[:executed],
+                values.take(source[:executed]),
+                values.take(source[k:k + executed]),
+                values[:executed], values[k:k + executed])
+        return None if stop is None else executed
 
     def finish(self, obs: Any) -> None:
-        """Fold the run's segment telemetry (``codes`` is already current)."""
+        """Fold the run's wave telemetry (``codes`` is already current).
+
+        The metric names predate the waves (they counted collision-free
+        segments); the campaign benchmark reads them under these names.
+        """
         if obs is not NULL_RECORDER:
-            obs.counter("engine.array.segments", self.segments)
-            if self.segments:
+            obs.counter("engine.array.segments", self.wave_count)
+            if self.wave_count:
                 obs.observe("engine.array.segment_size",
-                            self.segment_steps / self.segments)
+                            self.wave_steps / self.wave_count)
 
 
 class _StepExecutor:
     """Execute merged chunks one step at a time (small populations).
 
-    At small populations a collision-free segment is only a few steps long
-    (≈1.9 at n ≤ 14), so the segment executor pays about thirty numpy
-    operations for about two interactions.  This executor instead walks
-    each chunk in Python: the codes, the transition tables and the
-    predicate mask become lists once per run, a chunk's columns once per
-    chunk, and the predicate count and streak update inline with the python
-    loop's rule.  The codes array is written back once, by :meth:`finish`;
-    ring rows are recorded once per chunk, up to the stop.
+    At small populations almost every step of a chunk depends on an
+    earlier one: a 4096-step chunk has about 1500 levels of under three
+    steps at n = 14, each costing the wave executor twenty numpy
+    operations.  This executor instead walks each chunk in Python: the
+    codes, the transition tables and the predicate mask become lists once
+    per run, a chunk's columns once per chunk, and the predicate count and
+    streak update inline with the python loop's rule.  The codes array is
+    written back once, by :meth:`finish`; ring rows are recorded once per
+    chunk, up to the stop.
     """
 
     __slots__ = ("codes", "values", "size", "row_size", "starter_table",
@@ -779,13 +880,13 @@ def _run_columnar(
     Every chunk goes through one prologue (draw, adversary schedule,
     merge); populations of at most :data:`STEP_EXECUTOR_MAX_POPULATION`
     agents then execute it with :class:`_StepExecutor`, larger ones with
-    :class:`_SegmentExecutor`.  Both give bit-identical results.
+    :class:`_WaveExecutor`.  Both give bit-identical results.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     n = len(codes)
     executor_type = (
-        _StepExecutor if n <= STEP_EXECUTOR_MAX_POPULATION else _SegmentExecutor)
+        _StepExecutor if n <= STEP_EXECUTOR_MAX_POPULATION else _WaveExecutor)
     executor = executor_type(codes, compiled, tracker, adversary, ring)
     executed = 0
     scheduler_step = 0

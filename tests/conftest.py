@@ -93,7 +93,7 @@ def workload(request):
     return small_workloads()[request.param]
 
 
-@pytest.fixture(params=("step", "segment"))
+@pytest.fixture(params=("step", "wave"))
 def array_executor(request, monkeypatch):
     """Run a test under each of the array backend's chunk executors.
 

@@ -3,12 +3,14 @@
 ``_run_columnar`` executes every merged chunk with one of two executors:
 the step executor walks it one step at a time over list copies of the
 compiled tables (populations up to ``STEP_EXECUTOR_MAX_POPULATION``), the
-segment executor splits it into collision-free segments (larger
+wave executor runs it level by level as dependency waves (larger
 populations).  The choice is a pure performance decision, so every
 observable of a run must be identical under both: each
 ``ConvergenceResult``/``RunResult`` field, the decoded ring window, and
-the adversary's RNG state and injection total.  Each test forces the
-executor by patching the population limit.
+the adversary's RNG state and injection total.  Each grid test forces the
+executor by patching the population limit; the property tests at the end
+drive the wave executor directly on random merged chunks against a plain
+per-step loop over the same tables.
 """
 
 from __future__ import annotations
@@ -17,18 +19,28 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
 from repro.engine.backends import array_backend
+from repro.engine.backends.array_backend import (
+    CompiledAdversary,
+    CompiledProgram,
+    _ChunkDependencies,
+    _CountStreakTracker,
+    _RingBuffer,
+    _WaveExecutor,
+)
 from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
 from repro.engine.fastpath import AgentCountPredicate
 from repro.obs.recorder import MetricsRecorder, recording
 from repro.protocols.registry import ExperimentSpec, build_cached
-from repro.protocols.state import Configuration
+from repro.protocols.state import Configuration, StateInterner
 
-EXECUTORS = ("step", "segment")
+EXECUTORS = ("step", "wave")
 
 PROTOCOLS = ("epidemic", "leader-election", "parity", "or", "pairing", "threshold")
 
@@ -89,11 +101,11 @@ def execute(monkeypatch, executor, *, protocol="epidemic", model="I3", n=6,
 
 def assert_same(run, monkeypatch, **kwargs):
     """``run`` under both executors; every observable must agree."""
-    step, segment = (run(monkeypatch, executor, **kwargs)
-                     for executor in EXECUTORS)
-    assert step.keys() == segment.keys()
+    step, wave = (run(monkeypatch, executor, **kwargs)
+                  for executor in EXECUTORS)
+    assert step.keys() == wave.keys()
     for name in step:
-        assert step[name] == segment[name], name
+        assert step[name] == wave[name], name
     return step
 
 
@@ -165,8 +177,8 @@ def test_stop_on_an_already_converged_run(monkeypatch, window):
             engine, informed, predicate, max_steps=100,
             stability_window=window, trace_policy="ring", ring_size=5))
 
-    step, segment = run("step"), run("segment")
-    assert step == segment
+    step, wave = run("step"), run("wave")
+    assert step == wave
     assert step["converged"] and step["steps_executed"] == window
 
 
@@ -195,8 +207,8 @@ def test_budget_runs_out_while_injections_are_discarded(monkeypatch):
             ring_size=5, chunk_size=40))
 
     for max_steps in range(20, 30):
-        step, segment = run("step", max_steps), run("segment", max_steps)
-        assert step == segment
+        step, wave = run("step", max_steps), run("wave", max_steps)
+        assert step == wave
         assert step["steps_executed"] == max_steps and not step["converged"]
     assert any(discarded), "the budget must truncate a planned schedule"
 
@@ -223,8 +235,177 @@ def test_small_population_runs_on_the_step_executor():
     assert "engine.array.segment_size" not in snapshot["timers"]
 
 
-def test_large_population_runs_on_the_segment_executor():
+def test_large_population_runs_on_the_wave_executor():
     snapshot = telemetry(100_000)
     assert snapshot["counters"]["engine.array.segments"] > 0
     assert snapshot["timers"]["engine.array.segment_size"]["count"] == 1
     assert "engine.array.step_runs" not in snapshot["counters"]
+    # The metrics keep their segment names but count waves: one per level
+    # per chunk, and the 20,000 steps spread over them.
+    waves = snapshot["counters"]["engine.array.segments"]
+    chunks = -(-20_000 // array_backend.DEFAULT_ARRAY_CHUNK)
+    assert chunks < waves < 5 * chunks
+    mean_wave = snapshot["timers"]["engine.array.segment_size"]["total"]
+    assert mean_wave == 20_000 / waves
+
+
+# ---------------------------------------------------------------------------
+# the wave executor on random merged chunks
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def merged_chunks(draw):
+    """A random merged chunk over 2..64 agents with its compiled tables.
+
+    Agents repeat freely within the chunk; with table rows beyond the
+    omission-free one, ``kinds`` picks a row per step (or is ``None``, a
+    pass-through chunk).
+    """
+    n = draw(st.integers(2, 64))
+    size = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 120))
+    starters = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    shifts = draw(st.lists(st.integers(1, n - 1), min_size=k, max_size=k))
+    reactors = [(a + shift) % n for a, shift in zip(starters, shifts)]
+    cells = rows * size * size
+    tables = [draw(st.lists(st.integers(0, size - 1), min_size=cells,
+                            max_size=cells)) for _ in range(2)]
+    kinds = None
+    if rows > 1 and draw(st.booleans()):
+        kinds = draw(st.lists(st.integers(0, rows - 1), min_size=k,
+                              max_size=k))
+    codes = draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+    return dict(n=n, size=size, rows=rows, starters=starters,
+                reactors=reactors, tables=tables, kinds=kinds, codes=codes)
+
+
+def levels_by_definition(starters, reactors):
+    """1 + the larger level of the steps that last touched either agent."""
+    last_level = {}
+    levels = []
+    for a, b in zip(starters, reactors):
+        level = 1 + max(last_level.get(a, -1), last_level.get(b, -1))
+        last_level[a] = last_level[b] = level
+        levels.append(level)
+    return levels
+
+
+def wave_levels(chunk, k):
+    levels = [0] * k
+    for level, wave in enumerate(chunk.waves, start=1):
+        for step in wave.tolist():
+            levels[step] = level
+    return levels
+
+
+def reference_walk(chunk, mask, target, streak_target, count, consecutive):
+    """A plain per-step loop over the same tables; stops like the engine."""
+    values = list(chunk["codes"])
+    size = chunk["size"]
+    starter_table, reactor_table = chunk["tables"]
+    kinds = chunk["kinds"] or [0] * len(chunk["starters"])
+    rows = []
+    stop = None
+    for t, (a, b, row) in enumerate(zip(chunk["starters"],
+                                        chunk["reactors"], kinds)):
+        a_pre, b_pre = values[a], values[b]
+        flat = row * size * size + a_pre * size + b_pre
+        a_post = values[a] = starter_table[flat]
+        b_post = values[b] = reactor_table[flat]
+        rows.append([a, b, row, a_pre, b_pre, a_post, b_post])
+        count += mask[a_post] - mask[a_pre] + mask[b_post] - mask[b_pre]
+        consecutive = consecutive + 1 if count == target else 0
+        if consecutive >= streak_target:
+            stop = t + 1
+            break
+    return values, stop, count, consecutive, rows
+
+
+def run_waves(chunk, tracker, ring):
+    """One ``_WaveExecutor.run`` over ``chunk``; returns (codes, stop)."""
+    size = chunk["size"]
+    interner = StateInterner(tuple(range(size)))
+    starter_table, reactor_table = (np.asarray(table, dtype=np.int32)
+                                    for table in chunk["tables"])
+    compiled = CompiledProgram(interner, starter_table[:size * size],
+                               reactor_table[:size * size])
+    adversary = None
+    if chunk["rows"] > 1:
+        adversary = CompiledAdversary(
+            None, {}, (), starter_table.reshape(chunk["rows"], -1),
+            reactor_table.reshape(chunk["rows"], -1))
+    codes = np.asarray(chunk["codes"], dtype=np.int32)
+    executor = _WaveExecutor(codes, compiled, tracker, adversary, ring)
+    kinds = chunk["kinds"]
+    if kinds is not None:
+        kinds = np.asarray(kinds, dtype=np.int64)
+    stop = executor.run(np.asarray(chunk["starters"], dtype=np.int64),
+                        np.asarray(chunk["reactors"], dtype=np.int64), kinds)
+    return codes.tolist(), stop
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunk=merged_chunks())
+def test_wave_levels_are_agent_disjoint_and_increasing(chunk):
+    starters, reactors = chunk["starters"], chunk["reactors"]
+    levels = wave_levels(
+        _ChunkDependencies(np.asarray(starters, dtype=np.int64),
+                           np.asarray(reactors, dtype=np.int64)),
+        len(starters))
+    assert levels == levels_by_definition(starters, reactors)
+    by_level = {}
+    for level, a, b in zip(levels, starters, reactors):
+        by_level.setdefault(level, []).extend((a, b))
+    for agents in by_level.values():
+        assert len(agents) == len(set(agents))
+    agent_levels = {}
+    for level, a, b in zip(levels, starters, reactors):
+        for agent in (a, b):
+            assert agent_levels.get(agent, -1) < level
+            agent_levels[agent] = level
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunk=merged_chunks(), data=st.data())
+def test_wave_execution_equals_a_per_step_loop(chunk, data):
+    size, n = chunk["size"], chunk["n"]
+    mask = data.draw(st.lists(st.integers(0, 1), min_size=size,
+                              max_size=size))
+    target = data.draw(st.integers(0, n))
+    streak_target = data.draw(st.integers(1, 3))
+    count = sum(mask[code] for code in chunk["codes"])
+    consecutive = data.draw(st.integers(0, streak_target - 1))
+    tracker = _CountStreakTracker(np.asarray(mask, dtype=np.int64), target,
+                                  streak_target, count, consecutive)
+    ring = _RingBuffer(128)
+    codes, stop = run_waves(chunk, tracker, ring)
+    expected = reference_walk(chunk, mask, target, streak_target, count,
+                              consecutive)
+    assert (codes, stop, tracker.count, tracker.consecutive) == expected[:4]
+    assert ring.buffer[:ring.count].tolist() == expected[4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunk=merged_chunks(), data=st.data())
+def test_stop_inside_a_non_final_level(chunk, data):
+    """A stop after step ``t`` whose level is not the chunk's last: the
+    executor has computed later levels' steps, but the codes and the ring
+    hold exactly the first ``t + 1`` steps."""
+    starters, reactors = chunk["starters"], chunk["reactors"]
+    levels = levels_by_definition(starters, reactors)
+    candidates = [t for t, level in enumerate(levels) if level < max(levels)]
+    assume(candidates)
+    t = data.draw(st.sampled_from(candidates))
+    # An all-zero mask holds a zero target after every step, so a streak
+    # of t + 1 completes exactly after step t.
+    tracker = _CountStreakTracker(np.zeros(chunk["size"], dtype=np.int64),
+                                  0, t + 1, 0, 0)
+    ring = _RingBuffer(128)
+    codes, stop = run_waves(chunk, tracker, ring)
+    expected_codes, expected_stop, _, _, rows = reference_walk(
+        chunk, [0] * chunk["size"], 0, t + 1, 0, 0)
+    assert stop == expected_stop == t + 1
+    assert codes == expected_codes
+    assert ring.buffer[:ring.count].tolist() == rows
