@@ -37,8 +37,8 @@ raw index columns plus the gap each one executes before.  It reads no
 scheduled draws, because no catalog adversary looks at the interaction it
 injects before; its decisions depend only on the step index, its own RNG
 and its budgets.  The python engine merges the columns into its drawn
-chunk by position; the array engine merges them into its index arrays with
-one ``np.insert``.
+chunk by position; the array engine scatters them into its index arrays,
+injection ``i`` at slot ``positions[i] + i``.
 
 A schedule is the per-step interleaving, bit for bit, under three rules:
 
@@ -295,6 +295,15 @@ class UOAdversary(_RandomOmissionMixin, OmissionAdversary):
         ``randrange``/``choice`` wrapper frames and the
         :class:`~repro.scheduling.runs.Interaction` allocations (which
         dominate the array backend's injection throughput).
+
+        When ``budget`` is ``None`` or covers ``count`` gaps of one
+        scheduled interaction plus ``max_per_gap`` injections each
+        (``budget >= (1 + max_per_gap) * count``), nothing can be
+        truncated, so the whole chunk runs a loop without budget checks:
+        one ``random()`` per gap, and on a hit injections drawn until
+        ``max_per_gap`` or a miss.  Every other chunk (the last few of a
+        step budget, and ``max_per_gap == 0``, which draws no entropy at
+        all) runs the checked loop.
         """
         probability = self.rate / (1.0 + self.rate)
         max_per_gap = self.max_per_gap
@@ -310,6 +319,36 @@ class UOAdversary(_RandomOmissionMixin, OmissionAdversary):
         starters: List[int] = []
         reactors: List[int] = []
         kinds: List[int] = []
+        if max_per_gap and (budget is None or budget >= (1 + max_per_gap) * count):
+            add_position = positions.append
+            add_starter = starters.append
+            add_reactor = reactors.append
+            add_kind = kinds.append
+            for consumed in range(count):
+                if rng_random() >= probability:
+                    continue
+                drawn = 0
+                while True:
+                    starter = getrandbits(n_bits)
+                    while starter >= n:
+                        starter = getrandbits(n_bits)
+                    reactor = getrandbits(shifted_bits)
+                    while reactor >= shifted:
+                        reactor = getrandbits(shifted_bits)
+                    if reactor >= starter:
+                        reactor += 1
+                    kind = getrandbits(kind_bits)
+                    while kind >= kind_count:
+                        kind = getrandbits(kind_bits)
+                    add_position(consumed)
+                    add_starter(starter)
+                    add_reactor(reactor)
+                    add_kind(kind)
+                    drawn += 1
+                    if drawn == max_per_gap or rng_random() >= probability:
+                        break
+            self.total_injected += len(starters)
+            return ColumnSchedule(positions, starters, reactors, kinds, count, 0)
         remaining = budget
         consumed = discarded = injected = 0
         while consumed < count:

@@ -43,7 +43,7 @@ the compilable subset of experiments:
   ``plan_chunk_schedule_columns`` (see :mod:`repro.adversary.omission`):
   per chunk they return gap positions plus kept injections as raw index
   lists (a :class:`~repro.adversary.omission.ColumnSchedule`), which one
-  vectorized ``np.insert`` merges into the scheduler's index arrays.
+  vectorized scatter merges into the scheduler's index arrays.
   Omissive transitions come from per-omission-kind table stacks tabulated
   at compile time, so injected interactions ride the same gather/scatter
   as scheduled ones.  The adversary's RNG and budget
@@ -588,13 +588,14 @@ def _merge_injections(
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Merge a :class:`ColumnSchedule` into a chunk's index arrays.
 
-    ``np.insert`` with repeated positions inserts values in order at each
-    position, which is exactly the schedule's contract (injections execute
-    before their scheduled gap, in production order).  The schedule's kind
+    Injection ``i`` executes before scheduled gap ``positions[i]``, after
+    the ``i`` injections listed before it (positions never decrease), so
+    it lands at merged slot ``positions[i] + i``; the scheduled
+    interactions fill the remaining slots in order.  The schedule's kind
     indices follow the adversary's omissive-kind tuple — the same order
     :func:`compile_adversary` stacked the tables in — so table-stack row is
     kind index + 1.  Returns the merged ``(starters, reactors, kinds)``
-    with ``kinds[t]`` the table-stack row of step ``t`` (0 =
+    (int64) with ``kinds[t]`` the table-stack row of step ``t`` (0 =
     scheduled/omission-free); ``kinds`` is ``None`` for pass-through
     chunks so the caller keeps the 1-D gather hot path.
     """
@@ -602,17 +603,21 @@ def _merge_injections(
     if consumed < len(starters):
         starters = starters[:consumed]
         reactors = reactors[:consumed]
-    if not schedule.starters:
+    injected = len(schedule.starters)
+    if not injected:
         return starters, reactors, None
-    positions = np.asarray(schedule.positions, dtype=np.int64)
-    inj_starters = np.asarray(schedule.starters, dtype=np.int64)
-    inj_reactors = np.asarray(schedule.reactors, dtype=np.int64)
-    inj_kinds = np.asarray(schedule.kinds, dtype=np.int64) + 1
-    merged_starters = np.insert(np.asarray(starters, dtype=np.int64),
-                                positions, inj_starters)
-    merged_reactors = np.insert(np.asarray(reactors, dtype=np.int64),
-                                positions, inj_reactors)
-    kinds = np.insert(np.zeros(consumed, dtype=np.int64), positions, inj_kinds)
+    total = consumed + injected
+    slots = np.asarray(schedule.positions, dtype=np.int64)
+    slots += np.arange(injected, dtype=np.int64)
+    kinds = np.zeros(total, dtype=np.int64)
+    kinds[slots] = np.asarray(schedule.kinds, dtype=np.int64) + 1
+    scheduled = kinds == 0
+    merged_starters = np.empty(total, dtype=np.int64)
+    merged_starters[scheduled] = starters
+    merged_starters[slots] = schedule.starters
+    merged_reactors = np.empty(total, dtype=np.int64)
+    merged_reactors[scheduled] = reactors
+    merged_reactors[slots] = schedule.reactors
     return merged_starters, merged_reactors, kinds
 
 

@@ -27,7 +27,7 @@ Two layers of pins:
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.adversary.omission import (
@@ -372,6 +372,34 @@ def make_adversary(name, seed):
     return dict(ADVERSARIES)[name](seed)
 
 
+# The catalog walk test's adversary settings: (model, rate, max_per_gap,
+# NO's active_steps).  I3 admits one omissive kind and T3 three, so the
+# kind draw's rejection sampling runs only under T3.  Rate 50 floods
+# nearly every gap to max_per_gap, so a budget just below the budget-free
+# threshold really truncates.
+WALK_MODELS = {"I3": MODEL, "T3": get_model("T3")}
+walk_settings = st.tuples(
+    st.sampled_from(sorted(WALK_MODELS)),
+    st.sampled_from((0.0, 0.25, 0.6, 50.0)),
+    st.sampled_from((0, 1, 3, 4)), st.integers(min_value=0, max_value=130))
+
+
+def make_walk_adversary(name, seed, walk):
+    """A catalog adversary with the drawn walk settings, where it takes them."""
+    model_name, rate, max_per_gap, active_steps = walk
+    model = WALK_MODELS[model_name]
+    if name == "uo":
+        return UOAdversary(model, rate=rate, max_per_gap=max_per_gap, seed=seed)
+    if name == "no":
+        return NOAdversary(model, active_steps=active_steps, rate=rate,
+                           max_per_gap=max_per_gap, seed=seed)
+    if name == "bounded":
+        return BoundedOmissionAdversary(model, max_omissions=5, rate=rate, seed=seed)
+    if name == "no1":
+        return NO1Adversary(model, inject_at=11, seed=seed)
+    return make_adversary(name, seed)
+
+
 class TestColumnProtocolEquivalence:
     @pytest.mark.parametrize("name", PLANFUL)
     @settings(max_examples=40, deadline=None)
@@ -407,18 +435,31 @@ class TestColumnProtocolEquivalence:
         assert adversary_state(batched) == adversary_state(reference)
 
     @pytest.mark.parametrize("name", CATALOG)
-    @settings(max_examples=40, deadline=None)
-    @given(seed=seeds, n=populations,
+    @settings(max_examples=60, deadline=None)
+    @given(seed=seeds, n=st.integers(min_value=2, max_value=12),
            start=st.integers(min_value=0, max_value=60),
-           length=st.integers(min_value=0, max_value=60), budget=budgets)
+           length=st.integers(min_value=0, max_value=60), budget=budgets,
+           walk=walk_settings,
+           straddle=st.one_of(st.none(), st.integers(min_value=-2, max_value=2)))
+    @example(seed=3, n=2, start=10, length=50, budget=None,
+             walk=("T3", 0.6, 4, 30), straddle=None)
+    @example(seed=4, n=5, start=0, length=40, budget=None,
+             walk=("T3", 50.0, 3, 25), straddle=0)
+    @example(seed=5, n=5, start=0, length=40, budget=None,
+             walk=("I3", 50.0, 3, 25), straddle=-1)
     def test_catalog_walk_equals_generic_walk(
-        self, name, seed, n, start, length, budget,
+        self, name, seed, n, start, length, budget, walk, straddle,
     ):
         """Every catalog column walk equals the generic walk over its
         ``interactions_before``: columns, consumed, discarded and the
-        adversary's end state."""
-        catalog = make_adversary(name, seed)
-        generic = make_adversary(name, seed)
+        adversary's end state.  ``straddle`` puts the budget within two
+        steps of ``(1 + max_per_gap) * length``, where the UO walk switches
+        between its budget-free and its checked loop."""
+        max_per_gap = walk[2]
+        if straddle is not None:
+            budget = max(0, (1 + max_per_gap) * length + straddle)
+        catalog = make_walk_adversary(name, seed, walk)
+        generic = make_walk_adversary(name, seed, walk)
         chunk = RandomScheduler(n, seed=seed + 2).next_interactions(0, length)
         got = catalog.plan_chunk_schedule_columns(start, length, n, budget)
         expected = plan_columns_per_step(

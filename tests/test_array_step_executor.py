@@ -10,7 +10,8 @@ observable of a run must be identical under both: each
 the adversary's RNG state and injection total.  Each grid test forces the
 executor by patching the population limit; the property tests at the end
 drive the wave executor directly on random merged chunks against a plain
-per-step loop over the same tables.
+per-step loop over the same tables, and the chunk prologue's merge of an
+adversary schedule against an ``np.insert`` reference.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import dataclasses
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
+from repro.adversary.omission import ColumnSchedule
 from repro.engine.backends import array_backend
 from repro.engine.backends.array_backend import (
     CompiledAdversary,
@@ -32,6 +34,7 @@ from repro.engine.backends.array_backend import (
     _CountStreakTracker,
     _RingBuffer,
     _WaveExecutor,
+    _merge_injections,
 )
 from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
@@ -409,3 +412,69 @@ def test_stop_inside_a_non_final_level(chunk, data):
     assert stop == expected_stop == t + 1
     assert codes == expected_codes
     assert ring.buffer[:ring.count].tolist() == rows
+
+
+# ---------------------------------------------------------------------------
+# the chunk prologue's merge of an adversary schedule
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def scheduled_chunks(draw):
+    """A drawn chunk (int64 index arrays) and a column schedule for it.
+
+    ``consumed`` may fall short of the drawn chunk, as when the step budget
+    ends inside it; positions are non-decreasing gap indices below
+    ``consumed`` and repeat freely; the schedule may inject nothing.
+    """
+    k = draw(st.integers(1, 40))
+    consumed = draw(st.integers(1, k))
+    starters = draw(st.lists(st.integers(0, 99), min_size=k, max_size=k))
+    reactors = draw(st.lists(st.integers(0, 99), min_size=k, max_size=k))
+    injected = draw(st.integers(0, 3 * consumed))
+    column = st.lists(st.integers(0, 99), min_size=injected, max_size=injected)
+    positions = sorted(draw(st.lists(st.integers(0, consumed - 1),
+                                     min_size=injected, max_size=injected)))
+    kinds = draw(st.lists(st.integers(0, 2), min_size=injected,
+                          max_size=injected))
+    schedule = ColumnSchedule(positions, draw(column), draw(column), kinds,
+                              consumed, 0)
+    return (schedule, np.asarray(starters, dtype=np.int64),
+            np.asarray(reactors, dtype=np.int64))
+
+
+def merge_by_insert(schedule, starters, reactors):
+    """The reference merge: ``np.insert`` inserts repeated positions in order."""
+    consumed = schedule.consumed
+    positions = schedule.positions
+    kinds = np.asarray(schedule.kinds, dtype=np.int64) + 1
+    return (np.insert(starters[:consumed], positions, schedule.starters),
+            np.insert(reactors[:consumed], positions, schedule.reactors),
+            np.insert(np.zeros(consumed, dtype=np.int64), positions, kinds))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scheduled_chunks())
+@example(case=(ColumnSchedule([0, 0, 3, 3], [5, 6, 7, 8], [9, 10, 11, 12],
+                              [0, 2, 1, 0], 4, 0),
+               np.arange(6, dtype=np.int64), np.arange(6, dtype=np.int64) + 20))
+@example(case=(ColumnSchedule([], [], [], [], 3, 0),
+               np.arange(5, dtype=np.int64), np.arange(5, dtype=np.int64)))
+def test_merge_equals_insert_reference(case):
+    """Each injection lands before its gap, in list order, and the kinds
+    column holds its table-stack row; a schedule that injects nothing
+    passes the consumed prefix through with ``kinds`` ``None``."""
+    schedule, starters, reactors = case
+    merged_starters, merged_reactors, kinds = _merge_injections(
+        schedule, starters, reactors)
+    consumed = schedule.consumed
+    if not schedule.starters:
+        assert kinds is None
+        assert merged_starters.tolist() == starters[:consumed].tolist()
+        assert merged_reactors.tolist() == reactors[:consumed].tolist()
+        return
+    expected = merge_by_insert(schedule, starters, reactors)
+    for merged, reference in zip((merged_starters, merged_reactors, kinds),
+                                 expected):
+        assert merged.dtype == np.int64
+        assert merged.tolist() == reference.tolist()
