@@ -36,7 +36,16 @@ class TrivialTwoWaySimulator(TwoWaySimulator):
         return p_state
 
     def initial_configuration(self, p_configuration: Configuration, **knowledge) -> Configuration:
-        return Configuration(self.initial_state(p) for p in p_configuration)
+        """Validate each distinct state once and wrap the same state tuple.
+
+        Validation walks the distinct states in first-occurrence order, so
+        the first invalid agent state raises, as a per-agent scan would.
+        """
+        states = (p_configuration.states if isinstance(p_configuration, Configuration)
+                  else tuple(p_configuration))
+        for state in dict.fromkeys(states):
+            self.initial_state(state)
+        return Configuration(states)
 
     def project(self, state: State) -> State:
         return state

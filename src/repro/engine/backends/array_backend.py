@@ -101,7 +101,11 @@ from repro.adversary.omission import (
     NoOmissionAdversary,
     UOAdversary,
 )
-from repro.engine.backends.base import BackendCompileError, ExecutionBackend
+from repro.engine.backends.base import (
+    BackendCompileError,
+    ExecutionBackend,
+    unbounded_state_space_error,
+)
 from repro.engine.convergence import ConvergenceResult
 from repro.engine.fastpath import RunResult
 from repro.engine.trace import TraceStep
@@ -176,11 +180,7 @@ def compile_program(program: Any, model: Any) -> CompiledProgram:
     try:
         states = tuple(order())
     except ProtocolError as error:
-        raise BackendCompileError(
-            f"program {type(program).__name__} cannot be compiled for the "
-            f"array backend: {error} (simulators with unbounded composite "
-            "state spaces need --engine-backend python)"
-        ) from None
+        raise unbounded_state_space_error(program, error) from None
     if len(states) > MAX_INTERNED_STATES:
         raise BackendCompileError(
             f"program {type(program).__name__} has {len(states)} states; the "
@@ -934,13 +934,30 @@ def _run_columnar(
 #: strong references to their key objects, so a cached id can never be
 #: recycled while its entry is live).  Program, model and initial
 #: configuration are shared across the runs of one built experiment (see
-#: ``repro.protocols.registry.build_cached``), so a worker executing many
+#: ``repro.protocols.registry.build_cached``), so a process executing many
 #: runs of the same spec tabulates transitions and interns the O(n) initial
 #: configuration once instead of per run — on short runs at large n those
-#: were the dominant per-run cost.  Lifetime mirrors ``_BUILD_CACHE``: one
-#: entry per built experiment per process.
+#: were the dominant per-run cost.  :func:`probe_compile` compiles through
+#: the same memo, so the ``auto`` planner's compile is the one the runs of
+#: the cell use, here and in every process forked after planning.  One
+#: entry per compiled program (or encoded configuration) per process.
 _COMPILE_CACHE: "Dict[int, Tuple[Any, Any, CompiledProgram]]" = {}
 _INITIAL_CODES_CACHE: "Dict[int, Tuple[Any, CompiledProgram, np.ndarray]]" = {}
+
+
+def _compile_cached(program: Any, model: Any) -> CompiledProgram:
+    """:func:`compile_program` memoised in :data:`_COMPILE_CACHE`."""
+    obs = get_recorder()
+    cached = _COMPILE_CACHE.get(id(program))
+    if cached is not None and cached[0] is program and cached[1] is model:
+        if obs is not NULL_RECORDER:
+            obs.counter("engine.array.compile_cache.hit")
+        return cached[2]
+    compiled = compile_program(program, model)
+    _COMPILE_CACHE[id(program)] = (program, model, compiled)
+    if obs is not NULL_RECORDER:
+        obs.counter("engine.array.compile_cache.miss")
+    return compiled
 
 
 class ArrayBackend(ExecutionBackend):
@@ -951,17 +968,7 @@ class ArrayBackend(ExecutionBackend):
     # -- shared setup --------------------------------------------------------
 
     def _compile_run(self, program, model, scheduler, initial_configuration) -> "Tuple[CompiledProgram, ArrayDrawKernel, np.ndarray]":
-        obs = get_recorder()
-        cached = _COMPILE_CACHE.get(id(program))
-        if cached is not None and cached[0] is program and cached[1] is model:
-            compiled = cached[2]
-            if obs is not NULL_RECORDER:
-                obs.counter("engine.array.compile_cache.hit")
-        else:
-            compiled = compile_program(program, model)
-            _COMPILE_CACHE[id(program)] = (program, model, compiled)
-            if obs is not NULL_RECORDER:
-                obs.counter("engine.array.compile_cache.miss")
+        compiled = _compile_cached(program, model)
         # The kernel carries the scheduler's draw-stream position, so it
         # must live exactly as long as the scheduler: repeated runs on one
         # engine continue the stream (as the python backend's random.Random
@@ -1179,7 +1186,7 @@ def probe_compile(
     single registry entry in isolation.
     """
     try:
-        compiled = compile_program(program, model)
+        compiled = _compile_cached(program, model)
         if scheduler is not None:
             compile_scheduler(scheduler)
         if adversary is not None:

@@ -55,6 +55,22 @@ class BackendCompileError(BackendError):
     """
 
 
+def unbounded_state_space_error(program: Any, error: Exception) -> BackendCompileError:
+    """The array backend's compile error for a program whose ``state_order()``
+    raised ``error`` (the paper's simulators: unbounded composite states).
+
+    Lives here, away from numpy, so ``auto`` resolution can reject such a
+    program before importing the array backend and still record the exact
+    message :func:`~repro.engine.backends.array_backend.compile_program`
+    raises.
+    """
+    return BackendCompileError(
+        f"program {type(program).__name__} cannot be compiled for the "
+        f"array backend: {error} (simulators with unbounded composite "
+        "state spaces need --engine-backend python)"
+    )
+
+
 class ExecutionBackend:
     """Interface every execution backend implements.
 

@@ -169,8 +169,12 @@ def run_spec(
 
     Top-level by design: process backends ship this function by qualified
     name plus its picklable arguments.  The spec build (protocol, simulator,
-    initial configuration) is memoised per process, so a worker executing
-    many runs of the same spec pays for it once.
+    initial configuration, prepared predicate) and the array backend's
+    compiled tables are memoised per process, and resolving an ``auto``
+    spec already fills both memos under the resolved spec.  So a planned
+    cell's runs reuse the planner's objects, in this process and in
+    workers forked after planning; a worker that does not inherit them
+    builds them once, at O(distinct states) Python calls.
 
     The scheduler, adversary and predicate, by contrast, are built fresh
     here for *every* run.  For the adversary this is load-bearing, not just

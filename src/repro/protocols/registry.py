@@ -45,6 +45,7 @@ imported, entry-point-registered keys resolve in process-pool workers too.
 from __future__ import annotations
 
 import importlib.metadata
+import importlib.util
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -56,12 +57,14 @@ from repro.adversary.omission import (
 )
 from repro.core.naming import KnownSizeSimulator
 from repro.engine.backends import BackendUnavailableError, get_backend, validate_backend
+from repro.engine.backends.base import unbounded_state_space_error
 from repro.engine.fastpath import AgentCountPredicate
 from repro.core.sid import SIDSimulator
 from repro.core.skno import SKnOSimulator
 from repro.core.trivial import TrivialTwoWaySimulator
 from repro.interaction.models import get_model
 from repro.protocols.catalog import CATALOG, get_protocol
+from repro.protocols.protocol import ProtocolError
 from repro.protocols.state import Configuration
 from repro.scheduling.graph_scheduler import (
     complete_graph_scheduler,
@@ -171,14 +174,15 @@ def prepare_stable_output_predicate(
         simulator, protocol, initial_projected: Configuration) -> Callable[[], Any]:
     """Hoist the pure part of :func:`stable_output_predicate` out of the run.
 
-    Deriving the expected stable output is an O(n) scan of the initial
-    configuration — pure in (protocol, initial configuration), yet it used
-    to run once *per run*, where it dwarfed the actual simulation on
-    short runs at large n (the regime the shared-memory result transport
-    targets).  This preparer performs the scan once and returns a zero-arg
-    maker; each maker call still constructs a **fresh** predicate instance,
-    so the statefulness contract of incremental predicates (reset counts
-    per run) is untouched.
+    Deriving the expected stable output is pure in (protocol, initial
+    configuration), yet it used to run once *per run*, where it dwarfed the
+    actual simulation on short runs at large n (the regime the
+    shared-memory result transport targets).  This preparer derives it
+    once, from the initial configuration's cached state multiset (one
+    ``output()`` call per distinct state, weighted by its count), and
+    returns a zero-arg maker; each maker call still constructs a **fresh**
+    predicate instance, so the statefulness contract of incremental
+    predicates (reset counts per run) is untouched.
     """
     project = simulator.project
     output = protocol.output
@@ -186,6 +190,11 @@ def prepare_stable_output_predicate(
     def all_output(expected) -> Callable[[], AgentCountPredicate]:
         return lambda: AgentCountPredicate(
             lambda s: output(project(s)) == expected)
+
+    def total(weight: Callable[[Any], int]) -> int:
+        # Sum of weight(state) over the agents, one call per distinct state.
+        return sum(weight(state) * count
+                   for state, count in initial_projected.histogram().items())
 
     name = protocol.name
     if name == "pairing":
@@ -196,8 +205,7 @@ def prepare_stable_output_predicate(
     if name == "leader-election":
         return lambda: AgentCountPredicate(lambda s: project(s) == "L", target=1)
     if name == "exact-majority":
-        count_a = sum(1 for state in initial_projected
-                      if output(state) == "A")
+        count_a = total(lambda state: output(state) == "A")
         expected = "A" if count_a * 2 > len(initial_projected) else "B"
         return all_output(expected)
     if name.startswith("averaging"):
@@ -206,16 +214,16 @@ def prepare_stable_output_predicate(
         # Stateless plain callable: sharing one instance across runs is safe.
         return lambda: spread_at_most_one
     if name.startswith("threshold"):
-        ones = sum(weight for weight, _ in initial_projected)
+        ones = total(lambda state: state[0])
         return all_output(protocol.expected_output(ones))
     if name.startswith("mod-") or name == "parity":
-        ones = sum(residue for _, residue in initial_projected)
+        ones = total(lambda state: state[1])
         return all_output(protocol.expected_output(ones))
     # Generic boolean predicates: the stable output is determined by the
     # protocol's own expected_output when available.
     expected = None
     if hasattr(protocol, "expected_output"):
-        ones = sum(1 for state in initial_projected if output(state))
+        ones = total(lambda state: bool(output(state)))
         try:
             expected = protocol.expected_output(ones)
         except TypeError:
@@ -513,9 +521,13 @@ class BuiltExperiment:
             **dict(self.spec.adversary_kwargs))
 
 
-#: Per-process cache of built experiments: a process-pool worker receives
-#: the same spec for every run it executes, and the build (protocol +
-#: simulator + initial configuration) is pure, so one build serves them all.
+#: Per-process cache of built experiments.  The build (protocol + simulator
+#: + initial configuration) is pure, so one build serves every run of a spec
+#: in this process.  :func:`resolve_backend` also files the build it probed
+#: under the resolved spec, so the planner's build is the one the runs use.
+#: Process workers forked after planning inherit those entries; that saves a
+#: rebuild per worker, but nothing depends on it, since a build is cheap
+#: (O(distinct states) Python calls for the identity simulator).
 _BUILD_CACHE: Dict[ExperimentSpec, BuiltExperiment] = {}
 
 
@@ -564,7 +576,9 @@ def resolve_backend(
     checks (:func:`repro.engine.backends.array_backend.probe_compile`) and
     returns ``array`` when everything compiles, else ``python`` with the
     first compile error as the ``reason``.  A missing numpy installation is
-    itself a recorded reason, never an exception.
+    itself a recorded reason, never an exception.  A program without a
+    finite state order (the paper's simulators) is rejected with the
+    compile error's text before numpy is imported.
 
     Non-``auto`` specs pass through unchanged (reason ``None``), so callers
     may resolve unconditionally.  Resolution is deterministic in the spec
@@ -572,9 +586,10 @@ def resolve_backend(
     what keeps campaign cell hashes and resumes stable across machines with
     the same install profile.
 
-    May raise the spec's own build errors (unknown keys, invalid models):
-    resolution builds the experiment once via :func:`build_cached`, sharing
-    the cache with the runs that follow.
+    May raise the spec's own build errors (unknown keys, invalid models).
+    The probe's build, prepared predicate and compiled tables are cached
+    under the resolved spec (see :data:`_BUILD_CACHE`), so the runs that
+    follow, and process workers forked after planning, reuse them.
     """
     if spec.backend != "auto":
         return BackendResolution(spec.backend, None)
@@ -582,27 +597,47 @@ def resolve_backend(
     cached = _RESOLUTION_CACHE.get(key)
     if cached is not None:
         return cached
-    try:
-        get_backend("array")
-    except BackendUnavailableError as error:
-        resolution = BackendResolution("python", str(error))
-        _RESOLUTION_CACHE[key] = resolution
-        return resolution
-    from repro.engine.backends.array_backend import probe_compile
+    built: Optional[BuiltExperiment] = None
+    reason: Optional[str] = None
+    if importlib.util.find_spec("numpy") is not None:
+        # Reject the paper's simulators before paying numpy's import.
+        built = build_cached(spec)
+        reason = _unbounded_state_space_reason(built.program)
+    if reason is None:
+        try:
+            get_backend("array")
+        except BackendUnavailableError as error:
+            reason = str(error)
+    if reason is None:
+        from repro.engine.backends.array_backend import probe_compile
 
-    built = build_cached(spec)
-    reason = probe_compile(
-        built.program,
-        built.model,
-        scheduler=built.make_scheduler(seed=0),
-        adversary=built.make_adversary(seed=0),
-        predicate=built.make_predicate(),
-        population=len(built.initial_configuration),
-        trace_policy=trace_policy,
-    )
+        built = build_cached(spec)
+        reason = probe_compile(
+            built.program,
+            built.model,
+            scheduler=built.make_scheduler(seed=0),
+            adversary=built.make_adversary(seed=0),
+            predicate=built.make_predicate(),
+            population=len(built.initial_configuration),
+            trace_policy=trace_policy,
+        )
     resolution = BackendResolution("python" if reason else "array", reason)
     _RESOLUTION_CACHE[key] = resolution
+    if built is not None:
+        _BUILD_CACHE.setdefault(replace(spec, backend=resolution.backend), built)
     return resolution
+
+
+def _unbounded_state_space_reason(program: Any) -> Optional[str]:
+    """The compile error of a program whose ``state_order()`` raises, numpy-free."""
+    order = getattr(program, "state_order", None)
+    if order is None:
+        return None
+    try:
+        order()
+    except ProtocolError as error:
+        return str(unbounded_state_space_error(program, error))
+    return None
 
 
 def resolved_spec(
