@@ -445,7 +445,7 @@ def run_obs_overhead_comparison(args) -> int:
             result = run_until_stable(engine, initial, predicate,
                                       max_steps=steps, trace_policy="counts-only")
         else:
-            result = run_until_stable_core(
+            result, _chunks = run_until_stable_core(
                 engine.program, engine.model, engine.scheduler, engine.adversary,
                 initial, predicate, max_steps=steps, trace_policy="counts-only")
         elapsed = time.perf_counter() - start

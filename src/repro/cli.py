@@ -95,7 +95,7 @@ from repro.engine.backends import (
     BackendError,
     BackendUnavailableError,
     ENGINE_BACKENDS,
-    get_backend,
+    load_array_backend,
 )
 from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
@@ -596,15 +596,10 @@ def _array_support() -> Optional[dict]:
     compiles wherever it reduces to a state-count predicate.
     """
     try:
-        get_backend("array")
-    except (BackendUnavailableError, BackendError):
+        array_backend = load_array_backend()
+    except BackendUnavailableError:
         return None
     from repro.core.trivial import TrivialTwoWaySimulator
-    from repro.engine.backends.array_backend import (
-        ARRAY_COMPILED_ADVERSARIES,
-        compile_program,
-        probe_compile,
-    )
     from repro.interaction.models import get_model as _get_model
     from repro.scheduling.array_draws import compile_scheduler
 
@@ -626,11 +621,11 @@ def _array_support() -> Optional[dict]:
     trivial_tw = _get_model("TW")
 
     def protocol_compiles(name: str) -> bool:
-        compile_program(TrivialTwoWaySimulator(get_protocol(name)), trivial_tw)
+        array_backend.compile_program(TrivialTwoWaySimulator(get_protocol(name)), trivial_tw)
         return True
 
     def simulator_compiles(name: str) -> bool:
-        compile_program(build_simulator(name, epidemic, 8, 1, "I3"), omissive)
+        array_backend.compile_program(build_simulator(name, epidemic, 8, 1, "I3"), omissive)
         return True
 
     trivial_epidemic = TrivialTwoWaySimulator(epidemic)
@@ -638,7 +633,7 @@ def _array_support() -> Optional[dict]:
 
     def predicate_compiles(name: str) -> bool:
         predicate = PREDICATES[name](trivial_epidemic, epidemic, epidemic_initial)
-        return probe_compile(
+        return array_backend.probe_compile(
             trivial_epidemic, trivial_tw, predicate=predicate, population=8) is None
 
     def scheduler_compiles(name: str) -> bool:
@@ -647,7 +642,7 @@ def _array_support() -> Optional[dict]:
 
     def adversary_compiles(name: str) -> bool:
         return type(ADVERSARIES[name](omissive, 1, seed=0)) \
-            in ARRAY_COMPILED_ADVERSARIES
+            in array_backend.ARRAY_COMPILED_ADVERSARIES
 
     support["protocols"] = probed(sorted(CATALOG), protocol_compiles)
     support["simulators"] = probed(sorted(SIMULATORS), simulator_compiles)

@@ -1,13 +1,14 @@
 """Pluggable execution backends.
 
 The engine's run semantics (budget, stop conditions, trace policies — see
-:mod:`repro.engine.fastpath`) are implemented by interchangeable *backends*:
+:mod:`repro.engine.fastpath`) are implemented by two interchangeable
+*backends*:
 
 ========  ==================================================================
 name      implementation
 ========  ==================================================================
 python    the default interpreted fast path; supports everything, no
-          third-party dependencies (:mod:`.python_backend`)
+          third-party dependencies (:func:`repro.engine.fastpath.run_core`)
 array     opt-in columnar numpy execution for protocols with small finite
           state spaces — interned states, compiled transition tables,
           whole-chunk vectorized draws (:mod:`.array_backend`); requires
@@ -16,28 +17,31 @@ array     opt-in columnar numpy execution for protocols with small finite
 
 Selection points: ``SimulationEngine(backend=...)``,
 ``ExperimentSpec.backend`` (pickles across the process fan-out) and
-``repro run --engine-backend``.  Backend implementations are imported
-lazily, so ``import repro`` never touches numpy and installs without the
-extra keep working until ``array`` is actually requested.
+``repro run --engine-backend``.  The engine dispatches on the name in
+exactly two places, :meth:`~repro.engine.engine.SimulationEngine.execute`
+and :func:`~repro.engine.convergence.run_until_stable`; each calls the
+python fast path or the module functions of the same names in
+:mod:`.array_backend`.  That module is imported lazily through
+:func:`load_array_backend`, so ``import repro`` never touches numpy and
+installs without the extra keep working until ``array`` is actually
+requested.
 
 Specs (but not engines) additionally accept the pseudo-backend ``"auto"``:
 :func:`repro.protocols.registry.resolve_backend` probes whether every
 ingredient of the experiment compiles for the array backend
 (:func:`repro.engine.backends.array_backend.probe_compile`) and pins the
 fastest concrete backend *before* the spec reaches an engine or a campaign
-cell hash.  ``"auto"`` therefore never appears here in
-:data:`ENGINE_BACKENDS` and :func:`get_backend` refuses it.
+cell hash.  ``"auto"`` therefore never appears in :data:`ENGINE_BACKENDS`.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from types import ModuleType
 
 from repro.engine.backends.base import (
     BackendCompileError,
     BackendError,
     BackendUnavailableError,
-    ExecutionBackend,
 )
 
 #: The selectable execution backends.
@@ -48,17 +52,15 @@ ENGINE_BACKENDS = ("python", "array")
 #: concrete name before execution.
 BACKEND_CHOICES = ENGINE_BACKENDS + ("auto",)
 
-_INSTANCES: Dict[str, ExecutionBackend] = {}
-
 
 def validate_backend(name: str) -> str:
     """Check ``name`` against :data:`BACKEND_CHOICES` without importing it.
 
     Cheap enough for spec/engine constructors: availability of the array
-    backend's numpy dependency is only checked when the backend is actually
-    resolved by :func:`get_backend`.  ``"auto"`` validates (specs may carry
-    it) but :func:`get_backend` refuses it — resolution to a concrete
-    backend happens in :func:`repro.protocols.registry.resolve_backend`.
+    backend's numpy dependency is only checked when a run needs it
+    (:func:`load_array_backend`).  ``"auto"`` validates (specs may carry
+    it); resolution to a concrete backend happens in
+    :func:`repro.protocols.registry.resolve_backend`.
     """
     if name not in BACKEND_CHOICES:
         known = ", ".join(BACKEND_CHOICES)
@@ -66,43 +68,20 @@ def validate_backend(name: str) -> str:
     return name
 
 
-def get_backend(name: str) -> ExecutionBackend:
-    """Resolve a backend name to its (shared, stateless) instance.
+def load_array_backend() -> ModuleType:
+    """Import :mod:`.array_backend`, or raise :class:`BackendUnavailableError`
+    when numpy is not installed."""
+    try:
+        import numpy  # noqa: F401 - availability probe
+    except ImportError:
+        raise BackendUnavailableError(
+            "the array engine backend requires numpy; install the fast "
+            "extra (pip install 'repro[fast]') or numpy itself, or use "
+            "the default python backend"
+        ) from None
+    from repro.engine.backends import array_backend
 
-    Raises :class:`ValueError` for unknown names (and for ``"auto"``, which
-    must be resolved to a concrete backend first) and
-    :class:`BackendUnavailableError` when the ``array`` backend is requested
-    without numpy installed.
-    """
-    validate_backend(name)
-    if name == "auto":
-        raise ValueError(
-            "engine backend 'auto' must be resolved to a concrete backend "
-            "before execution; resolve the spec first with "
-            "repro.protocols.registry.resolve_backend (the CLI and campaign "
-            "planner do this automatically)"
-        )
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    if name == "python":
-        from repro.engine.backends.python_backend import PythonBackend
-
-        instance = PythonBackend()
-    else:
-        try:
-            import numpy  # noqa: F401 - availability probe
-        except ImportError:
-            raise BackendUnavailableError(
-                "the array engine backend requires numpy; install the fast "
-                "extra (pip install 'repro[fast]') or numpy itself, or use "
-                "the default python backend"
-            ) from None
-        from repro.engine.backends.array_backend import ArrayBackend
-
-        instance = ArrayBackend()
-    _INSTANCES[name] = instance
-    return instance
+    return array_backend
 
 
 __all__ = [
@@ -111,7 +90,6 @@ __all__ = [
     "BackendError",
     "BackendUnavailableError",
     "ENGINE_BACKENDS",
-    "ExecutionBackend",
-    "get_backend",
+    "load_array_backend",
     "validate_backend",
 ]

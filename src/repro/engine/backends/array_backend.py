@@ -84,6 +84,12 @@ to the python backend.  :func:`probe_compile` runs the same checks
 without executing anything, returning the would-be error message — the
 ``auto`` backend resolution (:func:`repro.protocols.registry.resolve_backend`)
 and ``repro list``'s array-compilable column are built on it.
+
+The backend's entry points are the module functions :func:`execute` and
+:func:`run_until_stable`, which the engine's two dispatch points call
+(:meth:`repro.engine.engine.SimulationEngine.execute` and
+:func:`repro.engine.convergence.run_until_stable`) through
+:func:`repro.engine.backends.load_array_backend`.
 """
 
 from __future__ import annotations
@@ -101,24 +107,14 @@ from repro.adversary.omission import (
     NoOmissionAdversary,
     UOAdversary,
 )
-from repro.engine.backends.base import (
-    BackendCompileError,
-    ExecutionBackend,
-    unbounded_state_space_error,
-)
+from repro.engine.backends.base import BackendCompileError, unbounded_state_space_error
 from repro.engine.convergence import ConvergenceResult
 from repro.engine.fastpath import RunResult
 from repro.engine.trace import TraceStep
 from repro.interaction.omissions import NO_OMISSION, Omission
 from repro.obs.recorder import NULL_RECORDER, get_recorder
 from repro.protocols.protocol import ProtocolError
-from repro.protocols.state import (
-    ArrayConfiguration,
-    Configuration,
-    InterningError,
-    State,
-    StateInterner,
-)
+from repro.protocols.state import Configuration, InterningError, State, StateInterner
 from repro.scheduling.array_draws import ArrayDrawKernel, compile_scheduler
 from repro.scheduling.runs import Interaction
 
@@ -869,11 +865,12 @@ def _run_columnar(
     tracker: Optional[_CountStreakTracker] = None,
     adversary: Optional[CompiledAdversary] = None,
     ring: Optional[_RingBuffer] = None,
-) -> Tuple[int, int, bool]:
+) -> Tuple[int, int, bool, int]:
     """Execute up to ``max_steps`` interactions against ``codes`` in place.
 
-    Returns ``(executed, omissions, stopped)`` with the exact semantics of
-    :func:`repro.engine.fastpath.run_core`: chunks are clipped to the
+    Returns ``(executed, omissions, stopped, chunks)`` with the exact
+    semantics of :func:`repro.engine.fastpath.run_core`, ``chunks`` being
+    the number of scheduler draws: chunks are clipped to the
     remaining budget, adversary injections (planned per chunk through the
     column-schedule protocol) execute before their scheduled
     interaction and count towards the budget, and a streak hit stops the
@@ -896,6 +893,7 @@ def _run_columnar(
     executed = 0
     scheduler_step = 0
     omissions = 0
+    chunks = 0
     # Executor telemetry is folded locally and recorded once per run, so
     # the NullRecorder path pays one identity check per run here.
     obs = get_recorder()
@@ -904,6 +902,7 @@ def _run_columnar(
         k = chunk_size if remaining > chunk_size else remaining
         starters, reactors = kernel.draw(scheduler_step, k)
         scheduler_step += k
+        chunks += 1
         kinds = None
         injected = 0
         if adversary is not None:
@@ -917,15 +916,15 @@ def _run_columnar(
             if kinds is not None:
                 omissions += int((kinds[:stop] != 0).sum())
             executor.finish(obs)
-            return executed + stop, omissions, True
+            return executed + stop, omissions, True, chunks
         omissions += injected
         executed += len(starters)
     executor.finish(obs)
-    return executed, omissions, False
+    return executed, omissions, False, chunks
 
 
 # ---------------------------------------------------------------------------
-# the backend object
+# entry points
 # ---------------------------------------------------------------------------
 
 
@@ -960,204 +959,212 @@ def _compile_cached(program: Any, model: Any) -> CompiledProgram:
     return compiled
 
 
-class ArrayBackend(ExecutionBackend):
-    """Columnar numpy execution for small-finite-state protocols."""
+def _set_up_run(
+    program: Any,
+    model: Any,
+    scheduler: Any,
+    adversary: Optional[Any],
+    initial_configuration: Configuration,
+    max_steps: float,
+    trace_policy: str,
+    ring_size: Optional[int],
+) -> Tuple[int, CompiledProgram, ArrayDrawKernel, np.ndarray,
+           Optional[CompiledAdversary], Optional[_RingBuffer]]:
+    """The set-up both entry points share.
 
-    name = "array"
-
-    # -- shared setup --------------------------------------------------------
-
-    def _compile_run(self, program, model, scheduler, initial_configuration) -> "Tuple[CompiledProgram, ArrayDrawKernel, np.ndarray]":
-        compiled = _compile_cached(program, model)
-        # The kernel carries the scheduler's draw-stream position, so it
-        # must live exactly as long as the scheduler: repeated runs on one
-        # engine continue the stream (as the python backend's random.Random
-        # state does) instead of replaying it from the seed.  Stored on the
-        # scheduler instance; Scheduler.reset() drops it, restoring the
-        # replay-from-step-0 semantics reset() has on the python backend.
-        kernel = getattr(scheduler, "_array_kernel", None)
-        if kernel is None:
-            kernel = compile_scheduler(scheduler)
-            scheduler._array_kernel = kernel
-        entry = _INITIAL_CODES_CACHE.get(id(initial_configuration))
-        if entry is not None and entry[0] is initial_configuration \
-                and entry[1] is compiled:
-            pristine = entry[2]
-        else:
-            try:
-                pristine = np.asarray(
-                    compiled.interner.encode_all(initial_configuration),
-                    dtype=np.int32,
-                )
-            except InterningError as error:
-                raise BackendCompileError(
-                    f"initial configuration cannot be interned for the array "
-                    f"backend: {error}; run it with --engine-backend python"
-                ) from None
-            _INITIAL_CODES_CACHE[id(initial_configuration)] = (
-                initial_configuration, compiled, pristine)
-        # Runs mutate their code array in place; every run gets its own copy
-        # of the pristine encoding.
-        return compiled, kernel, pristine.copy()
-
-    @staticmethod
-    def _freeze(codes: np.ndarray, interner: StateInterner) -> Configuration:
-        # Equivalent to ArrayConfiguration(codes, interner).freeze(), but
-        # decoding through an object-dtype take is much faster at n >= 10^6.
-        lookup = np.empty(len(interner), dtype=object)
-        for code, state in enumerate(interner.states):
-            lookup[code] = state
-        return Configuration(lookup[codes].tolist())
-
-    @staticmethod
-    def _count_export(codes: np.ndarray,
-                      interner: StateInterner) -> Tuple[Tuple[State, int], ...]:
-        # The columnar count export consumed by the shm result transport
-        # (repro.engine.transport): one bincount over the code array, no
-        # detour through the frozen python-object configuration.  Zero
-        # counts are dropped so the export is an anonymous multiset view,
-        # identical to Configuration.histogram() up to ordering.
-        counts = np.bincount(codes, minlength=len(interner))
-        return tuple(
-            (state, int(counts[code]))
-            for code, state in enumerate(interner.states)
-            if counts[code])
-
-    def view(self, codes: np.ndarray, interner: StateInterner) -> ArrayConfiguration:
-        """A live read-only view over a run's code array (for diagnostics)."""
-        return ArrayConfiguration(codes, interner)
-
-    # -- entry points --------------------------------------------------------
-
-    def execute(
-        self,
-        program: Any,
-        model: Any,
-        scheduler: Any,
-        adversary: Optional[Any],
-        initial_configuration: Configuration,
-        max_steps: int,
-        stop_condition: Optional[Callable[[Any], bool]] = None,
-        *,
-        trace_policy: str = "counts-only",
-        ring_size: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-    ) -> RunResult:
-        budget = _check_run_request(trace_policy, max_steps)
-        if stop_condition is not None:
+    Checks the request, compiles the program, scheduler, initial
+    configuration and adversary, and creates the ring buffer under the
+    ``ring`` trace policy.  Returns ``(budget, compiled, kernel, codes,
+    compiled_adversary, ring)``; ``codes`` is the run's own copy of the
+    encoded initial configuration, which the run mutates in place.
+    """
+    budget = _check_run_request(trace_policy, max_steps)
+    compiled = _compile_cached(program, model)
+    # The kernel carries the scheduler's draw-stream position, so it
+    # must live exactly as long as the scheduler: repeated runs on one
+    # engine continue the stream (as the python backend's random.Random
+    # state does) instead of replaying it from the seed.  Stored on the
+    # scheduler instance; Scheduler.reset() drops it, restoring the
+    # replay-from-step-0 semantics reset() has on the python backend.
+    kernel = getattr(scheduler, "_array_kernel", None)
+    if kernel is None:
+        kernel = compile_scheduler(scheduler)
+        scheduler._array_kernel = kernel
+    entry = _INITIAL_CODES_CACHE.get(id(initial_configuration))
+    if entry is not None and entry[0] is initial_configuration \
+            and entry[1] is compiled:
+        pristine = entry[2]
+    else:
+        try:
+            pristine = np.asarray(
+                compiled.interner.encode_all(initial_configuration),
+                dtype=np.int32,
+            )
+        except InterningError as error:
             raise BackendCompileError(
-                "arbitrary stop conditions cannot be compiled for the array "
-                "backend; use run_until_stable with a state-count predicate "
-                "or --engine-backend python"
-            )
-        compiled, kernel, codes = self._compile_run(
-            program, model, scheduler, initial_configuration
-        )
-        compiled_adversary = compile_adversary(adversary, program, model, compiled)
-        ring = None
-        if trace_policy == "ring":
-            ring = _RingBuffer(ring_size if ring_size is not None else DEFAULT_RING_SIZE)
-        executed, omissions, _stopped = _run_columnar(
-            codes, kernel, compiled, budget,
-            chunk_size if chunk_size is not None else DEFAULT_ARRAY_CHUNK,
-            adversary=compiled_adversary,
-            ring=ring,
-        )
-        return RunResult(
-            policy=trace_policy,
-            steps=executed,
-            omissions=omissions,
-            final_configuration=self._freeze(codes, compiled.interner),
-            trace=None,
-            last_steps=self._dump_ring(ring, compiled, compiled_adversary),
-            stopped=False,
-        )
+                f"initial configuration cannot be interned for the array "
+                f"backend: {error}; run it with --engine-backend python"
+            ) from None
+        _INITIAL_CODES_CACHE[id(initial_configuration)] = (
+            initial_configuration, compiled, pristine)
+    compiled_adversary = compile_adversary(adversary, program, model, compiled)
+    ring = None
+    if trace_policy == "ring":
+        ring = _RingBuffer(ring_size if ring_size is not None else DEFAULT_RING_SIZE)
+    # Runs mutate their code array in place; every run gets its own copy
+    # of the pristine encoding.
+    return budget, compiled, kernel, pristine.copy(), compiled_adversary, ring
 
-    @staticmethod
-    def _dump_ring(
-        ring: Optional[_RingBuffer],
-        compiled: CompiledProgram,
-        compiled_adversary: Optional[CompiledAdversary],
-    ) -> Tuple[TraceStep, ...]:
-        if ring is None:
-            return ()
-        kind_omissions = (
-            (NO_OMISSION,) if compiled_adversary is None
-            else compiled_adversary.kind_omissions
-        )
-        return ring.last_steps(compiled.interner, kind_omissions)
 
-    def run_until_stable(
-        self,
-        program: Any,
-        model: Any,
-        scheduler: Any,
-        adversary: Optional[Any],
-        initial_configuration: Configuration,
-        predicate: Any,
-        max_steps: int = 100_000,
-        stability_window: int = 0,
-        *,
-        trace_policy: str = "counts-only",
-        ring_size: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        materialize_final: bool = True,
-    ) -> ConvergenceResult:
-        budget = _check_run_request(trace_policy, max_steps)
-        compiled, kernel, codes = self._compile_run(
-            program, model, scheduler, initial_configuration
-        )
-        compiled_adversary = compile_adversary(adversary, program, model, compiled)
-        mask, target_count = _compile_predicate(
-            predicate, compiled.interner, len(codes)
-        )
-        streak_target = stability_window + 1
+def _freeze(codes: np.ndarray, interner: StateInterner) -> Configuration:
+    """Decode a code array to a :class:`Configuration` (one object-dtype
+    take, much faster than a per-agent decode at n >= 10^6)."""
+    lookup = np.empty(len(interner), dtype=object)
+    for code, state in enumerate(interner.states):
+        lookup[code] = state
+    return Configuration(lookup[codes].tolist())
 
-        count = int(mask[codes].sum())
-        consecutive = 1 if count == target_count else 0
-        if consecutive >= streak_target:
-            return ConvergenceResult(
-                converged=True,
-                steps_executed=0,
-                steps_to_convergence=0,
-                trace=None,
-                final=initial_configuration,
-                omissions=0,
-                last_steps=(),
-                final_counts=self._count_export(codes, compiled.interner),
-            )
 
-        ring = None
-        if trace_policy == "ring":
-            ring = _RingBuffer(ring_size if ring_size is not None else DEFAULT_RING_SIZE)
-        tracker = _CountStreakTracker(
-            mask, target_count, streak_target, count, consecutive
+def _count_export(codes: np.ndarray,
+                  interner: StateInterner) -> Tuple[Tuple[State, int], ...]:
+    """The columnar count export consumed by the shm result transport
+    (:mod:`repro.engine.transport`).
+
+    One bincount over the code array, no detour through the frozen
+    python-object configuration.  Zero counts are dropped so the export is
+    an anonymous multiset view, identical to
+    :meth:`Configuration.histogram` up to ordering.
+    """
+    counts = np.bincount(codes, minlength=len(interner))
+    return tuple(
+        (state, int(counts[code]))
+        for code, state in enumerate(interner.states)
+        if counts[code])
+
+
+def _dump_ring(
+    ring: Optional[_RingBuffer],
+    compiled: CompiledProgram,
+    compiled_adversary: Optional[CompiledAdversary],
+) -> Tuple[TraceStep, ...]:
+    if ring is None:
+        return ()
+    kind_omissions = (
+        (NO_OMISSION,) if compiled_adversary is None
+        else compiled_adversary.kind_omissions
+    )
+    return ring.last_steps(compiled.interner, kind_omissions)
+
+
+def execute(
+    program: Any,
+    model: Any,
+    scheduler: Any,
+    adversary: Optional[Any],
+    initial_configuration: Configuration,
+    max_steps: int,
+    stop_condition: Optional[Callable[[Any], bool]] = None,
+    *,
+    trace_policy: str = "counts-only",
+    ring_size: Optional[int] = None,
+    chunk_size: Optional[int] = None,
+) -> RunResult:
+    """The array backend's :meth:`~repro.engine.engine.SimulationEngine.execute`."""
+    if stop_condition is not None:
+        raise BackendCompileError(
+            "arbitrary stop conditions cannot be compiled for the array "
+            "backend; use run_until_stable with a state-count predicate "
+            "or --engine-backend python"
         )
-        executed, omissions, stopped = _run_columnar(
-            codes, kernel, compiled, budget,
-            chunk_size if chunk_size is not None else DEFAULT_ARRAY_CHUNK,
-            tracker=tracker,
-            adversary=compiled_adversary,
-            ring=ring,
-        )
-        # The loop stops at the exact step whose configuration completes the
-        # streak, so the first configuration of the stable streak is fixed
-        # by arithmetic — the same value the python loop tracks imperatively.
-        converged = stopped
-        # ``materialize_final=False`` (the shared-memory transport's no-detour
-        # export): the anonymous ``final_counts`` below carry everything the
-        # caller reads, so the O(n) decode of codes into a python
-        # Configuration — the dominant per-run cost on short runs — is skipped.
+    budget, compiled, kernel, codes, compiled_adversary, ring = _set_up_run(
+        program, model, scheduler, adversary, initial_configuration,
+        max_steps, trace_policy, ring_size)
+    executed, omissions, _stopped, _chunks = _run_columnar(
+        codes, kernel, compiled, budget,
+        chunk_size if chunk_size is not None else DEFAULT_ARRAY_CHUNK,
+        adversary=compiled_adversary,
+        ring=ring,
+    )
+    return RunResult(
+        policy=trace_policy,
+        steps=executed,
+        omissions=omissions,
+        final_configuration=_freeze(codes, compiled.interner),
+        trace=None,
+        last_steps=_dump_ring(ring, compiled, compiled_adversary),
+        stopped=False,
+    )
+
+
+def run_until_stable(
+    program: Any,
+    model: Any,
+    scheduler: Any,
+    adversary: Optional[Any],
+    initial_configuration: Configuration,
+    predicate: Any,
+    max_steps: int = 100_000,
+    stability_window: int = 0,
+    *,
+    trace_policy: str = "counts-only",
+    ring_size: Optional[int] = None,
+    chunk_size: Optional[int] = None,
+    materialize_final: bool = True,
+) -> Tuple[ConvergenceResult, int]:
+    """The array backend's :func:`~repro.engine.convergence.run_until_stable`.
+
+    Returns the result plus the run's chunk count (scheduler draws), like
+    :func:`~repro.engine.convergence.run_until_stable_core`.
+    """
+    budget, compiled, kernel, codes, compiled_adversary, ring = _set_up_run(
+        program, model, scheduler, adversary, initial_configuration,
+        max_steps, trace_policy, ring_size)
+    mask, target_count = _compile_predicate(
+        predicate, compiled.interner, len(codes)
+    )
+    streak_target = stability_window + 1
+
+    count = int(mask[codes].sum())
+    consecutive = 1 if count == target_count else 0
+    if consecutive >= streak_target:
         return ConvergenceResult(
-            converged=converged,
-            steps_executed=executed,
-            steps_to_convergence=executed - streak_target + 1 if converged else None,
+            converged=True,
+            steps_executed=0,
+            steps_to_convergence=0,
             trace=None,
-            final=self._freeze(codes, compiled.interner) if materialize_final else None,
-            omissions=omissions,
-            last_steps=self._dump_ring(ring, compiled, compiled_adversary),
-            final_counts=self._count_export(codes, compiled.interner),
-        )
+            final=initial_configuration,
+            omissions=0,
+            last_steps=(),
+            final_counts=_count_export(codes, compiled.interner),
+        ), 0
+
+    tracker = _CountStreakTracker(
+        mask, target_count, streak_target, count, consecutive
+    )
+    executed, omissions, converged, chunks = _run_columnar(
+        codes, kernel, compiled, budget,
+        chunk_size if chunk_size is not None else DEFAULT_ARRAY_CHUNK,
+        tracker=tracker,
+        adversary=compiled_adversary,
+        ring=ring,
+    )
+    # The loop stops at the exact step whose configuration completes the
+    # streak, so the first configuration of the stable streak is fixed
+    # by arithmetic — the same value the python loop tracks imperatively.
+    # ``materialize_final=False`` (the shared-memory transport's no-detour
+    # export): the anonymous ``final_counts`` below carry everything the
+    # caller reads, so the O(n) decode of codes into a python
+    # Configuration — the dominant per-run cost on short runs — is skipped.
+    return ConvergenceResult(
+        converged=converged,
+        steps_executed=executed,
+        steps_to_convergence=executed - streak_target + 1 if converged else None,
+        trace=None,
+        final=_freeze(codes, compiled.interner) if materialize_final else None,
+        omissions=omissions,
+        last_steps=_dump_ring(ring, compiled, compiled_adversary),
+        final_counts=_count_export(codes, compiled.interner),
+    ), chunks
 
 
 # ---------------------------------------------------------------------------

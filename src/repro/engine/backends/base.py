@@ -1,10 +1,11 @@
-"""The execution-backend abstraction.
+"""Error types shared by the execution backends.
 
-A *backend* is a complete implementation of the engine's run semantics —
-the budget, stop-condition and trace-policy contract documented in
+The engine runs on one of two backends (see :mod:`repro.engine.backends`),
+each a complete implementation of the engine's run semantics — the budget,
+stop-condition and trace-policy contract documented in
 :mod:`repro.engine.fastpath` — over its own data representation:
 
-``python`` (:mod:`repro.engine.backends.python_backend`)
+``python`` (:func:`repro.engine.fastpath.run_core`)
     The default: the interpreted fast path over a
     :class:`~repro.protocols.state.MutableConfiguration` buffer.  Supports
     every program, scheduler, adversary, predicate and trace policy, and
@@ -22,11 +23,11 @@ the budget, stop-condition and trace-policy contract documented in
     :func:`repro.protocols.registry.resolve_backend` uses to resolve the
     ``"auto"`` pseudo-backend to the fastest backend that compiles.
 
-Both backends expose the same two entry points, mirroring
-:meth:`~repro.engine.engine.SimulationEngine.execute` and
-:func:`~repro.engine.convergence.run_until_stable` but taking the run's
-ingredients explicitly (the dispatchers pass them from the engine), so a
-backend never needs to import the engine layer above it.
+The array backend's module functions ``execute`` and ``run_until_stable``
+mirror :meth:`~repro.engine.engine.SimulationEngine.execute` and
+:func:`~repro.engine.convergence.run_until_stable` but take the run's
+ingredients explicitly (the engine passes them), so the backend never
+imports the engine layer above it.
 
 This module is deliberately import-light (no engine, scheduling or numpy
 imports): lower layers such as :mod:`repro.scheduling.array_draws` raise
@@ -35,7 +36,7 @@ its error types without creating import cycles.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any
 
 
 class BackendError(Exception):
@@ -69,60 +70,3 @@ def unbounded_state_space_error(program: Any, error: Exception) -> BackendCompil
         f"array backend: {error} (simulators with unbounded composite "
         "state spaces need --engine-backend python)"
     )
-
-
-class ExecutionBackend:
-    """Interface every execution backend implements.
-
-    Implementations are stateless (all run state is per-call), so one
-    instance per backend is shared process-wide via
-    :func:`repro.engine.backends.get_backend`.
-    """
-
-    #: Backend name as used by ``SimulationEngine(backend=...)``,
-    #: ``ExperimentSpec.backend`` and ``repro run --engine-backend``.
-    name: str = "backend"
-
-    def execute(
-        self,
-        program: Any,
-        model: Any,
-        scheduler: Any,
-        adversary: Optional[Any],
-        initial_configuration: Any,
-        max_steps: int,
-        stop_condition: Optional[Callable[[Any], bool]] = None,
-        *,
-        trace_policy: str = "full",
-        ring_size: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-    ) -> Any:
-        """Run up to ``max_steps`` interactions; returns a ``RunResult``."""
-        raise NotImplementedError
-
-    def run_until_stable(
-        self,
-        program: Any,
-        model: Any,
-        scheduler: Any,
-        adversary: Optional[Any],
-        initial_configuration: Any,
-        predicate: Any,
-        max_steps: int = 100_000,
-        stability_window: int = 0,
-        *,
-        trace_policy: str = "full",
-        ring_size: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        materialize_final: bool = True,
-    ) -> Any:
-        """Run until ``predicate`` stabilises; returns a ``ConvergenceResult``.
-
-        ``materialize_final=False`` is an *advisory* hint that the caller
-        will not read ``result.final`` (e.g. the shared-memory result
-        transport, which ships anonymous state counts): backends whose
-        results carry ``final_counts`` may then skip materialising the
-        final configuration as python objects and return ``final=None``.
-        Backends without a counts export ignore the hint.
-        """
-        raise NotImplementedError

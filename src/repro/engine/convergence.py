@@ -26,6 +26,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
+from repro.engine.backends import load_array_backend
+from repro.engine.engine import check_max_steps
 from repro.engine.fastpath import (
     DEFAULT_CHUNK_SIZE,
     IncrementalPredicate,
@@ -136,12 +138,12 @@ def run_until_stable(
         :data:`~repro.engine.fastpath.DEFAULT_CHUNK_SIZE`).  Purely a
         performance knob: results are chunking-independent.
     materialize_final:
-        Advisory hint (see
-        :meth:`~repro.engine.backends.base.ExecutionBackend.run_until_stable`):
-        ``False`` tells a backend with a ``final_counts`` export that the
-        caller will not read ``result.final``, letting it skip the O(n)
-        python-object decode of the final configuration.  The python
-        backend ignores the hint.
+        Advisory hint: ``False`` tells the array backend, whose results
+        carry ``final_counts``, that the caller will not read
+        ``result.final`` (e.g. the shared-memory result transport, which
+        ships anonymous state counts), letting it skip the O(n)
+        python-object decode of the final configuration and return
+        ``final=None``.  The python backend ignores the hint.
 
     Notes
     -----
@@ -162,69 +164,44 @@ def run_until_stable(
     Dispatch
     --------
     The run executes on the engine's execution backend
-    (:mod:`repro.engine.backends`): the default ``python`` backend is the
-    loop below; an engine built with ``backend="array"`` routes through the
-    columnar numpy core instead (same semantics for everything it can
-    compile, :class:`~repro.engine.backends.base.BackendCompileError`
-    otherwise).
+    (:mod:`repro.engine.backends`): the default ``python`` backend is
+    :func:`run_until_stable_core`; an engine built with ``backend="array"``
+    routes through :func:`repro.engine.backends.array_backend.run_until_stable`
+    instead (same semantics for everything it can compile,
+    :class:`~repro.engine.backends.base.BackendCompileError` otherwise).
+    A negative ``max_steps`` raises
+    :class:`~repro.engine.engine.EngineError` on both.
     """
-    backend = getattr(engine, "backend", "python")
-    chunks: Optional[int] = None
+    check_max_steps(max_steps)
     # The per-run observability seam: one global read and one identity
     # check when telemetry is off (the NullRecorder guarantee); metrics
     # are per run, never per step, so the hot loops stay untouched.
     obs = get_recorder()
     begin = 0.0 if obs is NULL_RECORDER else time.perf_counter()
-    if backend != "python":
-        from repro.engine.backends import get_backend  # lazy: avoids an import cycle
-
-        result = get_backend(backend).run_until_stable(
-            engine.program,
-            engine.model,
-            engine.scheduler,
-            engine.adversary,
-            initial_configuration,
-            predicate,
-            max_steps=max_steps,
-            stability_window=stability_window,
-            trace_policy=trace_policy,
-            ring_size=ring_size,
-            chunk_size=chunk_size,
-            materialize_final=materialize_final,
-        )
+    backend = getattr(engine, "backend", "python")
+    ingredients = (engine.program, engine.model, engine.scheduler,
+                   engine.adversary, initial_configuration, predicate,
+                   max_steps, stability_window)
+    if backend == "array":
+        result, chunks = load_array_backend().run_until_stable(
+            *ingredients, trace_policy=trace_policy, ring_size=ring_size,
+            chunk_size=chunk_size, materialize_final=materialize_final)
     else:
-        result, chunks = _converge(
-            engine.program,
-            engine.model,
-            engine.scheduler,
-            engine.adversary,
-            initial_configuration,
-            predicate,
-            max_steps,
-            stability_window,
-            trace_policy,
-            ring_size,
-            chunk_size,
-        )
+        result, chunks = run_until_stable_core(
+            *ingredients, trace_policy=trace_policy, ring_size=ring_size,
+            chunk_size=chunk_size)
     if obs is not NULL_RECORDER:
-        _record_run(obs, backend, result, time.perf_counter() - begin,
-                    chunks,
-                    chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE)
+        _record_run(obs, backend, result, time.perf_counter() - begin, chunks)
     return result
 
 
 def _record_run(obs: Recorder, backend: str, result: ConvergenceResult,
-                seconds: float, chunks: Optional[int], chunk_size: int) -> None:
+                seconds: float, chunks: int) -> None:
     """Record one engine run's counters and wall time (obs enabled only).
 
-    ``engine.chunks`` is the python loop's count of scheduler draws
-    (``chunks``, returned by :func:`~repro.engine.fastpath.run_core`).
-    The array backend reports no count, so for it the value stays
-    ``ceil(steps_executed / chunk_size)``, which overcounts whenever
-    adversary injections share a chunk's budget with its draws.
+    ``engine.chunks`` is the run's count of scheduler draws, as returned
+    by either backend's convergence loop.
     """
-    if chunks is None:
-        chunks = -(-result.steps_executed // chunk_size) if chunk_size else 0
     obs.counter("engine.runs")
     obs.counter("engine.steps", result.steps_executed)
     obs.counter("engine.chunks", chunks)
@@ -247,35 +224,13 @@ def run_until_stable_core(
     trace_policy: str = "full",
     ring_size: Optional[int] = None,
     chunk_size: Optional[int] = None,
-) -> ConvergenceResult:
+) -> Tuple[ConvergenceResult, int]:
     """The python-backend convergence loop, over explicit run ingredients.
 
-    :func:`run_until_stable` is the engine-facing wrapper; this function is
-    the implementation the ``python`` backend object delegates to (backends
-    receive ingredients, not engines, so they never import the engine
-    layer).  Semantics are exactly those documented on
-    :func:`run_until_stable`.
-    """
-    return _converge(
-        program, model, scheduler, adversary, initial_configuration,
-        predicate, max_steps, stability_window, trace_policy, ring_size,
-        chunk_size)[0]
-
-
-def _converge(
-    program: Any,
-    model: Any,
-    scheduler: Any,
-    adversary: Optional[Any],
-    initial_configuration: Configuration,
-    predicate: Any,
-    max_steps: int,
-    stability_window: int,
-    trace_policy: str,
-    ring_size: Optional[int],
-    chunk_size: Optional[int],
-) -> Tuple[ConvergenceResult, int]:
-    """:func:`run_until_stable_core` plus the run's chunk count.
+    :func:`run_until_stable` is the engine-facing wrapper, with the exact
+    semantics documented there; this function returns its result plus the
+    run's chunk count (scheduler draws), and skips the wrapper's budget
+    check and telemetry.
 
     A predicate with a state-count shape
     (:meth:`~repro.engine.fastpath.IncrementalPredicate.as_state_count`)

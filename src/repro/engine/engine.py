@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional
 
-from repro.engine.backends import get_backend, validate_backend
-from repro.engine.fastpath import RunResult, make_recorder, run_core
+from repro.engine.backends import load_array_backend, validate_backend
+from repro.engine.fastpath import DEFAULT_CHUNK_SIZE, RunResult, Watch, make_recorder, run_core
 from repro.engine.trace import Trace
 from repro.interaction.models import InteractionModel
 from repro.protocols.state import Configuration, MutableConfiguration
@@ -30,6 +30,12 @@ from repro.scheduling.scheduler import Scheduler, ScriptedScheduler
 
 class EngineError(Exception):
     """Raised on invalid engine configuration or execution errors."""
+
+
+def check_max_steps(max_steps: float) -> None:
+    """The step-budget check both engine entry points apply on every backend."""
+    if max_steps < 0:
+        raise EngineError("max_steps must be non-negative")
 
 
 class SimulationEngine:
@@ -157,23 +163,19 @@ class SimulationEngine:
         count-expressible predicates) and anything else raises
         :class:`~repro.engine.backends.base.BackendCompileError`.
         """
-        if max_steps < 0:
-            raise EngineError("max_steps must be non-negative")
+        check_max_steps(max_steps)
         if len(initial_configuration) < 2 and max_steps > 0:
             raise EngineError("a population of fewer than two agents cannot interact")
 
-        return get_backend(self.backend).execute(
-            self.program,
-            self.model,
-            self.scheduler,
-            self.adversary,
-            initial_configuration,
-            max_steps,
-            stop_condition,
-            trace_policy=trace_policy,
-            ring_size=ring_size,
-            chunk_size=chunk_size,
-        )
+        ingredients = (self.program, self.model, self.scheduler, self.adversary,
+                       initial_configuration, max_steps, stop_condition)
+        if self.backend == "array":
+            return load_array_backend().execute(
+                *ingredients, trace_policy=trace_policy, ring_size=ring_size,
+                chunk_size=chunk_size)
+        return _execute_python(
+            *ingredients, trace_policy=trace_policy, ring_size=ring_size,
+            chunk_size=chunk_size)
 
     def run(
         self,
@@ -205,15 +207,62 @@ class SimulationEngine:
         the compiled tables of the array backend do not model.
         """
         interactions = run if isinstance(run, Run) else Run(run)
-        recorder = make_recorder("full")
-        buffer = MutableConfiguration(initial_configuration)
-        run_core(
+        return _execute_python(
             self.program,
             self.model,
             ScriptedScheduler(interactions),
             None,
-            buffer,
-            recorder,
-            max_steps=len(interactions),
-        )
-        return recorder.build_trace(initial_configuration, buffer.freeze())
+            initial_configuration,
+            len(interactions),
+            stop_condition=None,
+            trace_policy="full",
+            ring_size=None,
+            chunk_size=None,
+        ).trace
+
+
+def _execute_python(
+    program: Any,
+    model: InteractionModel,
+    scheduler: Scheduler,
+    adversary: Optional[Any],
+    initial_configuration: Configuration,
+    max_steps: int,
+    stop_condition: Optional[Callable[[Any], bool]],
+    trace_policy: str,
+    ring_size: Optional[int],
+    chunk_size: Optional[int],
+) -> RunResult:
+    """The python backend's :meth:`SimulationEngine.execute` body.
+
+    Argument validation stays in the callers: :meth:`~SimulationEngine.execute`
+    checks the budget and population for every backend, and
+    :meth:`~SimulationEngine.replay` needs neither check.
+    """
+    recorder = make_recorder(trace_policy, ring_size)
+    buffer = MutableConfiguration(initial_configuration)
+    watch = None
+    if stop_condition is not None:
+        watch = Watch(1, False, lambda *_step: stop_condition(buffer))
+
+    executed, stopped, _chunks = run_core(
+        program,
+        model,
+        scheduler,
+        adversary,
+        buffer,
+        recorder,
+        max_steps,
+        watch,
+        chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
+    )
+    final = buffer.freeze()
+    return RunResult(
+        policy=recorder.policy,
+        steps=executed,
+        omissions=recorder.omissions,
+        final_configuration=final,
+        trace=recorder.build_trace(initial_configuration, final),
+        last_steps=recorder.last_steps(),
+        stopped=stopped,
+    )

@@ -56,7 +56,7 @@ from repro.adversary.omission import (
     UOAdversary,
 )
 from repro.core.naming import KnownSizeSimulator
-from repro.engine.backends import BackendUnavailableError, get_backend, validate_backend
+from repro.engine.backends import BackendUnavailableError, load_array_backend, validate_backend
 from repro.engine.backends.base import unbounded_state_space_error
 from repro.engine.fastpath import AgentCountPredicate
 from repro.core.sid import SIDSimulator
@@ -605,14 +605,12 @@ def resolve_backend(
         reason = _unbounded_state_space_reason(built.program)
     if reason is None:
         try:
-            get_backend("array")
+            array_backend = load_array_backend()
         except BackendUnavailableError as error:
             reason = str(error)
     if reason is None:
-        from repro.engine.backends.array_backend import probe_compile
-
         built = build_cached(spec)
-        reason = probe_compile(
+        reason = array_backend.probe_compile(
             built.program,
             built.model,
             scheduler=built.make_scheduler(seed=0),

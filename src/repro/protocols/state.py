@@ -13,25 +13,18 @@ in reachability searches (e.g. the FTT breadth-first search of
 ``repro.adversary.ftt``) and deduplicated inside execution traces.
 
 For the columnar array engine (:mod:`repro.engine.backends.array_backend`)
-this module additionally provides the dense state encoding:
-
-* :class:`StateInterner` — a bijection between a finite state set and the
-  codes ``0 .. k-1``, fixed in a deterministic order so the same protocol
-  compiles to the same encoding in every process;
-* :class:`ArrayConfiguration` — a read-only view over a sequence of interned
-  codes that mirrors the :class:`Configuration` read API and decodes states
-  on access, so columnar runs freeze back to ordinary configurations only at
-  explicit boundaries.
-
-Neither class depends on numpy: the interner is plain-Python and the view
-accepts any integer sequence (a list as well as an ``ndarray``), which keeps
-``import repro`` working on installs without the ``repro[fast]`` extra.
+this module additionally provides the dense state encoding,
+:class:`StateInterner`: a bijection between a finite state set and the
+codes ``0 .. k-1``, fixed in a deterministic order so the same protocol
+compiles to the same encoding in every process.  It is plain Python, which
+keeps ``import repro`` working on installs without the ``repro[fast]``
+extra.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Tuple
 
 State = Hashable
 
@@ -397,101 +390,3 @@ class StateInterner:
         """Decode a sequence of codes back to states."""
         states = self._states
         return [states[code] for code in codes]
-
-
-class ArrayConfiguration:
-    """A read-only configuration view over interned state codes.
-
-    Wraps a sequence of codes (a plain list or a numpy array — this class
-    never imports numpy) plus the :class:`StateInterner` that produced them,
-    and mirrors the :class:`Configuration` read API by decoding on access.
-    Like :class:`MutableConfiguration` it is unhashable and only valid while
-    the underlying code array is not mutated; :meth:`freeze` materialises an
-    immutable :class:`Configuration` of the original states.
-    """
-
-    __slots__ = ("_codes", "_interner")
-
-    def __init__(self, codes: Sequence[int], interner: StateInterner) -> None:
-        self._codes = codes
-        self._interner = interner
-
-    @property
-    def interner(self) -> StateInterner:
-        return self._interner
-
-    @property
-    def codes(self) -> Sequence[int]:
-        """The underlying code sequence (not a copy; do not mutate)."""
-        return self._codes
-
-    # -- container protocol --------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __iter__(self) -> Iterator[State]:
-        states = self._interner.states
-        return (states[code] for code in self._codes)
-
-    def __getitem__(self, index: int) -> State:
-        return self._interner.states[self._codes[index]]
-
-    __hash__ = None  # a live view must not be used as a dict key
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, ArrayConfiguration):
-            return list(self) == list(other)
-        if isinstance(other, (Configuration, MutableConfiguration)):
-            return tuple(self) == tuple(other.states)
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"ArrayConfiguration({list(self)!r})"
-
-    # -- read API mirroring Configuration ------------------------------------
-
-    @property
-    def states(self) -> Tuple[State, ...]:
-        """A decoded tuple snapshot of the current states."""
-        return tuple(self)
-
-    def _cached_multiset(self) -> Counter:
-        # No caching on a live view; exists so same_multiset interoperates.
-        return Counter(self)
-
-    def multiset(self) -> Counter:
-        """The multiset of states currently in the view."""
-        return Counter(self)
-
-    def count(self, state: State) -> int:
-        """Number of agents currently in ``state`` (0 for unknown states)."""
-        if state not in self._interner:
-            return 0
-        code = self._interner.encode(state)
-        return sum(1 for c in self._codes if c == code)
-
-    def count_if(self, predicate: Callable[[State], bool]) -> int:
-        """Number of agents whose decoded state satisfies ``predicate``."""
-        return sum(1 for s in self if predicate(s))
-
-    def histogram(self) -> Dict[State, int]:
-        """A plain ``dict`` mapping each present state to its multiplicity."""
-        return dict(Counter(self))
-
-    def project(self, projection: Callable[[State], State]) -> Configuration:
-        """An immutable snapshot with ``projection`` applied to every state."""
-        return Configuration(projection(s) for s in self)
-
-    def same_multiset(self, other: Any) -> bool:
-        """``True`` when equal to ``other`` up to agent permutation."""
-        return Counter(self) == other._cached_multiset()
-
-    # -- freeze boundary -----------------------------------------------------
-
-    def freeze(self) -> Configuration:
-        """An immutable :class:`Configuration` of the decoded states."""
-        states = self._interner.states
-        return Configuration(states[code] for code in self._codes)

@@ -40,9 +40,9 @@ from hypothesis import strategies as st
 
 from repro.core.skno import SKnOSimulator
 from repro.core.trivial import TrivialTwoWaySimulator
-from repro.engine.backends import BackendCompileError, get_backend
+from repro.engine.backends import BackendCompileError
 from repro.engine.convergence import run_until_stable
-from repro.engine.engine import SimulationEngine
+from repro.engine.engine import EngineError, SimulationEngine
 from repro.engine.experiment import repeat_experiment
 from repro.engine.fastpath import AgentCountPredicate
 from repro.interaction.models import get_model
@@ -518,6 +518,17 @@ class TestCompileErrors:
         with pytest.raises(BackendCompileError, match="finite"):
             run_until_stable(
                 engine, initial, predicate, max_steps=float("inf"),
+                trace_policy="counts-only")
+
+    def test_negative_budget_is_an_engine_error(self):
+        # An argument error on both entry points, as on the python
+        # backend, not a compile error.
+        engine, initial, predicate = self._engine()
+        with pytest.raises(EngineError, match="non-negative"):
+            engine.execute(initial, -1, trace_policy="counts-only")
+        with pytest.raises(EngineError, match="non-negative"):
+            run_until_stable(
+                engine, initial, predicate, max_steps=-1,
                 trace_policy="counts-only")
 
 

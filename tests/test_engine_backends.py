@@ -17,14 +17,15 @@ from repro.cli import build_parser
 from repro.engine.backends import (
     ENGINE_BACKENDS,
     BackendUnavailableError,
-    get_backend,
     validate_backend,
 )
-from repro.engine.backends.python_backend import PythonBackend
-from repro.engine.engine import SimulationEngine
+from repro.engine.convergence import run_until_stable
+from repro.engine.engine import EngineError, SimulationEngine
+from repro.engine.fastpath import AgentCountPredicate
 from repro.interaction.models import get_model
 from repro.protocols.catalog.epidemic import EpidemicProtocol
 from repro.protocols.registry import ExperimentSpec
+from repro.protocols.state import Configuration
 from repro.scheduling.scheduler import RandomScheduler
 
 
@@ -46,18 +47,11 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="unknown engine backend"):
             validate_backend("gpu")
         with pytest.raises(ValueError, match="unknown engine backend"):
-            get_backend("gpu")
-        with pytest.raises(ValueError, match="unknown engine backend"):
             SimulationEngine(
                 EpidemicProtocol(), get_model("TW"),
                 RandomScheduler(4, seed=0), backend="gpu")
         with pytest.raises(ValueError, match="unknown engine backend"):
             ExperimentSpec(protocol="epidemic", population=4, backend="gpu")
-
-    def test_python_backend_resolves_and_is_shared(self):
-        backend = get_backend("python")
-        assert isinstance(backend, PythonBackend)
-        assert get_backend("python") is backend
 
     def test_engine_defaults_to_python(self):
         engine = SimulationEngine(
@@ -85,8 +79,31 @@ class TestBackendRegistry:
     @pytest.mark.skipif(
         _numpy_available(), reason="exercises the install without repro[fast]")
     def test_array_backend_unavailable_error_is_actionable(self):
+        # Both engine entry points, on an engine that validated "array"
+        # without importing anything.
+        engine = SimulationEngine(
+            EpidemicProtocol(), get_model("TW"),
+            RandomScheduler(4, seed=0), backend="array")
+        initial = Configuration(["I", "S", "S", "S"])
         with pytest.raises(BackendUnavailableError, match=r"repro\[fast\]"):
-            get_backend("array")
+            engine.execute(initial, 10, trace_policy="counts-only")
+        with pytest.raises(BackendUnavailableError, match=r"repro\[fast\]"):
+            run_until_stable(
+                engine, initial, AgentCountPredicate(lambda state: state == "I"),
+                max_steps=10, trace_policy="counts-only")
+
+
+class TestStepBudget:
+    def test_negative_budget_raises_on_both_entry_points(self):
+        engine = SimulationEngine(
+            EpidemicProtocol(), get_model("TW"), RandomScheduler(4, seed=0))
+        initial = Configuration(["I", "S", "S", "S"])
+        with pytest.raises(EngineError, match="non-negative"):
+            engine.execute(initial, -1)
+        with pytest.raises(EngineError, match="non-negative"):
+            run_until_stable(
+                engine, initial, AgentCountPredicate(lambda state: state == "I"),
+                max_steps=-1)
 
 
 class TestSpecBackendField:

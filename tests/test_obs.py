@@ -23,6 +23,7 @@ from repro.cli import main
 from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
 from repro.engine.experiment import repeat_experiment
+from repro.engine.fastpath import AgentCountPredicate
 from repro.engine.transport import shm_unavailable_reason
 from repro.obs import (
     NULL_RECORDER,
@@ -297,6 +298,23 @@ class TestEngineSeam:
                 trace_policy="counts-only", chunk_size=64)
         assert result.steps_executed == 1_000
         assert len(draws) == 9
+        assert recorder.snapshot()["counters"]["engine.chunks"] == 9
+
+    def test_array_chunks_counter_counts_scheduler_draws_not_injections(self):
+        """The array twin: the columnar loop reports its own draw count."""
+        pytest.importorskip("numpy")
+        model = get_model("T3")
+        engine = SimulationEngine(EpidemicProtocol(), model,
+                                  RandomScheduler(8, seed=1),
+                                  adversary=UOAdversary(model, rate=1.0, seed=1),
+                                  backend="array")
+        recorder = MetricsRecorder()
+        with recording(recorder):
+            result = run_until_stable(
+                engine, Configuration([INFORMED] + [SUSCEPTIBLE] * 7),
+                AgentCountPredicate(lambda state: False), max_steps=1_000,
+                trace_policy="counts-only", chunk_size=64)
+        assert result.steps_executed == 1_000
         assert recorder.snapshot()["counters"]["engine.chunks"] == 9
 
 

@@ -1,4 +1,4 @@
-"""State interning and the ``ArrayConfiguration`` view.
+"""State interning.
 
 These are the numpy-free foundations of the array engine: the tests run on
 every install (no ``repro[fast]`` extra required) and pin
@@ -6,16 +6,12 @@ every install (no ``repro[fast]`` extra required) and pin
 * the :class:`~repro.protocols.state.StateInterner` round-trip properties
   (encode/decode bijection, deduplication, deterministic order, clear
   errors on unknown states);
-* the :class:`~repro.protocols.state.ArrayConfiguration` read API mirroring
-  :class:`~repro.protocols.state.Configuration`;
 * the ``state_order()`` export on every catalog protocol (a canonical
   permutation of the declared state set — the array engine's interning
   contract).
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,13 +21,7 @@ from repro.core.trivial import TrivialTwoWaySimulator
 from repro.protocols.catalog import CATALOG
 from repro.protocols.catalog.epidemic import OneWayEpidemicProtocol
 from repro.protocols.protocol import ProtocolError, RuleBasedProtocol
-from repro.protocols.state import (
-    ArrayConfiguration,
-    Configuration,
-    InterningError,
-    MutableConfiguration,
-    StateInterner,
-)
+from repro.protocols.state import Configuration, InterningError, StateInterner
 
 # Hashable, repr-distinguishable states of the kinds the catalog uses.
 state_values = st.one_of(
@@ -84,43 +74,6 @@ class TestStateInterner:
         assert 0 in interner and 1 in interner and 2 not in interner
         with pytest.raises(ValueError):
             StateInterner([])
-
-
-class TestArrayConfiguration:
-    def _view(self, states):
-        interner = StateInterner(sorted(set(states), key=repr))
-        return ArrayConfiguration(interner.encode_all(states), interner), states
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(state_values, min_size=1, max_size=30))
-    def test_mirrors_configuration_read_api(self, states):
-        view, _ = self._view(states)
-        reference = Configuration(states)
-        assert len(view) == len(reference)
-        assert list(view) == list(reference)
-        assert view.states == reference.states
-        assert view.multiset() == reference.multiset()
-        assert view.histogram() == reference.histogram()
-        for state in set(states):
-            assert view.count(state) == reference.count(state)
-        assert view.count(object()) == 0
-        assert view.count_if(lambda s: True) == len(states)
-        assert view.freeze() == reference
-        assert view == reference
-        assert view.same_multiset(reference)
-
-    def test_equality_and_projection(self):
-        view, states = self._view(["a", "b", "a"])
-        assert view == ("a", "b", "a")
-        assert view == MutableConfiguration(["a", "b", "a"])
-        assert view != Configuration(["b", "a", "a"])
-        assert view.project(str.upper) == Configuration(["A", "B", "A"])
-        assert view[1] == "b"
-        assert view.__hash__ is None
-
-    def test_multiset_interop_with_counter(self):
-        view, _ = self._view([1, 1, 2])
-        assert view._cached_multiset() == Counter({1: 2, 2: 1})
 
 
 class TestCatalogStateOrder:
