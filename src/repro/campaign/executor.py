@@ -55,6 +55,7 @@ from repro.campaign.runner import (
     progress_line,
 )
 from repro.campaign.store import _BaseStore
+from repro.engine.experiment import check_fanout
 from repro.obs.recorder import NULL_RECORDER, get_recorder
 
 
@@ -164,7 +165,12 @@ class CampaignQueue:
                jobs_backend: str = "thread", run_chunk: int = 1,
                result_transport: str = "pickle") -> QueuedCampaign:
         """Enqueue a campaign.  ``priority`` defaults to the spec's own
-        ``priority`` field; larger values drain first."""
+        ``priority`` field; larger values drain first.
+
+        Invalid fan-out settings raise :class:`ValueError` here, before
+        any cell runs, instead of being persisted as per-cell ``error``
+        verdicts (:func:`~repro.engine.experiment.check_fanout`)."""
+        check_fanout(jobs, jobs_backend, run_chunk, result_transport)
         entry = QueuedCampaign(
             plan=plan,
             store=store,

@@ -97,9 +97,7 @@ from repro.engine.backends import (
     ENGINE_BACKENDS,
     load_array_backend,
 )
-from repro.engine.convergence import run_until_stable
-from repro.engine.engine import SimulationEngine
-from repro.engine.experiment import JOBS_BACKENDS, repeat_experiment
+from repro.engine.experiment import JOBS_BACKENDS, repeat_experiment, run_spec
 from repro.engine.transport import (
     RESULT_TRANSPORTS,
     TransportError,
@@ -129,10 +127,10 @@ from repro.protocols.registry import (
     SCHEDULERS,
     SIMULATORS,
     ExperimentSpec,
+    build_cached,
     build_simulator,
     default_initial_configuration,
     resolve_backend,
-    stable_output_predicate,
 )
 from repro.protocols.state import Configuration
 
@@ -140,8 +138,13 @@ SIMULATOR_CHOICES = ("none", "skno", "sid", "known-n")
 
 
 def _experiment_spec(args, protocol_kwargs) -> ExperimentSpec:
-    """The registry spec for ``repro run``'s arguments (both run paths)."""
-    return ExperimentSpec(
+    """The registry spec for ``repro run``'s arguments, backend pinned.
+
+    ``--engine-backend auto`` is resolved here, against the run's actual
+    trace policy, so what is probed is what will execute, and the choice
+    is announced once, before any run starts.
+    """
+    spec = ExperimentSpec(
         protocol=args.protocol,
         protocol_kwargs=protocol_kwargs,
         population=args.population,
@@ -156,17 +159,8 @@ def _experiment_spec(args, protocol_kwargs) -> ExperimentSpec:
         chunk_size=args.chunk_size,
         backend=args.engine_backend,
     )
-
-
-def _resolve_cli_backend(args, protocol_kwargs) -> str:
-    """Pin ``--engine-backend auto`` for this run, announcing the choice.
-
-    Resolution happens against the run's actual trace policy, so what is
-    probed is what will execute; concrete backends pass through silently.
-    """
-    if args.engine_backend != "auto":
-        return args.engine_backend
-    spec = _experiment_spec(args, protocol_kwargs)
+    if spec.backend != "auto":
+        return spec
     try:
         resolution = resolve_backend(spec, trace_policy=args.trace_policy)
     except (BackendError, KeyError, TypeError, ValueError) as error:
@@ -175,7 +169,7 @@ def _resolve_cli_backend(args, protocol_kwargs) -> str:
     if resolution.reason:
         line += f" ({resolution.reason})"
     print(line)
-    return resolution.backend
+    return dataclasses.replace(spec, backend=resolution.backend)
 
 
 @contextmanager
@@ -213,8 +207,7 @@ def _run_command(args) -> int:
     protocol = get_protocol(args.protocol, **protocol_kwargs)
     model = get_model(args.model)
     try:
-        initial_projected = default_initial_configuration(
-            protocol, args.population, ones=args.ones)
+        default_initial_configuration(protocol, args.population, ones=args.ones)
     except KeyError as error:
         # KeyError repr-quotes str(error); unwrap to keep the message clean.
         raise SystemExit(error.args[0])
@@ -229,41 +222,24 @@ def _run_command(args) -> int:
         raise SystemExit(f"model {model.name} does not admit omissions")
     if args.runs < 1:
         raise SystemExit("--runs must be at least 1")
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be at least 1")
-    if args.run_chunk < 1:
-        raise SystemExit("--run-chunk must be at least 1")
+    _check_fanout_flags(args)
     if args.chunk_size is not None and args.chunk_size < 1:
         raise SystemExit("--chunk-size must be at least 1")
-    _check_explicit_shm_transport(args.result_transport, args.backend)
 
+    spec = _experiment_spec(args, protocol_kwargs)
     if args.runs > 1:
-        return _run_repeated(args, protocol, model, simulator, protocol_kwargs)
+        return _run_repeated(args, spec, protocol, model, simulator)
 
-    config = simulator.initial_configuration(initial_projected)
-    predicate = stable_output_predicate(simulator, protocol, initial_projected)
-
-    adversary = None
-    if args.omissions > 0:
-        adversary = ADVERSARIES[args.adversary](model, args.omissions, seed=args.seed)
-
-    scheduler = SCHEDULERS[args.scheduler](args.population, seed=args.seed)
-    engine_backend = _resolve_cli_backend(args, protocol_kwargs)
-    engine = SimulationEngine(
-        simulator, model, scheduler, adversary=adversary,
-        backend=engine_backend)
     try:
-        outcome = run_until_stable(engine, config, predicate, max_steps=args.max_steps,
-                                   stability_window=args.stability_window,
-                                   trace_policy=args.trace_policy,
-                                   ring_size=args.ring_size,
-                                   chunk_size=args.chunk_size)
+        outcome = run_spec(spec, 0, args.seed, args.max_steps,
+                           args.stability_window, args.trace_policy,
+                           args.ring_size)
     except BackendError as error:
         raise SystemExit(f"--engine-backend {args.engine_backend}: {error}")
 
     report = None
     if args.trace_policy == "full":
-        report = verify_simulation(simulator, outcome.trace)
+        report = verify_simulation(build_cached(spec).program, outcome.trace)
 
     rows = [
         ["protocol", protocol.name],
@@ -303,19 +279,22 @@ def _print_ring_dump(last_steps, run_label: str = "run") -> None:
     print(format_table(["step", "interaction", "starter", "reactor"], rows))
 
 
-def _check_explicit_shm_transport(result_transport: str,
-                                  jobs_backend: str) -> None:
-    """Validate ``--result-transport shm`` up front, before any work runs.
+def _check_fanout_flags(args) -> None:
+    """Validate the run fan-out flags up front, before any work runs.
 
-    Explicit shm is strict by contract: it needs the process fan-out
-    backend and a usable shared-memory subsystem, and the error must name
-    the fallback flag.  Checking here (rather than letting
-    ``repeat_experiment`` raise mid-campaign) keeps transport
+    Explicit ``--result-transport shm`` is strict by contract: it needs
+    the process fan-out backend and a usable shared-memory subsystem, and
+    the error must name the fallback flag.  Checking here (rather than
+    letting ``repeat_experiment`` raise mid-campaign) keeps fan-out
     misconfiguration a CLI error, never a per-cell error verdict.
     """
-    if result_transport != "shm":
+    if args.jobs < 1:
+        raise SystemExit("--jobs must be at least 1")
+    if args.run_chunk < 1:
+        raise SystemExit("--run-chunk must be at least 1")
+    if args.result_transport != "shm":
         return
-    if jobs_backend != "process":
+    if args.backend != "process":
         raise SystemExit(
             "--result-transport shm crosses process boundaries; combine it "
             "with --backend process (or use --result-transport auto)")
@@ -326,19 +305,12 @@ def _check_explicit_shm_transport(result_transport: str,
             "rerun with --result-transport pickle")
 
 
-def _run_repeated(args, protocol, model, simulator, protocol_kwargs) -> int:
+def _run_repeated(args, spec, protocol, model, simulator) -> int:
     """``repro run --runs N [--jobs J] [--backend B]``: the batch-experiment path.
 
-    The experiment is described by a picklable registry spec, so the thread
+    Every run is :func:`run_spec` of the same registry spec, so the thread
     and process backends execute byte-identical runs and merge the same way.
     """
-    spec = _experiment_spec(args, protocol_kwargs)
-    if spec.backend == "auto":
-        # Resolve (and announce) here rather than inside repeat_experiment
-        # so the user sees which backend won and why before the runs start.
-        spec = dataclasses.replace(
-            spec, backend=_resolve_cli_backend(args, protocol_kwargs))
-
     validate = None
     if args.trace_policy == "full":
         def validate(outcome) -> Optional[str]:
@@ -513,11 +485,7 @@ def _campaign_action(args) -> int:
             raise SystemExit("--max-cells must be at least 1")
         if args.cell_jobs < 1:
             raise SystemExit("--cell-jobs must be at least 1")
-        if args.jobs < 1:
-            raise SystemExit("--jobs must be at least 1")
-        if args.run_chunk < 1:
-            raise SystemExit("--run-chunk must be at least 1")
-        _check_explicit_shm_transport(args.result_transport, args.backend)
+        _check_fanout_flags(args)
     plan, store_path = _load_campaign(args)
     campaign = plan.campaign
 

@@ -6,27 +6,27 @@ per-run success criterion, and aggregate convergence statistics.  This
 module factors that pattern out so benchmarks and integration tests stay
 declarative.
 
-Two fan-out backends are available for ``runs > 1``:
+A system is described by one picklable
+:class:`~repro.protocols.registry.ExperimentSpec` (protocol × simulator ×
+model × omission adversary × scheduler, by registry key); a spec plus a
+seed fixes a run, and :func:`run_spec` executes it.  Sequential runs call
+it directly; for ``jobs > 1`` both fan-out pools submit the same batch
+worker, :func:`run_spec_batch` (:func:`run_spec_batch_shm` under shm):
 
 ``thread`` (default)
-    A :class:`~concurrent.futures.ThreadPoolExecutor` sharing the live
-    ``program``/``model`` objects.  Cheap to start and sufficient whenever
-    runs spend their time outside the GIL — but pure-Python protocols are
-    CPU-bound, so threads serialize on the interpreter lock.
+    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap to start,
+    but pure-Python protocols are CPU-bound, so threads serialize on the
+    interpreter lock.
 ``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` fed **registry keys
-    and seeds instead of closures**: the experiment must be described by a
-    picklable :class:`~repro.protocols.registry.ExperimentSpec`, which each
-    worker resolves against its own imported registries
-    (:mod:`repro.protocols.registry`).  This sidesteps the GIL for
-    CPU-heavy protocols at the cost of per-run result pickling.
+    A :class:`~concurrent.futures.ProcessPoolExecutor`: each worker
+    resolves the spec against its own imported registries.  This
+    sidesteps the GIL at the cost of per-run result pickling.
 
 For short runs that pickling dominates: ``run_chunk=K`` ships seeds in
-batches of ``K`` consecutive run indices per executor task
-(:func:`run_spec_batch`), amortizing task submission and result transfer
-over the whole batch — one future, one pickled list, instead of ``K`` of
-each.  Batches are merged per-batch in submission order, so the aggregate
-stays deterministic.
+batches of ``K`` consecutive run indices per executor task, amortizing
+task submission and result transfer over the whole batch — one future,
+one pickled list, instead of ``K`` of each.  Batches are merged
+per-batch in submission order, so the aggregate stays deterministic.
 
 On top of chunking, ``result_transport`` selects *how* a batch's results
 cross the process boundary: ``pickle`` (the seed path — one pickled
@@ -49,25 +49,22 @@ from __future__ import annotations
 import statistics
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
 from repro.engine.convergence import ConvergenceResult, run_until_stable
 from repro.engine.engine import SimulationEngine
-from repro.engine.fastpath import IncrementalPredicate
 from repro.engine.transport import (
     ShmBatch,
+    check_transport,
     decode_batch,
     dispose_batch,
     encode_batch,
     resolve_transport,
 )
-from repro.obs.recorder import NULL_RECORDER, Recorder, get_recorder
-from repro.interaction.models import InteractionModel
+from repro.obs.recorder import NULL_RECORDER, Recorder, get_recorder, set_recorder
 from repro.protocols.registry import ExperimentSpec, build_cached, resolved_spec
-from repro.protocols.state import Configuration
-from repro.scheduling.scheduler import RandomScheduler
 
 #: The selectable fan-out backends for ``repeat_experiment(jobs > 1)``.
 JOBS_BACKENDS = ("thread", "process")
@@ -165,13 +162,16 @@ def run_spec(
     ring_size: Optional[int] = None,
     materialize_final: bool = True,
 ) -> ConvergenceResult:
-    """Execute one seeded run of ``spec`` (the process-pool worker function).
+    """Execute one seeded run of ``spec``: the one run path.
 
-    Top-level by design: process backends ship this function by qualified
-    name plus its picklable arguments.  The spec build (protocol, simulator,
-    initial configuration, prepared predicate) and the array backend's
-    compiled tables are memoised per process, and resolving an ``auto``
-    spec already fills both memos under the resolved spec.  So a planned
+    :func:`repeat_experiment` (every fan-out mode, through
+    :func:`run_spec_batch`) and ``repro run`` execute their runs here.
+    Top-level by design: process backends ship the batch worker by
+    qualified name plus its picklable arguments.  The spec build
+    (protocol, simulator, initial configuration, prepared predicate) and
+    the array backend's compiled tables are memoised per process, and
+    resolving an ``auto`` spec already fills both memos under the
+    resolved spec.  So a planned
     cell's runs reuse the planner's objects, in this process and in
     workers forked after planning; a worker that does not inherit them
     builds them once, at O(distinct states) Python calls.
@@ -226,7 +226,7 @@ def run_spec_batch(
 ) -> List[ConvergenceResult]:
     """Execute ``count`` consecutive seeded runs of ``spec`` in one worker task.
 
-    The chunked-fan-out worker (``run_chunk > 1``): one submitted task —
+    The fan-out worker of both pools: one submitted task —
     and, on the process backend, one pickled argument tuple and one
     pickled result list — covers run indices ``start_index ..
     start_index + count - 1``, amortizing the per-run dispatch overhead
@@ -274,45 +274,48 @@ def run_spec_batch_shm(
         trace_policy, ring_size, materialize_final))
 
 
+def check_fanout(jobs: int, jobs_backend: str, run_chunk: int,
+                 result_transport: str) -> None:
+    """Reject invalid fan-out settings with a :class:`ValueError`.
+
+    Checks only the settings, so callers can run it before any work
+    starts; host state (is shared memory usable?) is checked when the
+    fan-out resolves its transport.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if run_chunk < 1:
+        raise ValueError("run_chunk must be at least 1")
+    if jobs_backend not in JOBS_BACKENDS:
+        raise ValueError(
+            f"unknown jobs_backend {jobs_backend!r}; expected one of {JOBS_BACKENDS}")
+    check_transport(result_transport, jobs_backend)
+
+
 def repeat_experiment(
-    program: Any = None,
-    model: Optional[InteractionModel] = None,
-    initial_configuration: Optional[Configuration] = None,
-    predicate: Any = None,
+    spec: ExperimentSpec,
     runs: int = 10,
     max_steps: int = 100_000,
     stability_window: int = 0,
     base_seed: int = 0,
-    adversary_factory: Optional[Callable[[int], Any]] = None,
     validate: Optional[Callable[[ConvergenceResult], Optional[str]]] = None,
     jobs: int = 1,
     trace_policy: Optional[str] = None,
-    predicate_factory: Optional[Callable[[int], Any]] = None,
     jobs_backend: str = "thread",
-    spec: Optional[ExperimentSpec] = None,
     ring_size: Optional[int] = None,
     run_chunk: int = 1,
     result_transport: str = "pickle",
 ) -> ExperimentResult:
-    """Run the same system ``runs`` times with different scheduler seeds.
+    """Run ``spec`` ``runs`` times, run ``i`` with scheduler seed ``base_seed + i``.
 
-    The system is described either by live objects (``program``, ``model``,
-    ``initial_configuration``, ``predicate``/``predicate_factory``,
-    ``adversary_factory`` — the original API, thread/sequential backends
-    only) or by a picklable ``spec`` (required for the process backend,
-    accepted by every backend; the live-object parameters must then be
-    omitted).
+    A run "succeeds" when the spec's predicate stabilises within
+    ``max_steps`` interactions.  Every run builds fresh schedulers,
+    adversaries and predicates from the spec (:func:`run_spec`), so runs
+    share nothing mutable on any backend.  Invalid fan-out settings raise
+    :class:`ValueError` (:func:`check_fanout`).
 
     Parameters
     ----------
-    predicate:
-        Convergence predicate on configurations (plain callable or
-        :class:`~repro.engine.fastpath.IncrementalPredicate`); a run
-        "succeeds" when the predicate stabilises within ``max_steps``
-        interactions.
-    adversary_factory:
-        Optional callable mapping the run index to a fresh adversary
-        instance (adversaries are stateful, so each run needs its own).
     validate:
         Optional extra per-run validation executed on the
         :class:`ConvergenceResult`; it returns ``None`` when the run is
@@ -323,29 +326,14 @@ def repeat_experiment(
         Number of workers for the per-seed fan-out.  Runs are dispatched to
         the selected backend and merged back in run-index order, so the
         aggregate result is deterministic and identical to the sequential
-        one.  On the thread backend, ``program`` and ``model`` are shared
-        across workers and must be stateless (all catalog protocols and
-        simulators are); schedulers and adversaries are per-run.
+        one.
     jobs_backend:
-        ``"thread"`` (default) or ``"process"``.  The process backend
-        requires ``spec``: workers receive only the spec and seeds —
-        registry keys instead of closures — and return picklable
-        :class:`ConvergenceResult` values.
+        ``"thread"`` (default) or ``"process"``.
     trace_policy:
         Trace policy forwarded to :func:`run_until_stable`.  Defaults to
         ``"counts-only"`` (the fast path — the aggregate only needs counts)
         unless ``validate`` is given, in which case the full trace is
         recorded so validators can inspect it.
-    predicate_factory:
-        Optional callable mapping the run index to a fresh predicate;
-        required instead of ``predicate`` when using a *stateful*
-        incremental predicate with ``jobs > 1``.
-    spec:
-        Picklable :class:`~repro.protocols.registry.ExperimentSpec`
-        describing the whole system; mutually exclusive with the
-        live-object parameters.  Every run builds fresh predicates and
-        adversaries from the spec's registry keys, so stateful incremental
-        predicates need no ``predicate_factory`` here.
     ring_size:
         Window size forwarded to :func:`run_until_stable` under the
         ``ring`` trace policy; the trailing windows of the first few
@@ -369,37 +357,7 @@ def repeat_experiment(
         ``run_chunk``, purely a mechanism knob: the merged aggregate is
         identical for every transport.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    if run_chunk < 1:
-        raise ValueError("run_chunk must be at least 1")
-    if jobs_backend not in JOBS_BACKENDS:
-        raise ValueError(
-            f"unknown jobs_backend {jobs_backend!r}; expected one of {JOBS_BACKENDS}")
-    if spec is not None:
-        conflicting = [
-            name for name, value in (
-                ("program", program),
-                ("model", model),
-                ("initial_configuration", initial_configuration),
-                ("predicate", predicate),
-                ("predicate_factory", predicate_factory),
-                ("adversary_factory", adversary_factory),
-            ) if value is not None
-        ]
-        if conflicting:
-            raise ValueError(
-                "spec fully describes the system; do not also pass "
-                + ", ".join(conflicting))
-    elif jobs_backend == "process":
-        raise ValueError(
-            "the process backend ships registry keys, not closures; "
-            "describe the experiment with an ExperimentSpec (spec=...)")
-    if jobs > 1 and predicate_factory is None and isinstance(predicate, IncrementalPredicate):
-        raise ValueError(
-            "incremental predicates are stateful; pass predicate_factory "
-            "instead of a shared predicate when jobs > 1"
-        )
+    check_fanout(jobs, jobs_backend, run_chunk, result_transport)
     if validate is not None and trace_policy not in (None, "full"):
         raise ValueError(
             "validate inspects the full trace; it cannot be combined with "
@@ -411,37 +369,10 @@ def repeat_experiment(
     transport = resolve_transport(
         result_transport, jobs_backend=jobs_backend, trace_policy=policy,
         process_fanout=(jobs > 1 and runs > 1 and jobs_backend == "process"))
-
-    if spec is not None and spec.backend == "auto":
-        # Resolve once up front (against the run's actual trace policy) so
-        # every fan-out mode — sequential, thread, process, any run_chunk —
-        # executes the same concrete backend.
-        spec, _ = resolved_spec(spec, policy)
-
-    if spec is not None:
-        def execute_run(run_index: int) -> ConvergenceResult:
-            return run_spec(
-                spec, run_index, base_seed, max_steps, stability_window, policy,
-                ring_size)
-    else:
-        n = len(initial_configuration)
-
-        def execute_run(run_index: int) -> ConvergenceResult:
-            scheduler = RandomScheduler(n, seed=base_seed + run_index)
-            adversary = adversary_factory(run_index) if adversary_factory else None
-            engine = SimulationEngine(program, model, scheduler, adversary=adversary)
-            run_predicate = (
-                predicate_factory(run_index) if predicate_factory is not None else predicate
-            )
-            return run_until_stable(
-                engine,
-                initial_configuration,
-                run_predicate,
-                max_steps=max_steps,
-                stability_window=stability_window,
-                trace_policy=policy,
-                ring_size=ring_size,
-            )
+    # Resolve once up front (against the run's actual trace policy) so
+    # every fan-out mode — sequential, thread, process, any run_chunk —
+    # executes the same concrete backend.
+    spec, _ = resolved_spec(spec, policy)
 
     result = ExperimentResult(runs=0, successes=0)
 
@@ -470,41 +401,44 @@ def repeat_experiment(
             obs.counter(f"fanout.backend.{jobs_backend}")
             obs.counter(f"fanout.transport.{transport}")
             obs.gauge("fanout.workers", workers)
-        if jobs_backend == "process":
-            if transport == "shm":
-                worker, receive, dispose = \
-                    run_spec_batch_shm, decode_batch, dispose_batch
-            else:
-                worker, receive, dispose = run_spec_batch, None, None
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                submit = lambda start, count: executor.submit(  # noqa: E731
-                    worker, spec, start, count, base_seed, max_steps,
-                    stability_window, policy, ring_size)
-                if obs is not NULL_RECORDER:
-                    # Worker processes start with the NullRecorder, so
-                    # engine counters stay parent-side; what the parent can
-                    # see — batch latency and the transport lane each batch
-                    # actually rode — is recorded here.
-                    submit = _timed_submit(obs, submit)
-                    receive = _counted_receive(obs, receive)
-                _merge_windowed(submit, runs, run_chunk, workers, merge,
-                                receive=receive, dispose=dispose)
+        if transport == "shm":
+            worker, receive, dispose = run_spec_batch_shm, decode_batch, dispose_batch
         else:
-            def execute_batch(start: int, count: int) -> List[ConvergenceResult]:
-                return [execute_run(start + offset) for offset in range(count)]
-
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                submit = lambda start, count: executor.submit(  # noqa: E731
-                    execute_batch, start, count)
-                if obs is not NULL_RECORDER:
-                    submit = _timed_submit(obs, submit)
-                _merge_windowed(submit, runs, run_chunk, workers, merge)
+            worker, receive, dispose = run_spec_batch, None, None
+        pool: Executor
+        if jobs_backend == "process":
+            # A forked worker would inherit the parent's recorder, whose
+            # lock another parent thread may hold at fork time; workers
+            # record nothing (see repro.obs.recorder).
+            pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=_install_null_recorder)
+        else:
+            pool = ThreadPoolExecutor(max_workers=workers)
+        with pool as executor:
+            submit = lambda start, count: executor.submit(  # noqa: E731
+                worker, spec, start, count, base_seed, max_steps,
+                stability_window, policy, ring_size)
+            if obs is not NULL_RECORDER:
+                submit = _timed_submit(obs, submit)
+                if jobs_backend == "process":
+                    # What the parent can see of a process batch — its
+                    # latency and the transport lane it actually rode.
+                    receive = _counted_receive(obs, receive)
+            _merge_windowed(submit, runs, run_chunk, workers, merge,
+                            receive=receive, dispose=dispose)
     else:
         if obs is not NULL_RECORDER:
             obs.counter("fanout.backend.sequential")
         for run_index in range(runs):
-            merge(run_index, execute_run(run_index))
+            merge(run_index, run_spec(
+                spec, run_index, base_seed, max_steps, stability_window,
+                policy, ring_size))
     return result
+
+
+def _install_null_recorder() -> None:
+    """Process-pool initializer: the worker records nothing."""
+    set_recorder(NULL_RECORDER)
 
 
 def _timed_submit(obs: Recorder, submit: Callable) -> Callable:

@@ -124,6 +124,19 @@ def shm_unavailable_reason() -> Optional[str]:
     return _probe_reason
 
 
+def check_transport(transport: str, jobs_backend: str) -> None:
+    """Reject an unknown transport, or ``shm`` off the process backend."""
+    if transport not in RESULT_TRANSPORTS:
+        raise ValueError(
+            f"unknown result_transport {transport!r}; "
+            f"expected one of {RESULT_TRANSPORTS}")
+    if transport == "shm" and jobs_backend != "process":
+        raise ValueError(
+            "result_transport 'shm' crosses process boundaries; it "
+            "requires the process fan-out backend "
+            "(jobs_backend='process' / --backend process)")
+
+
 def resolve_transport(transport: str, *, jobs_backend: str, trace_policy: str,
                       process_fanout: bool) -> str:
     """Pin a ``result_transport`` request to the concrete lane to use.
@@ -138,16 +151,8 @@ def resolve_transport(transport: str, *, jobs_backend: str, trace_policy: str,
     usable, warning once and falling back to ``pickle`` when only the
     last condition fails.
     """
-    if transport not in RESULT_TRANSPORTS:
-        raise ValueError(
-            f"unknown result_transport {transport!r}; "
-            f"expected one of {RESULT_TRANSPORTS}")
+    check_transport(transport, jobs_backend)
     if transport == "shm":
-        if jobs_backend != "process":
-            raise ValueError(
-                "result_transport 'shm' crosses process boundaries; it "
-                "requires the process fan-out backend "
-                "(jobs_backend='process' / --backend process)")
         reason = shm_unavailable_reason()
         if reason is not None:
             raise TransportError(

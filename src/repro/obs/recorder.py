@@ -26,10 +26,14 @@ stream out to several of them.  All recorder methods are thread-safe
 where the implementation has state — campaign cell workers and fan-out
 drain threads record concurrently.
 
-Process boundaries are not crossed: a process-pool worker starts with
-the default :data:`NULL_RECORDER`, so engine-level metrics of a process
-fan-out are recorded parent-side only (per-batch latency and transport
-lane usage), never smuggled through pickled results.
+Process boundaries are not crossed: the fan-out's process pool
+(:func:`repro.engine.experiment.repeat_experiment`) installs
+:data:`NULL_RECORDER` in every worker through its initializer, so
+engine-level metrics of a process fan-out are recorded parent-side only
+(per-batch latency and transport lane usage), never smuggled through
+pickled results.  A worker forked without it would inherit the parent's
+recorder and its lock, and block forever on a lock some parent thread
+held at fork time.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
-"""Picklable experiment registry for process-based fan-out.
+"""Picklable experiment registry: the one way to describe a run.
 
-``ProcessPoolExecutor`` workers cannot receive the closures that the
-thread-based ``repeat_experiment`` path shares freely: convergence
-predicates close over simulators, adversary factories close over models,
+``ProcessPoolExecutor`` workers cannot receive live closures:
+convergence predicates close over simulators, adversaries hold models,
 and none of it pickles.  This module is the seam that makes process
 fan-out possible — every ingredient of an experiment is addressed by a
 **string key** into a module-level registry, and a whole experiment is

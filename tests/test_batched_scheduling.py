@@ -352,21 +352,6 @@ class TestProcessBackend:
         assert processed.convergence_steps == sequential.convergence_steps
         assert processed.failures == sequential.failures
 
-    def test_process_backend_requires_a_spec(self):
-        protocol = EpidemicProtocol()
-        with pytest.raises(ValueError, match="ExperimentSpec"):
-            repeat_experiment(
-                TrivialTwoWaySimulator(protocol), TW,
-                Configuration([INFORMED, SUSCEPTIBLE]),
-                predicate=lambda c: True,
-                runs=2, jobs=2, jobs_backend="process")
-
-    def test_spec_excludes_live_objects(self):
-        with pytest.raises(ValueError, match="do not also pass"):
-            repeat_experiment(
-                program=TrivialTwoWaySimulator(EpidemicProtocol()),
-                spec=self.SPEC, runs=2)
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="jobs_backend"):
             self._run(jobs=2, jobs_backend="fibers")

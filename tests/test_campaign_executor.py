@@ -345,6 +345,30 @@ def counting_build(monkeypatch):
 
 
 class TestCampaignQueue:
+    @pytest.mark.parametrize("fanout, message", [
+        ({"jobs": 0}, "jobs must be at least 1"),
+        ({"jobs_backend": "fibers"}, "unknown jobs_backend"),
+        ({"run_chunk": 0}, "run_chunk must be at least 1"),
+        ({"result_transport": "shm", "jobs_backend": "thread"},
+         "crosses process boundaries"),
+        ({"result_transport": "zeromq"}, "unknown result_transport"),
+    ])
+    def test_invalid_fanout_settings_are_rejected_before_any_cell_runs(
+            self, tmp_path, fanout, message):
+        """A bad fan-out setting is the caller's error, not a cell's: it
+        must never be persisted as a sticky ``error`` verdict that every
+        later resume would skip."""
+        plan = plan_campaign(campaign_from_dict(small_campaign()))
+        store = fresh_store(tmp_path, plan)
+        with pytest.raises(ValueError, match=message):
+            CampaignQueue().submit(plan, store, **fanout)
+        with pytest.raises(ValueError, match=message):
+            run_campaign(plan, store, max_cells=2, **fanout)
+        assert store.cell_records == {}
+        reopened = ResultStore.open(str(tmp_path / "store.jsonl"),
+                                    plan.campaign.name, plan.campaign_hash)
+        assert reopened.cell_records == {}
+
     def overlapping_plans(self):
         first = small_campaign(name="first")
         second = small_campaign(name="second")

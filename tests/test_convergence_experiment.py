@@ -9,8 +9,8 @@ from repro.engine.experiment import repeat_experiment
 from repro.engine.fastpath import AgentCountPredicate
 from repro.interaction.models import TW
 from repro.protocols.catalog.leader_election import LEADER, LeaderElectionProtocol
-from repro.protocols.catalog.majority import A, B, ExactMajorityProtocol
 from repro.protocols.catalog.epidemic import INFORMED, SUSCEPTIBLE, EpidemicProtocol
+from repro.protocols.registry import ExperimentSpec
 from repro.protocols.state import Configuration
 from repro.scheduling.scheduler import RandomScheduler, ScriptedScheduler
 from repro.scheduling.runs import Run
@@ -99,16 +99,16 @@ class TestRunUntilStable:
         assert not result.converged
 
 
+def majority_spec(population: int) -> ExperimentSpec:
+    """Exact majority on TW: ``population // 2 + 1`` A agents, the rest B;
+    a run succeeds once every agent outputs A."""
+    return ExperimentSpec(protocol="exact-majority", population=population)
+
+
 class TestRepeatExperiment:
     def test_all_runs_converge_for_easy_workload(self):
-        protocol = ExactMajorityProtocol()
-        program = TrivialTwoWaySimulator(protocol)
-        initial = protocol.initial_configuration(5, 2)
         result = repeat_experiment(
-            program,
-            TW,
-            initial,
-            predicate=lambda c: all(protocol.output(s) == A for s in c),
+            majority_spec(7),
             runs=5,
             max_steps=20_000,
             base_seed=10,
@@ -122,16 +122,11 @@ class TestRepeatExperiment:
         assert "success=5/5" in result.summary()
 
     def test_failures_are_recorded(self):
-        protocol = ExactMajorityProtocol()
-        program = TrivialTwoWaySimulator(protocol)
-        initial = protocol.initial_configuration(4, 2)
+        # One interaction cannot make 4 A + 2 B agents all output A.
         result = repeat_experiment(
-            program,
-            TW,
-            initial,
-            predicate=lambda c: False,
+            majority_spec(6),
             runs=2,
-            max_steps=50,
+            max_steps=1,
         )
         assert result.successes == 0
         assert len(result.failures) == 2
@@ -139,14 +134,8 @@ class TestRepeatExperiment:
         assert not result.all_succeeded
 
     def test_validate_hook_can_fail_runs(self):
-        protocol = ExactMajorityProtocol()
-        program = TrivialTwoWaySimulator(protocol)
-        initial = protocol.initial_configuration(4, 2)
         result = repeat_experiment(
-            program,
-            TW,
-            initial,
-            predicate=lambda c: all(protocol.output(s) == A for s in c),
+            majority_spec(6),
             runs=2,
             max_steps=20_000,
             validate=lambda outcome: "rejected by validator",
@@ -155,15 +144,7 @@ class TestRepeatExperiment:
         assert all("rejected" in failure for failure in result.failures)
 
     def test_empty_experiment(self):
-        protocol = ExactMajorityProtocol()
-        program = TrivialTwoWaySimulator(protocol)
-        result = repeat_experiment(
-            program,
-            TW,
-            protocol.initial_configuration(3, 1),
-            predicate=lambda c: True,
-            runs=0,
-        )
+        result = repeat_experiment(majority_spec(4), runs=0)
         assert result.runs == 0
         assert result.success_rate == 0.0
 
@@ -251,14 +232,8 @@ class TestRunUntilStableTracePolicies:
 
 class TestParallelRepeatExperiment:
     def _workload(self, jobs, runs=6):
-        protocol = ExactMajorityProtocol()
-        program = TrivialTwoWaySimulator(protocol)
-        initial = protocol.initial_configuration(5, 2)
         return repeat_experiment(
-            program,
-            TW,
-            initial,
-            predicate=lambda c: all(protocol.output(s) == A for s in c),
+            majority_spec(7),
             runs=runs,
             max_steps=20_000,
             base_seed=42,
@@ -276,36 +251,3 @@ class TestParallelRepeatExperiment:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             self._workload(jobs=0)
-
-    def test_shared_incremental_predicate_rejected_in_parallel(self):
-        protocol = ExactMajorityProtocol()
-        program = TrivialTwoWaySimulator(protocol)
-        initial = protocol.initial_configuration(5, 2)
-        with pytest.raises(ValueError, match="predicate_factory"):
-            repeat_experiment(
-                program,
-                TW,
-                initial,
-                predicate=AgentCountPredicate(lambda s: protocol.output(s) == A),
-                runs=4,
-                jobs=2,
-            )
-
-    def test_parallel_incremental_predicates_via_factory(self):
-        protocol = ExactMajorityProtocol()
-        program = TrivialTwoWaySimulator(protocol)
-        initial = protocol.initial_configuration(5, 2)
-        result = repeat_experiment(
-            program,
-            TW,
-            initial,
-            predicate=None,
-            predicate_factory=lambda run_index: AgentCountPredicate(
-                lambda s: protocol.output(s) == A
-            ),
-            runs=4,
-            max_steps=20_000,
-            base_seed=42,
-            jobs=2,
-        )
-        assert result.all_succeeded

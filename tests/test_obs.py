@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
+import os
+import threading
 
 import pytest
 
@@ -22,7 +25,8 @@ from repro.adversary.omission import UOAdversary
 from repro.cli import main
 from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
-from repro.engine.experiment import repeat_experiment
+from repro.engine import experiment
+from repro.engine.experiment import repeat_experiment, run_spec_batch
 from repro.engine.fastpath import AgentCountPredicate
 from repro.engine.transport import shm_unavailable_reason
 from repro.obs import (
@@ -255,6 +259,34 @@ def _spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**fields)
 
 
+def _null_recorder_batch(*args):
+    """The fan-out worker, refusing to run under any recorder but the null one."""
+    installed = get_recorder()
+    if installed is not NULL_RECORDER:
+        raise AssertionError(
+            f"process worker runs under {type(installed).__name__}")
+    return run_spec_batch(*args)
+
+
+#: Recorders whose lock the next fork takes just before it forks and the
+#: parent releases right after: the child inherits the lock held, as it
+#: would when a parent thread is recording at fork time.
+_LOCKED_AT_FORK: list = []
+
+
+def _hold_locks() -> None:
+    for recorder in _LOCKED_AT_FORK:
+        recorder._lock.acquire()
+
+
+def _release_locks() -> None:
+    for recorder in _LOCKED_AT_FORK:
+        recorder._lock.release()
+
+
+os.register_at_fork(before=_hold_locks, after_in_parent=_release_locks)
+
+
 class TestEngineSeam:
     def test_engine_counters_recorded_per_run(self):
         recorder = MetricsRecorder()
@@ -356,6 +388,51 @@ class TestFanoutSeam:
         # Worker processes start with the NullRecorder, so engine counters
         # of a process fan-out are parent-side only — none leak through.
         assert "engine.runs" not in counters
+
+    def test_process_workers_run_under_the_null_recorder(self, monkeypatch):
+        monkeypatch.setattr(experiment, "run_spec_batch", _null_recorder_batch)
+        with recording(MetricsRecorder()):
+            result = repeat_experiment(
+                spec=_spec(), runs=4, max_steps=5_000, base_seed=1,
+                jobs=2, jobs_backend="process", trace_policy="counts-only")
+        assert result.all_succeeded
+
+    def test_fanout_forked_while_the_recorder_lock_is_held_finishes(self):
+        """A worker forked while a parent thread holds the recorder's lock
+        must not inherit that recorder: its first counter would block on
+        the lock forever.  Bounded, so a regression fails instead of
+        hanging the suite."""
+        recorder = MetricsRecorder()
+        outcome: list = []
+
+        def fan_out() -> None:
+            try:
+                outcome.append(repeat_experiment(
+                    spec=_spec(), runs=4, max_steps=5_000, base_seed=1,
+                    jobs=2, jobs_backend="process",
+                    trace_policy="counts-only"))
+            except Exception as error:  # reported below
+                outcome.append(error)
+
+        before = set(multiprocessing.active_children())
+        _LOCKED_AT_FORK.append(recorder)
+        try:
+            with recording(recorder):
+                runner = threading.Thread(target=fan_out, daemon=True)
+                runner.start()
+                runner.join(timeout=30)
+                hung = runner.is_alive()
+                if hung:
+                    # Free the suite: kill the stuck workers, so the pool
+                    # breaks and the fan-out thread returns.
+                    for child in set(multiprocessing.active_children()) - before:
+                        child.kill()
+                    runner.join(timeout=60)
+        finally:
+            _LOCKED_AT_FORK.remove(recorder)
+        assert not hung, "process fan-out hung on the inherited recorder lock"
+        assert outcome and not isinstance(outcome[0], Exception), outcome
+        assert outcome[0].all_succeeded
 
 
 class TestCampaignSeam:
