@@ -11,41 +11,30 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.statistics import growth_ratio
 from repro.core.memory import max_bits_per_agent, skno_state_bound_bits
-from repro.core.skno import SKnOSimulator
 from repro.core.verification import verify_simulation
-from repro.engine.convergence import run_until_stable
-from repro.engine.engine import SimulationEngine
-from repro.engine.fastpath import AgentCountPredicate
-from repro.interaction.models import get_model
+from repro.engine.experiment import run_spec
 from repro.protocols.catalog.leader_election import LeaderElectionProtocol
-from repro.scheduling.scheduler import RandomScheduler
+from repro.protocols.registry import ExperimentSpec, build_cached
 
 MAX_STEPS = 400_000
 WINDOW = 200
 
 
 def run_it_leader_election(n: int, seed: int = 0):
-    protocol = LeaderElectionProtocol()
-    simulator = SKnOSimulator(protocol, omission_bound=0)
-    config = simulator.initial_configuration(protocol.initial_configuration(n))
-    engine = SimulationEngine(simulator, get_model("IT"), RandomScheduler(n, seed=seed))
-    # Incremental predicate: O(1) per step instead of an O(n) rescan.  The
-    # full trace is still recorded — verify_simulation needs it.
-    predicate = AgentCountPredicate(lambda s: simulator.project(s) == "L", target=1)
-    outcome = run_until_stable(engine, config, predicate, max_steps=MAX_STEPS,
-                               stability_window=WINDOW)
-    report = verify_simulation(simulator, outcome.trace)
-    observed_bits = max_bits_per_agent([outcome.final_configuration])
+    spec = ExperimentSpec(protocol="leader-election", population=n, model="IT",
+                          simulator="skno")
+    outcome = run_spec(spec, 0, seed, MAX_STEPS, WINDOW, "full")
+    built = build_cached(spec)
+    report = verify_simulation(built.program, outcome.trace)
     return {
         "n": n,
         "converged": outcome.converged,
         "steps": outcome.steps_to_convergence,
         "pairs": report.matched_pairs,
         "verified": report.ok,
-        "memory_bits": observed_bits,
-        "memory_bound": skno_state_bound_bits(protocol, n, 0),
+        "memory_bits": max_bits_per_agent([outcome.final_configuration]),
+        "memory_bound": skno_state_bound_bits(built.protocol, n, 0),
     }
 
 

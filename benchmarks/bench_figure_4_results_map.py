@@ -37,7 +37,6 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.constructions import Lemma1Construction, no1_liveness_attack
-from repro.adversary.omission import BoundedOmissionAdversary
 from repro.analysis.reporting import format_results_map
 from repro.analysis.results_map import (
     Feasibility,
@@ -47,79 +46,56 @@ from repro.analysis.results_map import (
     UNIQUE_IDS,
     results_map,
 )
-from repro.core.naming import KnownSizeSimulator
-from repro.core.sid import SIDSimulator
-from repro.core.skno import SKnOSimulator
 from repro.core.verification import verify_simulation
-from repro.engine.convergence import run_until_stable
-from repro.engine.engine import SimulationEngine
-from repro.engine.fastpath import AgentCountPredicate
-from repro.interaction.adapters import one_way_as_two_way
-from repro.interaction.models import IO, get_model
+from repro.engine.experiment import run_spec
+from repro.interaction.models import get_model
 from repro.protocols.catalog.pairing import PairingProtocol
+from repro.protocols.registry import ExperimentSpec, build_cached, build_simulator
 from repro.protocols.state import Configuration
-from repro.scheduling.graph_scheduler import ring_scheduler
-from repro.scheduling.scheduler import RandomScheduler
 
 MAX_STEPS = 150_000
 WINDOW = 200
 
-#: Interaction topologies every positive cell is re-checked under:
-#: ``factory(n, seed) -> scheduler``.
-TOPOLOGIES = {
-    "complete": lambda n, seed: RandomScheduler(n, seed=seed),
-    "ring": ring_scheduler,
-}
+#: Interaction topologies every positive cell is re-checked under, by
+#: registry scheduler key.
+TOPOLOGIES = {"complete": "random", "ring": "ring-graph"}
 
 
-def _check_simulation_possible(simulator, model, omission_budget=0, seed=0,
+def _check_simulation_possible(simulator, model, omission_bound=0, seed=0,
                                topology="complete"):
-    """Run the Pairing workload through a simulator and verify it end to end."""
-    protocol = simulator.protocol
-    p_config = Configuration(["c", "c", "p", "p", "p"])
-    if isinstance(simulator, KnownSizeSimulator):
-        config = simulator.initial_configuration(p_config)
-    elif isinstance(simulator, SIDSimulator):
-        config = simulator.initial_configuration(p_config)
-    else:
-        config = simulator.initial_configuration(p_config)
-    adversary = (
-        BoundedOmissionAdversary(model, max_omissions=omission_budget, seed=seed)
-        if omission_budget > 0 and model.allows_omissions
-        else None
-    )
-    scheduler = TOPOLOGIES[topology](len(config), seed)
-    engine = SimulationEngine(simulator, model, scheduler, adversary=adversary)
-    expected_critical = min(p_config.count("c"), p_config.count("p"))
-    # Incremental predicate: O(1) per step instead of an O(n) projection
-    # rescan.  The full trace is still recorded — verify_simulation needs it.
-    predicate = AgentCountPredicate(
-        lambda s: simulator.project(s) == "cs", target=expected_critical)
-    outcome = run_until_stable(engine, config, predicate, max_steps=MAX_STEPS,
-                               stability_window=WINDOW)
-    report = verify_simulation(simulator, outcome.trace)
+    """Run the Pairing workload (2 consumers, 3 producers) and verify it end to end.
+
+    The adversary's omission budget equals the simulator's bound ``o``.
+    """
+    spec = ExperimentSpec(
+        protocol="pairing", population=5, model=model, simulator=simulator,
+        omission_bound=omission_bound, omissions=omission_bound,
+        scheduler=TOPOLOGIES[topology])
+    outcome = run_spec(spec, 0, seed, MAX_STEPS, WINDOW, "full")
+    report = verify_simulation(build_cached(spec).program, outcome.trace)
     return outcome.converged and report.ok
 
 
+def _skno_target(model_name, omission_bound=1):
+    """The attacked ``SKnO``, as the registry builds it for ``model_name``."""
+    return build_simulator("skno", PairingProtocol(), 2, omission_bound, model_name)
+
+
 def _check_simulation_impossible_lemma1(omission_bound=1):
-    protocol = PairingProtocol()
-    simulator = one_way_as_two_way(SKnOSimulator(protocol, omission_bound=omission_bound))
-    result = Lemma1Construction(simulator, get_model("T3"), q0="p", q1="c").execute()
+    result = Lemma1Construction(
+        _skno_target("T3", omission_bound), get_model("T3"), q0="p", q1="c").execute()
     return result.safety_violated
 
 
 def _check_simulation_impossible_no1(model_name):
-    protocol = PairingProtocol()
-    simulator = SKnOSimulator(protocol, omission_bound=1)
-    program = one_way_as_two_way(simulator) if model_name == "T1" else simulator
     result = no1_liveness_attack(
-        program, model_name, target_state="cs", expected_committed=1,
+        _skno_target(model_name), model_name, target_state="cs", expected_committed=1,
         initial_p_configuration=Configuration(["p", "c"]), safety_bound=1,
         max_steps=25_000)
     return result.liveness_violated or result.safety_violated
 
 
-def _check_positive_on_all_topologies(make_simulator, model, omission_budget=0, seed=0,
+def _check_positive_on_all_topologies(simulator, model, omission_bound=0, seed=0,
                                       topologies=tuple(TOPOLOGIES)):
     """Verdicts of one positive cell per topology (``{topology: bool}``).
 
@@ -129,7 +105,7 @@ def _check_positive_on_all_topologies(make_simulator, model, omission_budget=0, 
     """
     return {
         topology: _check_simulation_possible(
-            make_simulator(), model, omission_budget=omission_budget, seed=seed,
+            simulator, model, omission_bound=omission_bound, seed=seed,
             topology=topology)
         for topology in topologies
     }
@@ -142,36 +118,28 @@ def empirical_cells():
     interaction topology), negative cells to a plain bool (attacks replay
     scripted interaction sequences; topologies do not apply).
     """
-    protocol = PairingProtocol()
     verdicts = {}
 
     # Positive cells: knowledge of the omission bound (Theorem 4.1 / Corollary 1).
     verdicts[("I3", KNOWLEDGE_OF_OMISSIONS)] = _check_positive_on_all_topologies(
-        lambda: SKnOSimulator(protocol, omission_bound=1), get_model("I3"),
-        omission_budget=1, seed=1)
+        "skno", "I3", omission_bound=1, seed=1)
     verdicts[("I4", KNOWLEDGE_OF_OMISSIONS)] = _check_positive_on_all_topologies(
-        lambda: SKnOSimulator(protocol, omission_bound=1, variant="I4"), get_model("I4"),
-        omission_budget=1, seed=2)
+        "skno", "I4", omission_bound=1, seed=2)
     verdicts[("IT", KNOWLEDGE_OF_OMISSIONS)] = _check_positive_on_all_topologies(
-        lambda: SKnOSimulator(protocol, omission_bound=0), get_model("IT"), seed=3)
+        "skno", "IT", seed=3)
     verdicts[("IT", INFINITE_MEMORY)] = verdicts[("IT", KNOWLEDGE_OF_OMISSIONS)]
     verdicts[("T3", KNOWLEDGE_OF_OMISSIONS)] = _check_positive_on_all_topologies(
-        lambda: one_way_as_two_way(SKnOSimulator(protocol, omission_bound=1)),
-        get_model("T3"), omission_budget=1, seed=4)
+        "skno", "T3", omission_bound=1, seed=4)
 
     # Positive cells: unique IDs and knowledge of n (Theorems 4.5, 4.6).
-    verdicts[("IO", UNIQUE_IDS)] = _check_positive_on_all_topologies(
-        lambda: SIDSimulator(protocol), IO, seed=5)
-    verdicts[("IT", UNIQUE_IDS)] = _check_positive_on_all_topologies(
-        lambda: SIDSimulator(protocol), get_model("IT"), seed=6)
+    verdicts[("IO", UNIQUE_IDS)] = _check_positive_on_all_topologies("sid", "IO", seed=5)
+    verdicts[("IT", UNIQUE_IDS)] = _check_positive_on_all_topologies("sid", "IT", seed=6)
     # Complete graph only: the Nn naming phase deadlocks on sparse
     # topologies (see the module docstring).
     verdicts[("IO", KNOWLEDGE_OF_N)] = _check_positive_on_all_topologies(
-        lambda: KnownSizeSimulator(protocol, population_size=5), IO, seed=7,
-        topologies=("complete",))
+        "known-n", "IO", seed=7, topologies=("complete",))
     verdicts[("IT", KNOWLEDGE_OF_N)] = _check_positive_on_all_topologies(
-        lambda: KnownSizeSimulator(protocol, population_size=5), get_model("IT"), seed=8,
-        topologies=("complete",))
+        "known-n", "IT", seed=8, topologies=("complete",))
 
     # Negative cells: Theorem 3.1 (Lemma 1 attack) and Theorem 3.2 (NO1 attack).
     lemma1 = _check_simulation_impossible_lemma1()

@@ -22,59 +22,46 @@ from repro.adversary.ftt import fastest_transition_time
 from repro.core.memory import max_bits_per_agent
 from repro.core.naming import KnownSizeSimulator
 from repro.core.sid import SIDSimulator
-from repro.core.skno import SKnOSimulator
-from repro.core.trivial import TrivialTwoWaySimulator
 from repro.core.verification import verify_simulation
-from repro.engine.convergence import run_until_stable
-from repro.engine.engine import SimulationEngine
-from repro.engine.fastpath import incremental_stable_output
-from repro.interaction.models import IO, TW, get_model
-from repro.protocols.catalog.majority import ExactMajorityProtocol
+from repro.engine.experiment import run_spec
+from repro.protocols.registry import ExperimentSpec, build_cached
 from repro.protocols.state import Configuration
-from repro.scheduling.scheduler import RandomScheduler
 
 N = 8
 MAX_STEPS = 400_000
 WINDOW = 200
 
+#: ``(row name, simulator, model, omission bound)``; no run injects omissions.
+SIMULATORS = [
+    ("TW baseline", "none", "TW", 0),
+    ("SKnO o=0 (IT)", "skno", "IT", 0),
+    ("SKnO o=1 (I3)", "skno", "I3", 1),
+    ("SKnO o=2 (I3)", "skno", "I3", 2),
+    ("SID (IO)", "sid", "IO", 0),
+    ("Nn+SID (IO)", "known-n", "IO", 0),
+]
 
-def build_simulators(protocol):
-    return [
-        ("TW baseline", TrivialTwoWaySimulator(protocol), TW, {}),
-        ("SKnO o=0 (IT)", SKnOSimulator(protocol, omission_bound=0), get_model("IT"), {}),
-        ("SKnO o=1 (I3)", SKnOSimulator(protocol, omission_bound=1), get_model("I3"), {}),
-        ("SKnO o=2 (I3)", SKnOSimulator(protocol, omission_bound=2), get_model("I3"), {}),
-        ("SID (IO)", SIDSimulator(protocol), IO, {}),
-        ("Nn+SID (IO)", KnownSizeSimulator(protocol, population_size=N), IO, {}),
-    ]
 
+def measure(name, simulator, model, omission_bound, seed=0):
+    spec = ExperimentSpec(protocol="exact-majority", population=N, model=model,
+                          simulator=simulator, omission_bound=omission_bound)
+    outcome = run_spec(spec, 0, seed, MAX_STEPS, WINDOW, "full")
+    built = build_cached(spec)
+    program = built.program
+    report = verify_simulation(program, outcome.trace)
 
-def measure(name, simulator, model, protocol, seed=0):
-    count_a = N // 2 + 1
-    p_config = protocol.initial_configuration(count_a, N - count_a)
-    config = simulator.initial_configuration(p_config)
-    engine = SimulationEngine(simulator, model, RandomScheduler(N, seed=seed))
-    # Incremental predicate: O(1) per step instead of an O(n) rescan.  The
-    # full trace is still recorded — verify_simulation needs it.
-    predicate = incremental_stable_output(protocol, "A", projection=simulator.project)
-    outcome = run_until_stable(engine, config, predicate, max_steps=MAX_STEPS,
-                               stability_window=WINDOW)
-    report = verify_simulation(simulator, outcome.trace)
-
-    two_agent_config = Configuration(
-        [
-            simulator.initial_state("A", **({"agent_id": 0} if isinstance(simulator, SIDSimulator) else {})),
-            simulator.initial_state("B", **({"agent_id": 1} if isinstance(simulator, SIDSimulator) else {})),
-        ]
-    ) if not isinstance(simulator, KnownSizeSimulator) else None
-    if two_agent_config is not None:
-        ftt = fastest_transition_time(simulator, model, two_agent_config).ftt
-    else:
+    if isinstance(program, KnownSizeSimulator):
         ftt = None  # the naming phase depends on n, FTT is not defined the same way
+    else:
+        ids = ({"agent_id": 0}, {"agent_id": 1}) if isinstance(program, SIDSimulator) \
+            else ({}, {})
+        two_agent_config = Configuration([program.initial_state("A", **ids[0]),
+                                          program.initial_state("B", **ids[1])])
+        ftt = fastest_transition_time(program, built.model, two_agent_config).ftt
 
     return {
         "name": name,
-        "model": model.name,
+        "model": built.model.name,
         "converged": outcome.converged,
         "steps": outcome.steps_to_convergence,
         "pairs": report.matched_pairs,
@@ -87,9 +74,7 @@ def measure(name, simulator, model, protocol, seed=0):
 
 
 def full_comparison():
-    protocol = ExactMajorityProtocol()
-    return [measure(name, simulator, model, protocol, seed=index)
-            for index, (name, simulator, model, _) in enumerate(build_simulators(protocol))]
+    return [measure(*row, seed=index) for index, row in enumerate(SIMULATORS)]
 
 
 def test_simulation_overhead_comparison(benchmark, table_printer):

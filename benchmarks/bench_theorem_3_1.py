@@ -21,15 +21,14 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.constructions import Lemma1Construction
-from repro.core.skno import SKnOSimulator
-from repro.interaction.adapters import one_way_as_two_way
 from repro.interaction.models import get_model
 from repro.protocols.catalog.pairing import PairingProtocol
+from repro.protocols.registry import build_simulator
 
 
 def run_attack(omission_bound: int):
-    protocol = PairingProtocol()
-    simulator = one_way_as_two_way(SKnOSimulator(protocol, omission_bound=omission_bound))
+    # The registry wraps the one-way SKnO for the two-way model T3.
+    simulator = build_simulator("skno", PairingProtocol(), 2, omission_bound, "T3")
     construction = Lemma1Construction(simulator, get_model("T3"), q0="p", q1="c")
     return construction.execute()
 

@@ -14,22 +14,16 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.constructions import no1_liveness_attack
-from repro.core.skno import SKnOSimulator
-from repro.interaction.adapters import one_way_as_two_way
 from repro.protocols.catalog.pairing import PairingProtocol
+from repro.protocols.registry import build_simulator
 from repro.protocols.state import Configuration
 
 MAX_STEPS = 30_000
 
 
 def run_no1(model_name: str):
-    protocol = PairingProtocol()
-    simulator = SKnOSimulator(
-        protocol,
-        omission_bound=1,
-        variant="I4" if model_name == "I4" else "I3",
-    )
-    program = one_way_as_two_way(simulator) if model_name == "T1" else simulator
+    # The registry picks SKnO's I3/I4 variant and wraps it for T1.
+    program = build_simulator("skno", PairingProtocol(), 2, 1, model_name)
     return no1_liveness_attack(
         program,
         model_name,

@@ -15,42 +15,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary.omission import BoundedOmissionAdversary
 from repro.core.memory import max_bits_per_agent, skno_state_bound_bits
-from repro.core.skno import SKnOSimulator
 from repro.core.verification import verify_simulation
-from repro.engine.convergence import run_until_stable
-from repro.engine.engine import SimulationEngine
-from repro.engine.fastpath import incremental_stable_output
-from repro.interaction.models import get_model
-from repro.protocols.catalog.majority import ExactMajorityProtocol
-from repro.scheduling.scheduler import RandomScheduler
+from repro.engine.experiment import run_spec
+from repro.protocols.registry import ExperimentSpec, build_cached
 
 MAX_STEPS = 400_000
 WINDOW = 200
 
 
 def run_skno_workload(n: int, omission_bound: int, variant: str = "I3", seed: int = 0):
-    protocol = ExactMajorityProtocol()
-    simulator = SKnOSimulator(protocol, omission_bound=omission_bound, variant=variant)
-    count_a = n // 2 + 1
-    count_b = n - count_a
-    config = simulator.initial_configuration(protocol.initial_configuration(count_a, count_b))
-    model = get_model(variant)
-    adversary = (
-        BoundedOmissionAdversary(model, max_omissions=omission_bound, seed=seed)
-        if omission_bound > 0
-        else None
-    )
-    engine = SimulationEngine(simulator, model, RandomScheduler(n, seed=seed), adversary=adversary)
-    # Incremental predicate: O(1) per step instead of an O(n) rescan.  The
-    # full trace is still recorded — verify_simulation needs it.
-    predicate = incremental_stable_output(protocol, "A", projection=simulator.project)
-    outcome = run_until_stable(engine, config, predicate, max_steps=MAX_STEPS,
-                               stability_window=WINDOW)
-    report = verify_simulation(simulator, outcome.trace)
-    memory = max_bits_per_agent([outcome.final_configuration])
-    bound = skno_state_bound_bits(protocol, n, omission_bound)
+    # The registry picks SKnO's variant from the model (I3 or I4).
+    spec = ExperimentSpec(
+        protocol="exact-majority", population=n, model=variant, simulator="skno",
+        omission_bound=omission_bound, omissions=omission_bound)
+    outcome = run_spec(spec, 0, seed, MAX_STEPS, WINDOW, "full")
+    built = build_cached(spec)
+    report = verify_simulation(built.program, outcome.trace)
     return {
         "n": n,
         "o": omission_bound,
@@ -62,8 +43,8 @@ def run_skno_workload(n: int, omission_bound: int, variant: str = "I3", seed: in
         "overhead": (outcome.steps_executed / report.matched_pairs
                      if report.matched_pairs else float("inf")),
         "verified": report.ok,
-        "memory_bits": memory,
-        "memory_bound": bound,
+        "memory_bits": max_bits_per_agent([outcome.final_configuration]),
+        "memory_bound": skno_state_bound_bits(built.protocol, n, omission_bound),
     }
 
 

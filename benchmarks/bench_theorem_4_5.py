@@ -13,42 +13,23 @@ from __future__ import annotations
 import pytest
 
 from repro.core.memory import max_bits_per_agent, sid_state_bound_bits
-from repro.core.sid import SIDSimulator
 from repro.core.verification import verify_simulation
-from repro.engine.convergence import run_until_stable
-from repro.engine.engine import SimulationEngine
-from repro.engine.fastpath import AgentCountPredicate, incremental_stable_output
-from repro.interaction.models import IO
-from repro.protocols.catalog.leader_election import LeaderElectionProtocol
-from repro.protocols.catalog.majority import ExactMajorityProtocol
-from repro.scheduling.scheduler import RandomScheduler
+from repro.engine.experiment import run_spec
+from repro.protocols.registry import ExperimentSpec, build_cached
 
 MAX_STEPS = 400_000
 WINDOW = 200
 
+#: Catalog protocol of each workload.
+WORKLOADS = {"majority": "exact-majority", "leader": "leader-election"}
+
 
 def run_sid_workload(workload: str, n: int, seed: int = 0):
-    if workload == "majority":
-        protocol = ExactMajorityProtocol()
-        count_a = n // 2 + 1
-        initial = protocol.initial_configuration(count_a, n - count_a)
-    else:
-        protocol = LeaderElectionProtocol()
-        initial = protocol.initial_configuration(n)
-
-    simulator = SIDSimulator(protocol)
-    # Incremental predicates: O(1) per step instead of an O(n) rescan.  The
-    # full trace is still recorded — verify_simulation needs it.
-    if workload == "majority":
-        predicate = incremental_stable_output(protocol, "A", projection=simulator.project)
-    else:
-        predicate = AgentCountPredicate(lambda s: simulator.project(s) == "L", target=1)
-    config = simulator.initial_configuration(initial)
-    engine = SimulationEngine(simulator, IO, RandomScheduler(n, seed=seed))
-    outcome = run_until_stable(
-        engine, config, predicate,
-        max_steps=MAX_STEPS, stability_window=WINDOW)
-    report = verify_simulation(simulator, outcome.trace)
+    spec = ExperimentSpec(protocol=WORKLOADS[workload], population=n, model="IO",
+                          simulator="sid")
+    outcome = run_spec(spec, 0, seed, MAX_STEPS, WINDOW, "full")
+    built = build_cached(spec)
+    report = verify_simulation(built.program, outcome.trace)
     return {
         "workload": workload,
         "n": n,
@@ -59,7 +40,7 @@ def run_sid_workload(workload: str, n: int, seed: int = 0):
                      if report.matched_pairs else float("inf")),
         "verified": report.ok,
         "memory_bits": max_bits_per_agent([outcome.final_configuration]),
-        "memory_bound": sid_state_bound_bits(protocol, n),
+        "memory_bound": sid_state_bound_bits(built.protocol, n),
     }
 
 

@@ -12,31 +12,19 @@ import pytest
 
 from repro.core.naming import KnownSizeSimulator
 from repro.core.verification import verify_simulation
-from repro.engine.convergence import run_until_stable
-from repro.engine.engine import SimulationEngine
-from repro.engine.fastpath import incremental_stable_output
-from repro.interaction.models import IO
-from repro.protocols.catalog.majority import ExactMajorityProtocol
-from repro.scheduling.scheduler import RandomScheduler
+from repro.engine.experiment import run_spec
+from repro.protocols.registry import ExperimentSpec, build_cached
 
 MAX_STEPS = 500_000
 WINDOW = 200
 
 
 def run_known_size_workload(n: int, seed: int = 0):
-    protocol = ExactMajorityProtocol()
-    simulator = KnownSizeSimulator(protocol, population_size=n)
-    count_a = n // 2 + 1
-    config = simulator.initial_configuration(
-        protocol.initial_configuration(count_a, n - count_a))
-    engine = SimulationEngine(simulator, IO, RandomScheduler(n, seed=seed))
-    # Incremental predicate: O(1) per step instead of an O(n) rescan.  The
-    # full trace is still recorded — verification and the naming-phase scan
-    # below both need it.
-    predicate = incremental_stable_output(protocol, "A", projection=simulator.project)
-    outcome = run_until_stable(engine, config, predicate, max_steps=MAX_STEPS,
-                               stability_window=WINDOW)
-    report = verify_simulation(simulator, outcome.trace)
+    spec = ExperimentSpec(protocol="exact-majority", population=n, model="IO",
+                          simulator="known-n")
+    # The full trace feeds both the verification and the naming-phase scan.
+    outcome = run_spec(spec, 0, seed, MAX_STEPS, WINDOW, "full")
+    report = verify_simulation(build_cached(spec).program, outcome.trace)
 
     naming_steps = None
     for index, configuration in enumerate(outcome.trace.configurations()):

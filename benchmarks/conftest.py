@@ -4,7 +4,12 @@ Every ``bench_*.py`` file regenerates one figure or theorem of the paper
 and prints the corresponding table, so the textual output of
 ``pytest benchmarks/bench_*.py -s`` reads like the paper's results section.
 The files must be named explicitly: pytest does not collect ``bench_*``
-files from ``pytest benchmarks/``.  The timing numbers collected by
+files from ``pytest benchmarks/``.  The simulator checks describe each
+run as an :class:`~repro.protocols.registry.ExperimentSpec` plus a seed,
+run it through :func:`~repro.engine.experiment.run_spec` with the full
+trace, and verify it with
+:func:`~repro.core.verification.verify_simulation` against
+``build_cached(spec).program``.  The timing numbers collected by
 pytest-benchmark measure the cost of regenerating each artifact; with
 ``--benchmark-disable`` only the checks run, which is how CI gates them::
 

@@ -88,7 +88,6 @@ from repro.campaign.store import (
     compact_store,
     store_kind,
 )
-from repro.core.skno import SKnOSimulator
 from repro.core.verification import verify_simulation
 from repro.engine.backends import (
     BACKEND_CHOICES,
@@ -103,7 +102,6 @@ from repro.engine.transport import (
     TransportError,
     shm_unavailable_reason,
 )
-from repro.interaction.adapters import one_way_as_two_way
 from repro.interaction.hierarchy import HIERARCHY_EDGES, topological_order
 from repro.interaction.models import MODELS_BY_NAME, get_model
 from repro.lint.cli import add_lint_arguments, command_lint
@@ -137,28 +135,37 @@ from repro.protocols.state import Configuration
 SIMULATOR_CHOICES = ("none", "skno", "sid", "known-n")
 
 
-def _experiment_spec(args, protocol_kwargs) -> ExperimentSpec:
-    """The registry spec for ``repro run``'s arguments, backend pinned.
+def _experiment_spec(args) -> ExperimentSpec:
+    """The registry spec for ``repro run``'s arguments, built and backend pinned.
 
-    ``--engine-backend auto`` is resolved here, against the run's actual
-    trace policy, so what is probed is what will execute, and the choice
-    is announced once, before any run starts.
+    The one build of the invocation happens here, so an invalid spec is a
+    one-line CLI error.  ``--engine-backend auto`` is resolved against the
+    run's actual trace policy, so what is probed is what will execute, and
+    the choice is announced once, before any run starts.
     """
-    spec = ExperimentSpec(
-        protocol=args.protocol,
-        protocol_kwargs=protocol_kwargs,
-        population=args.population,
-        model=args.model,
-        simulator=args.simulator,
-        omission_bound=args.omission_bound,
-        omissions=args.omissions,
-        adversary=args.adversary,
-        ones=args.ones,
-        predicate="stable-output",
-        scheduler=args.scheduler,
-        chunk_size=args.chunk_size,
-        backend=args.engine_backend,
-    )
+    protocol_kwargs = {}
+    if args.protocol == "threshold" and args.threshold is not None:
+        protocol_kwargs["threshold"] = args.threshold
+    try:
+        spec = ExperimentSpec(
+            protocol=args.protocol,
+            protocol_kwargs=protocol_kwargs,
+            population=args.population,
+            model=args.model,
+            simulator=args.simulator,
+            omission_bound=args.omission_bound,
+            omissions=args.omissions,
+            adversary=args.adversary,
+            ones=args.ones,
+            predicate="stable-output",
+            scheduler=args.scheduler,
+            chunk_size=args.chunk_size,
+            backend=args.engine_backend,
+        )
+        build_cached(spec)
+    except (KeyError, TypeError, ValueError) as error:
+        # KeyError repr-quotes str(error); unwrap to keep the message clean.
+        raise SystemExit(error.args[0] if isinstance(error, KeyError) else str(error))
     if spec.backend != "auto":
         return spec
     try:
@@ -201,34 +208,19 @@ def _command_run(args) -> int:
 
 
 def _run_command(args) -> int:
-    protocol_kwargs = {}
-    if args.protocol == "threshold" and args.threshold is not None:
-        protocol_kwargs["threshold"] = args.threshold
-    protocol = get_protocol(args.protocol, **protocol_kwargs)
-    model = get_model(args.model)
-    try:
-        default_initial_configuration(protocol, args.population, ones=args.ones)
-    except KeyError as error:
-        # KeyError repr-quotes str(error); unwrap to keep the message clean.
-        raise SystemExit(error.args[0])
-    simulator = build_simulator(
-        args.simulator, protocol, args.population, args.omission_bound, args.model)
-
-    if args.simulator == "none" and model.name != "TW":
+    if args.simulator == "none" and args.model != "TW":
         raise SystemExit(
             "running a two-way protocol without a simulator requires --model TW; "
             "pick --simulator skno/sid/known-n for weaker models")
-    if args.omissions > 0 and not model.allows_omissions:
-        raise SystemExit(f"model {model.name} does not admit omissions")
     if args.runs < 1:
         raise SystemExit("--runs must be at least 1")
     _check_fanout_flags(args)
     if args.chunk_size is not None and args.chunk_size < 1:
         raise SystemExit("--chunk-size must be at least 1")
 
-    spec = _experiment_spec(args, protocol_kwargs)
+    spec = _experiment_spec(args)
     if args.runs > 1:
-        return _run_repeated(args, spec, protocol, model, simulator)
+        return _run_repeated(args, spec)
 
     try:
         outcome = run_spec(spec, 0, args.seed, args.max_steps,
@@ -237,14 +229,15 @@ def _run_command(args) -> int:
     except BackendError as error:
         raise SystemExit(f"--engine-backend {args.engine_backend}: {error}")
 
+    built = build_cached(spec)
     report = None
     if args.trace_policy == "full":
-        report = verify_simulation(build_cached(spec).program, outcome.trace)
+        report = verify_simulation(built.program, outcome.trace)
 
     rows = [
-        ["protocol", protocol.name],
-        ["model", model.name],
-        ["simulator", simulator.name],
+        ["protocol", built.protocol.name],
+        ["model", built.model.name],
+        ["simulator", built.program.name],
         ["population", args.population],
         ["converged", outcome.converged],
         ["interactions to stabilise", outcome.steps_to_convergence],
@@ -305,16 +298,17 @@ def _check_fanout_flags(args) -> None:
             "rerun with --result-transport pickle")
 
 
-def _run_repeated(args, spec, protocol, model, simulator) -> int:
+def _run_repeated(args, spec) -> int:
     """``repro run --runs N [--jobs J] [--backend B]``: the batch-experiment path.
 
     Every run is :func:`run_spec` of the same registry spec, so the thread
     and process backends execute byte-identical runs and merge the same way.
     """
+    built = build_cached(spec)
     validate = None
     if args.trace_policy == "full":
         def validate(outcome) -> Optional[str]:
-            report = verify_simulation(simulator, outcome.trace)
+            report = verify_simulation(built.program, outcome.trace)
             if not report.ok:
                 return f"simulation verification: {report.errors[0]}" if report.errors \
                     else "simulation verification violation"
@@ -343,9 +337,9 @@ def _run_repeated(args, spec, protocol, model, simulator) -> int:
     mean = result.mean_convergence_steps
     median = result.median_convergence_steps
     rows = [
-        ["protocol", protocol.name],
-        ["model", model.name],
-        ["simulator", simulator.name],
+        ["protocol", built.protocol.name],
+        ["model", built.model.name],
+        ["simulator", built.program.name],
         ["population", args.population],
         ["runs", result.runs],
         ["jobs", args.jobs],
@@ -370,10 +364,11 @@ def _run_repeated(args, spec, protocol, model, simulator) -> int:
 
 
 def _command_attack(args) -> int:
+    # The target is SKnO as the registry builds it for the attacked model:
+    # the I3/I4 variant, wrapped one-way-as-two-way under T1-T3.
     protocol = PairingProtocol()
     if args.kind == "lemma1":
-        simulator = one_way_as_two_way(
-            SKnOSimulator(protocol, omission_bound=args.omission_bound))
+        simulator = build_simulator("skno", protocol, 2, args.omission_bound, "T3")
         construction = Lemma1Construction(simulator, get_model("T3"), q0="p", q1="c")
         result = construction.execute()
         rows = [
@@ -388,10 +383,9 @@ def _command_attack(args) -> int:
         print(format_table(["quantity", "value"], rows))
         return 0 if result.safety_violated else 1
 
-    simulator = SKnOSimulator(protocol, omission_bound=1)
-    program = one_way_as_two_way(simulator) if args.model.upper() == "T1" else simulator
     result = no1_liveness_attack(
-        program, args.model, target_state="cs", expected_committed=1,
+        build_simulator("skno", protocol, 2, 1, args.model), args.model,
+        target_state="cs", expected_committed=1,
         initial_p_configuration=Configuration(["p", "c"]), safety_bound=1,
         max_steps=args.max_steps, seed=args.seed)
     print(result.summary())

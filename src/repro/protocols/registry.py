@@ -61,6 +61,7 @@ from repro.engine.fastpath import AgentCountPredicate
 from repro.core.sid import SIDSimulator
 from repro.core.skno import SKnOSimulator
 from repro.core.trivial import TrivialTwoWaySimulator
+from repro.interaction.adapters import one_way_as_two_way
 from repro.interaction.models import get_model
 from repro.protocols.catalog import CATALOG, get_protocol
 from repro.protocols.protocol import ProtocolError
@@ -121,13 +122,23 @@ def register_simulator(key: str, factory: Callable[..., Any]) -> None:
 
 def build_simulator(kind: str, protocol, population: int, omission_bound: int,
                     model_name: str) -> Any:
-    """Instantiate the simulator registered under ``kind``."""
+    """Instantiate the simulator registered under ``kind`` as a program for ``model_name``.
+
+    A one-way simulator (no ``fs``/``fr``) under a two-way model (``TW``,
+    ``T1``-``T3``) comes back wrapped in
+    :func:`~repro.interaction.adapters.one_way_as_two_way`, the Figure 1
+    "special case" edge.  The rule depends on the model only, so every
+    spec, campaign cell and CLI run pairs any simulator with any model.
+    """
     try:
         factory = SIMULATORS[kind]
     except KeyError:
         known = ", ".join(sorted(SIMULATORS))
         raise KeyError(f"unknown simulator {kind!r}; known simulators: {known}") from None
-    return factory(protocol, population, omission_bound, model_name)
+    simulator = factory(protocol, population, omission_bound, model_name)
+    if not hasattr(simulator, "fs") and not get_model(model_name).one_way:
+        return one_way_as_two_way(simulator)
+    return simulator
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +607,9 @@ def resolve_backend(
     cached = _RESOLUTION_CACHE.get(key)
     if cached is not None:
         return cached
-    built: Optional[BuiltExperiment] = None
+    # A build made before resolving (``repro run`` builds to validate) is
+    # filed under the resolved spec too, with or without numpy.
+    built: Optional[BuiltExperiment] = _BUILD_CACHE.get(spec)
     reason: Optional[str] = None
     if importlib.util.find_spec("numpy") is not None:
         # Reject the paper's simulators before paying numpy's import.

@@ -3,16 +3,22 @@
 import pytest
 
 from repro.core.skno import SKnOSimulator
+from repro.core.trivial import TrivialTwoWaySimulator
+from repro.core.verification import verify_simulation
+from repro.engine.experiment import run_spec
 from repro.interaction.adapters import (
     NaiveOneWayProjection,
     OneWayAsTwoWay,
     one_way_as_two_way,
     two_way_as_one_way_naive,
 )
-from repro.interaction.models import IO, IT, T3, TW
+from repro.interaction.models import ALL_MODELS, IO, IT, T3, TW, get_model
 from repro.interaction.omissions import FULL_OMISSION, NO_OMISSION
 from repro.protocols.catalog.epidemic import INFORMED, SUSCEPTIBLE, OneWayEpidemicProtocol
 from repro.protocols.catalog.pairing import PairingProtocol
+from repro.protocols.registry import ExperimentSpec, build_cached, build_simulator
+
+SIMULATOR_KEYS = ("none", "skno", "sid", "known-n")
 
 
 class TestOneWayAsTwoWay:
@@ -93,3 +99,44 @@ class TestNaiveProjection:
         first = naive.f("p", "c")
         second = naive.f("p", "c")
         assert first == second == "cs"
+
+
+class TestRegistryAdapterRule:
+    """The registry turns (simulator, model) into a program for that model."""
+
+    @pytest.mark.parametrize("model", [model.name for model in ALL_MODELS])
+    @pytest.mark.parametrize("simulator", SIMULATOR_KEYS)
+    def test_every_simulator_builds_and_runs_under_every_model(self, simulator, model):
+        spec = ExperimentSpec(protocol="pairing", population=5, model=model,
+                              simulator=simulator)
+        program = build_cached(spec).program
+        one_way_simulator = simulator != "none"
+        assert isinstance(program, OneWayAsTwoWay) == (
+            one_way_simulator and not get_model(model).one_way)
+        outcome = run_spec(spec, 0, 1, 500, 10, "counts-only")
+        assert outcome.steps_executed > 0
+
+    @pytest.mark.parametrize("model", ["T1", "T2", "T3"])
+    @pytest.mark.parametrize("simulator", ["skno", "sid", "known-n"])
+    def test_wrapped_simulators_converge_and_verify(self, simulator, model):
+        spec = ExperimentSpec(protocol="pairing", population=5, model=model,
+                              simulator=simulator)
+        outcome = run_spec(spec, 0, 1, 150_000, 200, "full")
+        assert outcome.converged
+        assert verify_simulation(build_cached(spec).program, outcome.trace).ok
+
+    def test_skno_on_t3_tolerates_its_omission_bound(self):
+        spec = ExperimentSpec(protocol="pairing", population=5, model="T3",
+                              simulator="skno", omission_bound=1, omissions=1)
+        outcome = run_spec(spec, 0, 4, 150_000, 200, "full")
+        assert outcome.converged and outcome.omissions == 1
+        assert verify_simulation(build_cached(spec).program, outcome.trace).ok
+
+    def test_attack_targets(self):
+        protocol = PairingProtocol()
+        t1 = build_simulator("skno", protocol, 2, 1, "T1")
+        assert isinstance(t1, OneWayAsTwoWay) and t1.wrapped.variant == "I3"
+        i4 = build_simulator("skno", protocol, 2, 1, "I4")
+        assert isinstance(i4, SKnOSimulator) and i4.variant == "I4"
+        assert isinstance(build_simulator("none", protocol, 2, 0, "T3"),
+                          TrivialTwoWaySimulator)

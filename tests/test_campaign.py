@@ -579,6 +579,27 @@ class TestRunAndResume:
         assert record["status"] == "error"
         assert "epidemic" in record["error"]
 
+    def test_two_way_model_cells_run_one_way_simulators(self, tmp_path):
+        # The registry presents SKnO one-way-as-two-way under T3, so the T3
+        # cell runs like the I3 one instead of aborting the sweep.
+        data = {
+            "name": "skno-i3-t3",
+            "base": {"protocol": "pairing", "population": 5, "simulator": "skno",
+                     "omission_bound": 1, "omissions": 1},
+            "axes": {"model": ["I3", "T3"]},
+            "runs": 2,
+            "max_steps": 150_000,
+            "stability_window": 200,
+        }
+        plan = plan_campaign(campaign_from_dict(data))
+        store = fresh_store(tmp_path, plan)
+        status = run_campaign(plan, store)
+        assert status.complete and status.executed_now == 2 and status.errors == 0
+        for cell in plan.cells:
+            record = store.record_for(cell.cell_id)
+            assert record["status"] == "ok"
+            assert record["result"]["successes"] == 2
+
     def test_single_axis_campaign_reports_a_verdict_column(self, tmp_path):
         data = {
             "name": "one-axis",

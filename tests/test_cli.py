@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
+import repro.protocols.registry as registry
 from repro.cli import build_parser, main
+from repro.protocols.registry import ExperimentSpec
 
 
 class TestParser:
@@ -81,6 +88,55 @@ class TestRunCommand:
         ])
         assert exit_code == 0
         assert "threshold-3" in capsys.readouterr().out
+
+
+    def test_skno_on_t3_runs_through_the_registry_adapter(self, capsys):
+        exit_code = main([
+            "run", "--protocol", "pairing", "-n", "5", "--model", "T3",
+            "--simulator", "skno", "--omission-bound", "1", "--omissions", "1",
+            "--seed", "4",
+        ])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "two-way(SKnO(o=1,I3))" in output
+        assert "| verification              | OK" in output
+
+    @pytest.mark.parametrize("population", ["1", "0"])
+    def test_population_below_two_is_a_one_line_error(self, population):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "-n", population],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert completed.returncode != 0
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.strip().splitlines() == [
+            "a population needs at least two agents to interact"]
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--engine-backend", "auto"],
+        ["--runs", "2"],
+    ])
+    def test_one_build_per_invocation(self, capsys, monkeypatch, extra):
+        monkeypatch.setattr(registry, "_BUILD_CACHE", {})
+        monkeypatch.setattr(registry, "_RESOLUTION_CACHE", {})
+        builds = []
+        original = ExperimentSpec.build
+
+        def counting_build(spec):
+            builds.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(ExperimentSpec, "build", counting_build)
+        exit_code = main([
+            "run", "--protocol", "pairing", "-n", "5", "--model", "I3",
+            "--simulator", "skno", "--omission-bound", "1", "--omissions", "1",
+            "--seed", "4", *extra,
+        ])
+        capsys.readouterr()
+        assert exit_code == 0
+        assert len(builds) == 1
 
 
 class TestRunBackendsAndRing:
