@@ -26,6 +26,18 @@ keeps a per-thread profiler seeing the simulators; only a wider pool
 uses threads.  Either way workers return records and the draining
 thread is every store's only appender.
 
+Appends are **group-committed**, one group per drain wake: records go to
+their stores inside :meth:`~repro.campaign.store._BaseStore.group_commit`
+blocks, and closing the group writes each store's records with one
+``os.write`` and one ``fsync``.  Inline, a group holds every record
+delivered since the last executable cell started and is flushed before
+the next one starts, so ``n/a`` verdicts share the ``fsync`` of the cell
+before them and nothing is unflushed while a cell computes.  Pooled, a
+group holds every record the workers had finished when the drain thread
+woke, and is flushed once the drain has delivered all of them.  A
+record's progress line is printed only after its group's ``fsync``, so a
+crash loses only cells no line has reported.
+
 Content addressing makes the queue deduplicating: overlapping campaigns
 share cell ids, so each distinct cell executes once, and a cell already
 persisted in *any* submitted store is delivered instead of recomputed —
@@ -34,14 +46,15 @@ record-identical to its campaign run alone.  Campaigns sharing one store
 must be submitted with the *same* store object.
 
 On ``KeyboardInterrupt`` queued cells are cancelled, in-flight cells run
-to completion, and every finished record is persisted — the stores are
-always resumable.
+to completion, and every finished record is persisted (the open group is
+flushed before the drain returns) — the stores are always resumable.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
-from contextlib import closing
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, Iterator, List, Optional, Tuple
 
@@ -129,26 +142,97 @@ def _build(item: _WorkItem) -> dict:
                              result_transport=entry.result_transport)
 
 
-def _computed(items: List[_WorkItem], width: int,
-              submitted: Dict[Future, _WorkItem],
-              ) -> Generator[Tuple[_WorkItem, dict], None, None]:
-    """Yield ``(item, record)`` for every item, over ``width`` threads.
+class _GroupCommit:
+    """The records of one drain wake, made durable together.
 
-    Width 1 computes inline, in schedule order.  A wider pool records each
-    future in ``submitted`` and yields in completion order; closing the
+    Each record goes to its store inside that store's ``group_commit``
+    block, opened on the store's first record of the group, and its
+    progress line waits here.  :meth:`flush` closes every open block —
+    one ``os.write`` and one ``fsync`` per store — and only then prints
+    the waiting lines.
+    """
+
+    def __init__(self, emit: Callable[[str], None]) -> None:
+        self._emit = emit
+        self._blocks = ExitStack()
+        self._stores: set = set()
+        self._records = 0
+        self._lines: List[str] = []
+
+    def append(self, store: _BaseStore, record: dict) -> None:
+        if store not in self._stores:
+            self._blocks.enter_context(store.group_commit())
+            self._stores.add(store)
+        store.append_cell(record)
+        self._records += 1
+
+    def progress(self, line: str) -> None:
+        self._lines.append(line)
+
+    def flush(self) -> None:
+        """Write and fsync every buffered record, then print their lines.
+
+        The group is emptied first, so a flush that fails (a torn write)
+        leaves nothing behind for the next one to retry.
+        """
+        blocks, self._blocks = self._blocks, ExitStack()
+        records, self._records = self._records, 0
+        lines, self._lines = self._lines, []
+        self._stores = set()
+        obs = get_recorder()
+        if obs is NULL_RECORDER or not records:
+            blocks.close()
+        else:
+            begin = time.perf_counter()
+            blocks.close()
+            obs.observe("store.fsync_seconds", time.perf_counter() - begin)
+            obs.observe("store.group_records", records)
+        for line in lines:
+            self._emit(line)
+
+
+def _computed(items: List[_WorkItem], width: int,
+              submitted: Dict[Future, _WorkItem], flush: Callable[[], None],
+              ) -> Generator[Tuple[_WorkItem, dict], None, None]:
+    """Yield ``(item, record)`` for every item, over ``width`` threads,
+    calling ``flush`` wherever a drain group ends.
+
+    Width 1 computes inline, in schedule order, and flushes before each
+    executable cell starts (``n/a`` verdicts join the open group).  A
+    wider pool records each future in ``submitted``, yields in completion
+    order, and flushes once it has yielded every cell its workers have
+    finished — when the next record is not ready yet.  Closing the
     generator (or an error inside it) cancels the queued cells, and the
     pool's shutdown waits for the in-flight ones.
     """
     if width <= 1:
         for item in items:
+            if item.owner[1].skip_reason is None:
+                flush()
             yield item, _build(item)
         return
+    # Counted by the worker before its future resolves, never after (a
+    # done-callback runs after the future's waiters wake): the drain may
+    # wait a moment for a record about to arrive, but never flushes a
+    # group while a finished record is still to come.
+    finished: List[_WorkItem] = []
+
+    def build(item: _WorkItem) -> dict:
+        try:
+            return _build(item)
+        finally:
+            finished.append(item)
+
     with ThreadPoolExecutor(max_workers=width) as pool:
         for item in items:
-            submitted[pool.submit(_build, item)] = item
+            submitted[pool.submit(build, item)] = item
         try:
+            yielded = 0
             for future in _completed_in_order(list(submitted)):
                 yield submitted[future], future.result()
+                yielded += 1
+                if yielded >= len(finished):
+                    flush()
         finally:
             for future in submitted:
                 future.cancel()
@@ -204,6 +288,7 @@ class CampaignQueue:
         emit = progress if progress is not None else (lambda _message: None)
         for entry in self._entries:
             entry.status = CampaignRunStatus(total=entry.plan.total)
+        group = _GroupCommit(emit)
 
         queue = sorted(self._collect_items().values(),
                        key=lambda item: item.sort_key)
@@ -213,7 +298,7 @@ class CampaignQueue:
         for item in queue:
             cached = self._cached_record(item)
             if cached is not None:
-                self._deliver(item, cached, emit, executed=False)
+                self._deliver(item, cached, group, executed=False)
             else:
                 to_run.append(item)
         selected = to_run if max_cells is None else to_run[:max_cells]
@@ -227,19 +312,25 @@ class CampaignQueue:
             obs.counter("queue.executed", len(selected))
 
         submitted: Dict[Future, _WorkItem] = {}
+        keyboard_interrupt = False
         try:
             # Leaving the block closes the generator: queued cells are
             # cancelled and in-flight ones finish before the handler runs.
-            with closing(_computed(selected, width, submitted)) as records:
+            with closing(_computed(selected, width, submitted,
+                                   group.flush)) as records:
                 for item, record in records:
-                    self._deliver(item, record, emit, executed=True)
+                    self._deliver(item, record, group, executed=True)
         except KeyboardInterrupt:
+            keyboard_interrupt = True
             for future, item in submitted.items():
                 entry, cell = item.owner
                 if future.done() and not future.cancelled() \
                         and future.exception() is None \
                         and entry.store.record_for(cell.cell_id) is None:
-                    self._deliver(item, future.result(), emit, executed=True)
+                    self._deliver(item, future.result(), group, executed=True)
+        finally:
+            group.flush()
+        if keyboard_interrupt:
             for entry in self._entries:
                 entry.status.interrupted = True
                 entry.status.keyboard_interrupt = True
@@ -282,16 +373,17 @@ class CampaignQueue:
                 return record
         return None
 
-    def _deliver(self, item: _WorkItem, record: dict,
-                 emit: Callable[[str], None], *, executed: bool) -> None:
-        """Hand one finished record to every subscriber lacking it."""
+    def _deliver(self, item: _WorkItem, record: dict, group: _GroupCommit,
+                 *, executed: bool) -> None:
+        """Hand one finished record to every subscriber lacking it, in
+        ``group``; the progress lines wait for the group's flush."""
         owner_entry, _ = item.owner
         named = len(self._entries) > 1
         for entry, cell in item.subscribers:
             delivered = entry.store.record_for(cell.cell_id)
             if delivered is None:
                 delivered = _reheaded(record, cell)
-                entry.store.append_cell(delivered)
+                group.append(entry.store, delivered)
                 # Per delivered record, not per step: the NullRecorder call
                 # is a single no-op method dispatch when telemetry is off.
                 get_recorder().counter("queue.delivered")
@@ -299,4 +391,5 @@ class CampaignQueue:
                     entry.status.executed_now += 1
             _tally(entry.status, delivered)
             line = progress_line(cell, entry.plan.total, delivered)
-            emit(f"[{entry.plan.campaign.name}] {line}" if named else line)
+            group.progress(
+                f"[{entry.plan.campaign.name}] {line}" if named else line)

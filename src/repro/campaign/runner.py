@@ -14,10 +14,14 @@ access.
 :class:`~repro.campaign.executor.CampaignQueue`, the one campaign
 scheduler: it skips every cell the store already holds, computes the
 first ``max_cells`` pending cells in plan order — inline at
-``cell_jobs=1``, across a worker pool otherwise — and persists each
-record with an atomic append, so killing the run between (or during)
-cells loses at most the cells in flight.  A ``KeyboardInterrupt`` is
-caught, reported, and leaves the store resumable; ``repro campaign
+``cell_jobs=1``, across a worker pool otherwise — and persists the
+records in group commits: each drain wake's records go out as one
+``os.write`` of complete lines and one ``fsync``, and a cell's progress
+line is printed only after that ``fsync``.  Killing the run loses at
+most the cells in flight and the records of the unflushed group — never
+a cell whose progress line was printed (inline, nothing is unflushed
+while a cell computes).  A ``KeyboardInterrupt`` is caught, the open
+group is flushed, and the store is left resumable; ``repro campaign
 resume`` is the same drain again, and the finished store folds to a
 report byte-identical to an uninterrupted run.
 """

@@ -33,20 +33,31 @@ cells.
 Atomicity and crash recovery
 ----------------------------
 
-Appends are atomic at cell granularity: each record is written as a
-single ``os.write`` of one complete line on an ``O_APPEND`` descriptor,
-``fsync``-ed before the runner moves on.  ``O_APPEND`` plus
-one-``write``-per-record is what makes **concurrent appenders** safe:
-parallel cell executors in one process (serialised by the store's lock)
-and independent processes sharing one pool file can interleave only at
-line granularity, never inside a record.  A crash can lose at most the
-record in flight — never corrupt a finished one.  If the process dies
+Appends are atomic at record granularity and durable per **group**.
+Outside a group, ``append_cell`` writes its record as a single
+``os.write`` of one complete line on an ``O_APPEND`` descriptor and
+``fsync``-s it before returning.  Inside a :meth:`_BaseStore.group_commit`
+block, ``append_cell`` only buffers the line; closing the block writes
+every buffered line with one ``os.write`` and one ``fsync``.  The
+campaign scheduler opens one group per drain wake (see
+:mod:`repro.campaign.executor`), so a run of cheap ``n/a`` verdicts, or
+every record a worker pool finished while the drain was busy, costs one
+``fsync`` instead of one each.  ``O_APPEND`` plus one ``write`` of
+complete lines is what makes **concurrent appenders** safe: parallel
+cell executors in one process (serialised by the store's lock) and
+independent processes sharing one pool file can interleave only at line
+granularity, never inside a record.
+
+A crash can lose the records of the group in flight — the records
+buffered since the last ``fsync``, whose progress lines have not been
+printed yet — and never corrupts a finished one.  If the process dies
 mid-write, the file ends in a torn (unparseable or unterminated) tail
-line; ``open`` detects it, truncates the store back to the last complete
-record, and resumes from there.  Records are keyed by content-addressed
-``cell_id``, so replaying a lost cell appends an identical record and
-the folded view of the store is unchanged — which is what makes
-interrupted-and-resumed campaigns render byte-identical reports.
+line, possibly after some complete lines of the torn group; ``open``
+keeps every complete line, truncates the store back to the last one, and
+resumes from there.  Records are keyed by content-addressed ``cell_id``,
+so replaying a lost cell appends an identical record and the folded view
+of the store is unchanged — which is what makes interrupted-and-resumed
+campaigns render byte-identical reports.
 
 Record order on disk is **not** part of the contract: a parallel
 executor appends cells in completion order, which may differ run to run.
@@ -77,8 +88,9 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 MANIFEST_KIND = "campaign-manifest"
 SHARED_MANIFEST_KIND = "shared-store-manifest"
@@ -137,8 +149,8 @@ def _record_line(record: Dict[str, Any]) -> bytes:
     return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _append_line(path: str, data: bytes) -> None:
-    """Append one complete record line: a single fsync'd ``os.write``.
+def _append_lines(path: str, data: bytes) -> None:
+    """Append complete record lines: a single fsync'd ``os.write``.
 
     ``O_APPEND`` makes the kernel serialise concurrent appenders at write
     granularity, so two processes sharing a pool file can interleave only
@@ -167,6 +179,8 @@ class _BaseStore:
         #: Serialises in-process appenders (the campaign scheduler appends
         #: from its draining thread, but library callers need not).
         self._lock = threading.Lock()
+        #: Lines buffered by the open :meth:`group_commit` block, if any.
+        self._group: Optional[List[bytes]] = None
 
     # -- reading ----------------------------------------------------------------
 
@@ -192,12 +206,43 @@ class _BaseStore:
     # -- writing ----------------------------------------------------------------
 
     def append_cell(self, record: Dict[str, Any]) -> None:
-        """Persist one finished cell: a single flushed, fsync-ed line."""
+        """Persist one finished cell: a single flushed, fsync-ed line.
+
+        Inside a :meth:`group_commit` block the line is buffered instead
+        and reaches disk when the block closes.  Either way the record is
+        visible to :meth:`record_for` at once.
+        """
         if record.get("kind") != CELL_KIND or "cell_id" not in record:
             raise StoreError("cell records need kind='cell' and a cell_id")
+        line = _record_line(record)
         with self._lock:
-            _append_line(self.path, _record_line(record))
+            if self._group is None:
+                _append_lines(self.path, line)
+            else:
+                self._group.append(line)
             self._cells[record["cell_id"]] = record
+
+    @contextmanager
+    def group_commit(self) -> Iterator[None]:
+        """Buffer every :meth:`append_cell` made inside the block.
+
+        On exit — normal or not — the buffered lines go out as one
+        ``os.write`` of complete lines and one ``fsync``; a block that
+        appended nothing writes nothing.  Blocks do not nest: a nested
+        block would hide the outer block's ``fsync`` from whoever closes
+        the inner one.
+        """
+        with self._lock:
+            if self._group is not None:
+                raise StoreError("group_commit blocks do not nest")
+            self._group = []
+        try:
+            yield
+        finally:
+            with self._lock:
+                lines, self._group = self._group, None
+                if lines:
+                    _append_lines(self.path, b"".join(lines))
 
 
 class ResultStore(_BaseStore):
@@ -411,7 +456,7 @@ class SharedResultStore(_BaseStore):
                 and existing.get("cells") == record["cells"]:
             return False
         with self._lock:
-            _append_line(self.path, _record_line(record))
+            _append_lines(self.path, _record_line(record))
             self._registrations[campaign_name] = record
         return True
 

@@ -52,10 +52,11 @@ disk only through the sanctioned single-writer appenders in
 
 from __future__ import annotations
 
+import os
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.convergence import ConvergenceResult
@@ -76,6 +77,26 @@ _HEADER_WIDTH = 4
 
 #: Bytes per int64 cell.
 _CELL_BYTES = 8
+
+
+def _hold_tracker_lock() -> None:
+    resource_tracker._resource_tracker._lock.acquire()
+
+
+def _release_tracker_lock() -> None:
+    resource_tracker._resource_tracker._lock.release()
+
+
+# Every shm create, attach and unlink registers with the stdlib resource
+# tracker under its process-wide lock.  A process-pool worker forked by one
+# campaign cell thread while another thread holds that lock inherits it
+# held, and blocks forever on its first arena.  Holding the lock across
+# every fork hands the child a released one.  (The tracker launches itself
+# through ``fork_exec``, which runs no fork handlers, so this never waits on
+# its own holder.)
+os.register_at_fork(before=_hold_tracker_lock,
+                    after_in_parent=_release_tracker_lock,
+                    after_in_child=_release_tracker_lock)
 
 
 class TransportError(RuntimeError):

@@ -15,11 +15,13 @@ third-party distributions).
 **RPL004, store-write bypass.**  Campaign resume is byte-identical only
 because every record reaches disk through the flushed + fsync'd
 atomic-append helpers in :mod:`repro.campaign.store`
-(``_append_line`` behind ``append_cell``/``register_campaign``,
-``_write_manifest``, and the :func:`~repro.campaign.store.compact_store`
-writer, whose non-append rewrite is sanctioned because it goes
-write-temp-then-``os.replace``): one complete line per write, torn tails
-recoverable, compactions all-or-nothing.  Any other write path inside
+(``_append_lines`` behind ``append_cell``/``register_campaign`` — one
+write and one fsync per record, or per group of records inside a
+``group_commit`` block — ``_write_manifest``, and the
+:func:`~repro.campaign.store.compact_store` writer, whose non-append
+rewrite is sanctioned because it goes write-temp-then-``os.replace``):
+complete lines per write, torn tails recoverable, compactions
+all-or-nothing.  Any other write path inside
 ``repro.campaign`` — an ``open(..., "w"/"a")``, ``os.open`` with write
 flags, ``Path.write_text`` — could interleave partial lines or skip the
 fsync and silently void crash recovery, so constructing a writable file
@@ -126,7 +128,7 @@ class StoreBypassRule(Rule):
     scope = ("repro.campaign.", "repro.engine.transport")
 
     #: Modules owning a sanctioned write path: the atomic-append helpers
-    #: (``_append_line``/``_write_manifest``) and the compaction writer
+    #: (``_append_lines``/``_write_manifest``) and the compaction writer
     #: (``compact_store``'s write-temp-then-rename rewrite) both live in
     #: ``store.py`` — every other module in scope must route records
     #: through them.

@@ -375,3 +375,33 @@ class TestResolutionAndFallback:
         with pytest.raises(SystemExit, match="crosses process boundaries"):
             main(["campaign", "run", str(path), "--store",
                   str(tmp_path / "s.jsonl"), "--result-transport", "shm"])
+
+
+def test_a_fork_never_inherits_a_held_resource_tracker_lock():
+    """A process-pool worker forked by one cell thread while another thread
+    held the resource tracker's lock used to hang on its first arena: the
+    child must always find the lock free."""
+    from multiprocessing import resource_tracker
+    import threading
+
+    lock = resource_tracker._resource_tracker._lock
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with lock:
+            held.set()
+            release.wait()
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    held.wait()
+    # The fork below waits for the holder, which lets go once this fires.
+    releaser = threading.Timer(0.2, release.set)
+    releaser.start()
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if lock.acquire(timeout=5) else 1)
+    _, status = os.waitpid(pid, 0)
+    holder.join()
+    releaser.join()
+    assert os.waitstatus_to_exitcode(status) == 0
