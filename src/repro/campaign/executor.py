@@ -7,8 +7,8 @@ list ordered by ``(-priority, submission order, plan index)``.  Each
 cell is computed by :func:`~repro.campaign.runner.build_cell_record`,
 whose cell-internal fan-out (``jobs``/``jobs_backend``/``run_chunk``/
 ``result_transport``) composes underneath, so ``--cell-jobs 4 --jobs 2
---backend process`` keeps four cells in flight with two worker
-processes each.
+--backend process`` keeps four cells in flight over one pool of
+``jobs × width`` workers, forked once per drain.
 
 * **Which cells run** is deterministic: the first ``max_cells`` pending
   items in schedule order — for one campaign, the first ``max_cells``
@@ -25,6 +25,17 @@ cells run inline on the draining thread — the serial reference, and what
 keeps a per-thread profiler seeing the simulators; only a wider pool
 uses threads.  Either way workers return records and the draining
 thread is every store's only appender.
+
+The drain owns the run fan-out's process pool.  It starts one only when
+a selected, executable cell's campaign fans its runs out over processes
+(``jobs_backend="process"``, ``jobs > 1``, ``runs > 1``), sized
+``max(jobs) × width`` so ``width`` such cells keep their own ``jobs``
+workers busy, and shuts it down when the drain ends.  The workers are
+forked on the draining thread before any cell thread starts, so no cell
+thread can hold a lock at fork time.  Every cell's process fan-out
+submits its batches to this pool, through the ``pool=`` argument of
+:func:`~repro.engine.experiment.repeat_experiment`.  Resume drains and
+``n/a``-only drains fork nothing.
 
 Appends are **group-committed**, one group per drain wake: records go to
 their stores inside :meth:`~repro.campaign.store._BaseStore.group_commit`
@@ -48,12 +59,19 @@ must be submitted with the *same* store object.
 On ``KeyboardInterrupt`` queued cells are cancelled, in-flight cells run
 to completion, and every finished record is persisted (the open group is
 flushed before the drain returns) — the stores are always resumable.
+The process pool is shut down last, on every exit path, with its queued
+batches cancelled, so no worker outlives the drain.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, as_completed
+from concurrent.futures import (
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    as_completed,
+)
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, Iterator, List, Optional, Tuple
@@ -68,7 +86,7 @@ from repro.campaign.runner import (
     progress_line,
 )
 from repro.campaign.store import _BaseStore
-from repro.engine.experiment import check_fanout
+from repro.engine.experiment import check_fanout, start_process_pool
 from repro.obs.recorder import NULL_RECORDER, get_recorder
 
 
@@ -129,17 +147,41 @@ def _reheaded(record: dict, cell: PlannedCell) -> dict:
     return fresh
 
 
-def _build(item: _WorkItem) -> dict:
+def _build(item: _WorkItem, pool: Optional[ProcessPoolExecutor]) -> dict:
     """Compute one item under its owner's fan-out knobs.
 
+    A process fan-out submits its batches to the drain's ``pool``.
     ``build_cell_record`` is looked up as a module global on every call,
     so a rebinding (a test's counter, a tracer's span wrapper) applies.
     """
     entry, cell = item.owner
-    return build_cell_record(cell, entry.plan, jobs=entry.jobs,
-                             jobs_backend=entry.jobs_backend,
-                             run_chunk=entry.run_chunk,
-                             result_transport=entry.result_transport)
+    return build_cell_record(
+        cell, entry.plan, jobs=entry.jobs, jobs_backend=entry.jobs_backend,
+        run_chunk=entry.run_chunk, result_transport=entry.result_transport,
+        pool=pool if entry.jobs_backend == "process" else None)
+
+
+def _fanout_pool(items: List[_WorkItem], width: int,
+                 ) -> Optional[ProcessPoolExecutor]:
+    """The drain's process pool: ``max(jobs) × width`` workers, or ``None``.
+
+    Only an executable item whose campaign fans its runs out over
+    processes (``jobs_backend="process"``, ``jobs > 1``, ``runs > 1``)
+    needs one, so resume drains and ``n/a``-only drains fork nothing.
+    The size keeps the peak parallelism of ``width`` such cells each
+    running its own ``jobs`` workers.
+    """
+    jobs = [entry.jobs for entry, cell in (item.owner for item in items)
+            if cell.skip_reason is None and entry.jobs_backend == "process"
+            and entry.jobs > 1 and entry.plan.campaign.runs > 1]
+    if not jobs:
+        return None
+    workers = max(jobs) * width
+    obs = get_recorder()
+    if obs is not NULL_RECORDER:
+        obs.counter("fanout.pools")
+        obs.gauge("fanout.pool_workers", workers)
+    return start_process_pool(workers)
 
 
 class _GroupCommit:
@@ -193,9 +235,11 @@ class _GroupCommit:
 
 def _computed(items: List[_WorkItem], width: int,
               submitted: Dict[Future, _WorkItem], flush: Callable[[], None],
+              pool: Optional[ProcessPoolExecutor],
               ) -> Generator[Tuple[_WorkItem, dict], None, None]:
     """Yield ``(item, record)`` for every item, over ``width`` threads,
-    calling ``flush`` wherever a drain group ends.
+    calling ``flush`` wherever a drain group ends; every cell's process
+    fan-out shares ``pool``.
 
     Width 1 computes inline, in schedule order, and flushes before each
     executable cell starts (``n/a`` verdicts join the open group).  A
@@ -209,7 +253,7 @@ def _computed(items: List[_WorkItem], width: int,
         for item in items:
             if item.owner[1].skip_reason is None:
                 flush()
-            yield item, _build(item)
+            yield item, _build(item, pool)
         return
     # Counted by the worker before its future resolves, never after (a
     # done-callback runs after the future's waiters wake): the drain may
@@ -219,13 +263,13 @@ def _computed(items: List[_WorkItem], width: int,
 
     def build(item: _WorkItem) -> dict:
         try:
-            return _build(item)
+            return _build(item, pool)
         finally:
             finished.append(item)
 
-    with ThreadPoolExecutor(max_workers=width) as pool:
+    with ThreadPoolExecutor(max_workers=width) as cells:
         for item in items:
-            submitted[pool.submit(build, item)] = item
+            submitted[cells.submit(build, item)] = item
         try:
             yielded = 0
             for future in _completed_in_order(list(submitted)):
@@ -313,11 +357,13 @@ class CampaignQueue:
 
         submitted: Dict[Future, _WorkItem] = {}
         keyboard_interrupt = False
+        # Forked here, before any cell thread starts, and shut down last.
+        pool = _fanout_pool(selected, width)
         try:
             # Leaving the block closes the generator: queued cells are
             # cancelled and in-flight ones finish before the handler runs.
             with closing(_computed(selected, width, submitted,
-                                   group.flush)) as records:
+                                   group.flush, pool)) as records:
                 for item, record in records:
                     self._deliver(item, record, group, executed=True)
         except KeyboardInterrupt:
@@ -329,7 +375,11 @@ class CampaignQueue:
                         and entry.store.record_for(cell.cell_id) is None:
                     self._deliver(item, future.result(), group, executed=True)
         finally:
-            group.flush()
+            try:
+                group.flush()
+            finally:
+                if pool is not None:
+                    pool.shutdown(cancel_futures=True)
         if keyboard_interrupt:
             for entry in self._entries:
                 entry.status.interrupted = True

@@ -29,6 +29,7 @@ report byte-identical to an uninterrupted run.
 from __future__ import annotations
 
 import time
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -161,7 +162,7 @@ def _cell_record_header(cell: PlannedCell) -> dict:
 
 def _execute_cell(cell: PlannedCell, plan: CampaignPlan, *, jobs: int,
                   jobs_backend: str, run_chunk: int,
-                  result_transport: str) -> dict:
+                  result_transport: str, pool: Optional[Executor]) -> dict:
     """Run one feasible cell and shape its persistent record."""
     campaign = plan.campaign
     record = _cell_record_header(cell)
@@ -178,6 +179,7 @@ def _execute_cell(cell: PlannedCell, plan: CampaignPlan, *, jobs: int,
             run_chunk=run_chunk,
             trace_policy="counts-only",
             result_transport=result_transport,
+            pool=pool,
         )
     except (BackendError, KeyError, TypeError, ValueError) as error:
         # Per-cell verdicts, not campaign aborts: backend compilation /
@@ -198,7 +200,8 @@ def _execute_cell(cell: PlannedCell, plan: CampaignPlan, *, jobs: int,
 
 def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
                       jobs_backend: str = "thread", run_chunk: int = 1,
-                      result_transport: str = "pickle") -> dict:
+                      result_transport: str = "pickle",
+                      pool: Optional[Executor] = None) -> dict:
     """The persistent record for one planned cell: ``n/a`` or executed.
 
     A pure function of (cell, seed block, fan-out knobs) with no store
@@ -208,7 +211,9 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
     ``result_transport`` rides along with the other fan-out knobs
     (mechanism only — records are byte-identical for every transport);
     even under the shm transport the record returned here is plain data,
-    so the main thread stays the store's only appender.
+    so the main thread stays the store's only appender.  ``pool`` is the
+    drain's process pool, which a process fan-out submits its batches to
+    (:func:`~repro.engine.experiment.repeat_experiment`'s ``pool=``).
 
     This is also the one per-cell observability seam: the scheduler
     funnels every computed cell through here, inline or on a pool thread,
@@ -219,10 +224,10 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
     obs = get_recorder()
     if obs is NULL_RECORDER:
         return _build_record(cell, plan, jobs, jobs_backend, run_chunk,
-                             result_transport)
+                             result_transport, pool)
     begin = time.perf_counter()
     record = _build_record(cell, plan, jobs, jobs_backend, run_chunk,
-                           result_transport)
+                           result_transport, pool)
     seconds = time.perf_counter() - begin
     status = record["status"]
     obs.counter(f"campaign.cells.{status}")
@@ -235,7 +240,7 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
 
 def _build_record(cell: PlannedCell, plan: CampaignPlan, jobs: int,
                   jobs_backend: str, run_chunk: int,
-                  result_transport: str) -> dict:
+                  result_transport: str, pool: Optional[Executor]) -> dict:
     """The uninstrumented record build behind :func:`build_cell_record`."""
     if cell.skip_reason is not None:
         record = _cell_record_header(cell)
@@ -243,7 +248,8 @@ def _build_record(cell: PlannedCell, plan: CampaignPlan, jobs: int,
         record["reason"] = cell.skip_reason
         return record
     return _execute_cell(cell, plan, jobs=jobs, jobs_backend=jobs_backend,
-                         run_chunk=run_chunk, result_transport=result_transport)
+                         run_chunk=run_chunk, result_transport=result_transport,
+                         pool=pool)
 
 
 def progress_line(cell: PlannedCell, total: int, record: dict) -> str:

@@ -26,6 +26,7 @@ from repro.engine.fastpath import (
     AgentCountPredicate,
     CountsOnlyRecorder,
     FullRecorder,
+    HistogramPredicate,
     IncrementalPredicate,
     PredicateAdapter,
     RingRecorder,
@@ -51,6 +52,7 @@ __all__ = [
     "AgentCountPredicate",
     "CountsOnlyRecorder",
     "FullRecorder",
+    "HistogramPredicate",
     "IncrementalPredicate",
     "PredicateAdapter",
     "RingRecorder",

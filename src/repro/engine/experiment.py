@@ -20,7 +20,11 @@ worker, :func:`run_spec_batch` (:func:`run_spec_batch_shm` under shm):
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`: each worker
     resolves the spec against its own imported registries.  This
-    sidesteps the GIL at the cost of per-run result pickling.
+    sidesteps the GIL at the cost of per-run result pickling.  A caller
+    that runs many experiments (the campaign drain, one per cell) forks
+    one pool with :func:`start_process_pool` and passes it to every call
+    as ``pool=``; without one, each call forks and joins a pool of its
+    own.
 
 For short runs that pickling dominates: ``run_chunk=K`` ships seeds in
 batches of ``K`` consecutive run indices per executor task, amortizing
@@ -40,8 +44,8 @@ transport.
 
 Whatever the backend and chunking, results merge in run-index order, so
 for a given spec and seed the aggregate :class:`ExperimentResult` is
-identical across sequential, thread and process execution and across
-every ``run_chunk``.
+identical across sequential, thread and process execution, across every
+``run_chunk``, and on an own or a shared process pool.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import statistics
 import time
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
@@ -292,6 +297,26 @@ def check_fanout(jobs: int, jobs_backend: str, run_chunk: int,
     check_transport(result_transport, jobs_backend)
 
 
+def start_process_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool of ``workers`` run workers, forked now, on this thread.
+
+    Under the ``fork`` start method the pool forks all of its workers at
+    its first submit, so a no-op submit here fixes *when* and *from which
+    thread* they are forked: a caller that starts the pool before it
+    starts its own threads forks before any of them can hold a lock the
+    workers would copy.  Each worker installs the
+    ``NULL_RECORDER``: a forked worker would otherwise inherit the
+    parent's recorder, whose lock another parent thread may hold at fork
+    time (see :mod:`repro.obs.recorder`).
+    """
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               initializer=_install_null_recorder)
+    # Its result carries nothing: a worker that fails to start breaks the
+    # pool, and the first real batch raises BrokenProcessPool.
+    pool.submit(_install_null_recorder)
+    return pool
+
+
 def repeat_experiment(
     spec: ExperimentSpec,
     runs: int = 10,
@@ -305,6 +330,8 @@ def repeat_experiment(
     ring_size: Optional[int] = None,
     run_chunk: int = 1,
     result_transport: str = "pickle",
+    *,
+    pool: Optional[Executor] = None,
 ) -> ExperimentResult:
     """Run ``spec`` ``runs`` times, run ``i`` with scheduler seed ``base_seed + i``.
 
@@ -356,8 +383,17 @@ def repeat_experiment(
         warning and falling back to pickle otherwise).  Like
         ``run_chunk``, purely a mechanism knob: the merged aggregate is
         identical for every transport.
+    pool:
+        A running process pool (:func:`start_process_pool`) to submit
+        the process fan-out's batches to, instead of forking and joining
+        one for this call; the caller owns it and shuts it down.  Only
+        ``jobs_backend="process"`` takes one.  Batches are windowed and
+        merged exactly as on an own pool, so the aggregate is identical.
     """
     check_fanout(jobs, jobs_backend, run_chunk, result_transport)
+    if pool is not None and jobs_backend != "process":
+        raise ValueError("pool= carries the process fan-out; "
+                         f"jobs_backend={jobs_backend!r} takes none")
     if validate is not None and trace_policy not in (None, "full"):
         raise ValueError(
             "validate inspects the full trace; it cannot be combined with "
@@ -405,16 +441,14 @@ def repeat_experiment(
             worker, receive, dispose = run_spec_batch_shm, decode_batch, dispose_batch
         else:
             worker, receive, dispose = run_spec_batch, None, None
-        pool: Executor
-        if jobs_backend == "process":
-            # A forked worker would inherit the parent's recorder, whose
-            # lock another parent thread may hold at fork time; workers
-            # record nothing (see repro.obs.recorder).
-            pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_install_null_recorder)
+        context: Any
+        if pool is not None:
+            context = nullcontext(pool)
+        elif jobs_backend == "process":
+            context = start_process_pool(workers)
         else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-        with pool as executor:
+            context = ThreadPoolExecutor(max_workers=workers)
+        with context as executor:
             submit = lambda start, count: executor.submit(  # noqa: E731
                 worker, spec, start, count, base_seed, max_steps,
                 stability_window, policy, ring_size)
@@ -497,11 +531,11 @@ def _merge_windowed(submit, runs: int, run_chunk: int, workers: int, merge,
     ``receive`` maps a future's payload to its
     :class:`ConvergenceResult` list (the shm transport's
     decode-and-unlink hook; identity when ``None`` — the payload already
-    is the list).  ``dispose`` releases a payload that will never be
-    received: when a worker or the merge raises mid-stream, the cleanup
-    path cancels what it can, waits out the batches already in flight,
-    and disposes each delivered payload — so no shared-memory arena
-    outlives a failed or interrupted fan-out.
+    is the list).  When a worker or the merge raises mid-stream, the
+    cleanup path cancels every queued batch; ``dispose`` then releases
+    each payload that will never be received: it waits out the batches
+    already in flight and disposes each delivered payload — so no
+    shared-memory arena outlives a failed or interrupted fan-out.
     """
     window = 2 * workers
     pending: deque = deque()
@@ -524,10 +558,12 @@ def _merge_windowed(submit, runs: int, run_chunk: int, workers: int, merge,
             drain_one()
         completed = True
     finally:
-        if not completed and dispose is not None:
+        if not completed:
+            # A shared pool outlives this call: its workers must not go on
+            # to run the queued batches of a fan-out that has failed.
             for future in pending:
                 future.cancel()
-            for future in pending:
+            for future in pending if dispose is not None else ():
                 # exception() waits for in-flight batches (they cannot be
                 # stopped mid-run) and returns rather than raises, so one
                 # crashed worker cannot mask the disposal of the others.

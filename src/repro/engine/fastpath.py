@@ -118,7 +118,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.trace import Trace, TraceStep
 from repro.interaction.models import InteractionModel
@@ -365,6 +365,52 @@ class AgentCountPredicate(IncrementalPredicate):
     def _holds(self) -> bool:
         target = self._n if self._target is None else self._target
         return self._count == target
+
+
+class HistogramPredicate(IncrementalPredicate):
+    """Holds when ``test`` accepts the histogram of ``key(state)`` over the agents.
+
+    For criteria over the values the agents hold taken together — "every
+    output is the same", "the values spread by at most one" — which no
+    per-state test expresses.  The histogram (``{key: agents}``) is built
+    at :meth:`reset` and moved by the step deltas; ``test`` runs only on
+    steps that move a key, so a step costs O(1) plus, when a key moves,
+    one ``test`` over the distinct keys.  ``key`` must be a pure function
+    of the state's value with hashable results.  Not a state count, so
+    the array backend rejects it.
+    """
+
+    def __init__(self, key: Callable[[State], Any],
+                 test: Callable[[Dict[Any, int]], bool]) -> None:
+        self._key = key
+        self._test = test
+        self._counts: Dict[Any, int] = {}
+        self._holding = False
+
+    def reset(self, configuration: Any) -> bool:
+        counts: Dict[Any, int] = {}
+        for value in map(self._key, configuration):
+            counts[value] = counts.get(value, 0) + 1
+        self._counts = counts
+        self._holding = self._test(counts)
+        return self._holding
+
+    def update(self, deltas: StepDeltas) -> bool:
+        key = self._key
+        counts = self._counts
+        moved = False
+        for _agent, old_state, new_state in deltas:
+            old, new = key(old_state), key(new_state)
+            if old != new:
+                counts[new] = counts.get(new, 0) + 1
+                if counts[old] == 1:
+                    del counts[old]
+                else:
+                    counts[old] -= 1
+                moved = True
+        if moved:
+            self._holding = self._test(counts)
+        return self._holding
 
 
 def incremental_stable_output(

@@ -39,7 +39,7 @@ NON_COUNT_EXPRESSIBLE: Set[Tuple[str, str]] = {
     # between two counts, not a single state-count threshold
     ("stable-output", "averaging"),
     # approximate-majority has no expected_output(), so stable-output
-    # falls back to the unanimity-of-outputs rescan
+    # falls back to the unanimity-of-outputs criterion
     ("stable-output", "approximate-majority"),
     # AndProtocol.expected_output takes (ones, zeros); the registry's
     # generic single-argument probe TypeErrors into the same fallback

@@ -57,7 +57,7 @@ from repro.adversary.omission import (
 from repro.core.naming import KnownSizeSimulator
 from repro.engine.backends import BackendUnavailableError, load_array_backend, validate_backend
 from repro.engine.backends.base import unbounded_state_space_error
-from repro.engine.fastpath import AgentCountPredicate
+from repro.engine.fastpath import AgentCountPredicate, HistogramPredicate
 from repro.core.sid import SIDSimulator
 from repro.core.skno import SKnOSimulator
 from repro.core.trivial import TrivialTwoWaySimulator
@@ -219,10 +219,7 @@ def prepare_stable_output_predicate(
         expected = "A" if count_a * 2 > len(initial_projected) else "B"
         return all_output(expected)
     if name.startswith("averaging"):
-        def spread_at_most_one(c) -> bool:
-            return max(project(s) for s in c) - min(project(s) for s in c) <= 1
-        # Stateless plain callable: sharing one instance across runs is safe.
-        return lambda: spread_at_most_one
+        return lambda: HistogramPredicate(project, _spread_at_most_one)
     if name.startswith("threshold"):
         ones = total(lambda state: state[0])
         return all_output(protocol.expected_output(ones))
@@ -241,12 +238,22 @@ def prepare_stable_output_predicate(
     if expected is not None:
         return all_output(expected)
 
-    def unanimous_output(c) -> bool:
-        return len({output(project(s)) for s in c}) == 1
-    return lambda: unanimous_output
+    def projected_output(state: Any) -> Any:
+        return output(project(state))
+    return lambda: HistogramPredicate(projected_output, _unanimous)
 
 
-def stable_output_predicate(simulator, protocol, initial_projected: Configuration) -> "AgentCountPredicate | Callable[[Configuration], bool]":
+def _spread_at_most_one(values: Dict[Any, int]) -> bool:
+    """The averaging criterion: the held values differ by at most one."""
+    return max(values) - min(values) <= 1
+
+
+def _unanimous(outputs: Dict[Any, int]) -> bool:
+    """The fallback criterion: every agent outputs the same value."""
+    return len(outputs) == 1
+
+
+def stable_output_predicate(simulator, protocol, initial_projected: Configuration) -> "AgentCountPredicate | HistogramPredicate":
     """Predicate: every agent's simulated output equals the final stable output.
 
     The expected stable output is derived from the initial configuration
@@ -259,9 +266,11 @@ def stable_output_predicate(simulator, protocol, initial_projected: Configuratio
     per-state test"), the returned predicate is an
     :class:`~repro.engine.fastpath.AgentCountPredicate`: O(1) per step on
     the python backend (delta-driven instead of an O(n) rescan) and
-    compilable by the array backend.  Only the averaging spread criterion
-    and the unanimity fallback remain plain configuration callables, which
-    the array backend rejects with an actionable error.
+    compilable by the array backend.  The averaging spread criterion and
+    the unanimity fallback are not state counts: each is a
+    :class:`~repro.engine.fastpath.HistogramPredicate` over the agents'
+    values or outputs, also delta-driven on the python backend, which the
+    array backend rejects with an actionable error.
     """
     return prepare_stable_output_predicate(simulator, protocol, initial_projected)()
 
