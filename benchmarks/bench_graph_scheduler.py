@@ -24,18 +24,18 @@ Usage::
 
 Headline guard: batched draws on the largest ring topology must be at
 least 1.3x the per-step fallback (typically ~3x; the guard is loose so
-shared-CI noise cannot fail an unrelated change).
+shared-CI noise cannot fail an unrelated change), as the median ratio of
+``paired_guard.PAIRS`` alternating pairs; the other rows are one pair.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Optional
 
+from paired_guard import Measurement, gate, throughput
 from repro.adversary.omission import BoundedOmissionAdversary
-from repro.analysis.reporting import format_table
 from repro.engine.engine import SimulationEngine
 from repro.interaction.models import get_model
 from repro.protocols.catalog.epidemic import INFORMED, SUSCEPTIBLE, OneWayEpidemicProtocol
@@ -50,6 +50,10 @@ from repro.scheduling.scheduler import Scheduler
 
 CHUNK = 256
 
+#: Batched draws on the largest ring must be at least this multiple of the
+#: per-step fallback.
+GUARD_FACTOR = 1.3
+
 
 def topologies(sizes):
     for n in sizes:
@@ -60,33 +64,41 @@ def topologies(sizes):
     yield f"gnp(n={n}, p=0.1)", lambda n=n: random_graph_scheduler(n, 0.1, seed=1)
 
 
-def draw_rate(scheduler, draws: int, batched: bool) -> float:
-    if not batched:
-        # Shadow the vectorized draw with the base per-step fallback so this
-        # measures true per-step draws, as the pre-vectorization engine did.
-        scheduler.next_columns = Scheduler.next_columns.__get__(scheduler)
-    start = time.perf_counter()
-    for step in range(0, draws, CHUNK):
-        scheduler.next_columns(step, CHUNK)
-    return draws / (time.perf_counter() - start)
+def per_step(scheduler):
+    """Shadow the vectorized draw with the base per-step fallback, so the
+    scheduler draws per step as the pre-vectorization engine did."""
+    scheduler.next_columns = Scheduler.next_columns.__get__(scheduler)
+    return scheduler
 
 
-def engine_rate(n: int, steps: int, batched: bool, with_adversary: bool) -> float:
-    model = get_model("I3")
-    scheduler = ring_scheduler(n, seed=1)
-    chunk_size = None
-    if not batched:
-        scheduler.next_columns = Scheduler.next_columns.__get__(scheduler)
-        chunk_size = 1
-    adversary = None
-    if with_adversary:
-        adversary = BoundedOmissionAdversary(model, max_omissions=64, rate=0.5, seed=1)
-    engine = SimulationEngine(OneWayEpidemicProtocol(), model, scheduler,
-                              adversary=adversary)
-    initial = Configuration([INFORMED] + [SUSCEPTIBLE] * (n - 1))
-    start = time.perf_counter()
-    engine.execute(initial, steps, trace_policy="counts-only", chunk_size=chunk_size)
-    return steps / (time.perf_counter() - start)
+def draw_rate(factory, draws: int, batched: bool) -> Measurement:
+    def measure() -> float:
+        scheduler = factory() if batched else per_step(factory())
+
+        def work() -> int:
+            for step in range(0, draws, CHUNK):
+                scheduler.next_columns(step, CHUNK)
+            return draws
+        return throughput(work)
+    return measure
+
+
+def engine_rate(n: int, steps: int, batched: bool, with_adversary: bool) -> Measurement:
+    def measure() -> float:
+        model = get_model("I3")
+        scheduler = ring_scheduler(n, seed=1)
+        if not batched:
+            per_step(scheduler)
+        adversary = None
+        if with_adversary:
+            adversary = BoundedOmissionAdversary(model, max_omissions=64, rate=0.5, seed=1)
+        engine = SimulationEngine(OneWayEpidemicProtocol(), model, scheduler,
+                                  adversary=adversary)
+        initial = Configuration([INFORMED] + [SUSCEPTIBLE] * (n - 1))
+        return throughput(lambda: engine.execute(
+            initial, steps, trace_policy="counts-only",
+            chunk_size=None if batched else 1).steps)
+    return measure
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -100,41 +112,26 @@ def main(argv: Optional[list] = None) -> int:
     sizes = [100, 1000] if args.quick else [1000, 10_000]
     draws = args.draws or (20_000 if args.quick else 200_000)
 
-    draw_rows = []
-    headline: Optional[float] = None
-    for name, factory in topologies(sizes):
-        batched = draw_rate(factory(), draws, batched=True)
-        per_step = draw_rate(factory(), draws, batched=False)
-        speedup = batched / per_step
-        if name == f"ring(n={max(sizes)})":
-            headline = speedup
-        draw_rows.append([name, f"{batched:,.0f}", f"{per_step:,.0f}",
-                          f"{speedup:.1f}x"])
-    print(format_table(
-        ["topology", "batched draws/s", "per-step draws/s", "speedup"], draw_rows))
+    guard_ring = f"ring(n={max(sizes)})"
+    draws_status = gate(
+        (([name], draw_rate(factory, draws, batched=False),
+          draw_rate(factory, draws, batched=True),
+          (guard_ring, f"GraphScheduler batched draws vs the per-step fallback "
+                       f"on {guard_ring}", GUARD_FACTOR, {})
+          if name == guard_ring else None)
+         for name, factory in topologies(sizes)),
+        ["topology", "per-step draws/s", "batched draws/s", "speedup"])
 
     n = min(sizes)
     steps = 5_000 if args.quick else 50_000
-    engine_rows = []
-    for with_adversary in (False, True):
-        batched = engine_rate(n, steps, batched=True, with_adversary=with_adversary)
-        per_step = engine_rate(n, steps, batched=False, with_adversary=with_adversary)
-        engine_rows.append([
-            f"ring(n={n})", "yes" if with_adversary else "no", steps,
-            f"{batched:,.0f}", f"{per_step:,.0f}", f"{batched / per_step:.1f}x"])
     print()
-    print(format_table(
-        ["workload", "adversary", "steps", "batched it/s", "per-step it/s",
-         "speedup"], engine_rows))
-
-    print()
-    print(f"headline: GraphScheduler batched draws are {headline:.1f}x the "
-          f"per-step fallback on ring(n={max(sizes)})")
-    if headline < 1.3:
-        print("FAIL: expected batched graph draws to be at least 1.3x the "
-              "per-step fallback", file=sys.stderr)
-        return 1
-    return 0
+    gate((([f"ring(n={n})", "yes" if with_adversary else "no", steps],
+           engine_rate(n, steps, False, with_adversary),
+           engine_rate(n, steps, True, with_adversary), None)
+          for with_adversary in (False, True)),
+         ["workload", "adversary", "steps", "per-step it/s", "batched it/s",
+          "speedup"])
+    return draws_status
 
 
 if __name__ == "__main__":

@@ -141,10 +141,6 @@ class SKnOState:
     sending: Tuple = ()
     owed: Tuple = ()
 
-    def queue_length(self) -> int:
-        """Number of tokens currently queued for sending."""
-        return len(self.sending)
-
     def joker_count(self) -> int:
         """Number of joker tokens currently in the sending queue."""
         return sum(1 for token in self.sending if type(token) is JokerToken)

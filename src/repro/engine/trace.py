@@ -178,10 +178,6 @@ class Trace:
         """The projection of the final configuration."""
         return self._current.project(projection)
 
-    def non_silent_steps(self) -> List[TraceStep]:
-        """All steps that changed at least one agent's state."""
-        return [step for step in self._steps if not step.is_silent]
-
     def steps_involving(self, agent: int) -> List[TraceStep]:
         """All steps in which ``agent`` participated."""
         return [step for step in self._steps if step.interaction.involves(agent)]

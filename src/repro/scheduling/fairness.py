@@ -43,13 +43,6 @@ class CoverageReport:
         return self.ordered_pairs_covered == self.ordered_pairs_total
 
     @property
-    def pair_coverage_ratio(self) -> float:
-        """Fraction of ordered pairs that interacted at least once."""
-        if self.ordered_pairs_total == 0:
-            return 1.0
-        return self.ordered_pairs_covered / self.ordered_pairs_total
-
-    @property
     def no_agent_starved(self) -> bool:
         """Whether every agent participated in at least one interaction."""
         return self.min_agent_count > 0

@@ -140,15 +140,6 @@ class Run:
             seen.add(interaction.reactor)
         return tuple(sorted(seen))
 
-    def restricted_to(self, agents: Iterable[int]) -> "Run":
-        """The sub-run of interactions whose participants are both in ``agents``."""
-        allowed = set(agents)
-        return Run(
-            interaction
-            for interaction in self._interactions
-            if interaction.starter in allowed and interaction.reactor in allowed
-        )
-
     def interactions_involving(self, agent: int) -> "Run":
         """The sub-run of interactions in which ``agent`` participates."""
         return Run(i for i in self._interactions if i.involves(agent))
@@ -176,13 +167,6 @@ class Run:
     def relabel(self, mapping: dict) -> "Run":
         """A new run with every interaction's agent indices remapped."""
         return Run(interaction.relabel(mapping) for interaction in self._interactions)
-
-    def without_omissions(self) -> "Run":
-        """A copy of the run with all omission flags cleared."""
-        return Run(
-            interaction.with_omission(NO_OMISSION) if interaction.is_omissive else interaction
-            for interaction in self._interactions
-        )
 
     # -- constructors -----------------------------------------------------------------------
 

@@ -98,12 +98,6 @@ class TestRun:
         run = Run.from_pairs([(0, 3), (3, 5)])
         assert run.agents() == (0, 3, 5)
 
-    def test_restricted_to(self):
-        run = Run.from_pairs([(0, 1), (1, 2), (0, 2)])
-        restricted = run.restricted_to({0, 1})
-        assert len(restricted) == 1
-        assert restricted[0].pair == (0, 1)
-
     def test_interactions_involving(self):
         run = Run.from_pairs([(0, 1), (1, 2), (2, 3)])
         assert len(run.interactions_involving(1)) == 2
@@ -127,11 +121,6 @@ class TestRun:
     def test_relabel(self):
         run = Run.from_pairs([(0, 1)])
         assert run.relabel({0: 7, 1: 8})[0].pair == (7, 8)
-
-    def test_without_omissions(self):
-        run = Run([Interaction(0, 1, omission=REACTOR_OMISSION)])
-        assert run.without_omissions().omission_count() == 0
-        assert run.omission_count() == 1
 
     def test_equality_and_hash(self):
         assert Run.from_pairs([(0, 1)]) == Run.from_pairs([(0, 1)])

@@ -81,9 +81,6 @@ class TestDerivedData:
         assert small_trace.final_projected(lambda s: s.upper()) == Configuration(
             ["A1", "B1", "C2"])
 
-    def test_non_silent_steps(self, small_trace):
-        assert len(small_trace.non_silent_steps()) == 3
-
     def test_steps_involving(self, small_trace):
         assert len(small_trace.steps_involving(0)) == 2
         assert len(small_trace.steps_involving(1)) == 2
