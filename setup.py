@@ -1,9 +1,13 @@
 """Packaging for the ``repro`` library.
 
 The core install is dependency-light on purpose: the python execution
-backend, the protocol catalog, the simulators and the verification
-machinery need nothing beyond ``networkx`` (interaction graphs).  The
-columnar numpy array engine (``--engine-backend array``,
+backend, the protocol catalog, the simulators, the verification
+machinery, the campaigns and the built-in ring, star and complete-graph
+topologies import nothing beyond the standard library.  ``networkx`` stays
+a requirement, but only three paths load it, at call time: the Figure 1
+digraph (``hierarchy_graph()`` and ``topological_order()``), the
+Erdős–Rényi topology (``random_graph_scheduler``) and graphs a caller
+builds with it.  The columnar numpy array engine (``--engine-backend array``,
 :mod:`repro.engine.backends.array_backend`) lives behind the ``fast``
 extra::
 

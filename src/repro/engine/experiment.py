@@ -56,6 +56,7 @@ from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from typing import Any, Callable, List, Optional
 
 from repro.engine.convergence import ConvergenceResult, run_until_stable
@@ -308,7 +309,15 @@ def start_process_pool(workers: int) -> ProcessPoolExecutor:
     ``NULL_RECORDER``: a forked worker would otherwise inherit the
     parent's recorder, whose lock another parent thread may hold at fork
     time (see :mod:`repro.obs.recorder`).
+
+    The parent's shared-memory resource tracker is started first, so the
+    workers inherit it.  A worker forked before it would start a tracker of
+    its own at its first shm arena, and that tracker would "clean up" at
+    pool shutdown every arena the parent had already unlinked, with a
+    leaked-object warning and one ``No such file or directory`` warning per
+    arena.
     """
+    resource_tracker.ensure_running()
     pool = ProcessPoolExecutor(max_workers=workers,
                                initializer=_install_null_recorder)
     # Its result carries nothing: a worker that fails to start breaks the

@@ -15,19 +15,23 @@ sufficient reasons for an edge:
   protocol remains correct on the omission-free runs of the destination.
 
 This module exposes the hierarchy as a :mod:`networkx` digraph whose edges
-carry their justification, plus convenience queries.  The companion
-benchmark ``benchmarks/bench_figure_1_hierarchy.py`` mechanically verifies
-every *special-case* edge by checking transition-relation inclusion on
-concrete programs.
+carry their justification, plus convenience queries.  The reachability
+queries walk :data:`HIERARCHY_EDGES` directly, so only
+:func:`hierarchy_graph` and :func:`topological_order` load networkx, when
+they are called.  The companion benchmark
+``benchmarks/bench_figure_1_hierarchy.py`` mechanically verifies every
+*special-case* edge by checking transition-relation inclusion on concrete
+programs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import TYPE_CHECKING, List, Set, Tuple
 
-import networkx as nx
+from repro.interaction.models import ALL_MODELS, get_model
 
-from repro.interaction.models import ALL_MODELS, InteractionModel, get_model
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Justification labels for hierarchy edges.
 SPECIAL_CASE = "special-case"
@@ -62,6 +66,8 @@ def hierarchy_graph() -> nx.DiGraph:
     Nodes are model names; each edge has a ``justification`` attribute set to
     either :data:`SPECIAL_CASE` or :data:`OMISSION_AVOIDANCE`.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for model in ALL_MODELS:
         graph.add_node(
@@ -74,6 +80,21 @@ def hierarchy_graph() -> nx.DiGraph:
     return graph
 
 
+def _reachable(start: str, forward: bool) -> Set[str]:
+    """``start`` and the model names reachable from it along the edges
+    (``forward``) or against them."""
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        for source, destination, _ in HIERARCHY_EDGES:
+            origin, target = (source, destination) if forward else (destination, source)
+            if origin == node and target not in reached:
+                reached.add(target)
+                frontier.append(target)
+    return reached
+
+
 def is_at_most_as_powerful(weaker: str, stronger: str) -> bool:
     """Whether the problems solvable in ``weaker`` are included in those of ``stronger``.
 
@@ -81,30 +102,25 @@ def is_at_most_as_powerful(weaker: str, stronger: str) -> bool:
     the Figure 1 hierarchy (inclusion is transitive), or the two names denote
     the same model.
     """
-    weaker_name = get_model(weaker).name
-    stronger_name = get_model(stronger).name
-    if weaker_name == stronger_name:
-        return True
-    graph = hierarchy_graph()
-    return nx.has_path(graph, weaker_name, stronger_name)
+    return get_model(stronger).name in _reachable(get_model(weaker).name, forward=True)
 
 
 def weaker_models(name: str) -> List[str]:
     """Names of models whose solvable-problem class is included in ``name``'s."""
-    graph = hierarchy_graph()
     target = get_model(name).name
-    return sorted(node for node in graph.nodes if node != target and nx.has_path(graph, node, target))
+    return sorted(_reachable(target, forward=False) - {target})
 
 
 def stronger_models(name: str) -> List[str]:
     """Names of models whose solvable-problem class includes ``name``'s."""
-    graph = hierarchy_graph()
     source = get_model(name).name
-    return sorted(node for node in graph.nodes if node != source and nx.has_path(graph, source, node))
+    return sorted(_reachable(source, forward=True) - {source})
 
 
 def topological_order() -> List[str]:
     """Model names ordered from weakest to strongest (a topological order of Figure 1)."""
+    import networkx as nx
+
     return list(nx.topological_sort(hierarchy_graph()))
 
 

@@ -11,11 +11,16 @@ connected.
 This module provides:
 
 * :class:`GraphScheduler` — a uniform random scheduler over the ordered pairs
-  induced by a ``networkx`` graph (each undirected edge yields both
-  orientations);
+  induced by an undirected graph (each edge yields both orientations): a
+  ``networkx`` graph or a :class:`Topology`, anything with ``nodes`` and
+  ``edges``;
 * :func:`complete_graph_scheduler`, :func:`ring_scheduler`,
   :func:`star_scheduler`, :func:`random_graph_scheduler` — convenience
-  constructors for common topologies used in experiments;
+  constructors for common topologies used in experiments.  The first three
+  build a :class:`Topology` whose edges come in exactly the order of
+  networkx's ``complete_graph``/``cycle_graph``/``star_graph`` (so every
+  seeded draw is the one those graphs give) without importing networkx;
+  only the Erdős–Rényi draw loads it;
 * :func:`validate_interaction_graph` — the sanity checks (simple, connected,
   at least two nodes, nodes labelled 0..n-1) that every topology must pass
   before being used for a population of ``n`` agents.
@@ -29,36 +34,64 @@ or ``SID``'s pairing become on sparse graphs.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
-
-import networkx as nx
+from itertools import chain, combinations
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.scheduling.runs import Interaction
 from repro.scheduling.scheduler import Columns, Scheduler
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class InteractionGraphError(Exception):
     """Raised when an interaction graph is unusable for a population."""
 
 
-def validate_interaction_graph(graph: nx.Graph, n: int) -> None:
+class Topology(NamedTuple):
+    """An undirected graph on the nodes ``0 .. n-1``, given by its edge list."""
+
+    nodes: range
+    edges: List[Tuple[int, int]]
+
+
+#: What :class:`GraphScheduler` accepts: a built-in topology or a
+#: caller-built ``networkx`` graph.
+InteractionGraph = Union[Topology, "nx.Graph"]
+
+
+def validate_interaction_graph(graph: InteractionGraph, n: int) -> None:
     """Check that ``graph`` is a valid interaction graph for ``n`` agents.
 
     Requirements: exactly the nodes ``0 .. n-1``, no self-loops, at least one
     edge, and connectivity (otherwise agents in different components can
     never exchange information and no protocol can stabilise globally).
+    Only ``graph.nodes`` and ``graph.edges`` are read.
     """
     if n < 2:
         raise InteractionGraphError("a population needs at least two agents")
     expected_nodes = set(range(n))
-    if set(graph.nodes) != expected_nodes:
+    edges = list(graph.edges)
+    if (set(graph.nodes) != expected_nodes
+            or not expected_nodes.issuperset(chain.from_iterable(edges))):
         raise InteractionGraphError(
             f"interaction graph must have exactly the nodes 0..{n - 1}")
-    if any(graph.has_edge(node, node) for node in graph.nodes):
+    if any(first == second for first, second in edges):
         raise InteractionGraphError("interaction graph must not contain self-loops")
-    if graph.number_of_edges() == 0:
+    if not edges:
         raise InteractionGraphError("interaction graph must contain at least one edge")
-    if not nx.is_connected(graph):
+    neighbours: Dict[int, List[int]] = {node: [] for node in expected_nodes}
+    for first, second in edges:
+        neighbours[first].append(second)
+        neighbours[second].append(first)
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        for neighbour in neighbours[frontier.pop()]:
+            if neighbour not in reached:
+                reached.add(neighbour)
+                frontier.append(neighbour)
+    if len(reached) != n:
         raise InteractionGraphError(
             "interaction graph must be connected for global stabilisation to be possible")
 
@@ -75,8 +108,8 @@ class GraphScheduler(Scheduler):
     identical to the per-step stream; the scheduler never exhausts.
     """
 
-    def __init__(self, graph: nx.Graph, seed: Optional[int] = None) -> None:
-        n = graph.number_of_nodes()
+    def __init__(self, graph: InteractionGraph, seed: Optional[int] = None) -> None:
+        n = len(graph.nodes)
         validate_interaction_graph(graph, n)
         self.graph = graph
         self.n = n
@@ -146,17 +179,20 @@ class GraphScheduler(Scheduler):
 
 def complete_graph_scheduler(n: int, seed: Optional[int] = None) -> GraphScheduler:
     """The unrestricted case: every pair of agents may interact."""
-    return GraphScheduler(nx.complete_graph(n), seed=seed)
+    return GraphScheduler(Topology(range(n), list(combinations(range(n), 2))), seed=seed)
 
 
 def ring_scheduler(n: int, seed: Optional[int] = None) -> GraphScheduler:
     """Agents arranged on a cycle; each agent meets only its two neighbours."""
-    return GraphScheduler(nx.cycle_graph(n), seed=seed)
+    # networkx's cycle_graph edge order: node 0's two edges, then i -- i+1.
+    closing = [(0, n - 1)] if n > 2 else []
+    edges = [(0, 1)] + closing + [(node, node + 1) for node in range(1, n - 1)]
+    return GraphScheduler(Topology(range(n), edges), seed=seed)
 
 
 def star_scheduler(n: int, seed: Optional[int] = None) -> GraphScheduler:
     """A hub-and-spoke topology: agent 0 is adjacent to everyone else."""
-    return GraphScheduler(nx.star_graph(n - 1), seed=seed)
+    return GraphScheduler(Topology(range(n), [(0, spoke) for spoke in range(1, n)]), seed=seed)
 
 
 def random_graph_scheduler(
@@ -170,6 +206,8 @@ def random_graph_scheduler(
     """
     if not 0.0 < edge_probability <= 1.0:
         raise InteractionGraphError("edge_probability must lie in (0, 1]")
+    import networkx as nx
+
     rng = random.Random(seed)
     for attempt in range(max_attempts):
         graph = nx.gnp_random_graph(n, edge_probability, seed=rng.randrange(2**31))

@@ -9,7 +9,8 @@ process fan-out submits its batches to that pool.  These tests pin:
   ``n/a``-only drains (counted with ``os.register_at_fork``);
 * records — identical to the serial, sequential reference;
 * cleanup — no worker outlives a drain, whether it succeeds, is
-  interrupted, or loses a worker; and no shared-memory arena either;
+  interrupted, or loses a worker; and no shared-memory arena either, nor
+  a resource-tracker warning about one;
 * fault injection — a worker killed mid-cell aborts the drain as before,
   keeps every record finished before the kill, and resumes to the
   fault-free report byte for byte.
@@ -17,13 +18,17 @@ process fan-out submits its batches to that pool.  These tests pin:
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
 
 import pytest
 
+import repro
 import repro.campaign.executor as executor_module
 import repro.engine.experiment as experiment_module
 from repro.campaign.planner import plan_campaign
@@ -319,3 +324,32 @@ class TestDeadWorker:
         assert status.complete and status.executed_now == 2
         assert render_report(plan, kept.cell_records) == expected_report
         assert shm_segments() <= segments
+
+
+# ---------------------------------------------------------------------------
+# the shared-memory resource tracker
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(shm_unavailable_reason() is not None,
+                    reason="shared memory unavailable")
+def test_a_process_auto_transport_drain_leaves_no_tracker_warning(tmp_path):
+    """Workers share the parent's resource tracker.  A worker forked before
+    the parent's tracker started would run its own, which at pool shutdown
+    warns of "leaked" arenas the parent had already unlinked.  ``auto``
+    probes shared memory (and so starts the parent's tracker) only when the
+    first cell runs, after the drain has forked its pool; an explicit
+    ``shm`` is probed by the CLI before.  The warnings go to the stderr of
+    a fresh interpreter, which this process (whose tracker may already run)
+    cannot stand in for."""
+    spec = tmp_path / "small.json"
+    spec.write_text(json.dumps(small_campaign()))
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "campaign", "run", str(spec),
+         "--store", str(tmp_path / "store.jsonl"), "--jobs", "2",
+         "--backend", "process", "--result-transport", "auto", "--quiet"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert "resource_tracker" not in completed.stderr

@@ -1,8 +1,13 @@
 """Unit and integration tests for interaction-graph-restricted scheduling."""
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
+import repro
 from repro.core.sid import SIDSimulator
 from repro.core.skno import SKnOSimulator
 from repro.core.trivial import TrivialTwoWaySimulator
@@ -16,6 +21,7 @@ from repro.protocols.state import Configuration
 from repro.scheduling.graph_scheduler import (
     GraphScheduler,
     InteractionGraphError,
+    Topology,
     complete_graph_scheduler,
     random_graph_scheduler,
     ring_scheduler,
@@ -55,6 +61,67 @@ class TestValidation:
     def test_edgeless_rejected(self):
         with pytest.raises(InteractionGraphError):
             validate_interaction_graph(nx.empty_graph(3), 3)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 3)],          # an edge leaves the nodes 0..2
+        [(0, 1), (1, 2), (2, 2)],  # a self-loop
+        [(0, 1)],                  # node 2 is unreachable
+        [],                        # no edge at all
+    ])
+    def test_topology_defects_rejected(self, edges):
+        with pytest.raises(InteractionGraphError):
+            validate_interaction_graph(Topology(range(3), edges), 3)
+
+
+class TestBuiltInTopologiesMatchNetworkx:
+    """The built-in topologies list their edges in networkx's order, so a
+    seeded scheduler draws exactly what it drew on the networkx graph."""
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_edges_and_draws(self, n):
+        for built_in, graph in ((ring_scheduler, nx.cycle_graph(n)),
+                                (complete_graph_scheduler, nx.complete_graph(n)),
+                                (star_scheduler, nx.star_graph(n - 1))):
+            ours = built_in(n, seed=n)
+            reference = GraphScheduler(graph, seed=n)
+            assert ours._edges == reference._edges
+            assert ours.next_columns(0, 1000) == reference.next_columns(0, 1000)
+
+
+class TestNetworkxStaysUnloaded:
+    """Only a caller-built graph, the Erdős–Rényi draw and the Figure 1
+    digraph load networkx.  A fresh interpreter is the only reliable
+    observer (this process has it imported already)."""
+
+    @staticmethod
+    def run_python(script):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        return completed.stdout
+
+    def test_importing_repro_does_not_import_networkx(self):
+        self.run_python(
+            "import sys; "
+            "import repro, repro.cli, repro.campaign, repro.protocols.registry; "
+            "assert 'networkx' not in sys.modules")
+
+    def test_the_figure4_sweep_runs_without_networkx(self, tmp_path):
+        # A None entry makes every import of networkx raise ImportError, so
+        # all 12 cells, the ring ones included, must plan and run without it.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = os.path.join(root, "examples", "figure4_omission_sweep.json")
+        store = str(tmp_path / "sweep.results.jsonl")
+        report = self.run_python(
+            "import sys; sys.modules['networkx'] = None; "
+            "from repro.cli import main; "
+            f"assert main(['campaign', 'run', {spec!r}, '--store', {store!r}, "
+            "'--quiet']) == 0; "
+            f"assert main(['campaign', 'report', {spec!r}, '--store', {store!r}]) == 0")
+        assert "cells: 12/12 done, 5 n/a" in report
+        assert "| ring                 | YES (4/4) | YES (4/4) | YES (4/4) |" in report
 
 
 class TestGraphScheduler:

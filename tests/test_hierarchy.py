@@ -89,3 +89,29 @@ class TestQueries:
 
     def test_case_insensitive_lookup(self):
         assert is_at_most_as_powerful("io", "tw")
+
+
+class TestQueriesMatchNetworkx:
+    """The reachability queries walk the edge list; networkx is the reference."""
+
+    MODELS = ("TW", "T1", "T2", "T3", "IT", "IO", "I1", "I2", "I3", "I4")
+
+    def test_is_at_most_as_powerful(self):
+        graph = hierarchy_graph()
+        for weaker in self.MODELS:
+            for stronger in self.MODELS:
+                expected = weaker == stronger or nx.has_path(graph, weaker, stronger)
+                assert is_at_most_as_powerful(weaker, stronger) == expected
+
+    def test_weaker_and_stronger_models(self):
+        graph = hierarchy_graph()
+        for name in self.MODELS:
+            assert weaker_models(name) == sorted(
+                node for node in graph.nodes
+                if node != name and nx.has_path(graph, node, name))
+            assert stronger_models(name) == sorted(
+                node for node in graph.nodes
+                if node != name and nx.has_path(graph, name, node))
+
+    def test_topological_order(self):
+        assert topological_order() == list(nx.topological_sort(hierarchy_graph()))
