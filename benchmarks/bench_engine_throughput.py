@@ -452,7 +452,7 @@ def run_transport_comparison(args) -> int:
         def work() -> int:
             folds.setdefault(n, []).append(repeat_experiment(
                 spec=spec, runs=runs, max_steps=max_steps, base_seed=0,
-                jobs=jobs, jobs_backend="process", run_chunk=run_chunk,
+                jobs=jobs, run_chunk=run_chunk,
                 trace_policy="counts-only", result_transport=transport).to_dict())
             return runs
         return lambda: throughput(work)

@@ -4,7 +4,7 @@ The paper's headline artifact is a *map of results*: a grid of verdicts
 over (interaction model × assumption × adversary budget).  This package is
 the layer that produces such maps at scale — it orchestrates the
 primitives built by the lower layers (the registry's picklable
-:class:`~repro.protocols.registry.ExperimentSpec`, the thread/process
+:class:`~repro.protocols.registry.ExperimentSpec`, the process
 fan-out of :func:`~repro.engine.experiment.repeat_experiment`, the
 pluggable execution backends) across whole parameter grids, persists every
 finished cell, and renders Figure-4-style reports.

@@ -5,10 +5,10 @@ Every campaign execution goes through :meth:`CampaignQueue.drain`;
 Several submitted campaigns merge their pending cells into one work
 list ordered by ``(-priority, submission order, plan index)``.  Each
 cell is computed by :func:`~repro.campaign.runner.build_cell_record`,
-whose cell-internal fan-out (``jobs``/``jobs_backend``/``run_chunk``/
-``result_transport``) composes underneath, so ``--cell-jobs 4 --jobs 2
---backend process`` keeps four cells in flight over one pool of
-``jobs × width`` workers, forked once per drain.
+whose cell-internal fan-out (``jobs``/``run_chunk``/``result_transport``)
+composes underneath, so ``--cell-jobs 4 --jobs 2`` keeps four cells in
+flight over one process pool of ``jobs × width`` workers, forked once
+per drain.
 
 * **Which cells run** is deterministic: the first ``max_cells`` pending
   items in schedule order — for one campaign, the first ``max_cells``
@@ -27,10 +27,9 @@ uses threads.  Either way workers return records and the draining
 thread is every store's only appender.
 
 The drain owns the run fan-out's process pool.  It starts one only when
-a selected, executable cell's campaign fans its runs out over processes
-(``jobs_backend="process"``, ``jobs > 1``, ``runs > 1``), sized
-``max(jobs) × width`` so ``width`` such cells keep their own ``jobs``
-workers busy, and shuts it down when the drain ends.  The workers are
+a selected, executable cell's campaign fans its runs out (``jobs > 1``,
+``runs > 1``), sized ``max(jobs) × width`` so ``width`` such cells keep
+their own ``jobs`` workers busy, and shuts it down when the drain ends.  The workers are
 forked on the draining thread before any cell thread starts, so no cell
 thread can hold a lock at fork time.  Every cell's process fan-out
 submits its batches to this pool, through the ``pool=`` argument of
@@ -110,7 +109,6 @@ class QueuedCampaign:
     priority: int
     order: int
     jobs: int
-    jobs_backend: str
     run_chunk: int
     result_transport: str
     status: CampaignRunStatus
@@ -150,30 +148,28 @@ def _reheaded(record: dict, cell: PlannedCell) -> dict:
 def _build(item: _WorkItem, pool: Optional[ProcessPoolExecutor]) -> dict:
     """Compute one item under its owner's fan-out knobs.
 
-    A process fan-out submits its batches to the drain's ``pool``.
+    A fanned-out cell submits its batches to the drain's ``pool``.
     ``build_cell_record`` is looked up as a module global on every call,
     so a rebinding (a test's counter, a tracer's span wrapper) applies.
     """
     entry, cell = item.owner
     return build_cell_record(
-        cell, entry.plan, jobs=entry.jobs, jobs_backend=entry.jobs_backend,
-        run_chunk=entry.run_chunk, result_transport=entry.result_transport,
-        pool=pool if entry.jobs_backend == "process" else None)
+        cell, entry.plan, jobs=entry.jobs, run_chunk=entry.run_chunk,
+        result_transport=entry.result_transport, pool=pool)
 
 
 def _fanout_pool(items: List[_WorkItem], width: int,
                  ) -> Optional[ProcessPoolExecutor]:
     """The drain's process pool: ``max(jobs) × width`` workers, or ``None``.
 
-    Only an executable item whose campaign fans its runs out over
-    processes (``jobs_backend="process"``, ``jobs > 1``, ``runs > 1``)
-    needs one, so resume drains and ``n/a``-only drains fork nothing.
-    The size keeps the peak parallelism of ``width`` such cells each
+    Only an executable item whose campaign fans its runs out
+    (``jobs > 1``, ``runs > 1``) needs one, so resume drains and
+    ``n/a``-only drains fork nothing.  The size keeps the peak parallelism of ``width`` such cells each
     running its own ``jobs`` workers.
     """
     jobs = [entry.jobs for entry, cell in (item.owner for item in items)
-            if cell.skip_reason is None and entry.jobs_backend == "process"
-            and entry.jobs > 1 and entry.plan.campaign.runs > 1]
+            if cell.skip_reason is None and entry.jobs > 1
+            and entry.plan.campaign.runs > 1]
     if not jobs:
         return None
     workers = max(jobs) * width
@@ -290,7 +286,7 @@ class CampaignQueue:
 
     def submit(self, plan: CampaignPlan, store: _BaseStore, *,
                priority: Optional[int] = None, jobs: int = 1,
-               jobs_backend: str = "thread", run_chunk: int = 1,
+               run_chunk: int = 1,
                result_transport: str = "pickle") -> QueuedCampaign:
         """Enqueue a campaign.  ``priority`` defaults to the spec's own
         ``priority`` field; larger values drain first.
@@ -298,14 +294,13 @@ class CampaignQueue:
         Invalid fan-out settings raise :class:`ValueError` here, before
         any cell runs, instead of being persisted as per-cell ``error``
         verdicts (:func:`~repro.engine.experiment.check_fanout`)."""
-        check_fanout(jobs, jobs_backend, run_chunk, result_transport)
+        check_fanout(jobs, run_chunk, result_transport)
         entry = QueuedCampaign(
             plan=plan,
             store=store,
             priority=plan.campaign.priority if priority is None else priority,
             order=len(self._entries),
             jobs=jobs,
-            jobs_backend=jobs_backend,
             run_chunk=run_chunk,
             result_transport=result_transport,
             status=CampaignRunStatus(total=plan.total),

@@ -1,12 +1,12 @@
 """Campaign execution: build cell records and stream them to the store.
 
 A campaign's cells run through
-:func:`~repro.engine.experiment.repeat_experiment` — each cell fans its
-``runs`` seeds out over the existing sequential/thread/process backends
-(``jobs``/``jobs_backend``/``run_chunk``/``result_transport`` are
-forwarded untouched), so a campaign inherits all the determinism
-guarantees those backends pin: a cell's result is a pure function of its
-resolved spec and seed block, whatever the fan-out.
+:func:`~repro.engine.experiment.repeat_experiment` — each cell runs its
+``runs`` seeds sequentially or, at ``jobs > 1``, over the process
+fan-out (``jobs``/``run_chunk``/``result_transport`` are forwarded
+untouched), so a campaign inherits all the determinism guarantees that
+fan-out pins: a cell's result is a pure function of its resolved spec
+and seed block, whatever the fan-out.
 :func:`build_cell_record` is that per-cell computation, with no store
 access.
 
@@ -161,8 +161,8 @@ def _cell_record_header(cell: PlannedCell) -> dict:
 
 
 def _execute_cell(cell: PlannedCell, plan: CampaignPlan, *, jobs: int,
-                  jobs_backend: str, run_chunk: int,
-                  result_transport: str, pool: Optional[Executor]) -> dict:
+                  run_chunk: int, result_transport: str,
+                  pool: Optional[Executor]) -> dict:
     """Run one feasible cell and shape its persistent record."""
     campaign = plan.campaign
     record = _cell_record_header(cell)
@@ -175,7 +175,6 @@ def _execute_cell(cell: PlannedCell, plan: CampaignPlan, *, jobs: int,
             stability_window=campaign.stability_window,
             base_seed=campaign.base_seed,
             jobs=jobs,
-            jobs_backend=jobs_backend,
             run_chunk=run_chunk,
             trace_policy="counts-only",
             result_transport=result_transport,
@@ -199,8 +198,7 @@ def _execute_cell(cell: PlannedCell, plan: CampaignPlan, *, jobs: int,
 
 
 def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
-                      jobs_backend: str = "thread", run_chunk: int = 1,
-                      result_transport: str = "pickle",
+                      run_chunk: int = 1, result_transport: str = "pickle",
                       pool: Optional[Executor] = None) -> dict:
     """The persistent record for one planned cell: ``n/a`` or executed.
 
@@ -223,11 +221,11 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
     """
     obs = get_recorder()
     if obs is NULL_RECORDER:
-        return _build_record(cell, plan, jobs, jobs_backend, run_chunk,
-                             result_transport, pool)
+        return _build_record(cell, plan, jobs, run_chunk, result_transport,
+                             pool)
     begin = time.perf_counter()
-    record = _build_record(cell, plan, jobs, jobs_backend, run_chunk,
-                           result_transport, pool)
+    record = _build_record(cell, plan, jobs, run_chunk, result_transport,
+                           pool)
     seconds = time.perf_counter() - begin
     status = record["status"]
     obs.counter(f"campaign.cells.{status}")
@@ -239,17 +237,16 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
 
 
 def _build_record(cell: PlannedCell, plan: CampaignPlan, jobs: int,
-                  jobs_backend: str, run_chunk: int,
-                  result_transport: str, pool: Optional[Executor]) -> dict:
+                  run_chunk: int, result_transport: str,
+                  pool: Optional[Executor]) -> dict:
     """The uninstrumented record build behind :func:`build_cell_record`."""
     if cell.skip_reason is not None:
         record = _cell_record_header(cell)
         record["status"] = "na"
         record["reason"] = cell.skip_reason
         return record
-    return _execute_cell(cell, plan, jobs=jobs, jobs_backend=jobs_backend,
-                         run_chunk=run_chunk, result_transport=result_transport,
-                         pool=pool)
+    return _execute_cell(cell, plan, jobs=jobs, run_chunk=run_chunk,
+                         result_transport=result_transport, pool=pool)
 
 
 def progress_line(cell: PlannedCell, total: int, record: dict) -> str:
@@ -273,7 +270,7 @@ def run_campaign(
     store: ResultStore,
     *,
     jobs: int = 1,
-    jobs_backend: str = "thread",
+    jobs_backend: Optional[str] = None,
     run_chunk: int = 1,
     max_cells: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -288,13 +285,26 @@ def run_campaign(
     one line per cell.  ``cell_jobs > 1`` overlaps independent cells across
     a worker pool; the executed cell *set* and the folded results are
     identical for every value.
+
+    ``jobs > 1`` fans each cell's runs out over processes.
+    ``jobs_backend`` is kept only because ``campaign_bench`` still names
+    the lane, and selects nothing: ``"process"`` is accepted at any
+    ``jobs``, ``"thread"`` only at ``jobs == 1`` (at ``jobs > 1`` it is a
+    :class:`ValueError`, raised before any cell runs).  It is forwarded
+    nowhere; ROADMAP item 5 deletes it.
     """
     # Deferred: the scheduler imports this module's per-cell seam.
     from repro.campaign.executor import CampaignQueue
 
+    if jobs_backend not in (None, "thread", "process"):
+        raise ValueError(f"unknown jobs_backend {jobs_backend!r}; "
+                         "expected 'thread' or 'process'")
+    if jobs_backend == "thread" and jobs > 1:
+        raise ValueError("jobs_backend 'thread' cannot fan out: jobs > 1 "
+                         "runs on processes")
     queue = CampaignQueue()
-    queue.submit(plan, store, jobs=jobs, jobs_backend=jobs_backend,
-                 run_chunk=run_chunk, result_transport=result_transport)
+    queue.submit(plan, store, jobs=jobs, run_chunk=run_chunk,
+                 result_transport=result_transport)
     obs = get_recorder()
     begin = 0.0 if obs is NULL_RECORDER else time.perf_counter()
     if obs is not NULL_RECORDER:

@@ -42,7 +42,7 @@ Examples::
     repro run --protocol exact-majority --model I3 --simulator skno \
               --population 10 --omission-bound 2 --omissions 2 --seed 1
     repro run --protocol exact-majority --runs 16 --jobs 4 \
-              --backend process --trace-policy counts-only
+              --trace-policy counts-only
     repro run --protocol leader-election --trace-policy ring --max-steps 500
     repro run --protocol epidemic --scheduler ring-graph --population 64 \
               --trace-policy counts-only
@@ -96,7 +96,7 @@ from repro.engine.backends import (
     ENGINE_BACKENDS,
     load_array_backend,
 )
-from repro.engine.experiment import JOBS_BACKENDS, repeat_experiment, run_spec
+from repro.engine.experiment import repeat_experiment, run_spec
 from repro.engine.transport import (
     RESULT_TRANSPORTS,
     TransportError,
@@ -275,11 +275,11 @@ def _print_ring_dump(last_steps, run_label: str = "run") -> None:
 def _check_fanout_flags(args) -> None:
     """Validate the run fan-out flags up front, before any work runs.
 
-    Explicit ``--result-transport shm`` is strict by contract: it needs
-    the process fan-out backend and a usable shared-memory subsystem, and
-    the error must name the fallback flag.  Checking here (rather than
-    letting ``repeat_experiment`` raise mid-campaign) keeps fan-out
-    misconfiguration a CLI error, never a per-cell error verdict.
+    Explicit ``--result-transport shm`` is strict by contract: it needs a
+    usable shared-memory subsystem, and the error must name the fallback
+    flag.  Checking here (rather than letting ``repeat_experiment`` raise
+    mid-campaign) keeps fan-out misconfiguration a CLI error, never a
+    per-cell error verdict.
     """
     if args.jobs < 1:
         raise SystemExit("--jobs must be at least 1")
@@ -287,10 +287,6 @@ def _check_fanout_flags(args) -> None:
         raise SystemExit("--run-chunk must be at least 1")
     if args.result_transport != "shm":
         return
-    if args.backend != "process":
-        raise SystemExit(
-            "--result-transport shm crosses process boundaries; combine it "
-            "with --backend process (or use --result-transport auto)")
     reason = shm_unavailable_reason()
     if reason is not None:
         raise SystemExit(
@@ -299,10 +295,10 @@ def _check_fanout_flags(args) -> None:
 
 
 def _run_repeated(args, spec) -> int:
-    """``repro run --runs N [--jobs J] [--backend B]``: the batch-experiment path.
+    """``repro run --runs N [--jobs J]``: the batch-experiment path.
 
-    Every run is :func:`run_spec` of the same registry spec, so the thread
-    and process backends execute byte-identical runs and merge the same way.
+    Every run is :func:`run_spec` of the same registry spec, so sequential
+    and process-fanned runs are byte-identical and merge the same way.
     """
     built = build_cached(spec)
     validate = None
@@ -323,7 +319,6 @@ def _run_repeated(args, spec) -> int:
             base_seed=args.seed,
             validate=validate,
             jobs=args.jobs,
-            jobs_backend=args.backend,
             trace_policy=args.trace_policy,
             ring_size=args.ring_size,
             run_chunk=args.run_chunk,
@@ -343,7 +338,8 @@ def _run_repeated(args, spec) -> int:
         ["population", args.population],
         ["runs", result.runs],
         ["jobs", args.jobs],
-        ["backend", args.backend],
+        ["backend", "process" if args.jobs > 1 and args.runs > 1
+         else "sequential"],
         ["successes", f"{result.successes}/{result.runs}"],
         ["success rate", f"{result.success_rate:.2f}"],
         ["mean interactions to stabilise", f"{mean:.0f}" if mean is not None else "-"],
@@ -510,7 +506,6 @@ def _campaign_action(args) -> int:
         status = run_campaign(
             plan, store,
             jobs=args.jobs,
-            jobs_backend=args.backend,
             run_chunk=args.run_chunk,
             max_cells=args.max_cells,
             progress=progress,
@@ -622,7 +617,6 @@ def _command_list(_args) -> int:
         ("schedulers", sorted(SCHEDULERS)),
         ("adversaries", sorted(ADVERSARIES)),
         ("engine backends", list(ENGINE_BACKENDS)),
-        ("fan-out backends", list(JOBS_BACKENDS)),
     ]
     support = _array_support()
     rows = []
@@ -699,26 +693,23 @@ def build_parser() -> argparse.ArgumentParser:
                             help="repeat the run with seeds seed..seed+runs-1 "
                                  "and report aggregate convergence statistics")
     run_parser.add_argument("--jobs", type=int, default=1,
-                            help="workers for --runs > 1 (deterministic merge)")
-    run_parser.add_argument("--backend", choices=JOBS_BACKENDS, default="thread",
-                            help="fan-out backend for --runs > 1: thread shares live "
-                                 "objects (GIL-bound); process ships picklable registry "
-                                 "keys + seeds to a ProcessPoolExecutor")
+                            help="worker processes for --runs > 1 (deterministic "
+                                 "merge; 1 runs sequentially)")
     run_parser.add_argument("--run-chunk", type=int, default=1,
                             help="consecutive seeds shipped per executor task for "
                                  "--runs > 1; larger chunks amortize the per-run "
-                                 "pickling that dominates short runs on --backend "
-                                 "process (results are identical for every value)")
+                                 "pickling that dominates short runs (results are "
+                                 "identical for every value)")
     run_parser.add_argument("--result-transport", choices=RESULT_TRANSPORTS,
                             default="auto",
-                            help="how --backend process workers ship results back: "
+                            help="how --jobs worker processes ship results back: "
                                  "pickle (one pickled list per batch), shm "
                                  "(zero-copy shared-memory arenas with a pickle "
-                                 "overflow lane for traces and ring dumps; "
-                                 "requires --backend process), or auto (default: "
-                                 "shm whenever the fan-out crosses processes, the "
-                                 "trace policy is counts-only and shared memory "
-                                 "is usable, else pickle); results are identical "
+                                 "overflow lane for traces and ring dumps), or "
+                                 "auto (default: shm whenever the fan-out "
+                                 "crosses processes, the trace policy is "
+                                 "counts-only and shared memory is usable, "
+                                 "else pickle); results are identical "
                                  "for every choice")
     run_parser.add_argument("--chunk-size", type=int, default=None,
                             help="scheduled draws per batched scheduler call inside "
@@ -785,9 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="independent cells to keep in flight (cell-level worker pool; "
              "composes with the per-cell --jobs fan-out)")
     campaign_parser.add_argument("--jobs", type=int, default=1,
-                                 help="workers for each cell's per-seed fan-out")
-    campaign_parser.add_argument("--backend", choices=JOBS_BACKENDS, default="thread",
-                                 help="fan-out backend for each cell's runs")
+                                 help="worker processes for each cell's per-seed "
+                                      "fan-out (1 runs sequentially)")
     campaign_parser.add_argument("--run-chunk", type=int, default=1,
                                  help="consecutive seeds per executor task "
                                       "(see repro run --run-chunk)")
@@ -797,8 +787,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "fan-out (see repro run "
                                       "--result-transport; campaign cells run "
                                       "counts-only, so auto picks shm whenever "
-                                      "--backend process is given and shared "
-                                      "memory is usable); records and reports "
+                                      "--jobs > 1 and shared memory is usable); "
+                                      "records and reports "
                                       "are byte-identical for every choice")
     campaign_parser.add_argument(
         "--engine-backend", choices=BACKEND_CHOICES, default=None,

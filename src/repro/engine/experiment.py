@@ -9,22 +9,16 @@ declarative.
 A system is described by one picklable
 :class:`~repro.protocols.registry.ExperimentSpec` (protocol × simulator ×
 model × omission adversary × scheduler, by registry key); a spec plus a
-seed fixes a run, and :func:`run_spec` executes it.  Sequential runs call
-it directly; for ``jobs > 1`` both fan-out pools submit the same batch
-worker, :func:`run_spec_batch` (:func:`run_spec_batch_shm` under shm):
-
-``thread`` (default)
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap to start,
-    but pure-Python protocols are CPU-bound, so threads serialize on the
-    interpreter lock.
-``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor`: each worker
-    resolves the spec against its own imported registries.  This
-    sidesteps the GIL at the cost of per-run result pickling.  A caller
-    that runs many experiments (the campaign drain, one per cell) forks
-    one pool with :func:`start_process_pool` and passes it to every call
-    as ``pool=``; without one, each call forks and joins a pool of its
-    own.
+seed fixes a run, and :func:`run_spec` executes it.  Runs are sequential
+unless ``jobs > 1`` and ``runs > 1``; then they fan out over a
+:class:`~concurrent.futures.ProcessPoolExecutor` running batches of
+:func:`run_spec_batch` (:func:`run_spec_batch_shm` under shm), each
+worker resolving the spec against its own imported registries.  The
+processes sidestep the interpreter lock at the cost of per-run result
+pickling.  A caller that runs many experiments (the campaign drain, one
+per cell) forks one pool with :func:`start_process_pool` and passes it
+to every call as ``pool=``; without one, each call forks and joins a
+pool of its own.
 
 For short runs that pickling dominates: ``run_chunk=K`` ships seeds in
 batches of ``K`` consecutive run indices per executor task, amortizing
@@ -42,10 +36,10 @@ processes, the trace policy is counts-only and shared memory is usable.
 Purely a mechanism knob: the merged aggregate is identical for every
 transport.
 
-Whatever the backend and chunking, results merge in run-index order, so
-for a given spec and seed the aggregate :class:`ExperimentResult` is
-identical across sequential, thread and process execution, across every
-``run_chunk``, and on an own or a shared process pool.
+Whatever the chunking, results merge in run-index order, so for a given
+spec and seed the aggregate :class:`ExperimentResult` is identical across
+sequential and process execution, across every ``run_chunk``, and on an
+own or a shared process pool.
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ from __future__ import annotations
 import statistics
 import time
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker
@@ -71,10 +65,6 @@ from repro.engine.transport import (
 )
 from repro.obs.recorder import NULL_RECORDER, Recorder, get_recorder, set_recorder
 from repro.protocols.registry import ExperimentSpec, build_cached, resolved_spec
-
-#: The selectable fan-out backends for ``repeat_experiment(jobs > 1)``.
-JOBS_BACKENDS = ("thread", "process")
-
 
 #: Trailing windows kept per aggregate result under the ``ring`` policy
 #: (memory bound: windows are ring-size-bounded, but runs are not).
@@ -170,10 +160,11 @@ def run_spec(
 ) -> ConvergenceResult:
     """Execute one seeded run of ``spec``: the one run path.
 
-    :func:`repeat_experiment` (every fan-out mode, through
-    :func:`run_spec_batch`) and ``repro run`` execute their runs here.
-    Top-level by design: process backends ship the batch worker by
-    qualified name plus its picklable arguments.  The spec build
+    :func:`repeat_experiment` (directly, or through
+    :func:`run_spec_batch` on the process fan-out) and ``repro run``
+    execute their runs here.  Top-level by design: the process fan-out
+    ships the batch worker by qualified name plus its picklable
+    arguments.  The spec build
     (protocol, simulator, initial configuration, prepared predicate) and
     the array backend's compiled tables are memoised per process, and
     resolving an ``auto`` spec already fills both memos under the
@@ -232,10 +223,9 @@ def run_spec_batch(
 ) -> List[ConvergenceResult]:
     """Execute ``count`` consecutive seeded runs of ``spec`` in one worker task.
 
-    The fan-out worker of both pools: one submitted task —
-    and, on the process backend, one pickled argument tuple and one
-    pickled result list — covers run indices ``start_index ..
-    start_index + count - 1``, amortizing the per-run dispatch overhead
+    The process fan-out's worker: one submitted task — one pickled
+    argument tuple and one pickled result list — covers run indices
+    ``start_index .. start_index + count - 1``, amortizing the per-run dispatch overhead
     that dominates short runs.  Results come back in run-index order.
     """
     return [
@@ -280,8 +270,7 @@ def run_spec_batch_shm(
         trace_policy, ring_size, materialize_final))
 
 
-def check_fanout(jobs: int, jobs_backend: str, run_chunk: int,
-                 result_transport: str) -> None:
+def check_fanout(jobs: int, run_chunk: int, result_transport: str) -> None:
     """Reject invalid fan-out settings with a :class:`ValueError`.
 
     Checks only the settings, so callers can run it before any work
@@ -292,10 +281,7 @@ def check_fanout(jobs: int, jobs_backend: str, run_chunk: int,
         raise ValueError("jobs must be at least 1")
     if run_chunk < 1:
         raise ValueError("run_chunk must be at least 1")
-    if jobs_backend not in JOBS_BACKENDS:
-        raise ValueError(
-            f"unknown jobs_backend {jobs_backend!r}; expected one of {JOBS_BACKENDS}")
-    check_transport(result_transport, jobs_backend)
+    check_transport(result_transport)
 
 
 def start_process_pool(workers: int) -> ProcessPoolExecutor:
@@ -335,7 +321,6 @@ def repeat_experiment(
     validate: Optional[Callable[[ConvergenceResult], Optional[str]]] = None,
     jobs: int = 1,
     trace_policy: Optional[str] = None,
-    jobs_backend: str = "thread",
     ring_size: Optional[int] = None,
     run_chunk: int = 1,
     result_transport: str = "pickle",
@@ -347,7 +332,7 @@ def repeat_experiment(
     A run "succeeds" when the spec's predicate stabilises within
     ``max_steps`` interactions.  Every run builds fresh schedulers,
     adversaries and predicates from the spec (:func:`run_spec`), so runs
-    share nothing mutable on any backend.  Invalid fan-out settings raise
+    share nothing mutable.  Invalid fan-out settings raise
     :class:`ValueError` (:func:`check_fanout`).
 
     Parameters
@@ -357,14 +342,14 @@ def repeat_experiment(
         :class:`ConvergenceResult`; it returns ``None`` when the run is
         acceptable, or an error string which marks the run as failed (used
         e.g. to verify the simulation matching on top of convergence).
-        Always runs in the parent process, whatever the backend.
+        Always runs in the parent process, so under the full trace each
+        fanned-out run's trace is pickled back before it is checked.
     jobs:
-        Number of workers for the per-seed fan-out.  Runs are dispatched to
-        the selected backend and merged back in run-index order, so the
+        Number of worker processes for the per-seed fan-out; ``jobs > 1``
+        with ``runs > 1`` runs on a process pool, anything else runs
+        sequentially.  Runs are merged back in run-index order, so the
         aggregate result is deterministic and identical to the sequential
         one.
-    jobs_backend:
-        ``"thread"`` (default) or ``"process"``.
     trace_policy:
         Trace policy forwarded to :func:`run_until_stable`.  Defaults to
         ``"counts-only"`` (the fast path — the aggregate only needs counts)
@@ -376,16 +361,15 @@ def repeat_experiment(
         failed runs surface on ``ExperimentResult.failure_dumps``.
     run_chunk:
         Consecutive run indices shipped per executor task (default 1).
-        Larger chunks amortize per-run task submission — and, on the
-        process backend, per-run argument/result pickling, which
-        dominates short runs — at the cost of coarser load balancing.
+        Larger chunks amortize per-run task submission and result
+        pickling, which dominate short runs, at the cost of coarser load
+        balancing.
         Purely a throughput knob: results are identical for every value.
     result_transport:
-        How process-backend batches ship results back: ``"pickle"``
+        How process fan-out batches ship results back: ``"pickle"``
         (default — one pickled result list per batch), ``"shm"`` (the
         zero-copy shared-memory transport of
-        :mod:`repro.engine.transport`; requires
-        ``jobs_backend="process"`` and raises
+        :mod:`repro.engine.transport`; raises
         :class:`~repro.engine.transport.TransportError` when shared
         memory is unusable), or ``"auto"`` (shm exactly when the process
         fan-out runs under a counts-only policy and shared memory works,
@@ -395,14 +379,11 @@ def repeat_experiment(
     pool:
         A running process pool (:func:`start_process_pool`) to submit
         the process fan-out's batches to, instead of forking and joining
-        one for this call; the caller owns it and shuts it down.  Only
-        ``jobs_backend="process"`` takes one.  Batches are windowed and
-        merged exactly as on an own pool, so the aggregate is identical.
+        one for this call; the caller owns it and shuts it down.  Batches
+        are windowed and merged exactly as on an own pool, so the
+        aggregate is identical.
     """
-    check_fanout(jobs, jobs_backend, run_chunk, result_transport)
-    if pool is not None and jobs_backend != "process":
-        raise ValueError("pool= carries the process fan-out; "
-                         f"jobs_backend={jobs_backend!r} takes none")
+    check_fanout(jobs, run_chunk, result_transport)
     if validate is not None and trace_policy not in (None, "full"):
         raise ValueError(
             "validate inspects the full trace; it cannot be combined with "
@@ -411,12 +392,12 @@ def repeat_experiment(
     policy = trace_policy if trace_policy is not None else (
         "full" if validate is not None else "counts-only"
     )
+    fanout = jobs > 1 and runs > 1
     transport = resolve_transport(
-        result_transport, jobs_backend=jobs_backend, trace_policy=policy,
-        process_fanout=(jobs > 1 and runs > 1 and jobs_backend == "process"))
+        result_transport, trace_policy=policy, process_fanout=fanout)
     # Resolve once up front (against the run's actual trace policy) so
-    # every fan-out mode — sequential, thread, process, any run_chunk —
-    # executes the same concrete backend.
+    # sequential and process runs, at any run_chunk, execute the same
+    # concrete backend.
     spec, _ = resolved_spec(spec, policy)
 
     result = ExperimentResult(runs=0, successes=0)
@@ -440,33 +421,27 @@ def repeat_experiment(
                 result.failure_dumps.append((run_index, outcome.last_steps))
 
     obs = get_recorder()
-    if jobs > 1 and runs > 1:
+    if fanout:
         workers = min(jobs, runs)
         if obs is not NULL_RECORDER:
-            obs.counter(f"fanout.backend.{jobs_backend}")
+            obs.counter("fanout.backend.process")
             obs.counter(f"fanout.transport.{transport}")
             obs.gauge("fanout.workers", workers)
         if transport == "shm":
             worker, receive, dispose = run_spec_batch_shm, decode_batch, dispose_batch
         else:
             worker, receive, dispose = run_spec_batch, None, None
-        context: Any
-        if pool is not None:
-            context = nullcontext(pool)
-        elif jobs_backend == "process":
-            context = start_process_pool(workers)
-        else:
-            context = ThreadPoolExecutor(max_workers=workers)
+        context: Any = nullcontext(pool) if pool is not None \
+            else start_process_pool(workers)
         with context as executor:
             submit = lambda start, count: executor.submit(  # noqa: E731
                 worker, spec, start, count, base_seed, max_steps,
                 stability_window, policy, ring_size)
             if obs is not NULL_RECORDER:
+                # What the parent can see of a process batch — its
+                # latency and the transport lane it actually rode.
                 submit = _timed_submit(obs, submit)
-                if jobs_backend == "process":
-                    # What the parent can see of a process batch — its
-                    # latency and the transport lane it actually rode.
-                    receive = _counted_receive(obs, receive)
+                receive = _counted_receive(obs, receive)
             _merge_windowed(submit, runs, run_chunk, workers, merge,
                             receive=receive, dispose=dispose)
     else:
@@ -488,8 +463,9 @@ def _timed_submit(obs: Recorder, submit: Callable) -> Callable:
     """Wrap a batch ``submit`` to observe submit-to-completion latency.
 
     The sample covers queue wait plus worker execution (what a batch
-    actually costs the fan-out); the done-callback runs on executor
-    threads, which the metric recorders are safe against.
+    actually costs the fan-out); the done-callback runs on the process
+    pool's management thread (on the submitting thread if the batch has
+    already finished), which the metric recorders are safe against.
     """
     def timed(start: int, count: int) -> Any:
         begin = time.perf_counter()
@@ -535,7 +511,7 @@ def _merge_windowed(submit, runs: int, run_chunk: int, workers: int, merge,
     materialising every result (or letting completed futures pile up
     behind a slow early batch) would hold up to ``runs x max_steps``
     steps in memory.  Merging strictly in submission order is what makes
-    the fan-out deterministic for every backend and chunking.
+    the fan-out deterministic for every chunking.
 
     ``receive`` maps a future's payload to its
     :class:`ConvergenceResult` list (the shm transport's

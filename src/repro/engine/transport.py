@@ -1,6 +1,6 @@
 """Zero-copy shared-memory result transport for the process fan-out.
 
-The process backend's remaining hot-path tax is serialization: every
+The process fan-out's remaining hot-path tax is serialization: every
 :class:`~repro.engine.convergence.ConvergenceResult` coming back from a
 worker is pickled — and under ``counts-only`` the dominant payload is the
 ``final`` configuration, one python object per agent, so the cost grows
@@ -145,34 +145,27 @@ def shm_unavailable_reason() -> Optional[str]:
     return _probe_reason
 
 
-def check_transport(transport: str, jobs_backend: str) -> None:
-    """Reject an unknown transport, or ``shm`` off the process backend."""
+def check_transport(transport: str) -> None:
+    """Reject an unknown transport."""
     if transport not in RESULT_TRANSPORTS:
         raise ValueError(
             f"unknown result_transport {transport!r}; "
             f"expected one of {RESULT_TRANSPORTS}")
-    if transport == "shm" and jobs_backend != "process":
-        raise ValueError(
-            "result_transport 'shm' crosses process boundaries; it "
-            "requires the process fan-out backend "
-            "(jobs_backend='process' / --backend process)")
 
 
-def resolve_transport(transport: str, *, jobs_backend: str, trace_policy: str,
+def resolve_transport(transport: str, *, trace_policy: str,
                       process_fanout: bool) -> str:
     """Pin a ``result_transport`` request to the concrete lane to use.
 
-    ``shm`` is validated strictly: it crosses process boundaries, so any
-    other fan-out backend is a :class:`ValueError`, and an unusable
-    shared-memory subsystem is a :class:`TransportError` naming the
-    fallback flag.  ``auto`` degrades gracefully instead — it picks
-    ``shm`` only when the process fan-out will actually run
-    (``process_fanout``), the trace policy is ``counts-only`` (the
-    resolved backend produces columnar results) and shared memory is
-    usable, warning once and falling back to ``pickle`` when only the
-    last condition fails.
+    ``shm`` is validated strictly: an unusable shared-memory subsystem is
+    a :class:`TransportError` naming the fallback flag.  ``auto`` degrades
+    gracefully instead — it picks ``shm`` only when the process fan-out
+    will actually run (``process_fanout``), the trace policy is
+    ``counts-only`` (the resolved backend produces columnar results) and
+    shared memory is usable, warning once and falling back to ``pickle``
+    when only the last condition fails.
     """
-    check_transport(transport, jobs_backend)
+    check_transport(transport)
     if transport == "shm":
         reason = shm_unavailable_reason()
         if reason is not None:
@@ -180,8 +173,7 @@ def resolve_transport(transport: str, *, jobs_backend: str, trace_policy: str,
                 f"shared-memory result transport unavailable: {reason}; "
                 "rerun with --result-transport pickle")
         return "shm"
-    if transport == "auto" and process_fanout and jobs_backend == "process" \
-            and trace_policy == "counts-only":
+    if transport == "auto" and process_fanout and trace_policy == "counts-only":
         reason = shm_unavailable_reason()
         if reason is None:
             return "shm"

@@ -401,10 +401,10 @@ class ExperimentSpec:
 
     Every field is plain data; live objects (protocol, simulator, model,
     predicate, scheduler, adversary) are rebuilt from the registries via
-    :meth:`build` — in the parent for the sequential/thread backends, in
-    each worker for the process backend.  Equal specs build behaviourally
-    identical systems, which is why a spec plus a seed fully determines a
-    run and the process backend merges deterministically.
+    :meth:`build` — in the parent for sequential runs, in each worker for
+    the process fan-out.  Equal specs build behaviourally identical
+    systems, which is why a spec plus a seed fully determines a run and
+    the process fan-out merges deterministically.
 
     ``protocol_kwargs``/``scheduler_kwargs`` accept dicts for convenience
     and are normalised to sorted tuples of pairs so specs stay hashable
@@ -412,7 +412,7 @@ class ExperimentSpec:
 
     ``chunk_size`` is the engine's batched-draw chunk (``None`` = the
     engine default).  It is carried on the spec so the CLI and the
-    process backend can thread it to every worker, but it is purely a
+    process fan-out can carry it to every worker, but it is purely a
     performance knob: results are chunking-independent by the batched
     protocols' equivalence contracts.
 

@@ -197,8 +197,7 @@ class TestAutoResolutionDeterminism:
         results = [
             repeat_experiment(spec=spec, runs=3, max_steps=5_000,
                               stability_window=4, base_seed=1,
-                              jobs=jobs, jobs_backend=jobs_backend).to_dict()
-            for jobs, jobs_backend in
-            ((1, "thread"), (2, "thread"), (2, "process"))
+                              jobs=jobs, run_chunk=run_chunk).to_dict()
+            for jobs, run_chunk in ((1, 1), (2, 1), (2, 2))
         ]
         assert results[0] == results[1] == results[2]

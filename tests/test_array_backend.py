@@ -23,7 +23,7 @@ has four legs, each pinned here:
    ``tests/test_array_adversary_equivalence.py``.)
 
 Plus the new experiment surface: ``--engine-backend`` through the CLI, and
-``ExperimentSpec.backend`` through the thread and process fan-outs.
+``ExperimentSpec.backend`` through sequential runs and the process fan-out.
 """
 
 from __future__ import annotations
@@ -556,14 +556,14 @@ class TestExperimentSurface:
     def test_backend_is_part_of_spec_identity(self):
         assert array_spec() != array_spec(backend="python")
 
-    @pytest.mark.parametrize("jobs_backend", ["thread", "process"])
-    def test_fanout_matches_sequential(self, jobs_backend):
+    @pytest.mark.parametrize("run_chunk", [1, 2])
+    def test_fanout_matches_sequential(self, run_chunk):
         kwargs = dict(
             spec=array_spec(), runs=6, max_steps=20_000, stability_window=3,
             base_seed=7, trace_policy="counts-only")
         sequential = repeat_experiment(jobs=1, **kwargs)
         fanned = repeat_experiment(
-            jobs=2, jobs_backend=jobs_backend, run_chunk=2, **kwargs)
+            jobs=2, run_chunk=run_chunk, **kwargs)
         assert fanned.runs == sequential.runs == 6
         assert fanned.successes == sequential.successes == 6
         assert fanned.convergence_steps == sequential.convergence_steps
@@ -613,7 +613,7 @@ class TestArrayBackendCLI:
         exit_code = main([
             "run", "--protocol", "leader-election", "--population", "40",
             "--engine-backend", "array", "--trace-policy", "counts-only",
-            "--runs", "4", "--jobs", "2", "--backend", "process",
+            "--runs", "4", "--jobs", "2",
             "--max-steps", "50000", "--seed", "1",
         ])
         output = capsys.readouterr().out

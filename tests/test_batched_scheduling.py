@@ -10,9 +10,9 @@ Two contracts are pinned here:
   consumption.  This is what lets the engine consume draws in chunks
   without changing any seeded experiment.
 
-* **Process backend = thread backend = sequential.**  A registry-described
-  experiment merges to an identical :class:`ExperimentResult` under all
-  three execution modes.
+* **Process fan-out = sequential.**  A registry-described experiment
+  merges to an identical :class:`ExperimentResult` sequentially and over
+  the process fan-out, at every worker count and run chunk.
 """
 
 import pickle
@@ -330,11 +330,11 @@ class TestProcessBackend:
         return repeat_experiment(
             spec=self.SPEC, runs=6, max_steps=20_000, base_seed=42, **kwargs)
 
-    def test_process_merge_identical_to_thread_and_sequential(self):
+    def test_process_merge_identical_to_sequential(self):
         sequential = self._run()
-        threaded = self._run(jobs=3)
-        processed = self._run(jobs=2, jobs_backend="process")
-        for other in (threaded, processed):
+        three_workers = self._run(jobs=3)
+        two_workers = self._run(jobs=2)
+        for other in (three_workers, two_workers):
             assert other.runs == sequential.runs
             assert other.successes == sequential.successes
             assert other.convergence_steps == sequential.convergence_steps
@@ -348,16 +348,12 @@ class TestProcessBackend:
             spec=spec, runs=4, max_steps=60_000, base_seed=7)
         processed = repeat_experiment(
             spec=spec, runs=4, max_steps=60_000, base_seed=7,
-            jobs=2, jobs_backend="process")
+            jobs=2)
         assert processed.convergence_steps == sequential.convergence_steps
         assert processed.failures == sequential.failures
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="jobs_backend"):
-            self._run(jobs=2, jobs_backend="fibers")
-
     @pytest.mark.parametrize("backend_kwargs", [
-        {}, {"jobs": 2}, {"jobs": 2, "jobs_backend": "process"}])
+        {}, {"jobs": 2}, {"jobs": 2, "run_chunk": 2}])
     def test_ring_size_and_failure_dumps(self, backend_kwargs):
         """ring_size reaches the workers; failing runs surface their windows."""
         spec = ExperimentSpec(protocol="leader-election", population=6)
@@ -371,8 +367,8 @@ class TestProcessBackend:
 
     @pytest.mark.parametrize("backend_kwargs", [
         {"jobs": 3, "run_chunk": 2},
-        {"jobs": 2, "run_chunk": 3, "jobs_backend": "process"},
-        {"jobs": 2, "run_chunk": 100, "jobs_backend": "process"},  # > runs
+        {"jobs": 2, "run_chunk": 3},
+        {"jobs": 2, "run_chunk": 100},  # > runs
     ])
     def test_run_chunking_merges_identically(self, backend_kwargs):
         """Shipping seeds in batches per executor task changes nothing."""
@@ -388,7 +384,7 @@ class TestProcessBackend:
         result = repeat_experiment(
             spec=spec, runs=5, max_steps=30, stability_window=300,
             base_seed=0, trace_policy="ring", ring_size=4,
-            jobs=2, jobs_backend="process", run_chunk=2)
+            jobs=2, run_chunk=2)
         assert result.successes == 0
         assert [index for index, _steps in result.failure_dumps] == [0, 1, 2]
 
@@ -403,7 +399,7 @@ class TestProcessBackend:
             protocol="exact-majority", population=8, chunk_size=chunk_size)
         result = repeat_experiment(
             spec=spec, runs=6, max_steps=20_000, base_seed=42,
-            jobs=2, jobs_backend="process")
+            jobs=2)
         assert result.successes == reference.successes
         assert result.convergence_steps == reference.convergence_steps
 
@@ -430,7 +426,7 @@ class TestProcessBackend:
         # process backend, single run
         processed = repeat_experiment(
             spec=spec, runs=2, max_steps=20_000, base_seed=42,
-            jobs=2, jobs_backend="process")
+            jobs=2)
 
         assert per_step.final_configuration == batched.final_configuration
         assert processed.convergence_steps[0] == batched.steps_to_convergence

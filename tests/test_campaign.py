@@ -416,15 +416,15 @@ class TestRunAndResume:
         assert _records_as_canonical(store) == first
 
     @pytest.mark.parametrize("interrupt_after", [1, 2, 3])
-    @pytest.mark.parametrize("jobs, jobs_backend, run_chunk", [
-        (1, "thread", 1),       # sequential (jobs=1 never spawns workers)
-        (2, "thread", 1),
-        (2, "process", 2),
+    @pytest.mark.parametrize("jobs, run_chunk", [
+        (1, 1),       # sequential (jobs=1 never spawns workers)
+        (2, 1),
+        (2, 2),
     ])
     def test_resume_matches_uninterrupted_run_byte_for_byte(
-            self, tmp_path, interrupt_after, jobs, jobs_backend, run_chunk):
+            self, tmp_path, interrupt_after, jobs, run_chunk):
         plan = plan_campaign(campaign_from_dict(small_campaign()))
-        fanout = dict(jobs=jobs, jobs_backend=jobs_backend, run_chunk=run_chunk)
+        fanout = dict(jobs=jobs, run_chunk=run_chunk)
 
         uninterrupted = fresh_store(tmp_path, plan, "full.jsonl")
         run_campaign(plan, uninterrupted, **fanout)
@@ -716,8 +716,10 @@ class TestListCommand:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         for key in ("exact-majority", "skno", "stable-output", "ring-graph",
-                    "bounded", "no1", "python", "array", "thread", "process"):
+                    "bounded", "no1", "python", "array"):
             assert key in out
+        # One fan-out lane leaves nothing to choose between.
+        assert "fan-out" not in out
 
     def test_surfaces_entry_point_errors(self, capsys, monkeypatch):
         import repro.protocols.registry as registry

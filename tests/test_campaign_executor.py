@@ -67,19 +67,18 @@ def serial_reference(tmp_path, plan):
 
 class TestParallelEquivalence:
     @pytest.mark.parametrize("cell_jobs", [1, 2, 4])
-    @pytest.mark.parametrize("jobs, jobs_backend, run_chunk", [
-        (1, "thread", 1),       # sequential inside each cell
-        (2, "thread", 1),       # cell-level pool composed with thread fan-out
+    @pytest.mark.parametrize("jobs, run_chunk", [
+        (1, 1),       # sequential inside each cell
+        (2, 1),       # cell-level pool composed with process fan-out
     ])
     def test_parallel_run_folds_identically_to_serial(
-            self, tmp_path, cell_jobs, jobs, jobs_backend, run_chunk):
+            self, tmp_path, cell_jobs, jobs, run_chunk):
         plan = plan_campaign(campaign_from_dict(small_campaign()))
         expected_records, expected_report = serial_reference(tmp_path, plan)
 
         store = fresh_store(tmp_path, plan)
         status = run_campaign(
-            plan, store, cell_jobs=cell_jobs, jobs=jobs,
-            jobs_backend=jobs_backend, run_chunk=run_chunk)
+            plan, store, cell_jobs=cell_jobs, jobs=jobs, run_chunk=run_chunk)
         assert status.complete and status.executed_now == plan.total
         assert canonical_records(store) == expected_records
         assert render_report(plan, store.cell_records) == expected_report
@@ -88,8 +87,7 @@ class TestParallelEquivalence:
         plan = plan_campaign(campaign_from_dict(small_campaign()))
         expected_records, expected_report = serial_reference(tmp_path, plan)
         store = fresh_store(tmp_path, plan)
-        run_campaign(plan, store, cell_jobs=2, jobs=2,
-                     jobs_backend="process", run_chunk=2)
+        run_campaign(plan, store, cell_jobs=2, jobs=2, run_chunk=2)
         assert canonical_records(store) == expected_records
         assert render_report(plan, store.cell_records) == expected_report
 
@@ -347,10 +345,7 @@ def counting_build(monkeypatch):
 class TestCampaignQueue:
     @pytest.mark.parametrize("fanout, message", [
         ({"jobs": 0}, "jobs must be at least 1"),
-        ({"jobs_backend": "fibers"}, "unknown jobs_backend"),
         ({"run_chunk": 0}, "run_chunk must be at least 1"),
-        ({"result_transport": "shm", "jobs_backend": "thread"},
-         "crosses process boundaries"),
         ({"result_transport": "zeromq"}, "unknown result_transport"),
     ])
     def test_invalid_fanout_settings_are_rejected_before_any_cell_runs(
@@ -368,6 +363,32 @@ class TestCampaignQueue:
         reopened = ResultStore.open(str(tmp_path / "store.jsonl"),
                                     plan.campaign.name, plan.campaign_hash)
         assert reopened.cell_records == {}
+
+    @pytest.mark.parametrize("jobs, jobs_backend, message", [
+        (1, "fibers", "unknown jobs_backend"),
+        (2, "thread", "jobs > 1 runs on processes"),
+    ])
+    def test_run_campaign_rejects_a_jobs_backend_before_any_cell_runs(
+            self, tmp_path, monkeypatch, jobs, jobs_backend, message):
+        plan = plan_campaign(campaign_from_dict(small_campaign()))
+        store = fresh_store(tmp_path, plan)
+        executed = counting_build(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            run_campaign(plan, store, jobs=jobs, jobs_backend=jobs_backend)
+        assert executed == []
+        assert store.cell_records == {}
+
+    @pytest.mark.parametrize("jobs, jobs_backend", [
+        (1, "thread"), (1, "process"), (2, "process")])
+    def test_run_campaign_accepts_a_jobs_backend_that_selects_nothing(
+            self, tmp_path, jobs, jobs_backend):
+        plan = plan_campaign(campaign_from_dict(small_campaign()))
+        expected_records, expected_report = serial_reference(tmp_path, plan)
+        store = fresh_store(tmp_path, plan)
+        status = run_campaign(plan, store, jobs=jobs, jobs_backend=jobs_backend)
+        assert status.complete and status.executed_now == plan.total
+        assert canonical_records(store) == expected_records
+        assert render_report(plan, store.cell_records) == expected_report
 
     def overlapping_plans(self):
         first = small_campaign(name="first")
@@ -535,7 +556,7 @@ class TestOneScheduler:
         calls = recording_build(monkeypatch)
         queue = CampaignQueue()
         entry = queue.submit(plan, fresh_store(tmp_path, plan),
-                             jobs_backend="process", result_transport="shm")
+                             result_transport="shm")
         assert entry.result_transport == "shm"
         status, = queue.drain()
         assert status.complete
@@ -551,8 +572,7 @@ class TestOneScheduler:
         for plan in (plan_a, plan_b):
             store = fresh_store(tmp_path, plan,
                                 name=f"{plan.campaign.name}.jsonl")
-            queue.submit(plan, store, jobs=2, jobs_backend="process",
-                         result_transport="shm")
+            queue.submit(plan, store, jobs=2, result_transport="shm")
             stores.append((plan, store))
         statuses = queue.drain(cell_jobs=2)
         assert all(status.complete for status in statuses)

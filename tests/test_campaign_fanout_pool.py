@@ -143,7 +143,7 @@ class TestForkDiscipline:
         assert forks == []
         pools = recorded_pools(monkeypatch)
         store = fresh_store(tmp_path, plan)
-        status = run_campaign(plan, store, jobs=2, jobs_backend="process")
+        status = run_campaign(plan, store, jobs=2)
         assert status.complete and status.executed_now == plan.total == 4
         # One pool of two, not two workers for each of the four cells.
         assert len(forks) == 2 and len(pools) == 1
@@ -155,8 +155,7 @@ class TestForkDiscipline:
         plan = plan_of(small_campaign())
         expected_records, _ = reference(tmp_path, plan)
         store = fresh_store(tmp_path, plan)
-        run_campaign(plan, store, cell_jobs=2, jobs=2,
-                     jobs_backend="process", run_chunk=1)
+        run_campaign(plan, store, cell_jobs=2, jobs=2, run_chunk=1)
         # jobs × width workers keep the peak parallelism of two cells
         # running two workers each.
         assert len(forks) == 4
@@ -171,24 +170,22 @@ class TestForkDiscipline:
         assert run_campaign(plan, store).complete
         assert forks == []
         resumed = run_campaign(plan, reopened(store, plan),
-                               cell_jobs=cell_jobs, jobs=2,
-                               jobs_backend="process")
+                               cell_jobs=cell_jobs, jobs=2)
         assert resumed.complete and resumed.executed_now == 0
         na_plan = plan_of(na_only_campaign())
         status = run_campaign(na_plan, fresh_store(tmp_path, na_plan,
                                                    name="na.jsonl"),
-                              cell_jobs=cell_jobs, jobs=2,
-                              jobs_backend="process")
+                              cell_jobs=cell_jobs, jobs=2)
         assert status.complete and status.na == na_plan.total
         assert forks == []
 
-    def test_thread_fanout_and_single_job_cells_fork_nothing(self, tmp_path,
-                                                             forks):
+    def test_single_job_cells_fork_nothing(self, tmp_path, forks):
         plan = plan_of(small_campaign())
-        run_campaign(plan, fresh_store(tmp_path, plan), cell_jobs=2, jobs=2,
-                     jobs_backend="thread")
+        run_campaign(plan, fresh_store(tmp_path, plan), cell_jobs=2, jobs=1)
         run_campaign(plan, fresh_store(tmp_path, plan, name="one.jsonl"),
                      jobs=1, jobs_backend="process")
+        run_campaign(plan, fresh_store(tmp_path, plan, name="thread.jsonl"),
+                     cell_jobs=2, jobs=1, jobs_backend="thread")
         assert forks == []
 
     @pytest.mark.parametrize("cell_jobs", [1, 2])
@@ -212,8 +209,7 @@ class TestForkDiscipline:
 
         monkeypatch.setattr(experiment_module, "_merge_windowed", interrupting)
         store = fresh_store(tmp_path, plan)
-        status = run_campaign(plan, store, cell_jobs=cell_jobs, jobs=2,
-                              jobs_backend="process")
+        status = run_campaign(plan, store, cell_jobs=cell_jobs, jobs=2)
         assert status.keyboard_interrupt and not status.complete
         assert len(pools) == 1 and len(forks) == 2 * cell_jobs
         assert_no_worker_alive(pools)
@@ -230,29 +226,19 @@ class TestSharedPoolFanout:
     def test_a_given_pool_merges_identically_and_forks_nothing(self, forks):
         sequential = repeat_experiment(self.SPEC, runs=5, base_seed=2)
         own = repeat_experiment(self.SPEC, runs=5, base_seed=2, jobs=2,
-                                jobs_backend="process", run_chunk=2)
+                                run_chunk=2)
         assert len(forks) == 2
         pool = start_process_pool(3)
         try:
             del forks[:]
             shared = [repeat_experiment(self.SPEC, runs=5, base_seed=2,
-                                        jobs=2, jobs_backend="process",
-                                        run_chunk=chunk, pool=pool)
+                                        jobs=2, run_chunk=chunk, pool=pool)
                       for chunk in (1, 2, 5)]
         finally:
             pool.shutdown()
         assert forks == []
         for result in [own] + shared:
             assert result.to_dict() == sequential.to_dict()
-
-    def test_only_the_process_fanout_takes_a_pool(self):
-        pool = start_process_pool(1)
-        try:
-            with pytest.raises(ValueError, match="pool="):
-                repeat_experiment(self.SPEC, runs=2, jobs=2,
-                                  jobs_backend="thread", pool=pool)
-        finally:
-            pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +251,13 @@ class TestPoolTelemetry:
         plan = plan_of(small_campaign())
         store = fresh_store(tmp_path, plan)
         with recording(MetricsRecorder()) as recorder:
-            run_campaign(plan, store, cell_jobs=2, jobs=2,
-                         jobs_backend="process")
+            run_campaign(plan, store, cell_jobs=2, jobs=2)
         snapshot = recorder.snapshot()
         assert snapshot["counters"]["fanout.pools"] == 1
         assert snapshot["gauges"]["fanout.pool_workers"] == 4
 
         with recording(MetricsRecorder()) as resumed:
-            run_campaign(plan, reopened(store, plan), cell_jobs=2, jobs=2,
-                         jobs_backend="process")
+            run_campaign(plan, reopened(store, plan), cell_jobs=2, jobs=2)
         assert "fanout.pools" not in resumed.snapshot()["counters"]
 
 
@@ -306,8 +290,7 @@ class TestDeadWorker:
         monkeypatch.setattr(experiment_module, "run_spec_batch", _dying_batch)
         store = fresh_store(tmp_path, plan)
         with pytest.raises(BrokenProcessPool):
-            run_campaign(plan, store, jobs=2, jobs_backend="process",
-                         result_transport="shm")
+            run_campaign(plan, store, jobs=2, result_transport="shm")
         monkeypatch.undo()
 
         assert len(pools) == 1
@@ -319,8 +302,7 @@ class TestDeadWorker:
         assert kept.completed_ids() == {cell.cell_id
                                         for cell in plan.cells[:2]}
 
-        status = run_campaign(plan, kept, jobs=2, jobs_backend="process",
-                              result_transport="shm")
+        status = run_campaign(plan, kept, jobs=2, result_transport="shm")
         assert status.complete and status.executed_now == 2
         assert render_report(plan, kept.cell_records) == expected_report
         assert shm_segments() <= segments
@@ -348,7 +330,7 @@ def test_a_process_auto_transport_drain_leaves_no_tracker_warning(tmp_path):
     completed = subprocess.run(
         [sys.executable, "-m", "repro", "campaign", "run", str(spec),
          "--store", str(tmp_path / "store.jsonl"), "--jobs", "2",
-         "--backend", "process", "--result-transport", "auto", "--quiet"],
+         "--result-transport", "auto", "--quiet"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         timeout=120)
     assert completed.returncode == 0, completed.stderr

@@ -143,7 +143,7 @@ class TestRunBackendsAndRing:
     def test_runs_with_process_backend(self, capsys):
         exit_code = main([
             "run", "--protocol", "exact-majority", "--population", "8",
-            "--runs", "4", "--jobs", "2", "--backend", "process",
+            "--runs", "4", "--jobs", "2",
             "--trace-policy", "counts-only", "--max-steps", "50000", "--seed", "5",
         ])
         output = capsys.readouterr().out
@@ -151,28 +151,40 @@ class TestRunBackendsAndRing:
         assert "process" in output
         assert "4/4" in output
 
-    def test_thread_and_process_backends_report_identical_statistics(self, capsys):
+    def test_sequential_and_process_runs_report_identical_statistics(self, capsys):
         common = [
             "run", "--protocol", "exact-majority", "--population", "8",
-            "--runs", "4", "--jobs", "2", "--trace-policy", "counts-only",
+            "--runs", "4", "--trace-policy", "counts-only",
             "--max-steps", "50000", "--seed", "5",
         ]
-        assert main(common + ["--backend", "thread"]) == 0
-        thread_out = capsys.readouterr().out
-        assert main(common + ["--backend", "process"]) == 0
+        assert main(common + ["--jobs", "1"]) == 0
+        sequential_out = capsys.readouterr().out
+        assert main(common + ["--jobs", "2"]) == 0
         process_out = capsys.readouterr().out
 
         def stats(output):
             return [line for line in output.splitlines()
                     if "interactions to stabilise" in line or "successes" in line]
 
-        assert stats(thread_out) == stats(process_out)
+        assert stats(sequential_out) == stats(process_out)
+
+    @pytest.mark.parametrize("jobs, lane", [("1", "sequential"), ("2", "process")])
+    def test_backend_row_names_the_lane_that_ran(self, capsys, jobs, lane):
+        assert main([
+            "run", "--protocol", "exact-majority", "--population", "8",
+            "--runs", "3", "--jobs", jobs, "--trace-policy", "counts-only",
+            "--max-steps", "50000", "--seed", "5",
+        ]) == 0
+        rows = [line.split("|") for line in capsys.readouterr().out.splitlines()]
+        backend = [cells[2].strip() for cells in rows
+                   if len(cells) > 2 and cells[1].strip() == "backend"]
+        assert backend == [lane]
 
     def test_run_chunk_and_chunk_size_preserve_statistics(self, capsys):
         common = [
             "run", "--protocol", "exact-majority", "--population", "8",
             "--runs", "5", "--jobs", "2", "--trace-policy", "counts-only",
-            "--max-steps", "50000", "--seed", "5", "--backend", "process",
+            "--max-steps", "50000", "--seed", "5",
         ]
         assert main(common) == 0
         reference_out = capsys.readouterr().out

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.trivial import TrivialTwoWaySimulator
+from repro.core.verification import verify_simulation
 from repro.engine.convergence import run_until_stable, stable_output_condition
 from repro.engine.engine import SimulationEngine
 from repro.engine.experiment import repeat_experiment
@@ -10,7 +11,7 @@ from repro.engine.fastpath import AgentCountPredicate
 from repro.interaction.models import TW
 from repro.protocols.catalog.leader_election import LEADER, LeaderElectionProtocol
 from repro.protocols.catalog.epidemic import INFORMED, SUSCEPTIBLE, EpidemicProtocol
-from repro.protocols.registry import ExperimentSpec
+from repro.protocols.registry import ExperimentSpec, build_cached
 from repro.protocols.state import Configuration
 from repro.scheduling.scheduler import RandomScheduler, ScriptedScheduler
 from repro.scheduling.runs import Run
@@ -251,3 +252,35 @@ class TestParallelRepeatExperiment:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             self._workload(jobs=0)
+
+    @pytest.mark.parametrize("verdict", ["pass", "reject"])
+    def test_full_trace_validation_over_processes_matches_sequential(
+            self, verdict):
+        """At ``jobs > 1`` each run's full trace is pickled back from a
+        worker process and validated in the parent: the result equals the
+        sequential one field for field, whether the validator accepts every
+        run or rejects every run with a message computed from its trace."""
+        spec = ExperimentSpec(protocol="pairing", population=6, model="I3",
+                              simulator="skno", omission_bound=1, omissions=1)
+        program = build_cached(spec).program
+
+        def validate(outcome):
+            report = verify_simulation(program, outcome.trace)
+            if not report.ok:
+                return f"simulation verification: {report.errors[:1]}"
+            if verdict == "reject":
+                return f"rejected after {len(outcome.trace)} traced steps"
+            return None
+
+        sequential, parallel = (
+            repeat_experiment(spec, runs=4, max_steps=150_000,
+                              stability_window=200, base_seed=1,
+                              validate=validate, jobs=jobs, run_chunk=2)
+            for jobs in (1, 2))
+        assert parallel == sequential
+        if verdict == "pass":
+            assert sequential.all_succeeded
+        else:
+            assert sequential.successes == 0
+            assert all("traced steps" in failure
+                       for failure in sequential.failures)

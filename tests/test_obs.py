@@ -11,6 +11,7 @@ import io
 import json
 import multiprocessing
 import os
+import sys
 import threading
 
 import pytest
@@ -349,16 +350,63 @@ class TestEngineSeam:
         assert result.steps_executed == 1_000
         assert recorder.snapshot()["counters"]["engine.chunks"] == 9
 
+    @pytest.mark.parametrize("backend", ["python", "array"])
+    def test_null_recorder_is_touched_per_run_not_per_step(
+            self, monkeypatch, backend):
+        """The deterministic companion of the timed ``--obs`` guard: with
+        telemetry off, a run reads the recorder and calls NullRecorder
+        instruments as often at 100,000 steps as at 1,000."""
+        if backend == "array":
+            pytest.importorskip("numpy")
+        calls = {"get_recorder": 0, "instruments": 0}
+        real_get = get_recorder
+
+        def counted_get():
+            calls["get_recorder"] += 1
+            return real_get()
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") \
+                    and getattr(module, "get_recorder", None) is real_get:
+                monkeypatch.setattr(module, "get_recorder", counted_get)
+        for name in ("counter", "gauge", "observe", "event", "timer"):
+            def instrument(self, *args, _real=getattr(NullRecorder, name),
+                           **kwargs):
+                calls["instruments"] += 1
+                return _real(self, *args, **kwargs)
+            monkeypatch.setattr(NullRecorder, name, instrument)
+
+        def run(max_steps: int) -> dict:
+            model = get_model("T3")
+            engine = SimulationEngine(
+                EpidemicProtocol(), model, RandomScheduler(8, seed=1),
+                adversary=UOAdversary(model, rate=1.0, seed=1),
+                backend=backend)
+            for key in calls:
+                calls[key] = 0
+            result = run_until_stable(
+                engine, Configuration([INFORMED] + [SUSCEPTIBLE] * 7),
+                AgentCountPredicate(lambda state: False), max_steps=max_steps,
+                trace_policy="counts-only")
+            assert result.steps_executed == max_steps
+            return dict(calls)
+
+        assert get_recorder() is NULL_RECORDER
+        run(1_000)  # warm the array backend's compile cache
+        short = run(1_000)
+        assert short["get_recorder"] >= 1  # the seam is really counted
+        assert run(100_000) == short
+
 
 class TestFanoutSeam:
-    def test_thread_fanout_records_backend_and_batch_latency(self):
+    def test_process_fanout_records_backend_and_batch_latency(self):
         recorder = MetricsRecorder()
         with recording(recorder):
             repeat_experiment(spec=_spec(), runs=4, max_steps=5_000,
-                              base_seed=1, jobs=2, jobs_backend="thread",
+                              base_seed=1, jobs=2,
                               trace_policy="counts-only")
         snapshot = recorder.snapshot()
-        assert snapshot["counters"]["fanout.backend.thread"] == 1
+        assert snapshot["counters"]["fanout.backend.process"] == 1
         assert snapshot["gauges"]["fanout.workers"] == 2
         assert snapshot["timers"]["fanout.batch_seconds"]["count"] == 4
 
@@ -376,7 +424,7 @@ class TestFanoutSeam:
         with recording(recorder):
             result = repeat_experiment(
                 spec=_spec(), runs=4, max_steps=5_000, base_seed=1,
-                jobs=2, jobs_backend="process", run_chunk=2,
+                jobs=2, run_chunk=2,
                 trace_policy="counts-only", result_transport="shm")
         counters = recorder.snapshot()["counters"]
         assert result.runs == 4
@@ -394,7 +442,7 @@ class TestFanoutSeam:
         with recording(MetricsRecorder()):
             result = repeat_experiment(
                 spec=_spec(), runs=4, max_steps=5_000, base_seed=1,
-                jobs=2, jobs_backend="process", trace_policy="counts-only")
+                jobs=2, trace_policy="counts-only")
         assert result.all_succeeded
 
     def test_fanout_forked_while_the_recorder_lock_is_held_finishes(self):
@@ -409,8 +457,7 @@ class TestFanoutSeam:
             try:
                 outcome.append(repeat_experiment(
                     spec=_spec(), runs=4, max_steps=5_000, base_seed=1,
-                    jobs=2, jobs_backend="process",
-                    trace_policy="counts-only"))
+                    jobs=2, trace_policy="counts-only"))
             except Exception as error:  # reported below
                 outcome.append(error)
 
@@ -614,8 +661,7 @@ class TestByteIdentity:
         bare = self._execute(tmp_path, "bare", metrics=False)
         _, observed_report = self._execute(
             tmp_path, "observed", metrics=True,
-            **{"jobs": 2, "backend": "process", "run-chunk": 2,
-               "result-transport": "shm"})
+            **{"jobs": 2, "run-chunk": 2, "result-transport": "shm"})
         assert observed_report == bare[1]
 
     def test_progress_flag_keeps_stdout_byte_identical(self, tmp_path, capsys):
@@ -689,8 +735,7 @@ class TestDegradationEvents:
         with recording(recorder):
             with pytest.warns(RuntimeWarning, match="falling back"):
                 resolved = transport.resolve_transport(
-                    "auto", jobs_backend="process",
-                    trace_policy="counts-only", process_fanout=True)
+                    "auto", trace_policy="counts-only", process_fanout=True)
         assert resolved == "pickle"
         recorder.close()
         events = [r for r in read_sink(str(sink_path))

@@ -82,7 +82,7 @@ class TestPlannedCellIsBuiltOnce:
         resolved, _ = resolved_spec(AUTO_SPEC)
         forbid_setup(monkeypatch)
         forked = repeat_experiment(
-            spec=resolved, jobs=2, jobs_backend="process", **RUN_KWARGS)
+            spec=resolved, jobs=2, **RUN_KWARGS)
         sequential = repeat_experiment(spec=resolved, **RUN_KWARGS)
         assert fields(forked) == fields(sequential)
 

@@ -6,7 +6,7 @@ Four pins:
   the anonymous count multiset; the overflow lane (traces, ring failure
   dumps) survives byte-identically.
 * **Merge identity** — ``repeat_experiment`` folds to the same aggregate
-  for sequential, thread, process+pickle, process+shm and process+auto,
+  for sequential, process+pickle, process+shm and process+auto,
   across ``run_chunk`` values and both engine backends; a campaign over
   the shm transport folds byte-identically to the serial pickle walk,
   including through a ``max_cells`` interrupt + resume.
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import re
 from concurrent.futures import Future
 
 import pytest
@@ -148,16 +149,14 @@ class TestRoundTrip:
 # ---------------------------------------------------------------------------
 
 
-def fold(backend: str, jobs: int, jobs_backend: str, run_chunk: int,
-         transport_name: str, population: int = 24, runs: int = 5,
+def fold(backend: str, jobs: int, run_chunk: int, transport_name: str, population: int = 24, runs: int = 5,
          trace_policy: str = "counts-only", ring_size=None,
          max_steps: int = 4_000) -> dict:
     spec = ExperimentSpec(protocol="epidemic", population=population,
                           model="TW", backend=backend)
     return repeat_experiment(
         spec=spec, runs=runs, max_steps=max_steps, stability_window=2,
-        base_seed=11, jobs=jobs, jobs_backend=jobs_backend,
-        run_chunk=run_chunk, trace_policy=trace_policy, ring_size=ring_size,
+        base_seed=11, jobs=jobs, run_chunk=run_chunk, trace_policy=trace_policy, ring_size=ring_size,
         result_transport=transport_name).to_dict()
 
 
@@ -168,21 +167,18 @@ class TestMergeIdentity:
            population=st.integers(min_value=4, max_value=40))
     def test_every_transport_folds_identically(self, runs, run_chunk,
                                                population):
-        reference = fold("python", 1, "thread", 1, "pickle",
+        reference = fold("python", 1, 1, "pickle",
                          population=population, runs=runs)
-        for jobs_backend, transport_name in [
-                ("thread", "pickle"), ("process", "pickle"),
-                ("process", "shm"), ("process", "auto")]:
-            assert fold("python", 2, jobs_backend, run_chunk, transport_name,
+        for transport_name in ("pickle", "shm", "auto"):
+            assert fold("python", 2, run_chunk, transport_name,
                         population=population, runs=runs) == reference
 
     @pytest.mark.parametrize("run_chunk", [1, 3])
     def test_array_backend_folds_identically(self, run_chunk):
         pytest.importorskip("numpy")
-        reference = fold("array", 1, "thread", 1, "pickle")
+        reference = fold("array", 1, 1, "pickle")
         for transport_name in ("pickle", "shm", "auto"):
-            assert fold("array", 2, "process", run_chunk,
-                        transport_name) == reference
+            assert fold("array", 2, run_chunk, transport_name) == reference
 
     def test_ring_failure_dumps_survive_the_overflow_lane(self):
         # max_steps far below convergence: every run fails and carries a
@@ -191,17 +187,17 @@ class TestMergeIdentity:
                       ring_size=4, max_steps=3)
         spec = ExperimentSpec(protocol="epidemic", population=16, model="TW")
 
-        def run(jobs, jobs_backend, transport_name):
+        def run(jobs, transport_name):
             return repeat_experiment(
                 spec=spec, runs=4, max_steps=3, base_seed=0, jobs=jobs,
-                jobs_backend=jobs_backend, run_chunk=2, trace_policy="ring",
-                ring_size=4, result_transport=transport_name)
+                run_chunk=2, trace_policy="ring", ring_size=4,
+                result_transport=transport_name)
 
-        reference = run(1, "thread", "pickle")
+        reference = run(1, "pickle")
         assert reference.failures and reference.failure_dumps
         outcomes = {}
         for transport_name in ("pickle", "shm"):
-            parallel = run(2, "process", transport_name)
+            parallel = run(2, transport_name)
             assert parallel.to_dict() == reference.to_dict()
             # TraceStep is a frozen dataclass: deep structural equality.
             assert parallel.failure_dumps == reference.failure_dumps
@@ -286,12 +282,11 @@ class TestArenaCleanup:
                   if entry.startswith("psm_")}
         store = ResultStore.create(str(tmp_path / "shm.jsonl"),
                                    plan.campaign.name, plan.campaign_hash)
-        status = run_campaign(plan, store, jobs=2, jobs_backend="process",
-                              run_chunk=2, max_cells=1,
+        status = run_campaign(plan, store, jobs=2, run_chunk=2, max_cells=1,
                               result_transport="shm")
         assert status.interrupted and status.executed_now == 1
-        status = run_campaign(plan, store, jobs=2, jobs_backend="process",
-                              run_chunk=2, result_transport="shm")
+        status = run_campaign(plan, store, jobs=2, run_chunk=2,
+                              result_transport="shm")
         assert status.complete
         after = {entry for entry in os.listdir("/dev/shm")
                  if entry.startswith("psm_")}
@@ -307,25 +302,17 @@ class TestArenaCleanup:
 class TestResolutionAndFallback:
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="unknown result_transport"):
-            resolve_transport("zeromq", jobs_backend="process",
-                              trace_policy="counts-only", process_fanout=True)
-
-    def test_explicit_shm_requires_process_backend(self):
-        with pytest.raises(ValueError, match="crosses process boundaries"):
-            resolve_transport("shm", jobs_backend="thread",
-                              trace_policy="counts-only", process_fanout=True)
+            resolve_transport("zeromq", trace_policy="counts-only",
+                              process_fanout=True)
 
     def test_auto_resolution_matrix(self):
         assert resolve_transport(
-            "auto", jobs_backend="process", trace_policy="counts-only",
-            process_fanout=True) == "shm"
+            "auto", trace_policy="counts-only", process_fanout=True) == "shm"
         # No process fan-out, or a non-columnar policy: quietly pickle.
         assert resolve_transport(
-            "auto", jobs_backend="thread", trace_policy="counts-only",
-            process_fanout=False) == "pickle"
+            "auto", trace_policy="counts-only", process_fanout=False) == "pickle"
         assert resolve_transport(
-            "auto", jobs_backend="process", trace_policy="full",
-            process_fanout=True) == "pickle"
+            "auto", trace_policy="full", process_fanout=True) == "pickle"
 
     def test_auto_degrades_with_one_warning(self, monkeypatch):
         monkeypatch.setattr(transport, "shm_unavailable_reason",
@@ -333,26 +320,27 @@ class TestResolutionAndFallback:
         with pytest.warns(RuntimeWarning,
                           match=r"no /dev/shm \(test\).*falling back"):
             picked = resolve_transport(
-                "auto", jobs_backend="process", trace_policy="counts-only",
-                process_fanout=True)
+                "auto", trace_policy="counts-only", process_fanout=True)
         assert picked == "pickle"
         # The degraded fan-out still runs and folds identically.
         with pytest.warns(RuntimeWarning):
-            degraded = fold("python", 2, "process", 2, "auto")
-        assert degraded == fold("python", 2, "process", 2, "pickle")
+            degraded = fold("python", 2, 2, "auto")
+        assert degraded == fold("python", 2, 2, "pickle")
 
     def test_explicit_shm_fails_loudly_when_unavailable(self, monkeypatch):
         monkeypatch.setattr(transport, "shm_unavailable_reason",
                             lambda: "no /dev/shm (test)")
         with pytest.raises(TransportError,
                            match="rerun with --result-transport pickle"):
-            fold("python", 2, "process", 2, "shm")
+            fold("python", 2, 2, "shm")
 
-    def test_cli_rejects_shm_without_process_backend(self):
+    def test_cli_accepts_shm_on_a_sequential_run(self, capsys):
+        # At --jobs 1 nothing crosses a process boundary: shm selects
+        # nothing, and the runs are sequential.
         from repro.cli import main
-        with pytest.raises(SystemExit, match="crosses process boundaries"):
-            main(["run", "--protocol", "epidemic", "-n", "6", "--runs", "2",
-                  "--result-transport", "shm"])
+        assert main(["run", "--protocol", "epidemic", "-n", "6", "--runs", "2",
+                     "--result-transport", "shm"]) == 0
+        assert re.search(r"backend\s+\|\s+sequential", capsys.readouterr().out)
 
     def test_cli_names_fallback_flag_when_shm_unavailable(self, monkeypatch):
         from repro.cli import main
@@ -361,20 +349,26 @@ class TestResolutionAndFallback:
         with pytest.raises(SystemExit,
                            match="rerun with --result-transport pickle"):
             main(["run", "--protocol", "epidemic", "-n", "6", "--runs", "2",
-                  "--jobs", "2", "--backend", "process",
-                  "--result-transport", "shm"])
+                  "--jobs", "2", "--result-transport", "shm"])
 
-    def test_cli_campaign_rejects_shm_without_process_backend(self, tmp_path):
-        from repro.cli import main
+    def test_cli_campaign_names_fallback_flag_when_shm_unavailable(
+            self, tmp_path, monkeypatch):
+        # The campaign command probes shared memory up front, before any
+        # cell runs, so a cell never records a transport failure.
+        from repro import cli
+        monkeypatch.setattr(cli, "shm_unavailable_reason",
+                            lambda: "no /dev/shm (test)")
         campaign = {
             "name": "cli-shm", "base": {"protocol": "epidemic"},
             "axes": {"population": [4]}, "runs": 1, "max_steps": 1000,
         }
         path = tmp_path / "campaign.json"
         path.write_text(json.dumps(campaign), encoding="utf-8")
-        with pytest.raises(SystemExit, match="crosses process boundaries"):
-            main(["campaign", "run", str(path), "--store",
-                  str(tmp_path / "s.jsonl"), "--result-transport", "shm"])
+        with pytest.raises(SystemExit,
+                           match="rerun with --result-transport pickle"):
+            cli.main(["campaign", "run", str(path), "--store",
+                      str(tmp_path / "s.jsonl"), "--jobs", "2",
+                      "--result-transport", "shm"])
 
 
 def test_a_fork_never_inherits_a_held_resource_tracker_lock():
