@@ -68,10 +68,10 @@ default
     called directly: **≥ 97%** of the control's throughput at n = 10^5.
 ``--transport``
     Process fan-out (``jobs=2``, chunked workers) of short counts-only
-    array-engine runs returning over the shared-memory columnar transport
-    versus chunked pickle: **≥ 1.5x** at n = 10^5, where shipping a
-    10^5-state final configuration through the pickle pipe dominates.
-    Every measured fold of both transports must be identical.
+    array-engine runs returning as columnar rows (``repeat_experiment``)
+    versus the same batches shipped as whole result lists: **≥ 1.5x** at
+    n = 10^5, where pickling a 10^5-state final configuration per run
+    dominates.  Every measured fold of both sides must be identical.
 
 The array, transport and adversary guards need numpy.
 """
@@ -115,7 +115,8 @@ ARRAY_GUARD_FACTOR = 5.0
 #: The adversary-on-array guard: ≥3x at n=10^5 for bounded and uo alike.
 ADVERSARY_GUARD_FACTOR = 3.0
 
-#: The result-transport guard: shm ≥1.5x chunked pickle at n=10^5.
+#: The result-transport guard: columnar rows ≥1.5x whole result lists at
+#: n=10^5.
 TRANSPORT_GUARD_POPULATION = 100_000
 TRANSPORT_GUARD_FACTOR = 1.5
 TRANSPORT_SIZES = (10_000, 100_000)
@@ -419,13 +420,16 @@ def run_obs_overhead_comparison(args) -> int:
 
 
 def run_transport_comparison(args) -> int:
-    """``--transport``: shared-memory result transport vs. chunked pickle.
+    """``--transport``: columnar result rows vs. whole result lists.
 
     Process fan-out (``jobs=2``, ``run_chunk=8``) of short counts-only
     epidemic runs on the array engine backend, whose payload is dominated
-    by the final configuration: pickle ships it as a 10^4-10^5-state python
-    object per run, shm as one int64 row per run in a per-batch arena.
-    Every measured repeat of both transports must fold to one aggregate.
+    by the final configuration.  The treatment is ``repeat_experiment``,
+    whose workers ship one int64 row per run and never build the final
+    configuration; the control submits the same ``run_spec_batch``
+    batches to a pool of its own and ships each run's whole result,
+    final configuration included, as a 10^4-10^5-state python object.
+    Every measured repeat of both sides must fold to one aggregate.
     """
     try:
         import numpy  # noqa: F401 - availability probe
@@ -434,7 +438,12 @@ def run_transport_comparison(args) -> int:
               "engine backend and needs numpy; install the fast extra "
               "(pip install 'repro[fast]')", file=sys.stderr)
         return 1
-    from repro.engine.experiment import repeat_experiment
+    from repro.engine.experiment import (
+        ExperimentResult,
+        repeat_experiment,
+        run_spec_batch,
+        start_process_pool,
+    )
     from repro.protocols.registry import ExperimentSpec
 
     sizes = with_guard_population(args.sizes or TRANSPORT_SIZES,
@@ -445,15 +454,38 @@ def run_transport_comparison(args) -> int:
 
     folds: dict = {}
 
-    def transport_rate(n: int, transport: str) -> Measurement:
+    def result_lists(spec: ExperimentSpec) -> dict:
+        """The control: whole result lists, folded as repeat_experiment folds."""
+        with start_process_pool(jobs) as pool:
+            futures = [pool.submit(run_spec_batch, spec, start,
+                                   min(run_chunk, runs - start), 0, max_steps,
+                                   0, "counts-only")
+                       for start in range(0, runs, run_chunk)]
+            results = [result for future in futures for result in future.result()]
+        folded = ExperimentResult(runs=len(results), successes=0)
+        for index, result in enumerate(results):
+            if result.converged:
+                folded.successes += 1
+                if result.steps_to_convergence is not None:
+                    folded.convergence_steps.append(result.steps_to_convergence)
+            else:
+                folded.failures.append(
+                    f"run {index}: did not converge within {max_steps} steps")
+        return folded.to_dict()
+
+    def transport_rate(n: int, columnar: bool) -> Measurement:
         spec = ExperimentSpec(
             protocol="epidemic", population=n, model="TW", backend="array")
 
         def work() -> int:
-            folds.setdefault(n, []).append(repeat_experiment(
-                spec=spec, runs=runs, max_steps=max_steps, base_seed=0,
-                jobs=jobs, run_chunk=run_chunk,
-                trace_policy="counts-only", result_transport=transport).to_dict())
+            if columnar:
+                fold = repeat_experiment(
+                    spec=spec, runs=runs, max_steps=max_steps, base_seed=0,
+                    jobs=jobs, run_chunk=run_chunk,
+                    trace_policy="counts-only").to_dict()
+            else:
+                fold = result_lists(spec)
+            folds.setdefault(n, []).append(fold)
             return runs
         return lambda: throughput(work)
 
@@ -462,22 +494,23 @@ def run_transport_comparison(args) -> int:
             guard = None
             if n == TRANSPORT_GUARD_POPULATION:
                 guard = ("transport",
-                         f"shm result transport vs chunked pickle at n={n:,} "
-                         f"(process fan-out, counts-only, array backend)",
+                         f"columnar result rows vs whole result lists at "
+                         f"n={n:,} (process fan-out, counts-only, array "
+                         f"backend)",
                          TRANSPORT_GUARD_FACTOR,
                          {"protocol": "epidemic", "model": "TW",
                           "engine_backend": "array", "n": n, "runs": runs,
                           "max_steps": max_steps, "jobs": jobs,
-                          "run_chunk": run_chunk, "control": "pickle",
-                          "treatment": "shm"})
-            yield ([n, runs, max_steps], transport_rate(n, "pickle"),
-                   transport_rate(n, "shm"), guard)
+                          "run_chunk": run_chunk, "control": "result lists",
+                          "treatment": "columnar rows"})
+            yield ([n, runs, max_steps], transport_rate(n, columnar=False),
+                   transport_rate(n, columnar=True), guard)
 
-    status = gate(cases(), ["n", "runs", "max_steps", "pickle runs/s",
-                            "shm runs/s", "shm vs pickle"], args.json)
+    status = gate(cases(), ["n", "runs", "max_steps", "result lists runs/s",
+                            "columnar runs/s", "columnar vs lists"], args.json)
     for n, folded in folds.items():
         if any(fold != folded[0] for fold in folded):
-            print(f"FAIL: shm and pickle transports folded to different "
+            print(f"FAIL: columnar rows and result lists folded to different "
                   f"aggregates at n={n:,}", file=sys.stderr)
             status = 1
     return status
@@ -499,8 +532,8 @@ def main(argv: Optional[list] = None) -> int:
                         help="array: the array-vs-python backend comparison "
                              "(≥5x guard; needs numpy)")
     parser.add_argument("--transport", action="store_true",
-                        help="the shm-vs-pickle result-transport comparison "
-                             "(≥1.5x guard; needs numpy)")
+                        help="the columnar-rows-vs-result-lists transport "
+                             "comparison (≥1.5x guard; needs numpy)")
     parser.add_argument("--obs", action="store_true",
                         help="the observability-off overhead guard (≥97%% of "
                              "a control bypassing the telemetry seam)")

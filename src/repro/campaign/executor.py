@@ -5,8 +5,8 @@ Every campaign execution goes through :meth:`CampaignQueue.drain`;
 Several submitted campaigns merge their pending cells into one work
 list ordered by ``(-priority, submission order, plan index)``.  Each
 cell is computed by :func:`~repro.campaign.runner.build_cell_record`,
-whose cell-internal fan-out (``jobs``/``run_chunk``/``result_transport``)
-composes underneath, so ``--cell-jobs 4 --jobs 2`` keeps four cells in
+whose cell-internal fan-out (``jobs``/``run_chunk``) composes
+underneath, so ``--cell-jobs 4 --jobs 2`` keeps four cells in
 flight over one process pool of ``jobs × width`` workers, forked once
 per drain.
 
@@ -110,7 +110,6 @@ class QueuedCampaign:
     order: int
     jobs: int
     run_chunk: int
-    result_transport: str
     status: CampaignRunStatus
 
 
@@ -155,7 +154,7 @@ def _build(item: _WorkItem, pool: Optional[ProcessPoolExecutor]) -> dict:
     entry, cell = item.owner
     return build_cell_record(
         cell, entry.plan, jobs=entry.jobs, run_chunk=entry.run_chunk,
-        result_transport=entry.result_transport, pool=pool)
+        pool=pool)
 
 
 def _fanout_pool(items: List[_WorkItem], width: int,
@@ -286,15 +285,14 @@ class CampaignQueue:
 
     def submit(self, plan: CampaignPlan, store: _BaseStore, *,
                priority: Optional[int] = None, jobs: int = 1,
-               run_chunk: int = 1,
-               result_transport: str = "pickle") -> QueuedCampaign:
+               run_chunk: int = 1) -> QueuedCampaign:
         """Enqueue a campaign.  ``priority`` defaults to the spec's own
         ``priority`` field; larger values drain first.
 
         Invalid fan-out settings raise :class:`ValueError` here, before
         any cell runs, instead of being persisted as per-cell ``error``
         verdicts (:func:`~repro.engine.experiment.check_fanout`)."""
-        check_fanout(jobs, run_chunk, result_transport)
+        check_fanout(jobs, run_chunk)
         entry = QueuedCampaign(
             plan=plan,
             store=store,
@@ -302,7 +300,6 @@ class CampaignQueue:
             order=len(self._entries),
             jobs=jobs,
             run_chunk=run_chunk,
-            result_transport=result_transport,
             status=CampaignRunStatus(total=plan.total),
         )
         self._entries.append(entry)

@@ -3,10 +3,10 @@
 A campaign's cells run through
 :func:`~repro.engine.experiment.repeat_experiment` — each cell runs its
 ``runs`` seeds sequentially or, at ``jobs > 1``, over the process
-fan-out (``jobs``/``run_chunk``/``result_transport`` are forwarded
-untouched), so a campaign inherits all the determinism guarantees that
-fan-out pins: a cell's result is a pure function of its resolved spec
-and seed block, whatever the fan-out.
+fan-out (``jobs``/``run_chunk`` are forwarded untouched), so a campaign
+inherits all the determinism guarantees that fan-out pins: a cell's
+result is a pure function of its resolved spec and seed block, whatever
+the fan-out.
 :func:`build_cell_record` is that per-cell computation, with no store
 access.
 
@@ -161,8 +161,7 @@ def _cell_record_header(cell: PlannedCell) -> dict:
 
 
 def _execute_cell(cell: PlannedCell, plan: CampaignPlan, *, jobs: int,
-                  run_chunk: int, result_transport: str,
-                  pool: Optional[Executor]) -> dict:
+                  run_chunk: int, pool: Optional[Executor]) -> dict:
     """Run one feasible cell and shape its persistent record."""
     campaign = plan.campaign
     record = _cell_record_header(cell)
@@ -177,7 +176,6 @@ def _execute_cell(cell: PlannedCell, plan: CampaignPlan, *, jobs: int,
             jobs=jobs,
             run_chunk=run_chunk,
             trace_policy="counts-only",
-            result_transport=result_transport,
             pool=pool,
         )
     except (BackendError, KeyError, TypeError, ValueError) as error:
@@ -198,18 +196,14 @@ def _execute_cell(cell: PlannedCell, plan: CampaignPlan, *, jobs: int,
 
 
 def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
-                      run_chunk: int = 1, result_transport: str = "pickle",
+                      run_chunk: int = 1,
                       pool: Optional[Executor] = None) -> dict:
     """The persistent record for one planned cell: ``n/a`` or executed.
 
     A pure function of (cell, seed block, fan-out knobs) with no store
     access — which is what lets the campaign scheduler
     (:mod:`repro.campaign.executor`) call it from worker threads while a
-    single writer owns the store.
-    ``result_transport`` rides along with the other fan-out knobs
-    (mechanism only — records are byte-identical for every transport);
-    even under the shm transport the record returned here is plain data,
-    so the main thread stays the store's only appender.  ``pool`` is the
+    single writer owns the store.  ``pool`` is the
     drain's process pool, which a process fan-out submits its batches to
     (:func:`~repro.engine.experiment.repeat_experiment`'s ``pool=``).
 
@@ -221,11 +215,9 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
     """
     obs = get_recorder()
     if obs is NULL_RECORDER:
-        return _build_record(cell, plan, jobs, run_chunk, result_transport,
-                             pool)
+        return _build_record(cell, plan, jobs, run_chunk, pool)
     begin = time.perf_counter()
-    record = _build_record(cell, plan, jobs, run_chunk, result_transport,
-                           pool)
+    record = _build_record(cell, plan, jobs, run_chunk, pool)
     seconds = time.perf_counter() - begin
     status = record["status"]
     obs.counter(f"campaign.cells.{status}")
@@ -237,8 +229,7 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
 
 
 def _build_record(cell: PlannedCell, plan: CampaignPlan, jobs: int,
-                  run_chunk: int, result_transport: str,
-                  pool: Optional[Executor]) -> dict:
+                  run_chunk: int, pool: Optional[Executor]) -> dict:
     """The uninstrumented record build behind :func:`build_cell_record`."""
     if cell.skip_reason is not None:
         record = _cell_record_header(cell)
@@ -246,7 +237,7 @@ def _build_record(cell: PlannedCell, plan: CampaignPlan, jobs: int,
         record["reason"] = cell.skip_reason
         return record
     return _execute_cell(cell, plan, jobs=jobs, run_chunk=run_chunk,
-                         result_transport=result_transport, pool=pool)
+                         pool=pool)
 
 
 def progress_line(cell: PlannedCell, total: int, record: dict) -> str:
@@ -275,7 +266,7 @@ def run_campaign(
     max_cells: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     cell_jobs: int = 1,
-    result_transport: str = "pickle",
+    result_transport: Optional[str] = None,
 ) -> CampaignRunStatus:
     """Execute every pending cell of ``plan``, streaming records to ``store``.
 
@@ -291,7 +282,11 @@ def run_campaign(
     the lane, and selects nothing: ``"process"`` is accepted at any
     ``jobs``, ``"thread"`` only at ``jobs == 1`` (at ``jobs > 1`` it is a
     :class:`ValueError`, raised before any cell runs).  It is forwarded
-    nowhere; ROADMAP item 5 deletes it.
+    nowhere; ROADMAP item 5 deletes it.  ``result_transport`` stays for
+    the same reason and selects nothing either: every process batch ships
+    its results one way (:mod:`repro.engine.transport`); ``"pickle"``,
+    ``"shm"`` and ``"auto"`` are accepted, anything else is a
+    :class:`ValueError`.
     """
     # Deferred: the scheduler imports this module's per-cell seam.
     from repro.campaign.executor import CampaignQueue
@@ -302,9 +297,11 @@ def run_campaign(
     if jobs_backend == "thread" and jobs > 1:
         raise ValueError("jobs_backend 'thread' cannot fan out: jobs > 1 "
                          "runs on processes")
+    if result_transport not in (None, "pickle", "shm", "auto"):
+        raise ValueError(f"unknown result_transport {result_transport!r}; "
+                         "expected 'pickle', 'shm' or 'auto'")
     queue = CampaignQueue()
-    queue.submit(plan, store, jobs=jobs, run_chunk=run_chunk,
-                 result_transport=result_transport)
+    queue.submit(plan, store, jobs=jobs, run_chunk=run_chunk)
     obs = get_recorder()
     begin = 0.0 if obs is NULL_RECORDER else time.perf_counter()
     if obs is not NULL_RECORDER:

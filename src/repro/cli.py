@@ -97,11 +97,6 @@ from repro.engine.backends import (
     load_array_backend,
 )
 from repro.engine.experiment import repeat_experiment, run_spec
-from repro.engine.transport import (
-    RESULT_TRANSPORTS,
-    TransportError,
-    shm_unavailable_reason,
-)
 from repro.interaction.hierarchy import HIERARCHY_EDGES, topological_order
 from repro.interaction.models import MODELS_BY_NAME, get_model
 from repro.lint.cli import add_lint_arguments, command_lint
@@ -275,9 +270,7 @@ def _print_ring_dump(last_steps, run_label: str = "run") -> None:
 def _check_fanout_flags(args) -> None:
     """Validate the run fan-out flags up front, before any work runs.
 
-    Explicit ``--result-transport shm`` is strict by contract: it needs a
-    usable shared-memory subsystem, and the error must name the fallback
-    flag.  Checking here (rather than letting ``repeat_experiment`` raise
+    Checking here (rather than letting ``repeat_experiment`` raise
     mid-campaign) keeps fan-out misconfiguration a CLI error, never a
     per-cell error verdict.
     """
@@ -285,13 +278,6 @@ def _check_fanout_flags(args) -> None:
         raise SystemExit("--jobs must be at least 1")
     if args.run_chunk < 1:
         raise SystemExit("--run-chunk must be at least 1")
-    if args.result_transport != "shm":
-        return
-    reason = shm_unavailable_reason()
-    if reason is not None:
-        raise SystemExit(
-            f"--result-transport shm: shared memory unavailable ({reason}); "
-            "rerun with --result-transport pickle")
 
 
 def _run_repeated(args, spec) -> int:
@@ -322,12 +308,9 @@ def _run_repeated(args, spec) -> int:
             trace_policy=args.trace_policy,
             ring_size=args.ring_size,
             run_chunk=args.run_chunk,
-            result_transport=args.result_transport,
         )
     except BackendError as error:
         raise SystemExit(f"--engine-backend {args.engine_backend}: {error}")
-    except TransportError as error:
-        raise SystemExit(str(error))
 
     mean = result.mean_convergence_steps
     median = result.median_convergence_steps
@@ -510,7 +493,6 @@ def _campaign_action(args) -> int:
             max_cells=args.max_cells,
             progress=progress,
             cell_jobs=args.cell_jobs,
-            result_transport=args.result_transport,
         )
         print(f"campaign {campaign.name}: {status.summary()}  (store: {store_path})")
         if status.pending:
@@ -700,17 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "--runs > 1; larger chunks amortize the per-run "
                                  "pickling that dominates short runs (results are "
                                  "identical for every value)")
-    run_parser.add_argument("--result-transport", choices=RESULT_TRANSPORTS,
-                            default="auto",
-                            help="how --jobs worker processes ship results back: "
-                                 "pickle (one pickled list per batch), shm "
-                                 "(zero-copy shared-memory arenas with a pickle "
-                                 "overflow lane for traces and ring dumps), or "
-                                 "auto (default: shm whenever the fan-out "
-                                 "crosses processes, the trace policy is "
-                                 "counts-only and shared memory is usable, "
-                                 "else pickle); results are identical "
-                                 "for every choice")
     run_parser.add_argument("--chunk-size", type=int, default=None,
                             help="scheduled draws per batched scheduler call inside "
                                  "the engine (default 256; 1 reproduces the per-step "
@@ -781,15 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--run-chunk", type=int, default=1,
                                  help="consecutive seeds per executor task "
                                       "(see repro run --run-chunk)")
-    campaign_parser.add_argument("--result-transport", choices=RESULT_TRANSPORTS,
-                                 default="auto",
-                                 help="result transport of each cell's process "
-                                      "fan-out (see repro run "
-                                      "--result-transport; campaign cells run "
-                                      "counts-only, so auto picks shm whenever "
-                                      "--jobs > 1 and shared memory is usable); "
-                                      "records and reports "
-                                      "are byte-identical for every choice")
     campaign_parser.add_argument(
         "--engine-backend", choices=BACKEND_CHOICES, default=None,
         help="engine backend for every cell, overriding the spec's "

@@ -1027,8 +1027,8 @@ def _freeze(codes: np.ndarray, interner: StateInterner) -> Configuration:
 
 def _count_export(codes: np.ndarray,
                   interner: StateInterner) -> Tuple[Tuple[State, int], ...]:
-    """The columnar count export consumed by the shm result transport
-    (:mod:`repro.engine.transport`).
+    """The columnar count export consumed by the process fan-out's result
+    transport (:mod:`repro.engine.transport`).
 
     One bincount over the code array, no detour through the frozen
     python-object configuration.  Zero counts are dropped so the export is
@@ -1151,7 +1151,7 @@ def run_until_stable(
     # The loop stops at the exact step whose configuration completes the
     # streak, so the first configuration of the stable streak is fixed
     # by arithmetic — the same value the python loop tracks imperatively.
-    # ``materialize_final=False`` (the shared-memory transport's no-detour
+    # ``materialize_final=False`` (the result transport's no-detour
     # export): the anonymous ``final_counts`` below carry everything the
     # caller reads, so the O(n) decode of codes into a python
     # Configuration — the dominant per-run cost on short runs — is skipped.

@@ -58,7 +58,7 @@ class ConvergenceResult:
     last_steps: Tuple[TraceStep, ...] = field(default=())
     #: Anonymous multiset view of the final configuration as ``(state, count)``
     #: pairs (zero counts dropped).  Set by the array backend's columnar count
-    #: export and by the shared-memory result transport's decoded fast lane —
+    #: export and by the result transport's decoded columnar rows —
     #: whose results carry ``final=None``, which is sound because the
     #: aggregate/merge layer never consumes ``final``.  ``None`` means "not
     #: exported", not "empty".
@@ -140,7 +140,7 @@ def run_until_stable(
     materialize_final:
         Advisory hint: ``False`` tells the array backend, whose results
         carry ``final_counts``, that the caller will not read
-        ``result.final`` (e.g. the shared-memory result transport, which
+        ``result.final`` (e.g. the process fan-out's result transport, which
         ships anonymous state counts), letting it skip the O(n)
         python-object decode of the final configuration and return
         ``final=None``.  The python backend ignores the hint.

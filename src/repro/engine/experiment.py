@@ -12,29 +12,22 @@ model × omission adversary × scheduler, by registry key); a spec plus a
 seed fixes a run, and :func:`run_spec` executes it.  Runs are sequential
 unless ``jobs > 1`` and ``runs > 1``; then they fan out over a
 :class:`~concurrent.futures.ProcessPoolExecutor` running batches of
-:func:`run_spec_batch` (:func:`run_spec_batch_shm` under shm), each
-worker resolving the spec against its own imported registries.  The
-processes sidestep the interpreter lock at the cost of per-run result
-pickling.  A caller that runs many experiments (the campaign drain, one
-per cell) forks one pool with :func:`start_process_pool` and passes it
-to every call as ``pool=``; without one, each call forks and joins a
-pool of its own.
+:func:`run_encoded_batch`, each worker resolving the spec against its own
+imported registries.  The processes sidestep the interpreter lock at the
+cost of shipping every result back.  A caller that runs many experiments
+(the campaign drain, one per cell) forks one pool with
+:func:`start_process_pool` and passes it to every call as ``pool=``;
+without one, each call forks and joins a pool of its own.
 
-For short runs that pickling dominates: ``run_chunk=K`` ships seeds in
+For short runs that shipping dominates: ``run_chunk=K`` ships seeds in
 batches of ``K`` consecutive run indices per executor task, amortizing
 task submission and result transfer over the whole batch — one future,
-one pickled list, instead of ``K`` of each.  Batches are merged
+one pickled descriptor, instead of ``K`` of each.  Batches are merged
 per-batch in submission order, so the aggregate stays deterministic.
-
-On top of chunking, ``result_transport`` selects *how* a batch's results
-cross the process boundary: ``pickle`` (the seed path — one pickled
-result list per batch) or ``shm`` (:mod:`repro.engine.transport` — the
-batch's counts-only results come back as fixed-width int64 rows in a
-shared-memory arena, with a pickle overflow lane for traces and ring
-dumps), with ``auto`` picking shm exactly when the fan-out crosses
-processes, the trace policy is counts-only and shared memory is usable.
-Purely a mechanism knob: the merged aggregate is identical for every
-transport.
+Each batch crosses the process boundary through
+:mod:`repro.engine.transport`: its counts-only results come back as
+fixed-width int64 rows inside the pickled descriptor, with an overflow
+dict for traces and ring dumps.
 
 Whatever the chunking, results merge in run-index order, so for a given
 spec and seed the aggregate :class:`ExperimentResult` is identical across
@@ -50,19 +43,11 @@ from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker
 from typing import Any, Callable, List, Optional
 
 from repro.engine.convergence import ConvergenceResult, run_until_stable
 from repro.engine.engine import SimulationEngine
-from repro.engine.transport import (
-    ShmBatch,
-    check_transport,
-    decode_batch,
-    dispose_batch,
-    encode_batch,
-    resolve_transport,
-)
+from repro.engine.transport import EncodedBatch, decode_batch, encode_batch
 from repro.obs.recorder import NULL_RECORDER, Recorder, get_recorder, set_recorder
 from repro.protocols.registry import ExperimentSpec, build_cached, resolved_spec
 
@@ -223,10 +208,10 @@ def run_spec_batch(
 ) -> List[ConvergenceResult]:
     """Execute ``count`` consecutive seeded runs of ``spec`` in one worker task.
 
-    The process fan-out's worker: one submitted task — one pickled
-    argument tuple and one pickled result list — covers run indices
-    ``start_index .. start_index + count - 1``, amortizing the per-run dispatch overhead
-    that dominates short runs.  Results come back in run-index order.
+    One process fan-out task (:func:`run_encoded_batch` encodes the list
+    this returns) covers run indices ``start_index .. start_index +
+    count - 1``, amortizing the per-run dispatch overhead that dominates
+    short runs.  Results come back in run-index order.
     """
     return [
         run_spec(
@@ -236,7 +221,7 @@ def run_spec_batch(
     ]
 
 
-def run_spec_batch_shm(
+def run_encoded_batch(
     spec: ExperimentSpec,
     start_index: int,
     count: int,
@@ -245,24 +230,19 @@ def run_spec_batch_shm(
     stability_window: int,
     trace_policy: str,
     ring_size: Optional[int] = None,
-) -> ShmBatch:
-    """:func:`run_spec_batch` through the shared-memory encoder.
+) -> EncodedBatch:
+    """:func:`run_spec_batch` through the columnar encoder.
 
-    The shm-transport worker function: the batch's columnar-eligible
-    results come back as one shared-memory arena named by the returned
-    descriptor, everything else on the descriptor's pickle overflow lane.
-    The arena's ownership passes to the parent with the descriptor
-    (:func:`~repro.engine.transport.decode_batch` unlinks it); a worker
-    failing mid-encode unlinks before propagating, so crashes leak
-    nothing.
+    The process fan-out's one worker function: the batch's
+    columnar-eligible results come back as int64 rows on the returned
+    descriptor, everything else on its overflow dict
+    (:func:`~repro.engine.transport.encode_batch`).
 
     When the run configuration guarantees every result is columnar-eligible
     (``counts-only`` policy, no ring buffer — so no traces, no failure
     dumps), the runs skip materialising ``result.final`` entirely
     (``materialize_final=False``): backends with a counts export then never
-    decode the final configuration into python objects, which is the
-    "columnar export without the python-object detour" half of the
-    transport's win.
+    decode the final configuration into python objects.
     """
     materialize_final = not (trace_policy == "counts-only" and ring_size is None)
     return encode_batch(run_spec_batch(
@@ -270,18 +250,16 @@ def run_spec_batch_shm(
         trace_policy, ring_size, materialize_final))
 
 
-def check_fanout(jobs: int, run_chunk: int, result_transport: str) -> None:
+def check_fanout(jobs: int, run_chunk: int) -> None:
     """Reject invalid fan-out settings with a :class:`ValueError`.
 
     Checks only the settings, so callers can run it before any work
-    starts; host state (is shared memory usable?) is checked when the
-    fan-out resolves its transport.
+    starts.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if run_chunk < 1:
         raise ValueError("run_chunk must be at least 1")
-    check_transport(result_transport)
 
 
 def start_process_pool(workers: int) -> ProcessPoolExecutor:
@@ -295,15 +273,7 @@ def start_process_pool(workers: int) -> ProcessPoolExecutor:
     ``NULL_RECORDER``: a forked worker would otherwise inherit the
     parent's recorder, whose lock another parent thread may hold at fork
     time (see :mod:`repro.obs.recorder`).
-
-    The parent's shared-memory resource tracker is started first, so the
-    workers inherit it.  A worker forked before it would start a tracker of
-    its own at its first shm arena, and that tracker would "clean up" at
-    pool shutdown every arena the parent had already unlinked, with a
-    leaked-object warning and one ``No such file or directory`` warning per
-    arena.
     """
-    resource_tracker.ensure_running()
     pool = ProcessPoolExecutor(max_workers=workers,
                                initializer=_install_null_recorder)
     # Its result carries nothing: a worker that fails to start breaks the
@@ -323,7 +293,6 @@ def repeat_experiment(
     trace_policy: Optional[str] = None,
     ring_size: Optional[int] = None,
     run_chunk: int = 1,
-    result_transport: str = "pickle",
     *,
     pool: Optional[Executor] = None,
 ) -> ExperimentResult:
@@ -365,17 +334,6 @@ def repeat_experiment(
         pickling, which dominate short runs, at the cost of coarser load
         balancing.
         Purely a throughput knob: results are identical for every value.
-    result_transport:
-        How process fan-out batches ship results back: ``"pickle"``
-        (default — one pickled result list per batch), ``"shm"`` (the
-        zero-copy shared-memory transport of
-        :mod:`repro.engine.transport`; raises
-        :class:`~repro.engine.transport.TransportError` when shared
-        memory is unusable), or ``"auto"`` (shm exactly when the process
-        fan-out runs under a counts-only policy and shared memory works,
-        warning and falling back to pickle otherwise).  Like
-        ``run_chunk``, purely a mechanism knob: the merged aggregate is
-        identical for every transport.
     pool:
         A running process pool (:func:`start_process_pool`) to submit
         the process fan-out's batches to, instead of forking and joining
@@ -383,7 +341,7 @@ def repeat_experiment(
         are windowed and merged exactly as on an own pool, so the
         aggregate is identical.
     """
-    check_fanout(jobs, run_chunk, result_transport)
+    check_fanout(jobs, run_chunk)
     if validate is not None and trace_policy not in (None, "full"):
         raise ValueError(
             "validate inspects the full trace; it cannot be combined with "
@@ -393,8 +351,6 @@ def repeat_experiment(
         "full" if validate is not None else "counts-only"
     )
     fanout = jobs > 1 and runs > 1
-    transport = resolve_transport(
-        result_transport, trace_policy=policy, process_fanout=fanout)
     # Resolve once up front (against the run's actual trace policy) so
     # sequential and process runs, at any run_chunk, execute the same
     # concrete backend.
@@ -425,25 +381,17 @@ def repeat_experiment(
         workers = min(jobs, runs)
         if obs is not NULL_RECORDER:
             obs.counter("fanout.backend.process")
-            obs.counter(f"fanout.transport.{transport}")
             obs.gauge("fanout.workers", workers)
-        if transport == "shm":
-            worker, receive, dispose = run_spec_batch_shm, decode_batch, dispose_batch
-        else:
-            worker, receive, dispose = run_spec_batch, None, None
         context: Any = nullcontext(pool) if pool is not None \
             else start_process_pool(workers)
         with context as executor:
             submit = lambda start, count: executor.submit(  # noqa: E731
-                worker, spec, start, count, base_seed, max_steps,
+                run_encoded_batch, spec, start, count, base_seed, max_steps,
                 stability_window, policy, ring_size)
             if obs is not NULL_RECORDER:
-                # What the parent can see of a process batch — its
-                # latency and the transport lane it actually rode.
+                # What the parent can see of a process batch: its latency.
                 submit = _timed_submit(obs, submit)
-                receive = _counted_receive(obs, receive)
-            _merge_windowed(submit, runs, run_chunk, workers, merge,
-                            receive=receive, dispose=dispose)
+            _merge_windowed(submit, runs, run_chunk, workers, merge)
     else:
         if obs is not NULL_RECORDER:
             obs.counter("fanout.backend.sequential")
@@ -477,50 +425,20 @@ def _timed_submit(obs: Recorder, submit: Callable) -> Callable:
     return timed
 
 
-def _counted_receive(obs: Recorder, receive: Optional[Callable]) -> Callable:
-    """Wrap the fan-out ``receive`` hook to count transport lane usage.
-
-    Shm batches record their columnar row count, arena bytes and pickle
-    overflow; plain pickled batches record batch/result counts — so a
-    sink shows exactly how results crossed the process boundary.
-    """
-    def counted(payload: Any) -> List[ConvergenceResult]:
-        results = receive(payload) if receive is not None else payload
-        if isinstance(payload, ShmBatch):
-            columnar = payload.count - len(payload.overflow)
-            obs.counter("transport.shm.batches")
-            obs.counter("transport.shm.rows", columnar)
-            obs.counter("transport.shm.overflow_results", len(payload.overflow))
-            obs.counter("transport.shm.bytes",
-                        columnar * (4 + len(payload.states)) * 8)
-        else:
-            obs.counter("transport.pickle.batches")
-            obs.counter("transport.pickle.results", len(results))
-        return results
-    return counted
-
-
-def _merge_windowed(submit, runs: int, run_chunk: int, workers: int, merge,
-                    receive=None, dispose=None) -> None:
+def _merge_windowed(submit, runs: int, run_chunk: int, workers: int,
+                    merge) -> None:
     """Submit batch futures, merging in submission order as they stream in.
 
-    ``submit(start, count)`` must return a future resolving to the batch
-    payload for run indices ``start .. start + count - 1``; runs are
-    carved into batches of ``run_chunk`` consecutive indices.  Keeps at
-    most ``2 * workers`` batches outstanding: with full traces,
-    materialising every result (or letting completed futures pile up
-    behind a slow early batch) would hold up to ``runs x max_steps``
-    steps in memory.  Merging strictly in submission order is what makes
-    the fan-out deterministic for every chunking.
-
-    ``receive`` maps a future's payload to its
-    :class:`ConvergenceResult` list (the shm transport's
-    decode-and-unlink hook; identity when ``None`` — the payload already
-    is the list).  When a worker or the merge raises mid-stream, the
-    cleanup path cancels every queued batch; ``dispose`` then releases
-    each payload that will never be received: it waits out the batches
-    already in flight and disposes each delivered payload — so no
-    shared-memory arena outlives a failed or interrupted fan-out.
+    ``submit(start, count)`` must return a future resolving to the
+    :class:`~repro.engine.transport.EncodedBatch` of run indices
+    ``start .. start + count - 1``; runs are carved into batches of
+    ``run_chunk`` consecutive indices.  Keeps at most ``2 * workers``
+    batches outstanding: with full traces, materialising every result (or
+    letting completed futures pile up behind a slow early batch) would
+    hold up to ``runs x max_steps`` steps in memory.  Merging strictly in
+    submission order is what makes the fan-out deterministic for every
+    chunking.  When a worker or the merge raises mid-stream, every queued
+    batch is cancelled.
     """
     window = 2 * workers
     pending: deque = deque()
@@ -528,12 +446,10 @@ def _merge_windowed(submit, runs: int, run_chunk: int, workers: int, merge,
 
     def drain_one() -> None:
         nonlocal merged
-        payload = pending.popleft().result()
-        for outcome in (receive(payload) if receive is not None else payload):
+        for outcome in decode_batch(pending.popleft().result()):
             merge(merged, outcome)
             merged += 1
 
-    completed = False
     try:
         for start in range(0, runs, run_chunk):
             pending.append(submit(start, min(run_chunk, runs - start)))
@@ -541,16 +457,8 @@ def _merge_windowed(submit, runs: int, run_chunk: int, workers: int, merge,
                 drain_one()
         while pending:
             drain_one()
-        completed = True
     finally:
-        if not completed:
-            # A shared pool outlives this call: its workers must not go on
-            # to run the queued batches of a fan-out that has failed.
-            for future in pending:
-                future.cancel()
-            for future in pending if dispose is not None else ():
-                # exception() waits for in-flight batches (they cannot be
-                # stopped mid-run) and returns rather than raises, so one
-                # crashed worker cannot mask the disposal of the others.
-                if not future.cancelled() and future.exception() is None:
-                    dispose(future.result())
+        # Empty unless the fan-out failed.  A shared pool outlives this
+        # call: its workers must not go on to run the queued batches.
+        for future in pending:
+            future.cancel()

@@ -28,10 +28,10 @@ fsync and silently void crash recovery, so constructing a writable file
 handle outside the sanctioned writer modules is a finding.  The campaign
 scheduler (:mod:`repro.campaign.executor`) deliberately holds no write
 path of its own: workers return records, and the store appends them.  The
-shared-memory result transport (:mod:`repro.engine.transport`) is scoped
-in for the same reason: it moves results *between* processes, and the
-single-writer contract only holds if no transport lane ever grows a
-file-write path of its own.
+result transport (:mod:`repro.engine.transport`) is scoped in for the
+same reason: it moves results *between* processes, and the single-writer
+contract only holds if the transport never grows a file-write path of its
+own.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class StoreBypassRule(Rule):
     name = "store-write-bypass"
     summary = ("campaign-layer and result-transport file writes must go "
                "through the atomic append helpers in campaign/store.py")
-    #: The campaign layer plus the shared-memory result transport: the
+    #: The campaign layer plus the process fan-out's result transport: the
     #: transport moves results between processes and must never grow a
     #: store write path of its own — records reach disk only through the
     #: single-writer appenders, whatever lane carried them (pinned by

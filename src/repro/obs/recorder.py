@@ -30,7 +30,7 @@ Process boundaries are not crossed: the fan-out's process pool
 (:func:`repro.engine.experiment.repeat_experiment`) installs
 :data:`NULL_RECORDER` in every worker through its initializer, so
 engine-level metrics of a process fan-out are recorded parent-side only
-(per-batch latency and transport lane usage), never smuggled through
+(per-batch latency and transport rows), never smuggled through
 pickled results.  A worker forked without it would inherit the parent's
 recorder and its lock, and block forever on a lock some parent thread
 held at fork time.

@@ -186,8 +186,8 @@ def prepare_stable_output_predicate(
 
     Deriving the expected stable output is pure in (protocol, initial
     configuration), yet it used to run once *per run*, where it dwarfed the
-    actual simulation on short runs at large n (the regime the
-    shared-memory result transport targets).  This preparer derives it
+    actual simulation on short runs at large n (the regime the columnar
+    result transport targets).  This preparer derives it
     once, from the initial configuration's cached state multiset (one
     ``output()`` call per distinct state, weighted by its count), and
     returns a zero-arg maker; each maker call still constructs a **fresh**

@@ -346,7 +346,6 @@ class TestCampaignQueue:
     @pytest.mark.parametrize("fanout, message", [
         ({"jobs": 0}, "jobs must be at least 1"),
         ({"run_chunk": 0}, "run_chunk must be at least 1"),
-        ({"result_transport": "zeromq"}, "unknown result_transport"),
     ])
     def test_invalid_fanout_settings_are_rejected_before_any_cell_runs(
             self, tmp_path, fanout, message):
@@ -387,6 +386,31 @@ class TestCampaignQueue:
         store = fresh_store(tmp_path, plan)
         status = run_campaign(plan, store, jobs=jobs, jobs_backend=jobs_backend)
         assert status.complete and status.executed_now == plan.total
+        assert canonical_records(store) == expected_records
+        assert render_report(plan, store.cell_records) == expected_report
+
+    def test_run_campaign_rejects_an_unknown_result_transport(
+            self, tmp_path, monkeypatch):
+        plan = plan_campaign(campaign_from_dict(small_campaign()))
+        store = fresh_store(tmp_path, plan)
+        executed = counting_build(monkeypatch)
+        with pytest.raises(ValueError, match="unknown result_transport"):
+            run_campaign(plan, store, jobs=2, result_transport="zeromq")
+        assert executed == []
+        assert store.cell_records == {}
+
+    @pytest.mark.parametrize("result_transport", ["pickle", "shm", "auto"])
+    def test_run_campaign_accepts_a_result_transport_that_selects_nothing(
+            self, tmp_path, monkeypatch, result_transport):
+        plan = plan_campaign(campaign_from_dict(small_campaign()))
+        expected_records, expected_report = serial_reference(tmp_path, plan)
+        store = fresh_store(tmp_path, plan)
+        calls = recording_build(monkeypatch)
+        status = run_campaign(plan, store, jobs=2, run_chunk=2,
+                              result_transport=result_transport)
+        assert status.complete and status.executed_now == plan.total
+        assert all("result_transport" not in kwargs
+                   for _cell_id, kwargs, _thread in calls)
         assert canonical_records(store) == expected_records
         assert render_report(plan, store.cell_records) == expected_report
 
@@ -550,21 +574,20 @@ class TestOneScheduler:
     def overlapping_plans(self):
         return TestCampaignQueue().overlapping_plans()
 
-    def test_submitted_result_transport_reaches_every_cell(self, tmp_path,
-                                                           monkeypatch):
+    def test_submitted_fanout_knobs_reach_every_cell(self, tmp_path,
+                                                     monkeypatch):
         plan = plan_campaign(campaign_from_dict(small_campaign()))
         calls = recording_build(monkeypatch)
         queue = CampaignQueue()
-        entry = queue.submit(plan, fresh_store(tmp_path, plan),
-                             result_transport="shm")
-        assert entry.result_transport == "shm"
+        entry = queue.submit(plan, fresh_store(tmp_path, plan), run_chunk=3)
+        assert entry.run_chunk == 3
         status, = queue.drain()
         assert status.complete
         assert len(calls) == plan.total
-        assert all(kwargs["result_transport"] == "shm"
+        assert all(kwargs == {"jobs": 1, "run_chunk": 3, "pool": None}
                    for _cell_id, kwargs, _thread in calls)
 
-    def test_shm_drain_of_overlapping_campaigns_matches_serial_pickle(
+    def test_process_drain_of_overlapping_campaigns_matches_serial(
             self, tmp_path):
         plan_a, plan_b = self.overlapping_plans()
         queue = CampaignQueue()
@@ -572,7 +595,7 @@ class TestOneScheduler:
         for plan in (plan_a, plan_b):
             store = fresh_store(tmp_path, plan,
                                 name=f"{plan.campaign.name}.jsonl")
-            queue.submit(plan, store, jobs=2, result_transport="shm")
+            queue.submit(plan, store, jobs=2)
             stores.append((plan, store))
         statuses = queue.drain(cell_jobs=2)
         assert all(status.complete for status in statuses)

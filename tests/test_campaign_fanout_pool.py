@@ -9,8 +9,9 @@ process fan-out submits its batches to that pool.  These tests pin:
   ``n/a``-only drains (counted with ``os.register_at_fork``);
 * records — identical to the serial, sequential reference;
 * cleanup — no worker outlives a drain, whether it succeeds, is
-  interrupted, or loses a worker; and no shared-memory arena either, nor
-  a resource-tracker warning about one;
+  interrupted, or loses a worker;
+* no shared memory — a fan-out or a drain opens no shared-memory segment
+  and starts no resource tracker;
 * fault injection — a worker killed mid-cell aborts the drain as before,
   keeps every record finished before the kill, and resumes to the
   fault-free report byte for byte.
@@ -37,7 +38,6 @@ from repro.campaign.runner import run_campaign
 from repro.campaign.spec import campaign_from_dict
 from repro.campaign.store import ResultStore
 from repro.engine.experiment import repeat_experiment, start_process_pool
-from repro.engine.transport import shm_unavailable_reason
 from repro.obs import MetricsRecorder, recording
 from repro.protocols.registry import ExperimentSpec
 
@@ -276,8 +276,6 @@ def _dying_batch(spec, *args, **kwargs):
     return _REAL_BATCH(spec, *args, **kwargs)
 
 
-@pytest.mark.skipif(shm_unavailable_reason() is not None,
-                    reason="shared memory unavailable")
 class TestDeadWorker:
     def test_a_killed_worker_aborts_the_drain_and_resumes_cleanly(
             self, tmp_path, monkeypatch):
@@ -286,11 +284,11 @@ class TestDeadWorker:
         segments = shm_segments()
         pools = recorded_pools(monkeypatch)
         # Patched before the drain forks, so the workers inherit it; the
-        # shm worker looks run_spec_batch up as a module global.
+        # fan-out worker looks run_spec_batch up as a module global.
         monkeypatch.setattr(experiment_module, "run_spec_batch", _dying_batch)
         store = fresh_store(tmp_path, plan)
         with pytest.raises(BrokenProcessPool):
-            run_campaign(plan, store, jobs=2, result_transport="shm")
+            run_campaign(plan, store, jobs=2)
         monkeypatch.undo()
 
         assert len(pools) == 1
@@ -302,36 +300,70 @@ class TestDeadWorker:
         assert kept.completed_ids() == {cell.cell_id
                                         for cell in plan.cells[:2]}
 
-        status = run_campaign(plan, kept, jobs=2, result_transport="shm")
+        status = run_campaign(plan, kept, jobs=2)
         assert status.complete and status.executed_now == 2
         assert render_report(plan, kept.cell_records) == expected_report
         assert shm_segments() <= segments
 
 
 # ---------------------------------------------------------------------------
-# the shared-memory resource tracker
+# no shared memory, no resource tracker
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(shm_unavailable_reason() is not None,
-                    reason="shared memory unavailable")
-def test_a_process_auto_transport_drain_leaves_no_tracker_warning(tmp_path):
-    """Workers share the parent's resource tracker.  A worker forked before
-    the parent's tracker started would run its own, which at pool shutdown
-    warns of "leaked" arenas the parent had already unlinked.  ``auto``
-    probes shared memory (and so starts the parent's tracker) only when the
-    first cell runs, after the drain has forked its pool; an explicit
-    ``shm`` is probed by the CLI before.  The warnings go to the stderr of
-    a fresh interpreter, which this process (whose tracker may already run)
-    cannot stand in for."""
+#: Run in a fresh interpreter: a counts-only ``repro run --jobs 2`` and a
+#: ``--cell-jobs 2 --jobs 2`` campaign drain, with every ``shm_open`` (in
+#: the parent or in a forked worker) logged to the file ``argv[1]``.
+_NO_SHM_SCRIPT = """
+import _posixshmem, json, sys
+from multiprocessing import resource_tracker
+
+log, spec, store = sys.argv[1:]
+real_open = _posixshmem.shm_open
+
+
+def logged_open(name, *args, **kwargs):
+    with open(log, "a") as handle:
+        handle.write(name + "\\n")
+    return real_open(name, *args, **kwargs)
+
+
+_posixshmem.shm_open = logged_open
+
+from repro.cli import main
+
+assert main(["run", "--protocol", "epidemic", "-n", "8", "--runs", "4",
+             "--jobs", "2", "--run-chunk", "2",
+             "--trace-policy", "counts-only"]) == 0
+assert main(["campaign", "run", spec, "--store", store, "--cell-jobs", "2",
+             "--jobs", "2", "--quiet"]) == 0
+print(json.dumps({
+    "tracker_pid": resource_tracker._resource_tracker._pid,
+    "shared_memory_imported": "multiprocessing.shared_memory" in sys.modules,
+}))
+"""
+
+
+def test_process_fanouts_use_no_shared_memory_and_no_resource_tracker(
+        tmp_path):
+    """Batches cross the process boundary inside the pickled descriptor:
+    no fan-out or drain opens a shared-memory segment, and none starts
+    the stdlib resource tracker (a process of its own, which warns about
+    "leaked" segments at shutdown).  The tracker is process-wide state,
+    so only a fresh interpreter can show that nothing started it."""
     spec = tmp_path / "small.json"
     spec.write_text(json.dumps(small_campaign()))
+    log = tmp_path / "shm_open.log"
+    segments = shm_segments()
     src = os.path.dirname(os.path.dirname(repro.__file__))
     completed = subprocess.run(
-        [sys.executable, "-m", "repro", "campaign", "run", str(spec),
-         "--store", str(tmp_path / "store.jsonl"), "--jobs", "2",
-         "--result-transport", "auto", "--quiet"],
+        [sys.executable, "-c", _NO_SHM_SCRIPT, str(log), str(spec),
+         str(tmp_path / "store.jsonl")],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         timeout=120)
     assert completed.returncode == 0, completed.stderr
+    state = json.loads(completed.stdout.splitlines()[-1])
+    assert state == {"tracker_pid": None, "shared_memory_imported": False}
+    assert not log.exists()
+    assert shm_segments() <= segments
     assert "resource_tracker" not in completed.stderr

@@ -207,7 +207,7 @@ class TestStoreBypass:
         assert findings == []
 
     def test_transport_module_is_in_scope(self):
-        # The shared-memory result transport moves records between
+        # The process fan-out's result transport moves records between
         # processes; the single-writer store contract only holds if it
         # never grows a file-write path of its own.
         findings = lint_source(

@@ -2,7 +2,7 @@
 injection seams (engine, fan-out, campaign), and the determinism pin —
 campaign stores and rendered reports are **byte-identical** with
 observability on or off, across the serial walk, the parallel executor,
-and the process+shm fan-out.  Telemetry is write-only (RPL007); these
+and the process fan-out.  Telemetry is write-only (RPL007); these
 tests are the runtime half of that contract."""
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.engine.engine import SimulationEngine
 from repro.engine import experiment
 from repro.engine.experiment import repeat_experiment, run_spec_batch
 from repro.engine.fastpath import AgentCountPredicate
-from repro.engine.transport import shm_unavailable_reason
 from repro.obs import (
     NULL_RECORDER,
     SCHEMA_VERSION,
@@ -417,22 +416,23 @@ class TestFanoutSeam:
                               base_seed=1, trace_policy="counts-only")
         assert recorder.snapshot()["counters"]["fanout.backend.sequential"] == 1
 
-    @pytest.mark.skipif(shm_unavailable_reason() is not None,
-                        reason="shared memory unavailable")
-    def test_process_shm_fanout_records_transport_lanes(self):
+    def test_process_fanout_records_transport_rows(self):
         recorder = MetricsRecorder()
         with recording(recorder):
             result = repeat_experiment(
                 spec=_spec(), runs=4, max_steps=5_000, base_seed=1,
-                jobs=2, run_chunk=2,
-                trace_policy="counts-only", result_transport="shm")
+                jobs=2, run_chunk=2, trace_policy="counts-only")
         counters = recorder.snapshot()["counters"]
         assert result.runs == 4
         assert counters["fanout.backend.process"] == 1
-        assert counters["fanout.transport.shm"] == 1
-        assert counters["transport.shm.batches"] >= 1
+        assert counters["transport.shm.batches"] == 2
         assert counters["transport.shm.rows"] == 4
-        assert counters["transport.shm.bytes"] > 0
+        assert counters["transport.shm.overflow_results"] == 0
+        # Every run ends all-infected, so each row is the 4 header cells
+        # plus one count column, 8 bytes each.
+        assert counters["transport.shm.bytes"] == 4 * 5 * 8
+        assert not any(name.startswith("fanout.transport.")
+                       for name in counters)
         # Worker processes start with the NullRecorder, so engine counters
         # of a process fan-out are parent-side only — none leak through.
         assert "engine.runs" not in counters
@@ -655,13 +655,11 @@ class TestByteIdentity:
         # Parallel appends permute the file; the report fold is the pin.
         assert observed_report == bare[1]
 
-    @pytest.mark.skipif(shm_unavailable_reason() is not None,
-                        reason="shared memory unavailable")
-    def test_process_shm_report_bytes_match(self, tmp_path):
+    def test_process_fanout_report_bytes_match(self, tmp_path):
         bare = self._execute(tmp_path, "bare", metrics=False)
         _, observed_report = self._execute(
             tmp_path, "observed", metrics=True,
-            **{"jobs": 2, "run-chunk": 2, "result-transport": "shm"})
+            **{"jobs": 2, "run-chunk": 2})
         assert observed_report == bare[1]
 
     def test_progress_flag_keeps_stdout_byte_identical(self, tmp_path, capsys):
@@ -724,27 +722,6 @@ class TestCli:
 
 
 class TestDegradationEvents:
-    def test_auto_degradation_warning_is_mirrored_as_an_event(
-            self, tmp_path, monkeypatch):
-        from repro.engine import transport
-
-        monkeypatch.setattr(transport, "shm_unavailable_reason",
-                            lambda: "no /dev/shm")
-        sink_path = tmp_path / "s.jsonl"
-        recorder = MetricsRecorder(sink=JsonlSink(str(sink_path)))
-        with recording(recorder):
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                resolved = transport.resolve_transport(
-                    "auto", trace_policy="counts-only", process_fanout=True)
-        assert resolved == "pickle"
-        recorder.close()
-        events = [r for r in read_sink(str(sink_path))
-                  if r.get("event") == "transport.degraded"]
-        assert events == [{
-            "kind": "event", "event": "transport.degraded",
-            "requested": "auto", "fallback": "pickle",
-            "reason": "no /dev/shm"}]
-
     def test_backend_fallback_reasons_land_in_the_sink(self, tmp_path):
         spec = small_campaign()
         spec["base"] = {"protocol": "epidemic", "backend": "auto",
