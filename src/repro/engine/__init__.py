@@ -19,21 +19,18 @@ verification (events / matchings / derived runs), problem checkers
 (safety/liveness), fairness diagnostics and the benchmark harness.
 """
 
-from repro.engine.trace import Trace, TraceStep
+from repro.engine.trace import StepLog, Trace, TraceStep
 from repro.engine.engine import SimulationEngine, EngineError
 from repro.engine.fastpath import (
     TRACE_POLICIES,
     AgentCountPredicate,
-    CountsOnlyRecorder,
-    FullRecorder,
     HistogramPredicate,
     IncrementalPredicate,
     PredicateAdapter,
-    RingRecorder,
     RunResult,
     as_incremental,
     incremental_stable_output,
-    make_recorder,
+    make_step_log,
     run_core,
 )
 from repro.engine.convergence import (
@@ -44,22 +41,20 @@ from repro.engine.convergence import (
 from repro.engine.experiment import ExperimentResult, repeat_experiment
 
 __all__ = [
+    "StepLog",
     "Trace",
     "TraceStep",
     "SimulationEngine",
     "EngineError",
     "TRACE_POLICIES",
     "AgentCountPredicate",
-    "CountsOnlyRecorder",
-    "FullRecorder",
     "HistogramPredicate",
     "IncrementalPredicate",
     "PredicateAdapter",
-    "RingRecorder",
     "RunResult",
     "as_incremental",
     "incremental_stable_output",
-    "make_recorder",
+    "make_step_log",
     "run_core",
     "ConvergenceResult",
     "run_until_stable",

@@ -49,11 +49,13 @@ the compilable subset of experiments:
   as scheduled ones.  The adversary's RNG and budget
   consumption is bit-identical to the python backend's, which merges the
   same schedules.
-* **Columnar ring traces** — under ``--trace-policy ring`` a rolling
-  int64 buffer keeps the last ``K`` steps as code rows (agents, omission
-  kind, pre/post codes), recorded once per chunk with
-  fancy-indexed writes and decoded through the :class:`StateInterner`
-  only at dump time — crash forensics at n = 10^6 without per-step objects.
+* **Ring traces** — under ``--trace-policy ring`` both executors append
+  each executed step to the run's :class:`~repro.engine.trace.StepLog` as
+  one code row (agents, omission kind row, pre/post codes), the wave
+  executor only the last ``K`` of a chunk; the log is trimmed to ``K``
+  steps once per chunk and decoded through the :class:`StateInterner`
+  only when the window is read — crash forensics at n = 10^6 without
+  per-step objects.
 
 Equivalence contract (pinned by ``tests/test_array_backend.py``,
 ``tests/test_array_adversary_equivalence.py`` and, for the schedules
@@ -108,15 +110,14 @@ from repro.adversary.omission import (
     UOAdversary,
 )
 from repro.engine.backends.base import BackendCompileError, unbounded_state_space_error
-from repro.engine.convergence import ConvergenceResult
-from repro.engine.fastpath import RunResult
-from repro.engine.trace import TraceStep
+from repro.engine.convergence import ConvergenceResult, failure_window
+from repro.engine.fastpath import RunResult, make_step_log
+from repro.engine.trace import StepLog
 from repro.interaction.omissions import NO_OMISSION, Omission
 from repro.obs.recorder import NULL_RECORDER, get_recorder
 from repro.protocols.protocol import ProtocolError
 from repro.protocols.state import Configuration, InterningError, State, StateInterner
 from repro.scheduling.array_draws import ArrayDrawKernel, compile_scheduler
-from repro.scheduling.runs import Interaction
 
 #: Scheduler pairs drawn per chunk.  Larger than the python backend's chunk:
 #: a chunk only bounds working-set size here; on large populations the wave
@@ -322,89 +323,6 @@ def compile_adversary(
     return CompiledAdversary(
         adversary, kind_row, (NO_OMISSION,) + kinds, starter_stack, reactor_stack
     )
-
-
-#: Default crash-dump window under ``--trace-policy ring`` (the python
-#: backend's :func:`~repro.engine.fastpath.make_recorder` default).
-DEFAULT_RING_SIZE = 64
-
-#: Columns of the ring buffer's code rows.
-_RING_COLUMNS = 7  # starter agent, reactor agent, kind row, s_pre, r_pre, s_post, r_post
-
-
-class _RingBuffer:
-    """Rolling columnar window over the last ``capacity`` executed steps.
-
-    Rows are int64 code septuples (agents, omission-kind row, pre/post
-    codes for both participants) written once per chunk, up to its stop,
-    with fancy-indexed assignments; nothing is decoded
-    until :meth:`last_steps` renders the window as the python backend's
-    :class:`~repro.engine.trace.TraceStep` tuple (bit-identical on
-    deterministic schedulers).
-    """
-
-    __slots__ = ("capacity", "buffer", "count")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("ring_size must be at least 1")
-        self.capacity = capacity
-        self.buffer = np.empty((capacity, _RING_COLUMNS), dtype=np.int64)
-        self.count = 0
-
-    def record(
-        self,
-        starter_idx: np.ndarray,
-        reactor_idx: np.ndarray,
-        kinds: Optional[np.ndarray],
-        starter_pre: np.ndarray,
-        reactor_pre: np.ndarray,
-        starter_post: np.ndarray,
-        reactor_post: np.ndarray,
-    ) -> None:
-        """Append executed steps (only the last ``capacity`` of them land)."""
-        length = len(starter_idx)
-        if length == 0:
-            return
-        capacity = self.capacity
-        offset = length - capacity if length > capacity else 0
-        rows = (self.count + np.arange(offset, length, dtype=np.int64)) % capacity
-        buffer = self.buffer
-        buffer[rows, 0] = starter_idx[offset:]
-        buffer[rows, 1] = reactor_idx[offset:]
-        buffer[rows, 2] = 0 if kinds is None else kinds[offset:]
-        buffer[rows, 3] = starter_pre[offset:]
-        buffer[rows, 4] = reactor_pre[offset:]
-        buffer[rows, 5] = starter_post[offset:]
-        buffer[rows, 6] = reactor_post[offset:]
-        self.count += length
-
-    def last_steps(
-        self, interner: StateInterner, kind_omissions: Tuple[Omission, ...]
-    ) -> Tuple[TraceStep, ...]:
-        """Decode the window, oldest first, through the interner."""
-        used = self.count if self.count < self.capacity else self.capacity
-        if used == 0:
-            return ()
-        first = self.count - used
-        rows = (first + np.arange(used, dtype=np.int64)) % self.capacity
-        data = self.buffer[rows]
-        states = interner.states
-        steps = []
-        for offset in range(used):
-            starter, reactor, kind, s_pre, r_pre, s_post, r_post = (
-                int(value) for value in data[offset]
-            )
-            steps.append(TraceStep(
-                index=first + offset,
-                interaction=Interaction(
-                    starter, reactor, omission=kind_omissions[kind]),
-                starter_pre=states[s_pre],
-                starter_post=states[s_post],
-                reactor_pre=states[r_pre],
-                reactor_post=states[r_post],
-            ))
-        return tuple(steps)
 
 
 def _check_run_request(trace_policy: str, max_steps: float) -> int:
@@ -636,13 +554,13 @@ class _WaveExecutor:
     """
 
     __slots__ = ("codes", "size", "row_size", "starter_table",
-                 "reactor_table", "delta_table", "tracker", "ring",
+                 "reactor_table", "delta_table", "tracker", "log",
                  "wave_count", "wave_steps")
 
     def __init__(self, codes: np.ndarray, compiled: CompiledProgram,
                  tracker: Optional[_CountStreakTracker],
                  adversary: Optional[CompiledAdversary],
-                 ring: Optional[_RingBuffer]) -> None:
+                 log: Optional[StepLog]) -> None:
         self.codes = codes
         self.size = compiled.size
         # Flat table stacks, as in :class:`_StepExecutor`: table-stack row
@@ -664,7 +582,7 @@ class _WaveExecutor:
                 - mask[within // self.size] - mask[within % self.size]
             ).astype(np.int8)
         self.tracker = tracker
-        self.ring = ring
+        self.log = log
         self.wave_count = 0
         self.wave_steps = 0
 
@@ -713,13 +631,14 @@ class _WaveExecutor:
         last = chunk.repeats[(chunk.repeats_step < executed)
                              & (chunk.repeats_next_step >= executed)]
         codes[chunk.agents.take(last)] = values.take(last)
-        if self.ring is not None:
-            self.ring.record(
+        if self.log is not None:
+            self.log.extend_columns((
                 starters[:executed], reactors[:executed],
-                None if kinds is None else kinds[:executed],
+                np.zeros(executed, dtype=np.int64) if kinds is None
+                else kinds[:executed],
                 values.take(source[:executed]),
                 values.take(source[k:k + executed]),
-                values[:executed], values[k:k + executed])
+                values[:executed], values[k:k + executed]))
         return None if stop is None else executed
 
     def finish(self, obs: Any) -> None:
@@ -745,17 +664,17 @@ class _StepExecutor:
     codes, the transition tables and the predicate mask become lists once
     per run, a chunk's columns once per chunk, and the predicate count and
     streak update inline with the python loop's rule.  The codes array is
-    written back once, by :meth:`finish`; ring rows are recorded once per
-    chunk, up to the stop.
+    written back once, by :meth:`finish`; under a step log each executed
+    step appends its row inline.
     """
 
     __slots__ = ("codes", "values", "size", "row_size", "starter_table",
-                 "reactor_table", "tracker", "mask", "ring")
+                 "reactor_table", "tracker", "mask", "log")
 
     def __init__(self, codes: np.ndarray, compiled: CompiledProgram,
                  tracker: Optional[_CountStreakTracker],
                  adversary: Optional[CompiledAdversary],
-                 ring: Optional[_RingBuffer]) -> None:
+                 log: Optional[StepLog]) -> None:
         self.codes = codes
         self.values = codes.tolist()
         self.size = compiled.size
@@ -770,7 +689,7 @@ class _StepExecutor:
             self.reactor_table = adversary.reactor_stack.ravel().tolist()
         self.tracker = tracker
         self.mask = None if tracker is None else tracker.mask.tolist()
-        self.ring = ring
+        self.log = log
 
     def run(self, starters: np.ndarray, reactors: np.ndarray,
             kinds: Optional[np.ndarray]) -> Optional[int]:
@@ -783,26 +702,20 @@ class _StepExecutor:
         offsets = (repeat(0, total) if kinds is None
                    else (kinds * self.row_size).tolist())
         columns = zip(starters.tolist(), reactors.tolist(), offsets)
-        log: Optional[List[int]] = [] if self.ring is not None else None
+        rows = None if self.log is None else self.log.rows
         if self.tracker is None:
-            self._walk(columns, log)
-            stop = None
-        else:
-            stop = self._walk_tracked(columns, log)
-        if log is not None:
-            executed = total if stop is None else stop
-            pre_post = np.asarray(log, dtype=np.int64).reshape(executed, 4)
-            self.ring.record(
-                starters[:executed], reactors[:executed],
-                None if kinds is None else kinds[:executed],
-                pre_post[:, 0], pre_post[:, 1], pre_post[:, 2], pre_post[:, 3])
-        return stop
+            self._walk(columns, rows)
+            return None
+        return self._walk_tracked(columns, rows)
 
-    def _walk(self, columns: Any, log: Optional[List[int]]) -> None:
+    def _walk(self, columns: Any, rows: Optional[List[int]]) -> None:
         """Execute every ``(starter, reactor, table offset)`` step (runs
-        without a predicate, which need no count)."""
+        without a predicate, which need no count), appending each step's
+        row (its kind row is its table offset over ``row_size``) to
+        ``rows`` if given."""
         values = self.values
         size = self.size
+        row_size = self.row_size
         starter_table = self.starter_table
         reactor_table = self.reactor_table
         for a, b, offset in columns:
@@ -811,13 +724,14 @@ class _StepExecutor:
             flat = offset + a_pre * size + b_pre
             a_post = values[a] = starter_table[flat]
             b_post = values[b] = reactor_table[flat]
-            if log is not None:
-                log += (a_pre, b_pre, a_post, b_post)
+            if rows is not None:
+                rows += (a, b, offset // row_size, a_pre, b_pre, a_post, b_post)
 
-    def _walk_tracked(self, columns: Any, log: Optional[List[int]]) -> Optional[int]:
+    def _walk_tracked(self, columns: Any, rows: Optional[List[int]]) -> Optional[int]:
         """:meth:`_walk`, stopping after the step that completes the streak."""
         values = self.values
         size = self.size
+        row_size = self.row_size
         starter_table = self.starter_table
         reactor_table = self.reactor_table
         mask = self.mask
@@ -833,8 +747,8 @@ class _StepExecutor:
             flat = offset + a_pre * size + b_pre
             a_post = values[a] = starter_table[flat]
             b_post = values[b] = reactor_table[flat]
-            if log is not None:
-                log += (a_pre, b_pre, a_post, b_post)
+            if rows is not None:
+                rows += (a, b, offset // row_size, a_pre, b_pre, a_post, b_post)
             # Null interactions, the common case, leave the count as it is.
             if a_post != a_pre or b_post != b_pre:
                 count += mask[a_post] - mask[a_pre] + mask[b_post] - mask[b_pre]
@@ -864,7 +778,7 @@ def _run_columnar(
     chunk_size: int,
     tracker: Optional[_CountStreakTracker] = None,
     adversary: Optional[CompiledAdversary] = None,
-    ring: Optional[_RingBuffer] = None,
+    log: Optional[StepLog] = None,
 ) -> Tuple[int, int, bool, int]:
     """Execute up to ``max_steps`` interactions against ``codes`` in place.
 
@@ -882,14 +796,15 @@ def _run_columnar(
     Every chunk goes through one prologue (draw, adversary schedule,
     merge); populations of at most :data:`STEP_EXECUTOR_MAX_POPULATION`
     agents then execute it with :class:`_StepExecutor`, larger ones with
-    :class:`_WaveExecutor`.  Both give bit-identical results.
+    :class:`_WaveExecutor`.  Both give bit-identical results, and both
+    append each executed step to ``log``, which is trimmed once per chunk.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     n = len(codes)
     executor_type = (
         _StepExecutor if n <= STEP_EXECUTOR_MAX_POPULATION else _WaveExecutor)
-    executor = executor_type(codes, compiled, tracker, adversary, ring)
+    executor = executor_type(codes, compiled, tracker, adversary, log)
     executed = 0
     scheduler_step = 0
     omissions = 0
@@ -912,6 +827,8 @@ def _run_columnar(
             starters, reactors, kinds = _merge_injections(
                 schedule, starters, reactors)
         stop = executor.run(starters, reactors, kinds)
+        if log is not None:
+            log.trim()
         if stop is not None:
             if kinds is not None:
                 omissions += int((kinds[:stop] != 0).sum())
@@ -969,13 +886,13 @@ def _set_up_run(
     trace_policy: str,
     ring_size: Optional[int],
 ) -> Tuple[int, CompiledProgram, ArrayDrawKernel, np.ndarray,
-           Optional[CompiledAdversary], Optional[_RingBuffer]]:
+           Optional[CompiledAdversary], Optional[StepLog]]:
     """The set-up both entry points share.
 
     Checks the request, compiles the program, scheduler, initial
-    configuration and adversary, and creates the ring buffer under the
+    configuration and adversary, and creates the step log under the
     ``ring`` trace policy.  Returns ``(budget, compiled, kernel, codes,
-    compiled_adversary, ring)``; ``codes`` is the run's own copy of the
+    compiled_adversary, log)``; ``codes`` is the run's own copy of the
     encoded initial configuration, which the run mutates in place.
     """
     budget = _check_run_request(trace_policy, max_steps)
@@ -1008,12 +925,13 @@ def _set_up_run(
         _INITIAL_CODES_CACHE[id(initial_configuration)] = (
             initial_configuration, compiled, pristine)
     compiled_adversary = compile_adversary(adversary, program, model, compiled)
-    ring = None
-    if trace_policy == "ring":
-        ring = _RingBuffer(ring_size if ring_size is not None else DEFAULT_RING_SIZE)
+    log = make_step_log(
+        trace_policy, ring_size, interner=compiled.interner,
+        omissions=(NO_OMISSION,) if compiled_adversary is None
+        else compiled_adversary.kind_omissions)
     # Runs mutate their code array in place; every run gets its own copy
     # of the pristine encoding.
-    return budget, compiled, kernel, pristine.copy(), compiled_adversary, ring
+    return budget, compiled, kernel, pristine.copy(), compiled_adversary, log
 
 
 def _freeze(codes: np.ndarray, interner: StateInterner) -> Configuration:
@@ -1042,20 +960,6 @@ def _count_export(codes: np.ndarray,
         if counts[code])
 
 
-def _dump_ring(
-    ring: Optional[_RingBuffer],
-    compiled: CompiledProgram,
-    compiled_adversary: Optional[CompiledAdversary],
-) -> Tuple[TraceStep, ...]:
-    if ring is None:
-        return ()
-    kind_omissions = (
-        (NO_OMISSION,) if compiled_adversary is None
-        else compiled_adversary.kind_omissions
-    )
-    return ring.last_steps(compiled.interner, kind_omissions)
-
-
 def execute(
     program: Any,
     model: Any,
@@ -1076,14 +980,14 @@ def execute(
             "backend; use run_until_stable with a state-count predicate "
             "or --engine-backend python"
         )
-    budget, compiled, kernel, codes, compiled_adversary, ring = _set_up_run(
+    budget, compiled, kernel, codes, compiled_adversary, log = _set_up_run(
         program, model, scheduler, adversary, initial_configuration,
         max_steps, trace_policy, ring_size)
     executed, omissions, _stopped, _chunks = _run_columnar(
         codes, kernel, compiled, budget,
         chunk_size if chunk_size is not None else DEFAULT_ARRAY_CHUNK,
         adversary=compiled_adversary,
-        ring=ring,
+        log=log,
     )
     return RunResult(
         policy=trace_policy,
@@ -1091,8 +995,8 @@ def execute(
         omissions=omissions,
         final_configuration=_freeze(codes, compiled.interner),
         trace=None,
-        last_steps=_dump_ring(ring, compiled, compiled_adversary),
         stopped=False,
+        window=log,
     )
 
 
@@ -1116,7 +1020,7 @@ def run_until_stable(
     Returns the result plus the run's chunk count (scheduler draws), like
     :func:`~repro.engine.convergence.run_until_stable_core`.
     """
-    budget, compiled, kernel, codes, compiled_adversary, ring = _set_up_run(
+    budget, compiled, kernel, codes, compiled_adversary, log = _set_up_run(
         program, model, scheduler, adversary, initial_configuration,
         max_steps, trace_policy, ring_size)
     mask, target_count = _compile_predicate(
@@ -1134,7 +1038,6 @@ def run_until_stable(
             trace=None,
             final=initial_configuration,
             omissions=0,
-            last_steps=(),
             final_counts=_count_export(codes, compiled.interner),
         ), 0
 
@@ -1146,7 +1049,7 @@ def run_until_stable(
         chunk_size if chunk_size is not None else DEFAULT_ARRAY_CHUNK,
         tracker=tracker,
         adversary=compiled_adversary,
-        ring=ring,
+        log=log,
     )
     # The loop stops at the exact step whose configuration completes the
     # streak, so the first configuration of the stable streak is fixed
@@ -1162,7 +1065,7 @@ def run_until_stable(
         trace=None,
         final=_freeze(codes, compiled.interner) if materialize_final else None,
         omissions=omissions,
-        last_steps=_dump_ring(ring, compiled, compiled_adversary),
+        last_steps=failure_window(log, converged),
         final_counts=_count_export(codes, compiled.interner),
     ), chunks
 

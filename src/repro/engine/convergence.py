@@ -35,10 +35,10 @@ from repro.engine.fastpath import (
     StepDeltas,
     Watch,
     as_incremental,
-    make_recorder,
+    make_step_log,
     run_core,
 )
-from repro.engine.trace import Trace, TraceStep
+from repro.engine.trace import StepLog, Trace, TraceStep
 from repro.obs.recorder import NULL_RECORDER, Recorder, get_recorder
 from repro.protocols.state import Configuration, MutableConfiguration, State
 
@@ -53,8 +53,9 @@ class ConvergenceResult:
     trace: Optional[Trace]
     final: Optional[Configuration] = None
     omissions: int = 0
-    #: Trailing window of steps under the ``ring`` trace policy (empty otherwise;
-    #: under ``full`` the complete step list lives on ``trace``).
+    #: Trailing window of steps under the ``ring`` trace policy, kept only
+    #: for a run that did not converge: the window is a crash dump.  Empty
+    #: otherwise; under ``full`` the complete step list lives on ``trace``.
     last_steps: Tuple[TraceStep, ...] = field(default=())
     #: Anonymous multiset view of the final configuration as ``(state, count)``
     #: pairs (zero counts dropped).  Set by the array backend's columnar count
@@ -71,6 +72,15 @@ class ConvergenceResult:
     @property
     def final_configuration(self) -> Configuration:
         return self.final
+
+
+def failure_window(log: Optional[StepLog], converged: bool) -> Tuple[TraceStep, ...]:
+    """A run's :attr:`ConvergenceResult.last_steps` on either backend: its
+    ``ring`` window (a windowed log), decoded only if the run did not
+    converge."""
+    if log is None or log.window is None or converged:
+        return ()
+    return log.decode()
 
 
 def stable_output_condition(
@@ -131,7 +141,8 @@ def run_until_stable(
         ``"full"`` (default) records every step and returns a complete
         :class:`Trace`; ``"counts-only"`` records nothing per step (the
         result's ``trace`` is ``None``) and is the fast path for large
-        populations; ``"ring"`` keeps only the last ``ring_size`` steps.
+        populations; ``"ring"`` keeps only the last ``ring_size`` steps,
+        returned as ``last_steps`` when the run does not converge.
     chunk_size:
         Scheduled draws per batched scheduler call, forwarded to
         :func:`~repro.engine.fastpath.run_core` (default
@@ -237,7 +248,7 @@ def run_until_stable_core(
     is tracked inline by the step loop; any other predicate is fed its
     per-step deltas through :meth:`~repro.engine.fastpath.IncrementalPredicate.update`.
     """
-    recorder = make_recorder(trace_policy, ring_size)
+    log = make_step_log(trace_policy, ring_size)
     buffer = MutableConfiguration(initial_configuration)
     incremental = as_incremental(predicate)
     needed = stability_window + 1
@@ -252,19 +263,18 @@ def run_until_stable_core(
             converged=True,
             steps_executed=0,
             steps_to_convergence=0,
-            trace=recorder.build_trace(initial_configuration, initial_configuration),
+            trace=Trace(initial_configuration) if trace_policy == "full" else None,
             final=initial_configuration,
             omissions=0,
-            last_steps=recorder.last_steps(),
         ), 0
 
-    steps_done, _stopped, chunks = run_core(
+    steps_done, _stopped, chunks, omissions = run_core(
         program,
         model,
         scheduler,
         adversary,
         buffer,
-        recorder,
+        log,
         max_steps,
         watch,
         chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
@@ -275,10 +285,10 @@ def run_until_stable_core(
         converged=watch.met,
         steps_executed=steps_done,
         steps_to_convergence=watch.first if watch.met else None,
-        trace=recorder.build_trace(initial_configuration, final),
+        trace=Trace(initial_configuration, log, final) if trace_policy == "full" else None,
         final=final,
-        omissions=recorder.omissions,
-        last_steps=recorder.last_steps(),
+        omissions=omissions,
+        last_steps=failure_window(log, watch.met),
     ), chunks
 
 

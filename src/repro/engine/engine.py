@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Optional
 
 from repro.engine.backends import load_array_backend, validate_backend
-from repro.engine.fastpath import DEFAULT_CHUNK_SIZE, RunResult, Watch, make_recorder, run_core
+from repro.engine.fastpath import DEFAULT_CHUNK_SIZE, RunResult, Watch, make_step_log, run_core
 from repro.engine.trace import Trace
 from repro.interaction.models import InteractionModel
 from repro.protocols.state import Configuration, MutableConfiguration
@@ -239,30 +239,30 @@ def _execute_python(
     checks the budget and population for every backend, and
     :meth:`~SimulationEngine.replay` needs neither check.
     """
-    recorder = make_recorder(trace_policy, ring_size)
+    log = make_step_log(trace_policy, ring_size)
     buffer = MutableConfiguration(initial_configuration)
     watch = None
     if stop_condition is not None:
         watch = Watch(1, False, lambda *_step: stop_condition(buffer))
 
-    executed, stopped, _chunks = run_core(
+    executed, stopped, _chunks, omissions = run_core(
         program,
         model,
         scheduler,
         adversary,
         buffer,
-        recorder,
+        log,
         max_steps,
         watch,
         chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
     )
     final = buffer.freeze()
     return RunResult(
-        policy=recorder.policy,
+        policy=trace_policy,
         steps=executed,
-        omissions=recorder.omissions,
+        omissions=omissions,
         final_configuration=final,
-        trace=recorder.build_trace(initial_configuration, final),
-        last_steps=recorder.last_steps(),
+        trace=Trace(initial_configuration, log, final) if trace_policy == "full" else None,
         stopped=stopped,
+        window=log if trace_policy == "ring" else None,
     )

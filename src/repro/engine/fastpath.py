@@ -23,16 +23,18 @@ streams differ across backends.
 Three trace policies control what the run records:
 
 ``full``
-    Every executed interaction becomes a :class:`TraceStep`; the result
-    carries a complete :class:`Trace` (the seed behaviour, but without the
-    per-step configuration copies).
+    Every executed interaction is one row of a
+    :class:`~repro.engine.trace.StepLog`; the result carries a complete
+    :class:`Trace` over it, whose :class:`TraceStep` objects are built
+    when it is first read.
 ``counts-only``
     No per-step allocation at all: only the step count, the omission count
     and the frozen final configuration survive.  This is the benchmark
     fast path.
 ``ring``
-    Only the last ``ring_size`` steps are kept (a crash-dump style window);
-    counts and the final configuration are exact.
+    The same rows, trimmed to the last ``ring_size`` steps once per chunk
+    (a crash-dump style window); counts and the final configuration are
+    exact.
 
 Budget semantics (the seed had two subtly different accountings):
 
@@ -64,8 +66,8 @@ On a one-way model every ``NO_OMISSION`` step calls the program's
 ``(g, f)`` pair directly (``step.no_omission``, see
 :meth:`~repro.interaction.models.InteractionModel.bind`); other steps go
 through the model's validating step.  Omissions are counted per chunk,
-and only the ``full`` and ``ring`` recorders are called per step, with an
-:class:`Interaction` built for them.  A convergence predicate with a
+and only the ``full`` and ``ring`` policies append a row per step to
+their step log.  A convergence predicate with a
 state-count shape (:meth:`IncrementalPredicate.as_state_count`) is
 tracked inline by a :class:`Watch`, so a counts-only run of one calls
 nothing per step but the transition and ``satisfies`` once per changed
@@ -115,16 +117,15 @@ pinned by ``tests/test_adversary_batching.py``
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.trace import Trace, TraceStep
+from repro.engine.trace import StepLog, Trace, TraceStep
 from repro.interaction.models import InteractionModel
 from repro.interaction.omissions import NO_OMISSION, Omission
-from repro.protocols.state import Configuration, MutableConfiguration, State
-from repro.scheduling.runs import Interaction, interactions_from_columns
+from repro.protocols.state import Configuration, MutableConfiguration, State, StateInterner
+from repro.scheduling.runs import interactions_from_columns
 from repro.scheduling.scheduler import Columns, Scheduler
 
 #: The selectable trace policies, in decreasing order of detail.
@@ -146,122 +147,29 @@ StepCallback = Callable[[int, int, State, State, State, State], bool]
 
 
 # ---------------------------------------------------------------------------
-# trace recorders
+# step logs and run results
 # ---------------------------------------------------------------------------
 
 
-class FullRecorder:
-    """Records every step; builds a complete :class:`Trace` at freeze time.
+def make_step_log(trace_policy: str, ring_size: Optional[int] = None,
+                  interner: Optional[StateInterner] = None,
+                  omissions: Optional[Sequence[Omission]] = None) -> Optional[StepLog]:
+    """The :class:`StepLog` a run under ``trace_policy`` records into.
 
-    Recorders own the run's omission count, which :func:`run_core` adds
-    per chunk; only the recorders that keep steps define ``record``, the
-    one per-step call the loop makes into a recorder.
+    ``full`` logs every step, ``ring`` the last ``ring_size`` (default
+    64, on both backends), and ``counts-only`` logs nothing (``None``).
+    ``interner`` and ``omissions`` are the array backend's decode tables
+    (see :class:`StepLog`).
     """
-
-    policy = "full"
-    __slots__ = ("steps", "omissions")
-
-    def __init__(self) -> None:
-        self.steps: List[TraceStep] = []
-        self.omissions = 0
-
-    def record(
-        self,
-        interaction: Interaction,
-        starter_pre: State,
-        starter_post: State,
-        reactor_pre: State,
-        reactor_post: State,
-    ) -> None:
-        self.steps.append(
-            TraceStep(
-                index=len(self.steps),
-                interaction=interaction,
-                starter_pre=starter_pre,
-                starter_post=starter_post,
-                reactor_pre=reactor_pre,
-                reactor_post=reactor_post,
-            )
-        )
-
-    def build_trace(self, initial: Configuration, final: Configuration) -> Optional[Trace]:
-        return Trace.from_steps(initial, self.steps, final)
-
-    def last_steps(self) -> Tuple[TraceStep, ...]:
-        # The full step list is already reachable through the built trace;
-        # duplicating it here would be an O(T) copy nobody consumes.
-        return ()
-
-
-class CountsOnlyRecorder:
-    """Tracks only the omission count; is never called per step."""
-
-    policy = "counts-only"
-    __slots__ = ("omissions",)
-
-    def __init__(self) -> None:
-        self.omissions = 0
-
-    def build_trace(self, initial: Configuration, final: Configuration) -> Optional[Trace]:
-        return None
-
-    def last_steps(self) -> Tuple[TraceStep, ...]:
-        return ()
-
-
-class RingRecorder:
-    """Keeps the last ``ring_size`` steps; counts stay exact for the whole run.
-
-    ``TraceStep.index`` is the global step index, so the window reports where
-    in the run its steps occurred even after older steps were evicted.
-    """
-
-    policy = "ring"
-    __slots__ = ("omissions", "_ring", "_count")
-
-    def __init__(self, ring_size: int) -> None:
-        if ring_size < 1:
-            raise ValueError("ring_size must be at least 1")
-        self.omissions = 0
-        self._ring: deque = deque(maxlen=ring_size)
-        self._count = 0
-
-    def record(self, interaction, starter_pre, starter_post, reactor_pre, reactor_post) -> None:
-        self._ring.append(
-            TraceStep(
-                index=self._count,
-                interaction=interaction,
-                starter_pre=starter_pre,
-                starter_post=starter_post,
-                reactor_pre=reactor_pre,
-                reactor_post=reactor_post,
-            )
-        )
-        self._count += 1
-
-    def build_trace(self, initial: Configuration, final: Configuration) -> Optional[Trace]:
-        return None  # the evicted prefix cannot be reconstructed
-
-    def last_steps(self) -> Tuple[TraceStep, ...]:
-        return tuple(self._ring)
-
-
-def make_recorder(trace_policy: str, ring_size: Optional[int] = None) -> "FullRecorder | CountsOnlyRecorder | RingRecorder":
-    """Build the recorder for ``trace_policy`` (one of :data:`TRACE_POLICIES`)."""
     if trace_policy == "full":
-        return FullRecorder()
+        return StepLog(None, interner, omissions)
     if trace_policy == "counts-only":
-        return CountsOnlyRecorder()
+        return None
     if trace_policy == "ring":
-        return RingRecorder(ring_size if ring_size is not None else 64)
+        return StepLog(64 if ring_size is None else ring_size, interner, omissions)
     raise ValueError(
         f"unknown trace policy {trace_policy!r}; expected one of {TRACE_POLICIES}"
     )
-
-
-# ---------------------------------------------------------------------------
-# run result
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -273,8 +181,14 @@ class RunResult:
     omissions: int
     final_configuration: Configuration
     trace: Optional[Trace] = None
-    last_steps: Tuple[TraceStep, ...] = ()
     stopped: bool = False
+    #: The ``ring`` policy's step log (``None`` otherwise).
+    window: Optional[StepLog] = None
+
+    @property
+    def last_steps(self) -> Tuple[TraceStep, ...]:
+        """The ``ring`` window with global step indices (empty otherwise)."""
+        return () if self.window is None else self.window.decode()
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +518,11 @@ def run_core(
     scheduler: Scheduler,
     adversary: Optional[Any],
     buffer: MutableConfiguration,
-    recorder: Any,
+    log: Optional[StepLog],
     max_steps: float,
     watch: Optional[Watch] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Tuple[int, bool, int]:
+) -> Tuple[int, bool, int, int]:
     """Execute up to ``max_steps`` interactions against ``buffer`` in place.
 
     This is the single step loop behind every public entry point: one
@@ -616,8 +530,9 @@ def run_core(
     Each chunk of up to ``chunk_size`` scheduled interactions is drawn as
     index columns; with an ``adversary`` it goes through :func:`plan_chunk`
     (its exact execution order, budget truncation applied).  Every
-    executed interaction writes two buffer slots, dispatched and recorded
-    as the module docstring describes.
+    executed interaction writes two buffer slots, dispatched as the module
+    docstring describes, and appends one row to ``log`` (``None`` under
+    ``counts-only``), which is trimmed once per chunk.
 
     With a ``watch``, the predicate is tested after every interaction and
     the run stops once it has held ``watch.needed`` times in a row; the
@@ -637,9 +552,10 @@ def run_core(
     interaction).  See the module docstring for the exact budget,
     batching, stop and exhaustion semantics.
 
-    Returns ``(executed, stopped, chunks)``: the number of executed
-    interactions, whether the watch stopped the run, and the number of
-    chunks drawn (scheduler calls).
+    Returns ``(executed, stopped, chunks, omissions)``: the number of
+    executed interactions, whether the watch stopped the run, the number
+    of chunks drawn (scheduler calls) and the number of omissive
+    interactions executed.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
@@ -647,7 +563,7 @@ def run_core(
     # InteractionModel.bind), not once per interaction.
     step = model.bind(program)
     g, f = getattr(step, "no_omission", (None, None))
-    record = getattr(recorder, "record", None)
+    rows = None if log is None else log.rows
     # The raw list behind the buffer: indexing MutableConfiguration goes
     # through Python-level dunders, four calls per step that this loop is
     # hot enough to care about.  Predicates holding a reference to `buffer`
@@ -665,7 +581,7 @@ def run_core(
         needed, streak, first = watch.needed, watch.streak, watch.first
         satisfies, count, target = watch.satisfies, watch.count, watch.target
         bits, holds = watch.bits, watch.holds
-    counting_only = satisfies is not None and record is None and g is not None
+    counting_only = satisfies is not None and rows is None and g is not None
 
     executed = scheduler_step = chunks = omission_count = 0
     stopped = False
@@ -723,9 +639,9 @@ def run_core(
                 states[starter] = starter_post
                 states[reactor] = reactor_post
                 executed += 1
-                if record is not None:
-                    record(Interaction(starter, reactor, omission),
-                           starter_pre, starter_post, reactor_pre, reactor_post)
+                if rows is not None:
+                    rows += (starter, reactor, omission, starter_pre, reactor_pre,
+                             starter_post, reactor_post)
                 if watch is None:
                     continue
                 if satisfies is not None:
@@ -750,13 +666,14 @@ def run_core(
                         break
                 else:
                     streak = 0
+            if log is not None:
+                log.trim()
         if omissions is not None:
             omission_count += sum(
                 1 for omission in omissions[:executed - chunk_start]
                 if omission.is_omissive)
         if stopped or drawn < k:
             break  # a stop, or exhaustion mid-chunk (terminal by the scheduler contract)
-    recorder.omissions += omission_count
     if watch is not None:
         watch.streak, watch.first, watch.count = streak, first, count
-    return executed, stopped, chunks
+    return executed, stopped, chunks, omission_count

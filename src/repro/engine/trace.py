@@ -6,14 +6,21 @@ interaction, the pre- and post-states of the two participants.  Storing
 per-step deltas (rather than full configurations) keeps memory linear in the
 number of steps and independent of the population size, while still allowing
 full configurations to be reconstructed on demand.
+
+The step loops record into a :class:`StepLog`: one flat row of plain
+fields per step, so a traced run allocates no per-step object for the
+garbage collector to walk.  :class:`TraceStep` objects are built by
+:meth:`StepLog.decode` only when a trace or a ring window is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from itertools import count
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.protocols.state import Configuration, State
+from repro.interaction.omissions import Omission
+from repro.protocols.state import Configuration, State, StateInterner
 from repro.scheduling.runs import Interaction, Run
 
 
@@ -44,37 +51,110 @@ class TraceStep:
         return not self.changed_agents
 
 
+#: Fields of one :class:`StepLog` row: starter, reactor, omission, starter
+#: pre, reactor pre, starter post, reactor post.
+ROW_FIELDS = 7
+
+
+class StepLog:
+    """Executed steps as flat rows, decoded into :class:`TraceStep` objects on read.
+
+    The step loops of both backends append each executed step to ``rows``
+    as one row of :data:`ROW_FIELDS` fields and build no objects.  Without a
+    ``window`` the log keeps every step (the ``full`` policy); with one it
+    is a ring (the ``ring`` policy): the loops call :meth:`trim` once per
+    chunk, and ``start`` is the global index of the first kept step.
+
+    The python backend logs states and omissions as they are.
+    The array backend logs codes and passes its ``interner`` and its
+    kind-row ``omissions`` to turn them back.
+    """
+
+    __slots__ = ("rows", "window", "start", "interner", "omissions")
+
+    def __init__(self, window: Optional[int] = None,
+                 interner: Optional[StateInterner] = None,
+                 omissions: Optional[Sequence[Omission]] = None) -> None:
+        if window is not None and window < 1:
+            raise ValueError("ring_size must be at least 1")
+        self.rows: List[Any] = []
+        self.window = window
+        self.start = 0
+        self.interner = interner
+        self.omissions = omissions
+
+    def __len__(self) -> int:
+        return len(self.rows) // ROW_FIELDS
+
+    def __eq__(self, other: object) -> bool:
+        """Logs are equal when they decode to the same steps."""
+        if not isinstance(other, StepLog):
+            return NotImplemented
+        return self.decode() == other.decode()
+
+    def trim(self) -> None:
+        """Drop all but the last ``window`` steps (no-op without a window)."""
+        if self.window is None:
+            return
+        excess = len(self.rows) // ROW_FIELDS - self.window
+        if excess > 0:
+            del self.rows[:excess * ROW_FIELDS]
+            self.start += excess
+
+    def extend_columns(self, columns: Sequence[Any]) -> None:
+        """Log steps given as :data:`ROW_FIELDS` equal-length int64 arrays,
+        one per field.  Under a window only the last ``window`` steps are
+        read."""
+        length = len(columns[0])
+        skip = 0
+        if self.window is not None and length > self.window:
+            skip = length - self.window
+            self.start += skip
+        rows = self.rows
+        for row in zip(*[column[skip:].tolist() for column in columns]):
+            rows.extend(row)
+
+    def decode(self) -> Tuple[TraceStep, ...]:
+        """The logged steps as :class:`TraceStep` objects, oldest first."""
+        rows = self.rows
+        columns = [rows[field::ROW_FIELDS] for field in range(ROW_FIELDS)]
+        if self.interner is not None:
+            states = self.interner.states
+            for field in range(3, ROW_FIELDS):
+                columns[field] = [states[code] for code in columns[field]]
+        if self.omissions is not None:
+            omissions = self.omissions
+            columns[2] = [omissions[kind] for kind in columns[2]]
+        return tuple(
+            TraceStep(index, Interaction(starter, reactor, omission),
+                      starter_pre, starter_post, reactor_pre, reactor_post)
+            for index, starter, reactor, omission, starter_pre, reactor_pre,
+            starter_post, reactor_post in zip(count(self.start), *columns))
+
+
 class Trace:
-    """The execution of a program: initial configuration plus per-step deltas."""
+    """The execution of a program: initial configuration plus per-step deltas.
 
-    def __init__(self, initial: Configuration) -> None:
+    The engine builds a trace over the run's :class:`StepLog` and its final
+    configuration; the steps are decoded the first time they are read.
+    """
+
+    def __init__(self, initial: Configuration, log: Optional[StepLog] = None,
+                 final: Optional[Configuration] = None) -> None:
         self._initial = initial
-        self._steps: List[TraceStep] = []
-        self._current = initial
+        self._log = log
+        self._decoded: List[TraceStep] = []
+        self._current = initial if final is None else final
 
-    @classmethod
-    def from_steps(
-        cls,
-        initial: Configuration,
-        steps: Sequence[TraceStep],
-        final: Configuration,
-    ) -> "Trace":
-        """Build a trace from already-recorded steps without replaying them.
+    @property
+    def _steps(self) -> List[TraceStep]:
+        """The decoded steps; the log is decoded (and dropped) on first use."""
+        if self._log is not None:
+            self._decoded = list(self._log.decode())
+            self._log = None
+        return self._decoded
 
-        This is the freeze boundary of the fast-path execution core
-        (:mod:`repro.engine.fastpath`): the core records
-        :class:`TraceStep` deltas while mutating an array-backed buffer in
-        place, then hands the step list and the frozen final configuration
-        over in one O(T) call instead of paying an O(n) configuration copy
-        per recorded step.  ``final`` must be the configuration reached by
-        applying ``steps`` to ``initial`` in order.
-        """
-        trace = cls(initial)
-        trace._steps = list(steps)
-        trace._current = final
-        return trace
-
-    # -- construction (used by the engine) ----------------------------------------------
+    # -- construction, one step at a time (engine runs log rows instead) --------------
 
     def record(
         self,
@@ -122,7 +202,7 @@ class Trace:
         return len(self._initial)
 
     def __len__(self) -> int:
-        return len(self._steps)
+        return len(self._decoded) if self._log is None else len(self._log)
 
     def __iter__(self) -> Iterator[TraceStep]:
         return iter(self._steps)

@@ -496,6 +496,31 @@ class TestColumnProtocolEquivalence:
             assert adversary_state(adversary) == before
 
 
+class TestRingWindowIsTheFullTraceTail:
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256])
+    @pytest.mark.parametrize("name", CATALOG)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=seeds, max_steps=st.integers(min_value=0, max_value=600),
+           ring_size=st.integers(min_value=1, max_value=40))
+    def test_ring_window_is_the_full_trace_tail(
+        self, name, chunk_size, seed, max_steps, ring_size,
+    ):
+        """A ``ring`` run keeps exactly the last ``ring_size`` steps of the
+        same seeded ``full`` run, with their global indices."""
+        def run(policy):
+            engine = SimulationEngine(
+                OneWayEpidemicProtocol(), MODEL, RandomScheduler(10, seed=seed),
+                adversary=make_adversary(name, seed))
+            return engine.execute(initial(), max_steps, trace_policy=policy,
+                                  ring_size=ring_size, chunk_size=chunk_size)
+
+        full, ring = run("full"), run("ring")
+        tail = full.trace.steps[-ring_size:]
+        assert ring.last_steps == tail
+        assert [step.index for step in ring.last_steps] == list(
+            range(len(full.trace) - len(tail), len(full.trace)))
+
+
 class TestNOPassThroughFastPath:
     def test_past_active_steps_consumes_no_rng(self):
         adversary = NOAdversary(MODEL, active_steps=10, rate=0.9, seed=1)

@@ -32,13 +32,13 @@ from repro.engine.backends.array_backend import (
     CompiledProgram,
     _ChunkDependencies,
     _CountStreakTracker,
-    _RingBuffer,
     _WaveExecutor,
     _merge_injections,
 )
 from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
 from repro.engine.fastpath import AgentCountPredicate
+from repro.engine.trace import ROW_FIELDS, StepLog
 from repro.obs.recorder import MetricsRecorder, recording
 from repro.protocols.registry import ExperimentSpec, build_cached
 from repro.protocols.state import Configuration, StateInterner
@@ -326,7 +326,13 @@ def reference_walk(chunk, mask, target, streak_target, count, consecutive):
     return values, stop, count, consecutive, rows
 
 
-def run_waves(chunk, tracker, ring):
+def log_rows(log):
+    """A step log's rows, one list per step."""
+    return [log.rows[offset:offset + ROW_FIELDS]
+            for offset in range(0, len(log.rows), ROW_FIELDS)]
+
+
+def run_waves(chunk, tracker, log):
     """One ``_WaveExecutor.run`` over ``chunk``; returns (codes, stop)."""
     size = chunk["size"]
     interner = StateInterner(tuple(range(size)))
@@ -340,7 +346,7 @@ def run_waves(chunk, tracker, ring):
             None, {}, (), starter_table.reshape(chunk["rows"], -1),
             reactor_table.reshape(chunk["rows"], -1))
     codes = np.asarray(chunk["codes"], dtype=np.int32)
-    executor = _WaveExecutor(codes, compiled, tracker, adversary, ring)
+    executor = _WaveExecutor(codes, compiled, tracker, adversary, log)
     kinds = chunk["kinds"]
     if kinds is not None:
         kinds = np.asarray(kinds, dtype=np.int64)
@@ -382,12 +388,12 @@ def test_wave_execution_equals_a_per_step_loop(chunk, data):
     consecutive = data.draw(st.integers(0, streak_target - 1))
     tracker = _CountStreakTracker(np.asarray(mask, dtype=np.int64), target,
                                   streak_target, count, consecutive)
-    ring = _RingBuffer(128)
-    codes, stop = run_waves(chunk, tracker, ring)
+    log = StepLog(128)
+    codes, stop = run_waves(chunk, tracker, log)
     expected = reference_walk(chunk, mask, target, streak_target, count,
                               consecutive)
     assert (codes, stop, tracker.count, tracker.consecutive) == expected[:4]
-    assert ring.buffer[:ring.count].tolist() == expected[4]
+    assert log_rows(log) == expected[4]
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,13 +411,13 @@ def test_stop_inside_a_non_final_level(chunk, data):
     # of t + 1 completes exactly after step t.
     tracker = _CountStreakTracker(np.zeros(chunk["size"], dtype=np.int64),
                                   0, t + 1, 0, 0)
-    ring = _RingBuffer(128)
-    codes, stop = run_waves(chunk, tracker, ring)
+    log = StepLog(128)
+    codes, stop = run_waves(chunk, tracker, log)
     expected_codes, expected_stop, _, _, rows = reference_walk(
         chunk, [0] * chunk["size"], 0, t + 1, 0, 0)
     assert stop == expected_stop == t + 1
     assert codes == expected_codes
-    assert ring.buffer[:ring.count].tolist() == rows
+    assert log_rows(log) == rows
 
 
 # ---------------------------------------------------------------------------

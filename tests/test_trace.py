@@ -2,10 +2,19 @@
 
 import pytest
 
+from repro.adversary.omission import BoundedOmissionAdversary, UOAdversary
+from repro.engine.engine import SimulationEngine
 from repro.engine.trace import Trace, TraceStep
+from repro.interaction.models import get_model
 from repro.interaction.omissions import REACTOR_OMISSION
+from repro.protocols.catalog.epidemic import (
+    INFORMED,
+    SUSCEPTIBLE,
+    OneWayEpidemicProtocol,
+)
 from repro.protocols.state import Configuration
 from repro.scheduling.runs import Interaction
+from repro.scheduling.scheduler import RandomScheduler
 
 
 @pytest.fixture
@@ -94,3 +103,60 @@ class TestDerivedData:
             assert before[step.interaction.reactor] == step.reactor_pre
             assert after[step.interaction.starter] == step.starter_post
             assert after[step.interaction.reactor] == step.reactor_post
+
+
+class TestDecodeOnRead:
+    """Traced runs log plain rows; :class:`TraceStep` and :class:`Interaction`
+    objects are built only when the trace or window is read."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        counts = {"TraceStep": 0, "Interaction": 0}
+        for cls in (TraceStep, Interaction):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, _name=cls.__name__,
+                         **kwargs):
+                counts[_name] += 1
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return counts
+
+    @staticmethod
+    def engine(adversary):
+        model = get_model("I3")
+        adversaries = {
+            "bounded": BoundedOmissionAdversary(model, max_omissions=20, seed=2),
+            "uo": UOAdversary(model, rate=0.5, seed=2),
+        }
+        return SimulationEngine(OneWayEpidemicProtocol(), model,
+                                RandomScheduler(12, seed=1),
+                                adversary=adversaries[adversary])
+
+    @pytest.mark.parametrize("adversary", ["bounded", "uo"])
+    def test_full_trace_is_built_when_read(self, constructions, adversary):
+        initial = Configuration([INFORMED] + [SUSCEPTIBLE] * 11)
+        result = self.engine(adversary).execute(initial, 2_000,
+                                                trace_policy="full")
+        assert result.omissions > 0
+        assert constructions == {"TraceStep": 0, "Interaction": 0}
+        trace = result.trace
+        assert len(trace) == 2_000
+        assert constructions == {"TraceStep": 0, "Interaction": 0}
+        steps = trace.steps
+        assert constructions == {"TraceStep": len(trace),
+                                 "Interaction": len(trace)}
+        assert [step.index for step in steps] == list(range(2_000))
+        assert trace.omission_count() == result.omissions
+        assert trace.final_configuration == result.final_configuration
+
+    @pytest.mark.parametrize("adversary", ["bounded", "uo"])
+    def test_ring_window_is_built_when_read(self, constructions, adversary):
+        initial = Configuration([INFORMED] + [SUSCEPTIBLE] * 11)
+        result = self.engine(adversary).execute(
+            initial, 2_000, trace_policy="ring", ring_size=16)
+        assert constructions == {"TraceStep": 0, "Interaction": 0}
+        window = result.last_steps
+        assert constructions == {"TraceStep": 16, "Interaction": 16}
+        assert [step.index for step in window] == list(range(1_984, 2_000))

@@ -169,13 +169,20 @@ class TestMergeIdentity:
             assert parallel.failure_dumps
 
     def test_ring_runs_ride_the_overflow(self):
-        # The ring policy keeps its window on converged runs too, so a
-        # real ring batch is all overflow: no rows, dumps intact.
+        # The ring policy keeps its window only on runs that did not
+        # converge: those overflow with their dumps intact, and the
+        # converged runs are rows.
         spec = ExperimentSpec(protocol="epidemic", population=8, model="TW")
         batch = run_encoded_batch(spec, 0, 5, 11, 40, 2, "ring", 4)
-        assert batch.rows == b"" and sorted(batch.overflow) == list(range(5))
-        assert all(len(result.last_steps) == 4
+        assert sorted(batch.overflow) == [0, 2, 3]
+        assert all(not result.converged and len(result.last_steps) == 4
                    for result in batch.overflow.values())
+        decoded = decode_batch(batch)
+        # Results decoded from rows carry counts, not a configuration.
+        assert [index for index, result in enumerate(decoded)
+                if result.final is None] == [1, 4]
+        assert all(decoded[index].converged and decoded[index].last_steps == ()
+                   for index in (1, 4))
 
     @pytest.mark.parametrize("run_chunk", [1, 2, 5])
     def test_rows_and_ring_dumps_in_one_batch_merge_in_run_order(
