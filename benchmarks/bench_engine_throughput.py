@@ -87,6 +87,7 @@ from paired_guard import Measurement, gate, paired, throughput, verdict
 from repro.adversary.omission import BoundedOmissionAdversary, UOAdversary
 from repro.analysis.reporting import format_table
 from repro.core.trivial import TrivialTwoWaySimulator
+from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
 from repro.engine.trace import Trace
 from repro.interaction.models import get_model
@@ -216,9 +217,9 @@ def policy_rate(model_name: str, n: int, steps: int, with_adversary: bool,
             engine.scheduler.next_columns = (
                 Scheduler.next_columns.__get__(engine.scheduler))
             chunk_size, trace_policy = 1, "counts-only"
-        return throughput(lambda: engine.execute(
-            initial, steps, trace_policy=trace_policy, ring_size=64,
-            chunk_size=chunk_size).steps)
+        return throughput(lambda: run_until_stable(
+            engine, initial, None, steps, trace_policy=trace_policy, ring_size=64,
+            chunk_size=chunk_size).steps_executed)
     return measure
 
 
@@ -321,8 +322,8 @@ def run_array_comparison(args) -> int:
             engine = SimulationEngine(make_program(), model, RandomScheduler(n, seed=0),
                                       adversary=adversary, backend=backend)
             initial = make_initial(n)
-            return throughput(lambda: engine.execute(
-                initial, steps, trace_policy="counts-only").steps)
+            return throughput(lambda: run_until_stable(
+                engine, initial, None, steps, trace_policy="counts-only").steps_executed)
         return measure
 
     def cases():

@@ -36,6 +36,7 @@ from typing import Optional
 
 from paired_guard import Measurement, gate, throughput
 from repro.adversary.omission import BoundedOmissionAdversary
+from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
 from repro.interaction.models import get_model
 from repro.protocols.catalog.epidemic import INFORMED, SUSCEPTIBLE, OneWayEpidemicProtocol
@@ -95,9 +96,9 @@ def engine_rate(n: int, steps: int, batched: bool, with_adversary: bool) -> Meas
         engine = SimulationEngine(OneWayEpidemicProtocol(), model, scheduler,
                                   adversary=adversary)
         initial = Configuration([INFORMED] + [SUSCEPTIBLE] * (n - 1))
-        return throughput(lambda: engine.execute(
-            initial, steps, trace_policy="counts-only",
-            chunk_size=None if batched else 1).steps)
+        return throughput(lambda: run_until_stable(
+            engine, initial, None, steps, trace_policy="counts-only",
+            chunk_size=None if batched else 1).steps_executed)
     return measure
 
 

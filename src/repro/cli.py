@@ -212,6 +212,12 @@ def _run_command(args) -> int:
     _check_fanout_flags(args)
     if args.chunk_size is not None and args.chunk_size < 1:
         raise SystemExit("--chunk-size must be at least 1")
+    if args.max_steps < 0:
+        raise SystemExit("--max-steps must be non-negative")
+    if args.stability_window < 0:
+        raise SystemExit("--stability-window must be non-negative")
+    if args.ring_size < 1:
+        raise SystemExit("--ring-size must be at least 1")
 
     spec = _experiment_spec(args)
     if args.runs > 1:
@@ -247,7 +253,7 @@ def _run_command(args) -> int:
         print()
         for error in report.errors[:5]:
             print("  !", error)
-    if args.trace_policy == "ring" and not outcome.converged and outcome.last_steps:
+    if outcome.window:
         _print_ring_dump(outcome.last_steps)
     verified = report.ok if report else True
     return 0 if (outcome.converged and verified) else 1

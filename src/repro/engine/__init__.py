@@ -7,12 +7,15 @@ protocol, or a simulator from :mod:`repro.core`), an *interaction model*
 :mod:`repro.adversary`), and produces an execution :class:`Trace` that
 records every interaction together with the state changes it caused.
 
-All entry points (:meth:`SimulationEngine.run`,
-:meth:`SimulationEngine.replay`, :func:`run_until_stable`) are thin
-wrappers over the shared fast-path step loop in
-:mod:`repro.engine.fastpath`, which mutates an array-backed run buffer in
-place and supports selectable trace policies (``full``, ``counts-only``,
-``ring``) plus incremental convergence predicates.
+A run has one entry point, :func:`run_until_stable`: it checks the
+request, dispatches on the engine's backend and returns a
+:class:`ConvergenceResult`.  Without a predicate it runs to its budget;
+:meth:`SimulationEngine.run` and :meth:`SimulationEngine.replay` are
+one-line calls into it.  On the python backend it drives the shared
+fast-path step loop in :mod:`repro.engine.fastpath`, which mutates an
+array-backed run buffer in place and supports selectable trace policies
+(``full``, ``counts-only``, ``ring``) plus incremental convergence
+predicates.
 
 Traces are the raw material of all analyses in the library: simulation
 verification (events / matchings / derived runs), problem checkers
@@ -27,7 +30,6 @@ from repro.engine.fastpath import (
     HistogramPredicate,
     IncrementalPredicate,
     PredicateAdapter,
-    RunResult,
     as_incremental,
     incremental_stable_output,
     make_step_log,
@@ -51,7 +53,6 @@ __all__ = [
     "HistogramPredicate",
     "IncrementalPredicate",
     "PredicateAdapter",
-    "RunResult",
     "as_incremental",
     "incremental_stable_output",
     "make_step_log",

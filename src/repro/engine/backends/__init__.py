@@ -18,10 +18,11 @@ array     opt-in columnar numpy execution for protocols with small finite
 Selection points: ``SimulationEngine(backend=...)``,
 ``ExperimentSpec.backend`` (pickles across the process fan-out) and
 ``repro run --engine-backend``.  The engine dispatches on the name in
-exactly two places, :meth:`~repro.engine.engine.SimulationEngine.execute`
-and :func:`~repro.engine.convergence.run_until_stable`; each calls the
-python fast path or the module functions of the same names in
-:mod:`.array_backend`.  That module is imported lazily through
+exactly one place, the run entry point
+:func:`~repro.engine.convergence.run_until_stable`; it calls the python
+backend's :func:`~repro.engine.convergence.run_until_stable_core` or the
+module function of the same name in :mod:`.array_backend`.  That module
+is imported lazily through
 :func:`load_array_backend`, so ``import repro`` never touches numpy and
 installs without the extra keep working until ``array`` is actually
 requested.

@@ -87,18 +87,18 @@ without executing anything, returning the would-be error message — the
 ``auto`` backend resolution (:func:`repro.protocols.registry.resolve_backend`)
 and ``repro list``'s array-compilable column are built on it.
 
-The backend's entry points are the module functions :func:`execute` and
-:func:`run_until_stable`, which the engine's two dispatch points call
-(:meth:`repro.engine.engine.SimulationEngine.execute` and
-:func:`repro.engine.convergence.run_until_stable`) through
-:func:`repro.engine.backends.load_array_backend`.
+The backend's one entry point is the module function
+:func:`run_until_stable`, which the engine's one dispatch point,
+:func:`repro.engine.convergence.run_until_stable`, calls through
+:func:`repro.engine.backends.load_array_backend`.  A run without a
+predicate runs to its budget.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -111,7 +111,7 @@ from repro.adversary.omission import (
 )
 from repro.engine.backends.base import BackendCompileError, unbounded_state_space_error
 from repro.engine.convergence import ConvergenceResult, failure_window
-from repro.engine.fastpath import RunResult, make_step_log
+from repro.engine.fastpath import make_step_log
 from repro.engine.trace import StepLog
 from repro.interaction.omissions import NO_OMISSION, Omission
 from repro.obs.recorder import NULL_RECORDER, get_recorder
@@ -887,7 +887,7 @@ def _set_up_run(
     ring_size: Optional[int],
 ) -> Tuple[int, CompiledProgram, ArrayDrawKernel, np.ndarray,
            Optional[CompiledAdversary], Optional[StepLog]]:
-    """The set-up both entry points share.
+    """The set-up of a run.
 
     Checks the request, compiles the program, scheduler, initial
     configuration and adversary, and creates the step log under the
@@ -960,53 +960,13 @@ def _count_export(codes: np.ndarray,
         if counts[code])
 
 
-def execute(
-    program: Any,
-    model: Any,
-    scheduler: Any,
-    adversary: Optional[Any],
-    initial_configuration: Configuration,
-    max_steps: int,
-    stop_condition: Optional[Callable[[Any], bool]] = None,
-    *,
-    trace_policy: str = "counts-only",
-    ring_size: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> RunResult:
-    """The array backend's :meth:`~repro.engine.engine.SimulationEngine.execute`."""
-    if stop_condition is not None:
-        raise BackendCompileError(
-            "arbitrary stop conditions cannot be compiled for the array "
-            "backend; use run_until_stable with a state-count predicate "
-            "or --engine-backend python"
-        )
-    budget, compiled, kernel, codes, compiled_adversary, log = _set_up_run(
-        program, model, scheduler, adversary, initial_configuration,
-        max_steps, trace_policy, ring_size)
-    executed, omissions, _stopped, _chunks = _run_columnar(
-        codes, kernel, compiled, budget,
-        chunk_size if chunk_size is not None else DEFAULT_ARRAY_CHUNK,
-        adversary=compiled_adversary,
-        log=log,
-    )
-    return RunResult(
-        policy=trace_policy,
-        steps=executed,
-        omissions=omissions,
-        final_configuration=_freeze(codes, compiled.interner),
-        trace=None,
-        stopped=False,
-        window=log,
-    )
-
-
 def run_until_stable(
     program: Any,
     model: Any,
     scheduler: Any,
     adversary: Optional[Any],
     initial_configuration: Configuration,
-    predicate: Any,
+    predicate: Optional[Any],
     max_steps: int = 100_000,
     stability_window: int = 0,
     *,
@@ -1018,32 +978,33 @@ def run_until_stable(
     """The array backend's :func:`~repro.engine.convergence.run_until_stable`.
 
     Returns the result plus the run's chunk count (scheduler draws), like
-    :func:`~repro.engine.convergence.run_until_stable_core`.
+    :func:`~repro.engine.convergence.run_until_stable_core`.  Only
+    state-count predicates compile; ``None`` runs to the budget.
     """
     budget, compiled, kernel, codes, compiled_adversary, log = _set_up_run(
         program, model, scheduler, adversary, initial_configuration,
         max_steps, trace_policy, ring_size)
-    mask, target_count = _compile_predicate(
-        predicate, compiled.interner, len(codes)
-    )
     streak_target = stability_window + 1
+    tracker = None
+    if predicate is not None:
+        mask, target_count = _compile_predicate(
+            predicate, compiled.interner, len(codes)
+        )
+        count = int(mask[codes].sum())
+        consecutive = 1 if count == target_count else 0
+        if consecutive >= streak_target:
+            return ConvergenceResult(
+                converged=True,
+                steps_executed=0,
+                steps_to_convergence=0,
+                trace=None,
+                final=initial_configuration,
+                final_counts=_count_export(codes, compiled.interner),
+            ), 0
+        tracker = _CountStreakTracker(
+            mask, target_count, streak_target, count, consecutive
+        )
 
-    count = int(mask[codes].sum())
-    consecutive = 1 if count == target_count else 0
-    if consecutive >= streak_target:
-        return ConvergenceResult(
-            converged=True,
-            steps_executed=0,
-            steps_to_convergence=0,
-            trace=None,
-            final=initial_configuration,
-            omissions=0,
-            final_counts=_count_export(codes, compiled.interner),
-        ), 0
-
-    tracker = _CountStreakTracker(
-        mask, target_count, streak_target, count, consecutive
-    )
     executed, omissions, converged, chunks = _run_columnar(
         codes, kernel, compiled, budget,
         chunk_size if chunk_size is not None else DEFAULT_ARRAY_CHUNK,
@@ -1065,7 +1026,7 @@ def run_until_stable(
         trace=None,
         final=_freeze(codes, compiled.interner) if materialize_final else None,
         omissions=omissions,
-        last_steps=failure_window(log, converged),
+        window=failure_window(log, converged),
         final_counts=_count_export(codes, compiled.interner),
     ), chunks
 

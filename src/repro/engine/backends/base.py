@@ -23,11 +23,11 @@ stop-condition and trace-policy contract documented in
     :func:`repro.protocols.registry.resolve_backend` uses to resolve the
     ``"auto"`` pseudo-backend to the fastest backend that compiles.
 
-The array backend's module functions ``execute`` and ``run_until_stable``
-mirror :meth:`~repro.engine.engine.SimulationEngine.execute` and
-:func:`~repro.engine.convergence.run_until_stable` but take the run's
-ingredients explicitly (the engine passes them), so the backend never
-imports the engine layer above it.
+The array backend's module function ``run_until_stable`` mirrors
+:func:`~repro.engine.convergence.run_until_stable`, the engine's one run
+entry point, but takes the run's ingredients explicitly (the entry point
+passes them from the engine), so the backend never imports the engine
+layer above it.
 
 This module is deliberately import-light (no engine, scheduling or numpy
 imports): lower layers such as :mod:`repro.scheduling.array_draws` raise

@@ -1,12 +1,17 @@
-"""Convergence / stabilisation detection.
+"""The engine's one run: :func:`run_until_stable`, and stabilisation detection.
 
+A run executes the scheduled run an adversary rewrites (Definitions 1
+and 2) until its step budget runs out or its predicate stabilises.
 Population protocols compute by *stabilisation*: the outputs of all agents
 eventually stop changing and agree with the value being computed.  Because
 our executions are finite prefixes, convergence is detected empirically: we
 drive the shared fast-path step loop (:mod:`repro.engine.fastpath`) and
 declare convergence once a predicate has held over a sliding window of
 consecutive configurations (the window guards against predicates that hold
-transiently on the way to the true fixed point).
+transiently on the way to the true fixed point).  A run without a
+predicate runs to its budget, and a stop condition is a predicate with a
+window of 0; :meth:`~repro.engine.engine.SimulationEngine.run` and
+:meth:`~repro.engine.engine.SimulationEngine.replay` are such runs.
 
 Predicates come in two flavours:
 
@@ -23,11 +28,11 @@ Predicates come in two flavours:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from repro.engine.backends import load_array_backend
-from repro.engine.engine import check_max_steps
+from repro.engine.engine import EngineError
 from repro.engine.fastpath import (
     DEFAULT_CHUNK_SIZE,
     IncrementalPredicate,
@@ -45,7 +50,7 @@ from repro.protocols.state import Configuration, MutableConfiguration, State
 
 @dataclass
 class ConvergenceResult:
-    """Outcome of a :func:`run_until_stable` experiment."""
+    """Outcome of a :func:`run_until_stable` run."""
 
     converged: bool
     steps_executed: int
@@ -53,10 +58,10 @@ class ConvergenceResult:
     trace: Optional[Trace]
     final: Optional[Configuration] = None
     omissions: int = 0
-    #: Trailing window of steps under the ``ring`` trace policy, kept only
-    #: for a run that did not converge: the window is a crash dump.  Empty
-    #: otherwise; under ``full`` the complete step list lives on ``trace``.
-    last_steps: Tuple[TraceStep, ...] = field(default=())
+    #: The ``ring`` trace policy's step log, kept only for a run that did
+    #: not converge: the window is a crash dump.  ``None`` otherwise; under
+    #: ``full`` the complete step list lives on ``trace``.
+    window: Optional[StepLog] = None
     #: Anonymous multiset view of the final configuration as ``(state, count)``
     #: pairs (zero counts dropped).  Set by the array backend's columnar count
     #: export and by the result transport's decoded columnar rows —
@@ -73,14 +78,19 @@ class ConvergenceResult:
     def final_configuration(self) -> Configuration:
         return self.final
 
+    @property
+    def last_steps(self) -> Tuple[TraceStep, ...]:
+        """The ``ring`` window with global step indices, decoded on read
+        (empty without one)."""
+        return () if self.window is None else self.window.decode()
 
-def failure_window(log: Optional[StepLog], converged: bool) -> Tuple[TraceStep, ...]:
-    """A run's :attr:`ConvergenceResult.last_steps` on either backend: its
-    ``ring`` window (a windowed log), decoded only if the run did not
-    converge."""
+
+def failure_window(log: Optional[StepLog], converged: bool) -> Optional[StepLog]:
+    """A run's :attr:`ConvergenceResult.window` on either backend: its
+    ``ring`` log (a windowed log), kept only if the run did not converge."""
     if log is None or log.window is None or converged:
-        return ()
-    return log.decode()
+        return None
+    return log
 
 
 def stable_output_condition(
@@ -111,7 +121,7 @@ def stable_output_condition(
 def run_until_stable(
     engine: Any,
     initial_configuration: Configuration,
-    predicate: Any,
+    predicate: Optional[Any],
     max_steps: int = 100_000,
     stability_window: int = 0,
     *,
@@ -120,17 +130,27 @@ def run_until_stable(
     chunk_size: Optional[int] = None,
     materialize_final: bool = True,
 ) -> ConvergenceResult:
-    """Run until ``predicate`` holds for ``stability_window + 1`` consecutive configurations.
+    """Execute one run of ``engine``: the engine's only run entry point.
+
+    The run stops after the first configuration that completes a streak of
+    ``stability_window + 1`` consecutive configurations satisfying
+    ``predicate`` (the initial configuration counts), and otherwise after
+    ``max_steps`` executed interactions.
 
     Parameters
     ----------
     predicate:
-        Either a plain callable on configurations (evaluated against the
-        live run buffer after every executed interaction) or an
+        ``None`` (run to the budget), a plain callable on configurations
+        (evaluated against the live run buffer, a
+        :class:`~repro.protocols.state.MutableConfiguration` that is
+        aliased across steps, on the initial configuration and after every
+        executed interaction) or an
         :class:`~repro.engine.fastpath.IncrementalPredicate` consuming
-        per-step deltas.
+        per-step deltas.  A stop condition is a predicate with
+        ``stability_window=0``.
     max_steps:
-        Hard cap on the number of executed interactions.
+        Hard cap on the number of executed interactions, scheduled and
+        adversary-injected alike.
     stability_window:
         Number of *additional* consecutive configurations (beyond the first
         satisfying one) for which the predicate must keep holding.  A window
@@ -142,7 +162,7 @@ def run_until_stable(
         :class:`Trace`; ``"counts-only"`` records nothing per step (the
         result's ``trace`` is ``None``) and is the fast path for large
         populations; ``"ring"`` keeps only the last ``ring_size`` steps,
-        returned as ``last_steps`` when the run does not converge.
+        returned as ``window`` when the run does not converge.
     chunk_size:
         Scheduled draws per batched scheduler call, forwarded to
         :func:`~repro.engine.fastpath.run_core` (default
@@ -163,27 +183,37 @@ def run_until_stable(
     configuration of the final stable streak) can be smaller than
     ``steps_executed``.
 
-    Every run consumes the scheduler through batched draws (bitwise
-    identical to per-step draws, with adversary injections planned through
-    the budget-aware batched protocol, so results are unchanged); when
-    convergence stops the run mid-chunk, the scheduler — and the internal
-    state of an attached adversary, which planned the chunk before the
-    stop fired — may have been advanced past the last executed
-    interaction (see :mod:`repro.engine.fastpath`; build a fresh
-    adversary per run rather than reusing one across runs).
+    Budget semantics: a scheduled interaction is consumed only while
+    budget remains and, once consumed, always executes; adversary
+    injections that would leave it no budget are discarded (still
+    charging the adversary's own omission budget).  Every run consumes the
+    scheduler through batched draws (bitwise identical to per-step draws,
+    with adversary injections planned through the budget-aware batched
+    protocol, so results are unchanged); when convergence stops the run
+    mid-chunk, the scheduler — and the internal state of an attached
+    adversary, which planned the chunk before the stop fired — may have
+    been advanced past the last executed interaction (see
+    :mod:`repro.engine.fastpath`; build a fresh adversary per run rather
+    than reusing one across runs).
 
     Dispatch
     --------
-    The run executes on the engine's execution backend
-    (:mod:`repro.engine.backends`): the default ``python`` backend is
-    :func:`run_until_stable_core`; an engine built with ``backend="array"``
-    routes through :func:`repro.engine.backends.array_backend.run_until_stable`
-    instead (same semantics for everything it can compile,
+    This is the engine's one backend dispatch: the default ``python``
+    backend runs :func:`run_until_stable_core`; an engine built with
+    ``backend="array"`` routes through
+    :func:`repro.engine.backends.array_backend.run_until_stable` instead
+    (same semantics for everything it can compile,
     :class:`~repro.engine.backends.base.BackendCompileError` otherwise).
-    A negative ``max_steps`` raises
+    A negative ``max_steps`` or ``stability_window``, and a population of
+    fewer than two agents given a positive budget, raise
     :class:`~repro.engine.engine.EngineError` on both.
     """
-    check_max_steps(max_steps)
+    if max_steps < 0:
+        raise EngineError("max_steps must be non-negative")
+    if stability_window < 0:
+        raise EngineError("stability_window must be non-negative")
+    if len(initial_configuration) < 2 and max_steps > 0:
+        raise EngineError("a population of fewer than two agents cannot interact")
     # The per-run observability seam: one global read and one identity
     # check when telemetry is off (the NullRecorder guarantee); metrics
     # are per run, never per step, so the hot loops stay untouched.
@@ -228,7 +258,7 @@ def run_until_stable_core(
     scheduler: Any,
     adversary: Optional[Any],
     initial_configuration: Configuration,
-    predicate: Any,
+    predicate: Optional[Any],
     max_steps: int = 100_000,
     stability_window: int = 0,
     *,
@@ -236,12 +266,12 @@ def run_until_stable_core(
     ring_size: Optional[int] = None,
     chunk_size: Optional[int] = None,
 ) -> Tuple[ConvergenceResult, int]:
-    """The python-backend convergence loop, over explicit run ingredients.
+    """The python backend's run, over explicit run ingredients.
 
     :func:`run_until_stable` is the engine-facing wrapper, with the exact
     semantics documented there; this function returns its result plus the
-    run's chunk count (scheduler draws), and skips the wrapper's budget
-    check and telemetry.
+    run's chunk count (scheduler draws), and skips the wrapper's argument
+    checks and telemetry.
 
     A predicate with a state-count shape
     (:meth:`~repro.engine.fastpath.IncrementalPredicate.as_state_count`)
@@ -250,25 +280,25 @@ def run_until_stable_core(
     """
     log = make_step_log(trace_policy, ring_size)
     buffer = MutableConfiguration(initial_configuration)
-    incremental = as_incremental(predicate)
-    needed = stability_window + 1
-    shape = incremental.as_state_count()
-    if shape is None:
-        watch = Watch(needed, incremental.reset(buffer), _delta_callback(incremental))
-    else:
-        watch = Watch.state_count(shape[0], shape[1], initial_configuration, needed)
+    watch: Optional[Watch] = None
+    if predicate is not None:
+        incremental = as_incremental(predicate)
+        needed = stability_window + 1
+        shape = incremental.as_state_count()
+        if shape is None:
+            watch = Watch(needed, incremental.reset(buffer), _delta_callback(incremental))
+        else:
+            watch = Watch.state_count(shape[0], shape[1], initial_configuration, needed)
+        if watch.met:
+            return ConvergenceResult(
+                converged=True,
+                steps_executed=0,
+                steps_to_convergence=0,
+                trace=Trace(initial_configuration) if trace_policy == "full" else None,
+                final=initial_configuration,
+            ), 0
 
-    if watch.met:
-        return ConvergenceResult(
-            converged=True,
-            steps_executed=0,
-            steps_to_convergence=0,
-            trace=Trace(initial_configuration) if trace_policy == "full" else None,
-            final=initial_configuration,
-            omissions=0,
-        ), 0
-
-    steps_done, _stopped, chunks, omissions = run_core(
+    steps_done, converged, chunks, omissions = run_core(
         program,
         model,
         scheduler,
@@ -282,13 +312,13 @@ def run_until_stable_core(
 
     final = buffer.freeze()
     return ConvergenceResult(
-        converged=watch.met,
+        converged=converged,
         steps_executed=steps_done,
-        steps_to_convergence=watch.first if watch.met else None,
+        steps_to_convergence=watch.first if converged and watch is not None else None,
         trace=Trace(initial_configuration, log, final) if trace_policy == "full" else None,
         final=final,
         omissions=omissions,
-        last_steps=failure_window(log, watch.met),
+        window=failure_window(log, converged),
     ), chunks
 
 

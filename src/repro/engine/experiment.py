@@ -236,18 +236,12 @@ def run_encoded_batch(
     The process fan-out's one worker function: the batch's
     columnar-eligible results come back as int64 rows on the returned
     descriptor, everything else on its overflow dict
-    (:func:`~repro.engine.transport.encode_batch`).
-
-    When the run configuration guarantees every result is columnar-eligible
-    (``counts-only`` policy, no ring buffer — so no traces, no failure
-    dumps), the runs skip materialising ``result.final`` entirely
-    (``materialize_final=False``): backends with a counts export then never
-    decode the final configuration into python objects.
+    (:func:`~repro.engine.transport.encode_batch`).  The parent never
+    reads ``result.final`` of a shipped result, so no run materialises it.
     """
-    materialize_final = not (trace_policy == "counts-only" and ring_size is None)
     return encode_batch(run_spec_batch(
         spec, start_index, count, base_seed, max_steps, stability_window,
-        trace_policy, ring_size, materialize_final))
+        trace_policy, ring_size, False))
 
 
 def check_fanout(jobs: int, run_chunk: int) -> None:
@@ -373,7 +367,7 @@ def repeat_experiment(
                 result.convergence_steps.append(outcome.steps_to_convergence)
         else:
             result.failures.append(failure)
-            if outcome.last_steps and len(result.failure_dumps) < MAX_FAILURE_DUMPS:
+            if outcome.window and len(result.failure_dumps) < MAX_FAILURE_DUMPS:
                 result.failure_dumps.append((run_index, outcome.last_steps))
 
     obs = get_recorder()

@@ -9,9 +9,10 @@ the single implementation of the loop
     scheduler draw -> adversary injection -> model apply -> budget accounting
 
 operating on an O(1) in-place :class:`~repro.protocols.state.MutableConfiguration`
-buffer.  :meth:`SimulationEngine.run`, :meth:`SimulationEngine.replay` and
-:func:`repro.engine.convergence.run_until_stable` are thin wrappers over
-:func:`run_core`.
+buffer.  The engine's one run entry point,
+:func:`repro.engine.convergence.run_until_stable`, drives it on the
+python backend (through
+:func:`~repro.engine.convergence.run_until_stable_core`).
 
 Since the execution-backend split (:mod:`repro.engine.backends`) this loop
 is, precisely, the **python backend**: the reference implementation of the
@@ -117,14 +118,13 @@ pinned by ``tests/test_adversary_batching.py``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.trace import StepLog, Trace, TraceStep
+from repro.engine.trace import StepLog
 from repro.interaction.models import InteractionModel
 from repro.interaction.omissions import NO_OMISSION, Omission
-from repro.protocols.state import Configuration, MutableConfiguration, State, StateInterner
+from repro.protocols.state import MutableConfiguration, State, StateInterner
 from repro.scheduling.runs import interactions_from_columns
 from repro.scheduling.scheduler import Columns, Scheduler
 
@@ -147,7 +147,7 @@ StepCallback = Callable[[int, int, State, State, State, State], bool]
 
 
 # ---------------------------------------------------------------------------
-# step logs and run results
+# step logs
 # ---------------------------------------------------------------------------
 
 
@@ -170,25 +170,6 @@ def make_step_log(trace_policy: str, ring_size: Optional[int] = None,
     raise ValueError(
         f"unknown trace policy {trace_policy!r}; expected one of {TRACE_POLICIES}"
     )
-
-
-@dataclass
-class RunResult:
-    """Outcome of a fast-path run under any trace policy."""
-
-    policy: str
-    steps: int
-    omissions: int
-    final_configuration: Configuration
-    trace: Optional[Trace] = None
-    stopped: bool = False
-    #: The ``ring`` policy's step log (``None`` otherwise).
-    window: Optional[StepLog] = None
-
-    @property
-    def last_steps(self) -> Tuple[TraceStep, ...]:
-        """The ``ring`` window with global step indices (empty otherwise)."""
-        return () if self.window is None else self.window.decode()
 
 
 # ---------------------------------------------------------------------------

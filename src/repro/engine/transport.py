@@ -15,7 +15,7 @@ Two lanes in one descriptor
 ---------------------------
 
 * **Columnar rows.**  A result is columnar-eligible when it carries no
-  per-step payload (``trace is None``, no ``last_steps`` ring dump) and
+  per-step payload (``trace is None``, no ``window`` ring dump) and
   its final configuration is expressible as state counts — every
   ``counts-only`` run, on both engine backends.  Eligible results become
   rows ``[converged, steps_executed, steps_to_convergence + 1 (0 encodes
@@ -75,7 +75,7 @@ def _columnar_counts(result: ConvergenceResult) -> Optional[Dict[State, int]]:
     is preferred over rebuilding a histogram from the frozen
     configuration.
     """
-    if result.trace is not None or result.last_steps:
+    if result.trace is not None or result.window:
         return None
     if result.final_counts is not None:
         return dict(result.final_counts)
@@ -154,7 +154,6 @@ def decode_batch(batch: EncodedBatch) -> List[ConvergenceResult]:
             trace=None,
             final=None,
             omissions=cells[base + 3],
-            last_steps=(),
             final_counts=counts,
         )
     obs = get_recorder()

@@ -9,6 +9,7 @@ from repro.adversary.omission import (
     NoOmissionAdversary,
     UOAdversary,
 )
+from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
 from repro.interaction.models import I1, I3, IO, T3, TW
 from repro.protocols.catalog.epidemic import (
@@ -193,4 +194,4 @@ class TestNO1Adversary:
         initial = Configuration([INFORMED] + [SUSCEPTIBLE] * 5)
         for chunk_size in (1, 256):
             with pytest.raises(ValueError, match=r"pair=\(0, 9\).*n=6"):
-                engine.execute(initial, 100, chunk_size=chunk_size)
+                run_until_stable(engine, initial, None, 100, chunk_size=chunk_size)

@@ -38,6 +38,7 @@ from repro.adversary.omission import (
     UOAdversary,
     plan_columns_per_step,
 )
+from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
 from repro.engine.fastpath import merge_columns, plan_chunk
 from repro.interaction.models import get_model
@@ -138,10 +139,10 @@ def initial(n=10):
 
 def run_result_key(result):
     return (
-        result.steps,
+        result.steps_executed,
         result.omissions,
         result.final_configuration,
-        result.stopped,
+        result.converged,
         None if result.trace is None else list(result.trace),
         result.last_steps,
     )
@@ -162,12 +163,13 @@ class TestChunkIndependenceEveryClassProduct:
         self, adversary_name, adversary_factory, scheduler_name,
         scheduler_factory, policy,
     ):
-        reference = build_engine(adversary_factory, scheduler_factory, seed=9).execute(
-            initial(), 300, trace_policy=policy, ring_size=16, chunk_size=1)
+        reference = run_until_stable(
+            build_engine(adversary_factory, scheduler_factory, seed=9), initial(),
+            None, 300, trace_policy=policy, ring_size=16, chunk_size=1)
         for chunk_size in (2, 7, 64, 1024):
-            result = build_engine(adversary_factory, scheduler_factory, seed=9).execute(
-                initial(), 300, trace_policy=policy, ring_size=16,
-                chunk_size=chunk_size)
+            result = run_until_stable(
+                build_engine(adversary_factory, scheduler_factory, seed=9), initial(),
+                None, 300, trace_policy=policy, ring_size=16, chunk_size=chunk_size)
             assert run_result_key(result) == run_result_key(reference), (
                 f"chunk_size={chunk_size} diverged from per-step execution")
 
@@ -179,8 +181,8 @@ class TestChunkIndependenceEveryClassProduct:
         """The adversary's own budget accounting is chunking-independent."""
         def total_injected(chunk_size):
             engine = build_engine(adversary_factory, SCHEDULERS[0][1], seed=4)
-            engine.execute(initial(), 220, trace_policy="counts-only",
-                           chunk_size=chunk_size)
+            run_until_stable(engine, initial(), None, 220, trace_policy="counts-only",
+                             chunk_size=chunk_size)
             return getattr(engine.adversary, "total_injected", None)
 
         reference = total_injected(1)
@@ -197,9 +199,9 @@ class TestStopConditionMidChunk:
         stop = lambda c: c.count(INFORMED) >= 5  # noqa: E731
 
         def run(chunk_size):
-            return build_engine(adversary_factory, SCHEDULERS[0][1], seed=7).execute(
-                initial(), 5_000, stop_condition=stop, trace_policy="full",
-                chunk_size=chunk_size)
+            return run_until_stable(
+                build_engine(adversary_factory, SCHEDULERS[0][1], seed=7), initial(),
+                stop, 5_000, trace_policy="full", chunk_size=chunk_size)
 
         reference = run(1)
         for chunk_size in (2, 64, 1024):
@@ -221,15 +223,16 @@ class TestStopConditionMidChunk:
             seen = {"count": 0}
 
             def stop(_configuration):
+                # The first call tests the initial configuration.
                 seen["count"] += 1
-                return seen["count"] >= 3
+                return seen["count"] >= 4
 
-            result = engine.execute(initial(), 10_000, stop_condition=stop,
-                                    trace_policy="full", chunk_size=chunk_size)
+            result = run_until_stable(engine, initial(), stop, 10_000,
+                                      trace_policy="full", chunk_size=chunk_size)
             return result, adversary
 
         reference, per_step_adversary = run(1)
-        assert reference.steps == 3
+        assert reference.steps_executed == 3
         # rate=1.0: [inject, scheduled, inject] executed; the per-step loop
         # consulted the adversary for exactly the two started gaps.
         assert per_step_adversary.total_injected == 2
@@ -253,12 +256,12 @@ class TestBudgetExhaustionMidChunk:
             engine = SimulationEngine(
                 OneWayEpidemicProtocol(), MODEL, RoundRobinScheduler(10),
                 adversary=adversary)
-            result = engine.execute(
-                initial(), 5, trace_policy="full", chunk_size=chunk_size)
+            result = run_until_stable(
+                engine, initial(), None, 5, trace_policy="full", chunk_size=chunk_size)
             return result, adversary
 
         reference, reference_adversary = run(1)
-        assert reference.steps == 5
+        assert reference.steps_executed == 5
         # Gaps 0 and 1 fit injection+scheduled (4 steps); gap 2 has 1 unit
         # of budget left: its injection is discarded, the scheduled one runs.
         assert reference.omissions == 2
@@ -275,8 +278,8 @@ class TestBudgetExhaustionMidChunk:
             engine = SimulationEngine(
                 OneWayEpidemicProtocol(), get_model("I1"), RoundRobinScheduler(3),
                 adversary=PerStepOnlyAdversary(flood=3))
-            trace = engine.execute(
-                Configuration([INFORMED, SUSCEPTIBLE, SUSCEPTIBLE]), 2,
+            trace = run_until_stable(
+                engine, Configuration([INFORMED, SUSCEPTIBLE, SUSCEPTIBLE]), None, 2,
                 trace_policy="full", chunk_size=chunk_size).trace
             steps = list(trace)
             assert len(steps) == 2
@@ -293,8 +296,8 @@ class TestOmissionBudgetExactlyConsumed:
         engine = SimulationEngine(
             OneWayEpidemicProtocol(), MODEL, RoundRobinScheduler(10),
             adversary=adversary)
-        result = engine.execute(initial(), 100, trace_policy="full",
-                                chunk_size=chunk_size)
+        result = run_until_stable(engine, initial(), None, 100, trace_policy="full",
+                                  chunk_size=chunk_size)
         assert adversary.total_injected == 3
         assert result.omissions == 3
         # rate=1.0 injects at gaps 0,1,2: interactions 0,2,4 are omissive.
@@ -317,8 +320,8 @@ class TestOmissionBudgetExactlyConsumed:
         engine = SimulationEngine(
             OneWayEpidemicProtocol(), MODEL, RoundRobinScheduler(10),
             adversary=adversary)
-        result = engine.execute(initial(), 60, trace_policy="full",
-                                chunk_size=chunk_size)
+        result = run_until_stable(engine, initial(), None, 60, trace_policy="full",
+                                  chunk_size=chunk_size)
         assert adversary.total_injected == 1
         assert result.omissions == 1
         steps = list(result.trace)
@@ -511,8 +514,9 @@ class TestRingWindowIsTheFullTraceTail:
             engine = SimulationEngine(
                 OneWayEpidemicProtocol(), MODEL, RandomScheduler(10, seed=seed),
                 adversary=make_adversary(name, seed))
-            return engine.execute(initial(), max_steps, trace_policy=policy,
-                                  ring_size=ring_size, chunk_size=chunk_size)
+            return run_until_stable(engine, initial(), None, max_steps,
+                                    trace_policy=policy, ring_size=ring_size,
+                                    chunk_size=chunk_size)
 
         full, ring = run("full"), run("ring")
         tail = full.trace.steps[-ring_size:]
@@ -555,8 +559,8 @@ class TestThirdPartyAdversarySeesScheduledDraws:
             engine = SimulationEngine(
                 OneWayEpidemicProtocol(), MODEL, RandomScheduler(10, seed=5),
                 adversary=ScheduledMirrorAdversary())
-            return engine.execute(initial(), 400, trace_policy=policy,
-                                  ring_size=16, chunk_size=chunk_size)
+            return run_until_stable(engine, initial(), None, 400, trace_policy=policy,
+                                    ring_size=16, chunk_size=chunk_size)
 
         assert run_result_key(run(256)) == run_result_key(run(1))
 
@@ -565,7 +569,7 @@ class TestThirdPartyAdversarySeesScheduledDraws:
             OneWayEpidemicProtocol(), MODEL, RandomScheduler(10, seed=5),
             adversary=ScheduledMirrorAdversary())
         steps = [step.interaction for step in
-                 engine.execute(initial(), 400, trace_policy="full").trace]
+                 run_until_stable(engine, initial(), None, 400, trace_policy="full").trace]
         injected = [index for index, interaction in enumerate(steps)
                     if interaction.is_omissive]
         assert injected, "even starters occur, so injections must too"

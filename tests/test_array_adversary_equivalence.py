@@ -89,8 +89,8 @@ def run_both(kind: str, *, max_steps: int, stop: bool, chunk_size=None,
                 max_steps, stability_window=2, trace_policy=trace_policy,
                 ring_size=ring_size, chunk_size=chunk_size)
         else:
-            outcomes[backend] = engine.execute(
-                initial, max_steps, trace_policy=trace_policy,
+            outcomes[backend] = run_until_stable(
+                engine, initial, None, max_steps, trace_policy=trace_policy,
                 ring_size=ring_size, chunk_size=chunk_size)
     return outcomes["python"], outcomes["array"]
 
@@ -101,7 +101,7 @@ class TestEngineBitIdentity:
         """An odd budget with an odd chunk size: the run ends inside a
         chunk, with injections charged against the remaining budget."""
         python, array = run_both(kind, max_steps=97, stop=False, chunk_size=7)
-        assert array.steps == python.steps == 97
+        assert array.steps_executed == python.steps_executed == 97
         assert array.omissions == python.omissions
         assert tuple(array.final_configuration) == tuple(python.final_configuration)
 
@@ -129,7 +129,7 @@ class TestEngineBitIdentity:
             backend=backend)
         initial = Configuration([INFORMED] + [SUSCEPTIBLE] * 5)
         with pytest.raises(ValueError, match=r"pair=\(0, 9\).*n=6"):
-            engine.execute(initial, 100, trace_policy="counts-only")
+            run_until_stable(engine, initial, None, 100, trace_policy="counts-only")
 
 
 # ---------------------------------------------------------------------------

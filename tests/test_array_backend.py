@@ -133,8 +133,8 @@ class TestInternalDeterminism:
         program, initial, _ = SYSTEMS["leader-election"](40)
         engine = SimulationEngine(
             program, TW, RandomScheduler(40, seed=2), backend="array")
-        first = engine.execute(initial, 400, trace_policy="counts-only")
-        second = engine.execute(initial, 400, trace_policy="counts-only")
+        first = run_until_stable(engine, initial, None, 400, trace_policy="counts-only")
+        second = run_until_stable(engine, initial, None, 400, trace_policy="counts-only")
         assert (first.final_configuration.states
                 != second.final_configuration.states)
 
@@ -142,9 +142,9 @@ class TestInternalDeterminism:
         program, initial, _ = SYSTEMS["leader-election"](40)
         scheduler = RandomScheduler(40, seed=2)
         engine = SimulationEngine(program, TW, scheduler, backend="array")
-        first = engine.execute(initial, 400, trace_policy="counts-only")
+        first = run_until_stable(engine, initial, None, 400, trace_policy="counts-only")
         scheduler.reset()
-        replayed = engine.execute(initial, 400, trace_policy="counts-only")
+        replayed = run_until_stable(engine, initial, None, 400, trace_policy="counts-only")
         assert (first.final_configuration.states
                 == replayed.final_configuration.states)
 
@@ -154,7 +154,8 @@ class TestInternalDeterminism:
             program, initial, _ = SYSTEMS["leader-election"](30)
             engine = SimulationEngine(
                 program, TW, RandomScheduler(30, seed=seed), backend="array")
-            outcome = engine.execute(initial, 5_000, trace_policy="counts-only")
+            outcome = run_until_stable(engine, initial, None, 5_000,
+                                       trace_policy="counts-only")
             finals.add(outcome.final_configuration.states)
         assert len(finals) > 1, "seeds should produce different leaders"
 
@@ -224,9 +225,9 @@ class TestExactAgreement:
             program, initial, _ = SYSTEMS["exact-majority"](12)
             engine = SimulationEngine(
                 program, TW, RoundRobinScheduler(12), backend=backend)
-            outcome = engine.execute(
-                initial, max_steps, trace_policy="counts-only")
-            assert outcome.steps == max_steps
+            outcome = run_until_stable(
+                engine, initial, None, max_steps, trace_policy="counts-only")
+            assert outcome.steps_executed == max_steps
             finals.append(outcome.final_configuration.states)
         assert finals[0] == finals[1]
 
@@ -400,9 +401,9 @@ class TestCompileErrors:
             simulator, get_model("I3"), RandomScheduler(10, seed=0),
             backend="array")
         with pytest.raises(BackendCompileError, match="unbounded"):
-            engine.execute(
-                Configuration([simulator.initial_state("S")] * 10), 100,
-                trace_policy="counts-only")
+            run_until_stable(
+                engine, Configuration([simulator.initial_state("S")] * 10), None,
+                100, trace_policy="counts-only")
 
     @pytest.mark.parametrize("scheduler_factory", [
         lambda: ScriptedScheduler(Run([Interaction(0, 1)])),
@@ -411,7 +412,7 @@ class TestCompileErrors:
     def test_unsupported_scheduler_is_refused(self, scheduler_factory):
         engine, initial, predicate = self._engine(scheduler=scheduler_factory())
         with pytest.raises(BackendCompileError, match="no array draw kernel"):
-            engine.execute(initial, 100, trace_policy="counts-only")
+            run_until_stable(engine, initial, None, 100, trace_policy="counts-only")
 
     def test_subclassed_scheduler_is_refused(self):
         class TweakedScheduler(RandomScheduler):
@@ -419,7 +420,7 @@ class TestCompileErrors:
 
         engine, initial, _ = self._engine(scheduler=TweakedScheduler(10, seed=0))
         with pytest.raises(BackendCompileError, match="no array draw kernel"):
-            engine.execute(initial, 100, trace_policy="counts-only")
+            run_until_stable(engine, initial, None, 100, trace_policy="counts-only")
 
     def test_subclassed_adversary_is_refused(self):
         # The catalog adversaries compile via injection schedules; dispatch
@@ -436,8 +437,8 @@ class TestCompileErrors:
             RandomScheduler(10, seed=0), adversary=adversary, backend="array")
         with pytest.raises(BackendCompileError,
                            match="no array lowering.*--engine-backend python"):
-            engine.execute(
-                Configuration(["I"] + ["S"] * 9), 100,
+            run_until_stable(
+                engine, Configuration(["I"] + ["S"] * 9), None, 100,
                 trace_policy="counts-only")
 
     def test_catalog_adversary_now_compiles(self):
@@ -447,29 +448,29 @@ class TestCompileErrors:
         engine = SimulationEngine(
             OneWayEpidemicProtocol(), get_model("I3"),
             RandomScheduler(10, seed=0), adversary=adversary, backend="array")
-        outcome = engine.execute(
-            Configuration(["I"] + ["S"] * 9), 500, trace_policy="counts-only")
-        assert outcome.steps == 500
+        outcome = run_until_stable(
+            engine, Configuration(["I"] + ["S"] * 9), None, 500,
+            trace_policy="counts-only")
+        assert outcome.steps_executed == 500
         assert outcome.omissions == 2
 
     def test_full_trace_policy_is_refused(self):
         engine, initial, _ = self._engine()
         with pytest.raises(BackendCompileError, match="counts-only"):
-            engine.execute(initial, 100, trace_policy="full")
+            run_until_stable(engine, initial, None, 100, trace_policy="full")
 
     def test_ring_trace_policy_now_compiles(self):
         engine, initial, _ = self._engine()
-        outcome = engine.execute(
-            initial, 100, trace_policy="ring", ring_size=8)
-        assert outcome.policy == "ring"
+        outcome = run_until_stable(
+            engine, initial, None, 100, trace_policy="ring", ring_size=8)
         assert len(outcome.last_steps) == 8
         assert outcome.last_steps[-1].index == 99
 
     def test_stop_condition_is_refused(self):
         engine, initial, _ = self._engine()
-        with pytest.raises(BackendCompileError, match="stop condition"):
-            engine.execute(
-                initial, 100, stop_condition=lambda c: False,
+        with pytest.raises(BackendCompileError, match="predicate .* cannot be compiled"):
+            run_until_stable(
+                engine, initial, lambda c: False, 100,
                 trace_policy="counts-only")
 
     def test_plain_predicate_is_refused(self):
@@ -482,8 +483,8 @@ class TestCompileErrors:
     def test_foreign_initial_state_is_refused(self):
         engine, _, _ = self._engine()
         with pytest.raises(BackendCompileError, match="initial configuration"):
-            engine.execute(
-                Configuration(["I", "S", "R", "S"]), 100,
+            run_until_stable(
+                engine, Configuration(["I", "S", "R", "S"]), None, 100,
                 trace_policy="counts-only")
 
     def test_open_transition_table_is_refused(self):
@@ -501,8 +502,9 @@ class TestCompileErrors:
         engine = SimulationEngine(
             program, TW, RandomScheduler(4, seed=0), backend="array")
         with pytest.raises(BackendCompileError, match="leaves its declared"):
-            engine.execute(
-                Configuration(["a"] * 4), 10, trace_policy="counts-only")
+            run_until_stable(
+                engine, Configuration(["a"] * 4), None, 10,
+                trace_policy="counts-only")
         del leaky
 
     def test_invalid_chunk_size_raises_like_the_python_backend(self):
@@ -510,8 +512,9 @@ class TestCompileErrors:
         # every iteration) where the python backend raises.
         engine, initial, _ = self._engine()
         with pytest.raises(ValueError, match="chunk_size"):
-            engine.execute(
-                initial, 100, trace_policy="counts-only", chunk_size=0)
+            run_until_stable(
+                engine, initial, None, 100, trace_policy="counts-only",
+                chunk_size=0)
 
     def test_infinite_budget_is_refused(self):
         engine, initial, predicate = self._engine()
@@ -525,7 +528,7 @@ class TestCompileErrors:
         # backend, not a compile error.
         engine, initial, predicate = self._engine()
         with pytest.raises(EngineError, match="non-negative"):
-            engine.execute(initial, -1, trace_policy="counts-only")
+            run_until_stable(engine, initial, None, -1, trace_policy="counts-only")
         with pytest.raises(EngineError, match="non-negative"):
             run_until_stable(
                 engine, initial, predicate, max_steps=-1,

@@ -6,7 +6,7 @@ compiled tables (populations up to ``STEP_EXECUTOR_MAX_POPULATION``), the
 wave executor runs it level by level as dependency waves (larger
 populations).  The choice is a pure performance decision, so every
 observable of a run must be identical under both: each
-``ConvergenceResult``/``RunResult`` field, the decoded ring window, and
+``ConvergenceResult`` field, the decoded ring window, and
 the adversary's RNG state and injection total.  Each grid test forces the
 executor by patching the population limit; the property tests at the end
 drive the wave executor directly on random merged chunks against a plain
@@ -97,8 +97,8 @@ def execute(monkeypatch, executor, *, protocol="epidemic", model="I3", n=6,
             chunk=None, policy="counts-only"):
     force_executor(monkeypatch, executor)
     engine, initial, _ = build(protocol, model, n, adversary, scheduler, seed)
-    result = engine.execute(initial, max_steps, trace_policy=policy,
-                            ring_size=5, chunk_size=chunk)
+    result = run_until_stable(engine, initial, None, max_steps, trace_policy=policy,
+                              ring_size=5, chunk_size=chunk)
     return observe(engine, result)
 
 

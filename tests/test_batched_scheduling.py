@@ -224,24 +224,26 @@ class TestEngineChunkIndependence:
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 17, 256, 10_000])
     def test_full_trace_identical_across_chunk_sizes(self, chunk_size):
-        reference = self._engine().execute(self._initial(), 500, trace_policy="full")
-        result = self._engine().execute(
-            self._initial(), 500, trace_policy="full", chunk_size=chunk_size)
-        assert result.steps == reference.steps
+        reference = run_until_stable(self._engine(), self._initial(), None, 500,
+                                     trace_policy="full")
+        result = run_until_stable(
+            self._engine(), self._initial(), None, 500, trace_policy="full",
+            chunk_size=chunk_size)
+        assert result.steps_executed == reference.steps_executed
         assert result.final_configuration == reference.final_configuration
         assert list(result.trace) == list(reference.trace)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 256])
     def test_stop_condition_identical_across_chunk_sizes(self, chunk_size):
         stop = lambda c: c.count(INFORMED) >= 10  # noqa: E731
-        reference = self._engine().execute(
-            self._initial(), 5_000, stop_condition=stop, trace_policy="counts-only",
+        reference = run_until_stable(
+            self._engine(), self._initial(), stop, 5_000, trace_policy="counts-only",
             chunk_size=1)
-        result = self._engine().execute(
-            self._initial(), 5_000, stop_condition=stop, trace_policy="counts-only",
+        result = run_until_stable(
+            self._engine(), self._initial(), stop, 5_000, trace_policy="counts-only",
             chunk_size=chunk_size)
-        assert result.steps == reference.steps
-        assert result.stopped == reference.stopped
+        assert result.steps_executed == reference.steps_executed
+        assert result.converged == reference.converged
         assert result.final_configuration == reference.final_configuration
 
     def test_adversary_runs_unaffected_by_chunk_size(self):
@@ -253,15 +255,17 @@ class TestEngineChunkIndependence:
                 adversary=UOAdversary(model, rate=0.5, max_per_gap=3, seed=5))
 
         initial = Configuration([INFORMED] + [SUSCEPTIBLE] * 9)
-        reference = build().execute(initial, 300, trace_policy="full", chunk_size=1)
-        result = build().execute(initial, 300, trace_policy="full", chunk_size=64)
-        assert result.steps == reference.steps
+        reference = run_until_stable(build(), initial, None, 300, trace_policy="full",
+                                     chunk_size=1)
+        result = run_until_stable(build(), initial, None, 300, trace_policy="full",
+                                  chunk_size=64)
+        assert result.steps_executed == reference.steps_executed
         assert result.omissions == reference.omissions
         assert list(result.trace) == list(reference.trace)
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ValueError, match="chunk_size"):
-            self._engine().execute(self._initial(), 10, chunk_size=0)
+            run_until_stable(self._engine(), self._initial(), None, 10, chunk_size=0)
 
     def test_convergence_identical_for_scripted_exhaustion(self):
         """SchedulerExhausted semantics survive batching inside run_until_stable."""
@@ -419,8 +423,8 @@ class TestProcessBackend:
         built = spec.build()
         engine = SimulationEngine(
             built.program, built.model, built.make_scheduler(42))
-        per_step = engine.execute(
-            built.initial_configuration, batched.steps_executed,
+        per_step = run_until_stable(
+            engine, built.initial_configuration, None, batched.steps_executed,
             trace_policy="counts-only", chunk_size=1)
 
         # process backend, single run

@@ -213,6 +213,16 @@ class TestRunBackendsAndRing:
         with pytest.raises(SystemExit, match="chunk-size"):
             main(["run", "--chunk-size", "0"])
 
+    @pytest.mark.parametrize("fan_out", [[], ["--runs", "3", "--jobs", "2"]])
+    @pytest.mark.parametrize("flags,message", [
+        (["--max-steps", "-1"], "--max-steps must be non-negative"),
+        (["--stability-window", "-3"], "--stability-window must be non-negative"),
+        (["--ring-size", "0", "--trace-policy", "ring"], "--ring-size must be at least 1"),
+    ])
+    def test_invalid_run_budget_flags_rejected(self, flags, message, fan_out):
+        with pytest.raises(SystemExit, match=message):
+            main(["run", "--protocol", "epidemic", "-n", "10", *flags, *fan_out])
+
     def test_ring_policy_dumps_last_interactions_on_non_convergence(self, capsys):
         exit_code = main([
             "run", "--protocol", "leader-election", "--population", "6",

@@ -1,8 +1,13 @@
 """Unit tests for the simulation engine."""
 
+import textwrap
+
 import pytest
 
+import repro
+
 from repro.core.trivial import TrivialTwoWaySimulator
+from repro.engine.convergence import run_until_stable
 from repro.engine.engine import EngineError, SimulationEngine
 from repro.interaction.models import IO, TW, get_model
 from repro.interaction.omissions import REACTOR_OMISSION
@@ -243,12 +248,13 @@ class TestTracePolicies:
                 RandomScheduler(6, seed=9),
             )
 
-        full = build_engine().execute(Configuration([LEADER] * 6), max_steps=500)
-        counts = build_engine().execute(
-            Configuration([LEADER] * 6), max_steps=500, trace_policy="counts-only"
+        full = run_until_stable(build_engine(), Configuration([LEADER] * 6), None, max_steps=500)
+        counts = run_until_stable(
+            build_engine(), Configuration([LEADER] * 6), None, max_steps=500,
+            trace_policy="counts-only"
         )
         assert counts.trace is None
-        assert counts.steps == full.steps == len(full.trace)
+        assert counts.steps_executed == full.steps_executed == len(full.trace)
         assert counts.omissions == full.omissions
         assert counts.final_configuration == full.final_configuration
 
@@ -258,13 +264,14 @@ class TestTracePolicies:
             TW,
             RandomScheduler(5, seed=4),
         )
-        result = engine.execute(
-            Configuration([LEADER] * 5), max_steps=100, trace_policy="ring", ring_size=8
+        result = run_until_stable(
+            engine, Configuration([LEADER] * 5), None, max_steps=100, trace_policy="ring",
+            ring_size=8
         )
         assert result.trace is None
         assert len(result.last_steps) == 8
         assert [step.index for step in result.last_steps] == list(range(92, 100))
-        assert result.steps == 100
+        assert result.steps_executed == 100
 
     def test_unknown_policy_rejected(self):
         engine = SimulationEngine(
@@ -273,4 +280,15 @@ class TestTracePolicies:
             RandomScheduler(5, seed=4),
         )
         with pytest.raises(ValueError):
-            engine.execute(Configuration([LEADER] * 5), max_steps=10, trace_policy="bogus")
+            run_until_stable(engine, Configuration([LEADER] * 5), None, max_steps=10,
+                             trace_policy="bogus")
+
+
+class TestPackageQuickstart:
+    def test_quickstart_runs_and_verifies(self, capsys):
+        """The Quickstart in the package docstring runs ``engine.run`` and
+        prints an ``[OK]`` verification summary."""
+        code = textwrap.dedent(repro.__doc__.split("Quickstart::", 1)[1])
+        exec(code, {})
+        output = capsys.readouterr().out
+        assert output.startswith("[OK] SKnO(o=1,I3) on exact-majority: steps=20000")

@@ -86,7 +86,7 @@ class TestBackendRegistry:
             RandomScheduler(4, seed=0), backend="array")
         initial = Configuration(["I", "S", "S", "S"])
         with pytest.raises(BackendUnavailableError, match=r"repro\[fast\]"):
-            engine.execute(initial, 10, trace_policy="counts-only")
+            run_until_stable(engine, initial, None, 10, trace_policy="counts-only")
         with pytest.raises(BackendUnavailableError, match=r"repro\[fast\]"):
             run_until_stable(
                 engine, initial, AgentCountPredicate(lambda state: state == "I"),
@@ -99,11 +99,35 @@ class TestStepBudget:
             EpidemicProtocol(), get_model("TW"), RandomScheduler(4, seed=0))
         initial = Configuration(["I", "S", "S", "S"])
         with pytest.raises(EngineError, match="non-negative"):
-            engine.execute(initial, -1)
+            run_until_stable(engine, initial, None, -1)
         with pytest.raises(EngineError, match="non-negative"):
             run_until_stable(
                 engine, initial, AgentCountPredicate(lambda state: state == "I"),
                 max_steps=-1)
+
+
+    @pytest.mark.parametrize("backend", ENGINE_BACKENDS)
+    def test_negative_stability_window_raises_on_both_backends(self, backend):
+        # Checked by the one entry point before dispatch: no numpy needed.
+        engine = SimulationEngine(
+            EpidemicProtocol(), get_model("TW"), RandomScheduler(4, seed=0),
+            backend=backend)
+        with pytest.raises(EngineError, match="stability_window"):
+            run_until_stable(
+                engine, Configuration(["I", "S", "S", "S"]),
+                AgentCountPredicate(lambda state: state == "I"), max_steps=10,
+                stability_window=-1, trace_policy="counts-only")
+
+    @pytest.mark.parametrize("backend", ENGINE_BACKENDS)
+    def test_one_agent_population_raises_on_both_backends(self, backend):
+        engine = SimulationEngine(
+            EpidemicProtocol(), get_model("TW"), RandomScheduler(4, seed=0),
+            backend=backend)
+        with pytest.raises(EngineError, match="fewer than two agents"):
+            run_until_stable(
+                engine, Configuration(["I"]),
+                AgentCountPredicate(lambda state: state == "I"), max_steps=10,
+                trace_policy="counts-only")
 
 
 class TestSpecBackendField:

@@ -213,14 +213,15 @@ class TestRunEquivalence:
     @given(system=system_indices, n=populations, seed=seeds, max_steps=budgets)
     def test_counts_only_matches_legacy_executor(self, system, n, seed, max_steps):
         engine, initial, _ = _build(system, n, seed)
-        result = engine.execute(initial, max_steps, trace_policy="counts-only")
+        result = run_until_stable(engine, initial, None, max_steps,
+                                  trace_policy="counts-only")
 
         reference_engine, reference_initial, _ = _build(system, n, seed)
         reference = legacy_execute(
             reference_engine.program, reference_engine.model, reference_engine.scheduler,
             reference_engine.adversary, reference_initial, max_steps)
 
-        assert result.steps == reference["steps"]
+        assert result.steps_executed == reference["steps"]
         assert result.omissions == reference["omissions"]
         assert result.final_configuration == reference["final"]
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.adversary.omission import BoundedOmissionAdversary, UOAdversary
+from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
 from repro.engine.trace import Trace, TraceStep
 from repro.interaction.models import get_model
@@ -137,8 +138,8 @@ class TestDecodeOnRead:
     @pytest.mark.parametrize("adversary", ["bounded", "uo"])
     def test_full_trace_is_built_when_read(self, constructions, adversary):
         initial = Configuration([INFORMED] + [SUSCEPTIBLE] * 11)
-        result = self.engine(adversary).execute(initial, 2_000,
-                                                trace_policy="full")
+        result = run_until_stable(self.engine(adversary), initial, None, 2_000,
+                                  trace_policy="full")
         assert result.omissions > 0
         assert constructions == {"TraceStep": 0, "Interaction": 0}
         trace = result.trace
@@ -154,8 +155,9 @@ class TestDecodeOnRead:
     @pytest.mark.parametrize("adversary", ["bounded", "uo"])
     def test_ring_window_is_built_when_read(self, constructions, adversary):
         initial = Configuration([INFORMED] + [SUSCEPTIBLE] * 11)
-        result = self.engine(adversary).execute(
-            initial, 2_000, trace_policy="ring", ring_size=16)
+        result = run_until_stable(
+            self.engine(adversary), initial, None, 2_000, trace_policy="ring",
+            ring_size=16)
         assert constructions == {"TraceStep": 0, "Interaction": 0}
         window = result.last_steps
         assert constructions == {"TraceStep": 16, "Interaction": 16}

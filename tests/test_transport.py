@@ -35,11 +35,11 @@ from repro.engine.experiment import (
     repeat_experiment,
     run_encoded_batch,
 )
-from repro.engine.trace import Trace, TraceStep
+from repro.engine.trace import StepLog, Trace
 from repro.engine.transport import decode_batch, encode_batch
+from repro.interaction.omissions import NO_OMISSION
 from repro.protocols.registry import ExperimentSpec
 from repro.protocols.state import Configuration
-from repro.scheduling.runs import Interaction
 
 
 def counts_result(counts, converged=True, steps=7, to_convergence=3,
@@ -52,13 +52,12 @@ def counts_result(counts, converged=True, steps=7, to_convergence=3,
 
 
 def ring_result() -> ConvergenceResult:
-    """An overflow result: a non-converged run with a ring dump."""
-    step = TraceStep(
-        index=0, interaction=Interaction(starter=0, reactor=1),
-        starter_pre="I", starter_post="I", reactor_pre="S", reactor_post="I")
+    """An overflow result: a non-converged run with a one-step ring dump."""
+    window = StepLog(window=1)
+    window.rows += (0, 1, NO_OMISSION, "I", "S", "I", "I")
     return ConvergenceResult(
         converged=False, steps_executed=5, steps_to_convergence=None,
-        trace=None, final=None, last_steps=(step,))
+        trace=None, final=None, window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +233,25 @@ class TestMergeIdentity:
         reference = run_fold("array")
         assert run_fold("array", jobs=2, run_chunk=run_chunk).to_dict() == \
             reference.to_dict()
+
+    def test_array_ring_overflow_ships_no_final_configuration(self):
+        # The parent never reads ``final`` of a shipped result: failed
+        # array ring runs overflow with their windows and ``final=None``,
+        # and the fold still equals the sequential one.
+        pytest.importorskip("numpy")
+        spec = ExperimentSpec(protocol="epidemic", population=1_000,
+                              backend="array")
+        batch = run_encoded_batch(spec, 0, 3, 11, 200, 2, "ring", 4)
+        assert sorted(batch.overflow) == [0, 1, 2]
+        assert all(result.final is None and len(result.last_steps) == 4
+                   for result in batch.overflow.values())
+        reference = run_fold("array", population=1_000, runs=3,
+                             trace_policy="ring", ring_size=4, max_steps=200)
+        parallel = run_fold("array", jobs=2, population=1_000, runs=3,
+                            trace_policy="ring", ring_size=4, max_steps=200)
+        assert reference.failures and not reference.successes
+        assert parallel.to_dict() == reference.to_dict()
+        assert parallel.failure_dumps == reference.failure_dumps
 
     def test_interrupted_process_campaign_resumes_to_the_serial_report(
             self, tmp_path):
