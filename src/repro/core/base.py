@@ -13,17 +13,18 @@ simulator in this library implements:
   ``P`` plus whatever knowledge it assumes (unique IDs, population size,
   omission bound);
 * it can project composite states back onto ``Q_P`` (the function ``pi_P``);
-* it can extract, from an execution trace, the *simulation events* (updates
-  of simulated states) together with enough hints to build the perfect
-  matching of Definition 3.
+* it extracts the *simulation events* of a trace (updates of simulated
+  states) and their perfect matching (Definition 3) through one seam: the
+  per-step hook ``step_events``, one trace walk ``extract_events``, and the
+  flag ``anonymous_matching``, which picks the matching and the replay.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.events import Matching, SimulationEvent
-from repro.engine.trace import Trace
+from repro.engine.trace import Trace, TraceStep
 from repro.protocols.protocol import OneWayProtocol, PopulationProtocol
 from repro.protocols.state import Configuration, State
 
@@ -37,6 +38,12 @@ class TwoWaySimulator(OneWayProtocol):
 
     #: Names of the interaction models this simulator is designed for.
     compatible_models: Tuple[str, ...] = ()
+
+    #: Whether events carry no partner identity (``SKnO``'s tokens name no
+    #: agent).  Selects the greedy key matching and the multiset-level
+    #: derived replay; otherwise matching is by partner lock and the replay
+    #: is agent-indexed.
+    anonymous_matching = False
 
     def __init__(self, protocol: PopulationProtocol, name: Optional[str] = None) -> None:
         if not isinstance(protocol, PopulationProtocol):
@@ -91,29 +98,72 @@ class TwoWaySimulator(OneWayProtocol):
         """Apply ``pi_P`` to every agent of a configuration."""
         return configuration.project(self.project)
 
-    # -- event extraction (Definitions 3 and 4) ----------------------------------------------------
+    # -- observation and event extraction (Definitions 3 and 4) ------------------------------------
+
+    def f(self, starter: State, reactor: State) -> State:
+        """The reactor update: :meth:`_observe` without its events."""
+        return self._observe(starter, reactor)[0]
+
+    def _observe(self, starter: Any, reactor: Any) -> Tuple[Any, Sequence[SimulationEvent]]:
+        """The reactor update of one observation, with the simulation events it caused."""
+        raise NotImplementedError
+
+    def step_events(self, step: TraceStep) -> Sequence[SimulationEvent]:
+        """The simulation events of one trace step: the per-step hook.
+
+        The default replays :meth:`_observe` on the recorded pre-states of
+        every non-omissive step; a simulator without omission handlers
+        (``g`` and ``h`` the identity) updates no simulated state on an
+        omissive one.  Only the reactor's simulated state can change in a
+        step, and the events carry ``step=-1`` and ``agent=-1``.
+        """
+        if step.interaction.is_omissive:
+            return ()
+        return self._observe(step.starter_pre, step.reactor_pre)[1]
 
     def extract_events(self, trace: Trace) -> List[SimulationEvent]:
         """The sequence of simulation events of an execution trace.
 
-        An event is recorded for every update of an agent's simulated state,
-        annotated with the role the agent played in the simulated two-way
-        interaction and with matching hints (the partner's simulated
-        pre-state, and the partner's identity when the simulator knows it).
+        One walk over ``trace.steps`` asks :meth:`step_events` for each
+        step's events and stamps them with the step index, the reactor as
+        ``agent`` and, unless :attr:`anonymous_matching`, the starter as
+        ``partner_agent``.  Replaying the deterministic transition from the
+        recorded pre-states reproduces exactly the events of the run.
         """
-        raise NotImplementedError
+        anonymous = self.anonymous_matching
+        step_events = self.step_events
+        events: List[SimulationEvent] = []
+        for step in trace.steps:
+            found = step_events(step)
+            if not found:
+                continue
+            interaction = step.interaction
+            partner = None if anonymous else interaction.starter
+            for event in found:
+                events.append(SimulationEvent(
+                    step=step.index,
+                    agent=interaction.reactor,
+                    role=event.role,
+                    pre_sim=event.pre_sim,
+                    post_sim=event.post_sim,
+                    partner_pre_sim=event.partner_pre_sim,
+                    partner_agent=partner,
+                    key=event.key,
+                ))
+        return events
 
     def extract_matching(self, trace: Trace) -> Matching:
         """Events plus the perfect-matching pairs for an execution trace.
 
-        The default implementation pairs starter-role events with
-        reactor-role events greedily using the events' matching keys; see
-        :class:`repro.core.events.Matching` for the exact rules.  Simulators
-        with precise partner information (e.g. ``SID``) override the pairing
-        with an exact one.
+        Anonymous simulators pair starter- and reactor-role events greedily
+        by matching key (:meth:`Matching.greedy`); the others pair each
+        completion with its partner's latest lock
+        (:meth:`Matching.by_partner`).
         """
         events = self.extract_events(trace)
-        return Matching.greedy(self._protocol, events)
+        if self.anonymous_matching:
+            return Matching.greedy(self._protocol, events)
+        return Matching.by_partner(events)
 
     # -- misc -----------------------------------------------------------------------------------------
 

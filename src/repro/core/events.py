@@ -17,10 +17,12 @@ interactions of ``P``:
   ``P``.
 
 This module implements the finite-prefix versions of these notions: events
-carry matching hints provided by the concrete simulators, matchings are
-built greedily (or exactly, when the simulator knows partner identities),
-each matched pair is checked against ``delta_P``, and the derived run is
-replayed from ``pi_P(C0)`` to check consistency.
+carry matching hints provided by the concrete simulators; matchings are
+built greedily by key (:meth:`Matching.greedy`, for anonymous simulators)
+or exactly by partner lock (:meth:`Matching.by_partner`, for simulators
+that know partner identities); each matched pair is checked against
+``delta_P``; and the derived run is replayed from ``pi_P(C0)`` to check
+consistency.
 """
 
 from __future__ import annotations
@@ -168,6 +170,27 @@ class Matching:
             matching.unmatched.extend(bucket[REACTOR_ROLE])
         matching.unmatched.sort()
         return matching
+
+    @classmethod
+    def by_partner(cls, events: Sequence[SimulationEvent]) -> "Matching":
+        """Exact partner-lock matching, for simulators that know partner identities.
+
+        A starter-role event is agent ``s`` *locking* on a simulated
+        interaction; a later reactor-role event whose ``partner_agent`` is
+        ``s`` completes it and pairs with ``s``'s latest lock.  A second lock
+        by the same agent supersedes the first, which stays unmatched; a
+        reactor event with no pending lock stays unmatched.
+        """
+        locks: Dict[Optional[int], int] = {}
+        pairs: List[Tuple[int, int]] = []
+        for index, event in enumerate(events):
+            if event.role == STARTER_ROLE:
+                locks[event.agent] = index
+            else:
+                lock_index = locks.pop(event.partner_agent, None)
+                if lock_index is not None:
+                    pairs.append((lock_index, index))
+        return cls.from_explicit_pairs(events, pairs)
 
     @classmethod
     def from_explicit_pairs(

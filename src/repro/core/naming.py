@@ -14,6 +14,9 @@ Documented deviation from the paper's prose (see DESIGN.md): the paper
 writes ``start_sim(max_id)``; the value passed to the simulator must be the
 agent's own unique identifier, so we pass ``my_id`` (passing ``max_id``
 would give every agent the same id ``n``).
+
+Naming steps update no simulated state, so ``_observe`` reports only the
+embedded ``SID``'s events, extracted and matched by partner lock as for ``SID``.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.base import SimulatorError, TwoWaySimulator
-from repro.core.events import Matching, SimulationEvent
-from repro.core.sid import AVAILABLE, SIDSimulator, SIDState
-from repro.engine.trace import Trace
+from repro.core.events import SimulationEvent
+from repro.core.sid import SIDSimulator, SIDState
 from repro.protocols.protocol import PopulationProtocol
 from repro.protocols.state import Configuration, State
 
@@ -116,10 +118,6 @@ class KnownSizeSimulator(TwoWaySimulator):
 
     # -- transition function (IO: g is the identity) -----------------------------------------------------
 
-    def f(self, starter: KnownSizeState, reactor: KnownSizeState) -> KnownSizeState:
-        new_state, _ = self._observe(starter, reactor)
-        return new_state
-
     def _observe(
         self, starter: KnownSizeState, reactor: KnownSizeState
     ) -> Tuple[KnownSizeState, List[SimulationEvent]]:
@@ -154,44 +152,6 @@ class KnownSizeSimulator(TwoWaySimulator):
                 return reactor, events
             return KnownSizeState(reactor.phase, reactor.p_initial, reactor.naming, new_sid), events
         return reactor, []
-
-    # -- event extraction and matching ---------------------------------------------------------------------
-
-    def extract_events(self, trace: Trace) -> List[SimulationEvent]:
-        events: List[SimulationEvent] = []
-        for step in trace.steps:
-            if step.interaction.is_omissive:
-                continue
-            _, step_events = self._observe(step.starter_pre, step.reactor_pre)
-            for event in step_events:
-                events.append(
-                    SimulationEvent(
-                        step=step.index,
-                        agent=step.interaction.reactor,
-                        role=event.role,
-                        pre_sim=event.pre_sim,
-                        post_sim=event.post_sim,
-                        partner_pre_sim=event.partner_pre_sim,
-                        partner_agent=step.interaction.starter,
-                        key=None,
-                    )
-                )
-        return events
-
-    def extract_matching(self, trace: Trace) -> Matching:
-        """Exact matching, identical in structure to ``SID``'s."""
-        events = self.extract_events(trace)
-        last_unmatched_lock_by_agent = {}
-        pairs = []
-        for index, event in enumerate(events):
-            if event.role == "starter":
-                last_unmatched_lock_by_agent[event.agent] = index
-            else:
-                partner = event.partner_agent
-                lock_index = last_unmatched_lock_by_agent.pop(partner, None)
-                if lock_index is not None:
-                    pairs.append((lock_index, index))
-        return Matching.from_explicit_pairs(events, pairs)
 
     # -- naming diagnostics ------------------------------------------------------------------------------
 

@@ -25,6 +25,10 @@ line 13 of the paper computes the reactor side from the locked partner's
 the snapshot ``state_other`` saved when pairing (the partner's pre-lock
 state), which is the value ``delta_P`` must be applied to for the matching
 of Definition 3 to be consistent.
+
+For verification the base class replays :meth:`SIDSimulator._observe` per
+trace step and pairs each completion (lines 10-13) with its partner's latest
+lock (lines 6-9): ``Matching.by_partner`` in :mod:`repro.core.events`.
 """
 
 from __future__ import annotations
@@ -33,13 +37,7 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.base import SimulatorError, TwoWaySimulator
-from repro.core.events import (
-    Matching,
-    REACTOR_ROLE,
-    STARTER_ROLE,
-    SimulationEvent,
-)
-from repro.engine.trace import Trace
+from repro.core.events import REACTOR_ROLE, STARTER_ROLE, SimulationEvent
 from repro.protocols.protocol import PopulationProtocol
 from repro.protocols.state import Configuration, State
 
@@ -106,15 +104,13 @@ class SIDSimulator(TwoWaySimulator):
 
     # -- transition function (g is the identity: IO) -------------------------------------------------
 
-    def f(self, starter: SIDState, reactor: SIDState) -> SIDState:
-        """The reactor update of Figure 3 (the starter is left untouched by IO)."""
-        new_state, _ = self._observe(starter, reactor)
-        return new_state
-
     def _observe(
         self, starter: SIDState, reactor: SIDState
     ) -> Tuple[SIDState, List[SimulationEvent]]:
-        """Apply the Figure 3 rules; also report any simulated-state update as an event."""
+        """The reactor update of Figure 3, with any simulated-state update as an event.
+
+        The inherited ``f`` keeps only the state; IO leaves the starter untouched.
+        """
         events: List[SimulationEvent] = []
 
         # Lines 3-5: start pairing with an available starter.
@@ -181,52 +177,3 @@ class SIDSimulator(TwoWaySimulator):
             return SIDState(reactor.my_id, reactor.sim), events
 
         return reactor, events
-
-    # -- event extraction and exact matching ------------------------------------------------------------
-
-    def extract_events(self, trace: Trace) -> List[SimulationEvent]:
-        """Recompute the simulated-state updates of every step of a trace."""
-        events: List[SimulationEvent] = []
-        for step in trace.steps:
-            if step.interaction.is_omissive:
-                # Under an omissive one-way model with g = identity, an omissive
-                # interaction leaves both agents untouched: no event.
-                continue
-            _, step_events = self._observe(step.starter_pre, step.reactor_pre)
-            for event in step_events:
-                partner_agent = step.interaction.starter
-                events.append(
-                    SimulationEvent(
-                        step=step.index,
-                        agent=step.interaction.reactor,
-                        role=event.role,
-                        pre_sim=event.pre_sim,
-                        post_sim=event.post_sim,
-                        partner_pre_sim=event.partner_pre_sim,
-                        partner_agent=partner_agent,
-                        key=None,
-                    )
-                )
-        return events
-
-    def extract_matching(self, trace: Trace) -> Matching:
-        """Exact matching: each completion event pairs with its partner's latest lock event.
-
-        When agent ``r`` completes a simulated interaction (lines 10-13) upon
-        observing agent ``s`` locked on it, the matching partner event is the
-        most recent lock event (lines 6-9) of ``s`` — ``s`` stays locked from
-        that moment until after ``r`` completes, so the association is
-        unambiguous.
-        """
-        events = self.extract_events(trace)
-        last_unmatched_lock_by_agent = {}
-        pairs: List[Tuple[int, int]] = []
-        for index, event in enumerate(events):
-            if event.role == STARTER_ROLE:
-                last_unmatched_lock_by_agent[event.agent] = index
-            else:
-                partner = event.partner_agent
-                lock_index = last_unmatched_lock_by_agent.pop(partner, None)
-                if lock_index is not None:
-                    pairs.append((lock_index, index))
-        return Matching.from_explicit_pairs(events, pairs)

@@ -55,9 +55,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import SimulatorError, TwoWaySimulator
 from repro.core.events import REACTOR_ROLE, STARTER_ROLE, SimulationEvent
-from repro.engine.trace import Trace
+from repro.engine.trace import TraceStep
 from repro.protocols.protocol import PopulationProtocol
-from repro.protocols.state import Configuration, State
+from repro.protocols.state import State
 
 #: Simulator phases.
 AVAILABLE = "available"
@@ -185,10 +185,8 @@ def _without(queue: Tuple, positions: Sequence[int]) -> Tuple:
 class SKnOSimulator(TwoWaySimulator):
     """Token-based simulator for ``I3``/``I4`` with a known omission bound (Theorem 4.1)."""
 
-    #: Tokens carry no agent identities, so the extracted matching only pins
-    #: down the multiset of simulated interactions; verification uses the
-    #: anonymous (multiset-level) derived replay, which is equivalent for
-    #: population protocols because their agents are interchangeable.
+    #: Tokens name no agent, so matching is by key and the derived replay is
+    #: multiset-level (equivalent, as population-protocol agents are anonymous).
     anonymous_matching = True
 
     def __init__(
@@ -243,9 +241,6 @@ class SKnOSimulator(TwoWaySimulator):
         """Composite initial state: available, empty queue, no jokers owed."""
         self.protocol.validate_initial_state(p_state)
         return SKnOState(sim=p_state)
-
-    def initial_configuration(self, p_configuration: Configuration, **knowledge) -> Configuration:
-        return Configuration(self.initial_state(p) for p in p_configuration)
 
     def project(self, state: SKnOState) -> State:
         return state.sim
@@ -488,36 +483,17 @@ class SKnOSimulator(TwoWaySimulator):
 
     # -- event extraction ----------------------------------------------------------------------------
 
-    def extract_events(self, trace: Trace) -> List[SimulationEvent]:
-        """Recompute, per trace step, which simulated-state updates happened.
+    def step_events(self, step: TraceStep) -> Sequence[SimulationEvent]:
+        """Replay the reactor-side pipeline of one trace step.
 
-        The reactor is the only agent whose simulated state can change in a
-        step (``g`` and the omission handlers never touch ``sim``), so the
-        extractor replays the reactor-side pipeline from the recorded
-        pre-states, which is deterministic and therefore reproduces exactly
-        the events of the original execution.
+        ``g`` and the omission handlers never touch ``sim``, so only the
+        reactor's :meth:`_receive` of the starter's outgoing token (or, on
+        an ``I3`` omission, of the joker) can produce events.
         """
-        events: List[SimulationEvent] = []
-        for step in trace.steps:
-            interaction = step.interaction
-            if interaction.is_omissive:
-                if self.variant == VARIANT_I3:
-                    _, step_events = self._receive(step.reactor_pre, JOKER)
-                else:
-                    step_events = ()
-            else:
-                token = self.outgoing_token(step.starter_pre)
-                _, step_events = self._receive(step.reactor_pre, token)
-            for event in step_events:
-                events.append(
-                    SimulationEvent(
-                        step=step.index,
-                        agent=interaction.reactor,
-                        role=event.role,
-                        pre_sim=event.pre_sim,
-                        post_sim=event.post_sim,
-                        partner_pre_sim=event.partner_pre_sim,
-                        key=event.key,
-                    )
-                )
-        return events
+        if not step.interaction.is_omissive:
+            token = self.outgoing_token(step.starter_pre)
+        elif self.variant == VARIANT_I3:
+            token = JOKER
+        else:
+            return ()
+        return self._receive(step.reactor_pre, token)[1]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.base import TwoWaySimulator
-from repro.core.events import Matching, REACTOR_ROLE, STARTER_ROLE, SimulationEvent
+from repro.core.events import REACTOR_ROLE, STARTER_ROLE, SimulationEvent
 from repro.engine.trace import Trace
 from repro.protocols.protocol import PopulationProtocol
 from repro.protocols.state import Configuration, State
@@ -106,10 +106,3 @@ class TrivialTwoWaySimulator(TwoWaySimulator):
                 )
             )
         return events
-
-    def extract_matching(self, trace: Trace) -> Matching:
-        events = self.extract_events(trace)
-        pairs: List[Tuple[int, int]] = [
-            (index, index + 1) for index in range(0, len(events), 2)
-        ]
-        return Matching.from_explicit_pairs(events, pairs)

@@ -84,11 +84,9 @@ def verify_simulation(simulator: TwoWaySimulator, trace: Trace) -> SimulationRep
     invalid = matching.invalid_pairs(protocol)
     derived: List[DerivedStep] = build_derived_run(matching.events, matching.pairs)
     initial_p = simulator.project_configuration(trace.initial_configuration)
-    # Simulators whose matching hints are anonymous (no partner identity — the
-    # tokens of SKnO carry no agent ids) are verified at the multiset level;
-    # simulators that know partner identities (SID, Nn+SID, the trivial TW
-    # wrapper) are held to the stronger agent-indexed replay.
-    if getattr(simulator, "anonymous_matching", False):
+    # Anonymous simulators (SKnO) are verified at the multiset level; those
+    # that know partner identities get the stronger agent-indexed replay.
+    if simulator.anonymous_matching:
         # In-flight (unmatched, changed) updates: a matched pair may depend
         # on their post-states, in which case it is deferred rather than
         # flagged — it orders after the in-flight interaction completes in

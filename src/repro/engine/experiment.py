@@ -389,10 +389,11 @@ def repeat_experiment(
     else:
         if obs is not NULL_RECORDER:
             obs.counter("fanout.backend.sequential")
+        # ``merge`` never reads ``final``, so no run materialises it.
         for run_index in range(runs):
             merge(run_index, run_spec(
                 spec, run_index, base_seed, max_steps, stability_window,
-                policy, ring_size))
+                policy, ring_size, False))
     return result
 
 

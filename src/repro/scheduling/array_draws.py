@@ -120,14 +120,17 @@ class RoundRobinKernel(ArrayDrawKernel):
     the backend equivalence suite.
     """
 
-    def __init__(self, pairs) -> None:
-        pair_array = np.asarray(pairs, dtype=np.int64)
-        self._starters = pair_array[:, 0].copy()
-        self._seconds = pair_array[:, 1].copy()
+    def __init__(self, n: int) -> None:
+        if n < 2:
+            raise ValueError("a population needs at least two agents to interact")
+        self.n = n
 
     def draw(self, step: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        indices = np.arange(step, step + k, dtype=np.int64) % len(self._starters)
-        return self._starters[indices], self._seconds[indices]
+        others = self.n - 1
+        indices = np.arange(step, step + k, dtype=np.int64) % (self.n * others)
+        starters, reactors = np.divmod(indices, others)
+        reactors += reactors >= starters
+        return starters, reactors
 
 
 def compile_scheduler(scheduler: Scheduler) -> ArrayDrawKernel:
@@ -145,7 +148,7 @@ def compile_scheduler(scheduler: Scheduler) -> ArrayDrawKernel:
     if kind is GraphScheduler:
         return GraphPairKernel(scheduler._edges, scheduler.seed)
     if kind is RoundRobinScheduler:
-        return RoundRobinKernel(scheduler._pairs)
+        return RoundRobinKernel(scheduler.n)
     raise BackendCompileError(
         f"scheduler {kind.__name__} has no array draw kernel; the array "
         "backend supports RandomScheduler, the GraphScheduler family and "

@@ -345,22 +345,22 @@ class RoundRobinScheduler(Scheduler):
     execution prefix of length at least ``n*(n-1)`` covers all pairs; this is
     a convenient deterministic stand-in for fairness in unit tests.
 
-    Draws are a pure function of ``step``, so the inherited per-step batched
-    fallback is already exact; it never exhausts.
+    Draws are a pure function of ``step``, computed in O(1) time and
+    memory, so the inherited per-step batched fallback is already exact; it
+    never exhausts.
     """
 
     def __init__(self, n: int) -> None:
         if n < 2:
             raise ValueError("a population needs at least two agents to interact")
         self.n = n
-        self._pairs = [
-            (starter, reactor)
-            for starter in range(n)
-            for reactor in range(n)
-            if starter != reactor
-        ]
 
     def next_interaction(self, step: int) -> Interaction:
-        """Return the ``step``-th pair of the lexicographic cycle; never exhausts."""
-        starter, reactor = self._pairs[step % len(self._pairs)]
-        return Interaction(starter, reactor)
+        """Return the ``step``-th pair of the lexicographic cycle; never exhausts.
+
+        Position ``i`` of the cycle has starter ``i // (n - 1)``; its
+        reactor is ``i % (n - 1)``, shifted past the starter.
+        """
+        others = self.n - 1
+        starter, reactor = divmod(step % (self.n * others), others)
+        return Interaction(starter, reactor + (reactor >= starter))

@@ -22,16 +22,18 @@ def protocol():
     return PairingProtocol()
 
 
-def starter_event(agent, pre, post, partner_pre, step=0, key=None):
+def starter_event(agent, pre, post, partner_pre, step=0, key=None,
+                  partner_agent=None):
     return SimulationEvent(
         step=step, agent=agent, role=STARTER_ROLE, pre_sim=pre, post_sim=post,
-        partner_pre_sim=partner_pre, key=key)
+        partner_pre_sim=partner_pre, partner_agent=partner_agent, key=key)
 
 
-def reactor_event(agent, pre, post, partner_pre, step=0, key=None):
+def reactor_event(agent, pre, post, partner_pre, step=0, key=None,
+                  partner_agent=None):
     return SimulationEvent(
         step=step, agent=agent, role=REACTOR_ROLE, pre_sim=pre, post_sim=post,
-        partner_pre_sim=partner_pre, key=key)
+        partner_pre_sim=partner_pre, partner_agent=partner_agent, key=key)
 
 
 class TestSimulationEvent:
@@ -116,6 +118,22 @@ class TestGreedyMatching:
         matching = Matching.from_explicit_pairs(events, [(0, 1)])
         assert matching.pairs == [(0, 1)]
         assert matching.unmatched == [2]
+        assert matching.invalid_pairs(protocol) == []
+
+    def test_by_partner_pairs_each_completion_with_the_latest_lock(self, protocol):
+        events = [
+            starter_event(0, "c", "cs", "p", partner_agent=1),
+            starter_event(0, "c", "cs", "p", partner_agent=2),
+            reactor_event(2, "p", "bot", "c", partner_agent=0),
+            reactor_event(1, "p", "bot", "c", partner_agent=0),
+            reactor_event(1, "p", "bot", "c", partner_agent=3),
+        ]
+        matching = Matching.by_partner(events)
+        # The second lock by agent 0 supersedes the first, which stays
+        # unmatched; a completion whose partner holds no pending lock (the
+        # lock was consumed, or never taken) stays unmatched too.
+        assert matching.pairs == [(1, 2)]
+        assert matching.unmatched == [0, 3, 4]
         assert matching.invalid_pairs(protocol) == []
 
     def test_invalid_pairs_detected(self, protocol):

@@ -1,5 +1,7 @@
 """Unit tests for the schedulers."""
 
+import tracemalloc
+
 import pytest
 
 from repro.scheduling.runs import Interaction, Run
@@ -139,3 +141,37 @@ class TestRoundRobinScheduler:
     def test_requires_two_agents(self):
         with pytest.raises(ValueError):
             RoundRobinScheduler(1)
+
+    @staticmethod
+    def lexicographic(n, cycles):
+        pairs = [(s, r) for s in range(n) for r in range(n) if s != r]
+        return pairs * cycles
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_draws_are_the_lexicographic_cycle(self, n):
+        scheduler = RoundRobinScheduler(n)
+        draws = [scheduler.next_interaction(i).pair for i in range(3 * n * (n - 1))]
+        assert draws == self.lexicographic(n, 3)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_array_kernel_draws_the_lexicographic_cycle(self, n):
+        pytest.importorskip("numpy")
+        from repro.scheduling.array_draws import compile_scheduler
+
+        kernel = compile_scheduler(RoundRobinScheduler(n))
+        total, step, draws = 3 * n * (n - 1), 0, []
+        for k in (1, 5, 2, total):  # chunk boundaries must not matter
+            starters, reactors = kernel.draw(step, min(k, total - step))
+            draws.extend(zip(starters.tolist(), reactors.tolist()))
+            step = len(draws)
+        assert draws == self.lexicographic(n, 3)
+
+    def test_construction_allocates_no_pair_table(self):
+        tracemalloc.start()
+        try:
+            scheduler = RoundRobinScheduler(50_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert scheduler.next_interaction(50_000 * 49_999 - 1).pair == (49_999, 49_998)

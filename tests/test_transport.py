@@ -253,6 +253,29 @@ class TestMergeIdentity:
         assert parallel.to_dict() == reference.to_dict()
         assert parallel.failure_dumps == reference.failure_dumps
 
+    def test_sequential_array_runs_decode_no_final_configuration(
+            self, monkeypatch):
+        # The sequential merge never reads ``final`` either, so no run
+        # decodes its codes back into a Configuration.
+        pytest.importorskip("numpy")
+        from repro.engine.backends import load_array_backend
+
+        array_backend = load_array_backend()
+        freeze = array_backend._freeze
+        calls = []
+
+        def counting_freeze(*args):
+            calls.append(1)
+            return freeze(*args)
+
+        monkeypatch.setattr(array_backend, "_freeze", counting_freeze)
+        sequential = run_fold("array", population=1_000, runs=4,
+                              max_steps=50_000)
+        assert calls == []
+        assert sequential.successes == 4
+        assert run_fold("array", jobs=2, population=1_000, runs=4,
+                        max_steps=50_000).to_dict() == sequential.to_dict()
+
     def test_interrupted_process_campaign_resumes_to_the_serial_report(
             self, tmp_path):
         data = {

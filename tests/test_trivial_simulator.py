@@ -51,6 +51,17 @@ class TestEventsAndMatching:
         assert matching.invalid_pairs(simulator.protocol) == []
         assert matching.unmatched == []
 
+    def test_partner_lock_matching_pairs_each_step(self, simulator):
+        config = simulator.initial_configuration(Configuration(["c", "p", "c"]))
+        engine = SimulationEngine(simulator, TW, RandomScheduler(3, seed=9))
+        trace = engine.run(config, max_steps=500)
+        pairs = [step.interaction.pair for step in trace.steps]
+        assert len(pairs) == 500
+        assert any(a == b for a, b in zip(pairs, pairs[1:])), "agents must repeat"
+        matching = simulator.extract_matching(trace)
+        assert matching.pairs == [(index, index + 1) for index in range(0, 1_000, 2)]
+        assert matching.unmatched == []
+
     def test_verification_ok_on_random_run(self):
         protocol = ExactMajorityProtocol()
         simulator = TrivialTwoWaySimulator(protocol)

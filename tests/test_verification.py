@@ -1,7 +1,10 @@
 """Unit tests for the end-to-end simulation verifier."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.naming import KnownSizeSimulator
 from repro.core.sid import SIDSimulator
 from repro.core.skno import SKnOSimulator
 from repro.core.trivial import TrivialTwoWaySimulator
@@ -105,6 +108,26 @@ class TestNegativeVerification:
         report = verify_simulation(simulator, trace)
         assert not report.ok
         assert report.invalid_pairs > 0 or report.errors
+
+    def test_broken_known_size_simulator_is_caught(self, protocol):
+        """``Nn`` runs the same partner-lock matching: a mangled starter side is flagged."""
+
+        class BrokenNn(KnownSizeSimulator):
+            def _observe(self, starter, reactor):
+                new_state, events = super()._observe(starter, reactor)
+                # Claim the starter side left its state unchanged.
+                return new_state, [
+                    replace(event, post_sim=event.pre_sim)
+                    if event.role == "starter" and event.changed else event
+                    for event in events
+                ]
+
+        simulator = BrokenNn(protocol, population_size=3)
+        config = simulator.initial_configuration(Configuration(["c", "p", "p"]))
+        engine = SimulationEngine(simulator, IO, RandomScheduler(3, seed=5))
+        report = verify_simulation(simulator, engine.run(config, max_steps=400))
+        assert not report.ok
+        assert report.invalid_pairs > 0
 
     def test_naive_projection_cannot_pass_as_simulation(self, protocol):
         """Running only the reactor half of delta violates the derived-run check.
