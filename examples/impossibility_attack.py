@@ -21,12 +21,12 @@ Run with::
 from __future__ import annotations
 
 from repro import (
-    Lemma1Construction,
     PairingProtocol,
     SKnOSimulator,
     get_model,
     one_way_as_two_way,
 )
+from repro.adversary.constructions import Lemma1Construction
 from repro.problems import PairingProblem
 
 

@@ -10,16 +10,20 @@ library:
   threshold counting, ...);
 * :mod:`repro.interaction` — the ten interaction models of Figure 1 and
   their hierarchy;
-* :mod:`repro.scheduling` — runs, schedulers, fairness diagnostics;
-* :mod:`repro.adversary` — the UO/NO/NO1 omission adversaries, FTT search
-  and the Lemma 1 / Theorem 3.2 attack constructions;
+* :mod:`repro.scheduling` — interactions, runs and schedulers;
+* :mod:`repro.adversary` — the UO/NO/NO1 omission adversaries;
 * :mod:`repro.engine` — the discrete-event execution engine;
 * :mod:`repro.core` — the simulators (``SKnO``, ``SID``, ``Nn + SID``), the
   event/matching/derived-run machinery of Definitions 3-4, verification and
   memory accounting;
 * :mod:`repro.problems` — machine-checkable problem specifications
-  (the Pairing problem of Definition 5, and friends);
-* :mod:`repro.analysis` — the Figure 4 results map, statistics, reporting.
+  (the Pairing problem of Definition 5, and friends).
+
+This package re-exports only what a run needs.  The FTT search and the
+attack constructions (:mod:`repro.adversary.ftt`,
+:mod:`repro.adversary.constructions`) and the Figure 4 results map,
+reachability checks and reporting (:mod:`repro.analysis`) are imported by
+module path.
 
 Quickstart::
 
@@ -79,24 +83,20 @@ from repro.scheduling import (
     RandomScheduler,
     ScriptedScheduler,
     RoundRobinScheduler,
-    fairness_report,
 )
 from repro.adversary import (
     UOAdversary,
     NOAdversary,
     NO1Adversary,
     BoundedOmissionAdversary,
-    fastest_transition_time,
-    Lemma1Construction,
-    no1_liveness_attack,
 )
 from repro.engine import (
     SimulationEngine,
     Trace,
     run_until_stable,
     stable_output_condition,
-    repeat_experiment,
 )
+from repro.engine.experiment import repeat_experiment
 from repro.core import (
     SKnOSimulator,
     SIDSimulator,
@@ -111,7 +111,6 @@ from repro.problems import (
     MajorityProblem,
     ThresholdProblem,
 )
-from repro.analysis import results_map, format_results_map, format_table
 
 __version__ = "1.0.0"
 
@@ -158,15 +157,11 @@ __all__ = [
     "RandomScheduler",
     "ScriptedScheduler",
     "RoundRobinScheduler",
-    "fairness_report",
-    # adversaries and attacks
+    # adversaries
     "UOAdversary",
     "NOAdversary",
     "NO1Adversary",
     "BoundedOmissionAdversary",
-    "fastest_transition_time",
-    "Lemma1Construction",
-    "no1_liveness_attack",
     # engine
     "SimulationEngine",
     "Trace",
@@ -185,9 +180,5 @@ __all__ = [
     "LeaderElectionProblem",
     "MajorityProblem",
     "ThresholdProblem",
-    # analysis
-    "results_map",
-    "format_results_map",
-    "format_table",
     "__version__",
 ]

@@ -1,17 +1,22 @@
-"""Omission adversaries and the attack constructions of Section 3.
+"""Omission adversaries (Definitions 1 and 2 of the paper).
 
-This subpackage contains:
+This package re-exports the online omission adversaries of
+:mod:`repro.adversary.omission`: the malignant :class:`UOAdversary` (may
+insert omissions forever), the benign :class:`NOAdversary` (eventually
+stops), the extremely limited :class:`NO1Adversary` (at most one omission)
+and a generic :class:`BoundedOmissionAdversary` (at most ``o`` omissions —
+the assumption under which the ``SKnO`` simulator of Theorem 4.1 operates).
 
-* the online omission adversaries corresponding to the paper's Definitions 1
-  and 2: the malignant :class:`UOAdversary` (may insert omissions forever),
-  the benign :class:`NOAdversary` (eventually stops), the extremely limited
-  :class:`NO1Adversary` (at most one omission) and a generic
-  :class:`BoundedOmissionAdversary` (at most ``o`` omissions — the assumption
-  under which the ``SKnO`` simulator of Theorem 4.1 operates);
-* the Fastest Transition Time (FTT, Definition 7) breadth-first search;
-* the scripted attack-run constructions used by the impossibility proofs:
-  :class:`Lemma1Construction` (Lemma 1 / Theorems 3.1 and 3.3) and the
-  Theorem 3.2 demonstration for the weak models ``T1``/``I1``/``I2``.
+The search and the attacks built on these adversaries are imported by
+module path, never through this package (the attacks drive the engine,
+which sits above it):
+
+* :mod:`repro.adversary.ftt` — the Fastest Transition Time (FTT,
+  Definition 7) breadth-first search;
+* :mod:`repro.adversary.constructions` — the scripted attack runs of the
+  impossibility proofs: :class:`~repro.adversary.constructions.Lemma1Construction`
+  (Lemma 1 / Theorems 3.1 and 3.3) and the Theorem 3.2 demonstration for
+  the weak models ``T1``/``I1``/``I2``.
 """
 
 from repro.adversary.omission import (
@@ -24,13 +29,6 @@ from repro.adversary.omission import (
     BoundedOmissionAdversary,
     plan_columns_per_step,
 )
-from repro.adversary.ftt import FTTResult, fastest_transition_time, transition_time
-from repro.adversary.constructions import (
-    Lemma1Construction,
-    Lemma1Result,
-    no1_liveness_attack,
-    NO1AttackResult,
-)
 
 __all__ = [
     "ColumnSchedule",
@@ -41,11 +39,4 @@ __all__ = [
     "NOAdversary",
     "NO1Adversary",
     "BoundedOmissionAdversary",
-    "FTTResult",
-    "fastest_transition_time",
-    "transition_time",
-    "Lemma1Construction",
-    "Lemma1Result",
-    "no1_liveness_attack",
-    "NO1AttackResult",
 ]

@@ -1,41 +1,7 @@
-"""Analysis utilities: the Figure 4 results map, statistics and plain-text reporting."""
+"""Analysis utilities: the Figure 4 results map, reachability checks and plain-text reporting.
 
-from repro.analysis.results_map import (
-    Feasibility,
-    ResultCell,
-    RESULTS_MAP,
-    results_map,
-    feasibility,
-    assumptions,
-    models_in_map,
-)
-from repro.analysis.reporting import format_table, format_results_map
-from repro.analysis.statistics import summarize_counts, SummaryStats
-from repro.analysis.reachability import (
-    ReachabilityResult,
-    InvariantReport,
-    StabilisationReport,
-    explore,
-    check_invariant,
-    check_stabilisation,
-)
-
-__all__ = [
-    "Feasibility",
-    "ResultCell",
-    "RESULTS_MAP",
-    "results_map",
-    "feasibility",
-    "assumptions",
-    "models_in_map",
-    "format_table",
-    "format_results_map",
-    "summarize_counts",
-    "SummaryStats",
-    "ReachabilityResult",
-    "InvariantReport",
-    "StabilisationReport",
-    "explore",
-    "check_invariant",
-    "check_stabilisation",
-]
+Nothing is re-exported here: the campaign path never runs these modules, so
+callers import :mod:`repro.analysis.results_map`,
+:mod:`repro.analysis.reporting` and :mod:`repro.analysis.reachability` by
+module path.
+"""

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Tuple
 
-from repro.interaction.models import ALL_MODELS
-
 
 class Feasibility(Enum):
     """Feasibility of simulating every TW protocol in a model under an assumption."""
@@ -145,8 +143,3 @@ def feasibility(model: str, assumption: str) -> Feasibility:
 def assumptions() -> Tuple[str, ...]:
     """The assumption columns of Figure 4, in order."""
     return ASSUMPTIONS
-
-
-def models_in_map() -> List[str]:
-    """The model rows of Figure 4, in hierarchy order."""
-    return [model.name for model in ALL_MODELS]

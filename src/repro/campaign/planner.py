@@ -168,9 +168,6 @@ class CampaignPlan:
     def total(self) -> int:
         return len(self.cells)
 
-    def by_id(self) -> Dict[str, PlannedCell]:
-        return {cell.cell_id: cell for cell in self.cells}
-
     def cell_ids(self) -> List[str]:
         """Every cell's content-addressed id, sorted — the canonical form
         shared-store campaign registrations persist."""

@@ -331,13 +331,6 @@ class ResultStore(_BaseStore):
             cells[record["cell_id"]] = record
         return cls(path, manifest, cells)
 
-    @classmethod
-    def open_or_create(cls, path: str, campaign_name: str,
-                       campaign_hash: str) -> "ResultStore":
-        if os.path.exists(path):
-            return cls.open(path, campaign_name, campaign_hash)
-        return cls.create(path, campaign_name, campaign_hash)
-
 
 class SharedResultStore(_BaseStore):
     """One content-addressed cell pool serving many campaigns.
@@ -417,22 +410,7 @@ class SharedResultStore(_BaseStore):
                     f"store {path!r} holds an unknown record kind {kind!r}")
         return cls(path, manifest, cells, registrations)
 
-    @classmethod
-    def open_or_create(cls, path: str) -> "SharedResultStore":
-        if os.path.exists(path):
-            return cls.open(path)
-        return cls.create(path)
-
     # -- campaign registrations --------------------------------------------------
-
-    @property
-    def registrations(self) -> Dict[str, Dict[str, Any]]:
-        """Latest registration per campaign name, ordered by sorted name."""
-        return {name: self._registrations[name]
-                for name in sorted(self._registrations)}
-
-    def registration_for(self, campaign_name: str) -> Optional[Dict[str, Any]]:
-        return self._registrations.get(campaign_name)
 
     def register_campaign(self, campaign_name: str, campaign_hash: str,
                           cell_ids: List[str]) -> bool:
@@ -466,10 +444,6 @@ class SharedResultStore(_BaseStore):
         for name in sorted(self._registrations):
             referenced.update(self._registrations[name].get("cells", []))
         return referenced
-
-    def orphaned_ids(self) -> set:
-        """Persisted cells no registered campaign references."""
-        return self.completed_ids() - self.referenced_ids()
 
 
 def store_kind(path: str) -> str:

@@ -36,7 +36,6 @@ from repro.core.trivial import TrivialTwoWaySimulator
 from repro.core.verification import SimulationReport, verify_simulation
 from repro.core.memory import (
     state_bits,
-    configuration_bits,
     max_bits_per_agent,
     skno_state_bound_bits,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "SimulationReport",
     "verify_simulation",
     "state_bits",
-    "configuration_bits",
     "max_bits_per_agent",
     "skno_state_bound_bits",
 ]

@@ -167,10 +167,5 @@ class TwoWaySimulator(OneWayProtocol):
 
     # -- misc -----------------------------------------------------------------------------------------
 
-    def describe(self) -> str:
-        """One-line human-readable description of the simulator instance."""
-        models = "/".join(self.compatible_models) or "?"
-        return f"{self.name} simulating {self._protocol.name!r} on {models}"
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} protocol={self._protocol.name!r}>"

@@ -219,10 +219,6 @@ class Matching:
                 invalid.append((starter_index, reactor_index))
         return invalid
 
-    def matched_event_count(self) -> int:
-        """Number of events covered by the matching."""
-        return 2 * len(self.pairs)
-
     def changed_unmatched_events(self) -> List[int]:
         """Unmatched events that actually changed a simulated state.
 

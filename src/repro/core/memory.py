@@ -59,11 +59,6 @@ def state_bits(state: Any) -> int:
     return max(1, 8 * len(repr(state)))
 
 
-def configuration_bits(configuration: Configuration) -> int:
-    """Total bits over all agents of a configuration."""
-    return sum(state_bits(state) for state in configuration)
-
-
 def max_bits_per_agent(configurations: Iterable[Configuration]) -> int:
     """Maximum per-agent state size (bits) observed over a sequence of configurations."""
     maximum = 0

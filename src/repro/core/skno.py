@@ -141,10 +141,6 @@ class SKnOState:
     sending: Tuple = ()
     owed: Tuple = ()
 
-    def joker_count(self) -> int:
-        """Number of joker tokens currently in the sending queue."""
-        return sum(1 for token in self.sending if type(token) is JokerToken)
-
 
 _new = object.__new__
 
@@ -215,11 +211,6 @@ class SKnOSimulator(TwoWaySimulator):
         self._change_runs: Dict[Tuple[State, State], Tuple[ChangeToken, ...]] = {}
 
     # -- basic quantities ---------------------------------------------------------------------
-
-    @property
-    def run_length(self) -> int:
-        """Number of tokens per run: ``o + 1``."""
-        return self._run_length
 
     def _state_run(self, q: State) -> Tuple[StateToken, ...]:
         run = self._state_runs.get(q)

@@ -61,11 +61,6 @@ class SimulationReport:
         """No hard violation was found in this (finite) execution prefix."""
         return self.invalid_pairs == 0 and self.derived_consistent and not self.errors
 
-    @property
-    def made_progress(self) -> bool:
-        """At least one full simulated two-way interaction completed."""
-        return self.matched_pairs > 0
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         status = "OK" if self.ok else "VIOLATION"

@@ -19,7 +19,11 @@ predicates.
 
 Traces are the raw material of all analyses in the library: simulation
 verification (events / matchings / derived runs), problem checkers
-(safety/liveness), fairness diagnostics and the benchmark harness.
+(safety/liveness) and the benchmark harness.
+
+Batches of runs (:mod:`repro.engine.experiment`) build their programs
+through :mod:`repro.protocols.registry`, which sits above this package, so
+they are imported by module path and never re-exported here.
 """
 
 from repro.engine.trace import StepLog, Trace, TraceStep
@@ -40,7 +44,6 @@ from repro.engine.convergence import (
     run_until_stable,
     stable_output_condition,
 )
-from repro.engine.experiment import ExperimentResult, repeat_experiment
 
 __all__ = [
     "StepLog",
@@ -60,6 +63,4 @@ __all__ = [
     "ConvergenceResult",
     "run_until_stable",
     "stable_output_condition",
-    "ExperimentResult",
-    "repeat_experiment",
 ]

@@ -45,11 +45,6 @@ class TraceStep:
             changed.append(self.interaction.reactor)
         return tuple(changed)
 
-    @property
-    def is_silent(self) -> bool:
-        """Whether the interaction left both agents unchanged."""
-        return not self.changed_agents
-
 
 #: Fields of one :class:`StepLog` row: starter, reactor, omission, starter
 #: pre, reactor pre, starter post, reactor post.
@@ -233,20 +228,6 @@ class Trace:
             )
             yield config
 
-    def configuration_at(self, index: int) -> Configuration:
-        """The configuration reached after ``index`` steps (``index = 0`` is ``C0``)."""
-        if index < 0 or index > len(self._steps):
-            raise IndexError(f"configuration index {index} out of range")
-        config = self._initial
-        for step in self._steps[:index]:
-            config = config.apply_interaction(
-                step.interaction.starter,
-                step.interaction.reactor,
-                step.starter_post,
-                step.reactor_post,
-            )
-        return config
-
     def projected_configurations(
         self, projection: Callable[[State], State]
     ) -> Iterator[Configuration]:
@@ -257,10 +238,6 @@ class Trace:
     def final_projected(self, projection: Callable[[State], State]) -> Configuration:
         """The projection of the final configuration."""
         return self._current.project(projection)
-
-    def steps_involving(self, agent: int) -> List[TraceStep]:
-        """All steps in which ``agent`` participated."""
-        return [step for step in self._steps if step.interaction.involves(agent)]
 
     def __repr__(self) -> str:
         return (

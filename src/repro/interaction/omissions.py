@@ -39,11 +39,6 @@ class Omission:
         """Whether any information was lost in this interaction."""
         return self.starter_lost or self.reactor_lost
 
-    @property
-    def is_full(self) -> bool:
-        """Whether both directions were lost (two-way models only)."""
-        return self.starter_lost and self.reactor_lost
-
     def __str__(self) -> str:
         if not self.is_omissive:
             return "no-omission"

@@ -37,7 +37,6 @@ ORDERED_FOLD_LAYERS = (
     "repro.campaign.",
     "repro.analysis.reporting",
     "repro.analysis.results_map",
-    "repro.analysis.statistics",
 )
 
 _SET_CONSTRUCTORS = frozenset({"set", "frozenset"})

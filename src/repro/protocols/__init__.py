@@ -7,7 +7,7 @@ library (the Pairing protocol of Definition 5, leader election, majority,
 threshold / flock-of-birds counting, modulo counting and boolean predicates).
 """
 
-from repro.protocols.state import Configuration, MutableConfiguration, state_multiset
+from repro.protocols.state import Configuration, MutableConfiguration
 from repro.protocols.protocol import (
     PopulationProtocol,
     RuleBasedProtocol,
@@ -34,7 +34,6 @@ from repro.protocols.catalog import (
 __all__ = [
     "Configuration",
     "MutableConfiguration",
-    "state_multiset",
     "PopulationProtocol",
     "RuleBasedProtocol",
     "OneWayProtocol",

@@ -48,11 +48,6 @@ class LeaderElectionProtocol(PopulationProtocol):
         return Configuration.uniform(LEADER, n)
 
     @staticmethod
-    def leader_count(configuration: Configuration) -> int:
-        """Number of remaining leaders."""
-        return configuration.count(LEADER)
-
-    @staticmethod
     def has_converged(configuration: Configuration) -> bool:
         """A configuration is stable for leader election iff exactly one leader remains."""
         return configuration.count(LEADER) == 1

@@ -24,7 +24,7 @@ may be shared freely between agents, engines and processes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.protocols.state import State
 
@@ -163,10 +163,6 @@ class PopulationProtocol:
         a, b = self.delta(q0, q1)
         c, d = self.delta(q1, q0)
         return (a, b) == (d, c)
-
-    def is_silent_on(self, q0: State, q1: State) -> bool:
-        """Whether the interaction ``(q0, q1)`` leaves both agents unchanged."""
-        return self.delta(q0, q1) == (q0, q1)
 
     def enumerate_transitions(self) -> Dict[Tuple[State, State], Tuple[State, State]]:
         """The full transition table (finite-state protocols only)."""
@@ -353,19 +349,3 @@ class RuleBasedOneWayProtocol(OneWayProtocol):
 
     def f(self, starter: State, reactor: State) -> State:
         return self._f_rules.get((starter, reactor), reactor)
-
-
-def two_way_from_functions(
-    fs: Callable[[State, State], State],
-    fr: Callable[[State, State], State],
-    states: Optional[Iterable[State]] = None,
-    initial_states: Optional[Iterable[State]] = None,
-    name: str = "functional",
-) -> PopulationProtocol:
-    """Build a two-way protocol from the pair of component functions ``(f_s, f_r)``."""
-
-    class _FunctionalProtocol(PopulationProtocol):
-        def delta(self, starter: State, reactor: State) -> Tuple[State, State]:
-            return fs(starter, reactor), fr(starter, reactor)
-
-    return _FunctionalProtocol(states=states, initial_states=initial_states, name=name)

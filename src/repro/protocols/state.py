@@ -29,11 +29,6 @@ from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Tupl
 State = Hashable
 
 
-def state_multiset(states: Iterable[State]) -> Counter:
-    """Return the multiset (as a :class:`collections.Counter`) of ``states``."""
-    return Counter(states)
-
-
 class Configuration:
     """An immutable n-tuple of agent states.
 
@@ -107,10 +102,6 @@ class Configuration:
         """Number of agents whose state satisfies ``predicate``."""
         return sum(1 for s in self._states if predicate(s))
 
-    def indices_of(self, state: State) -> Tuple[int, ...]:
-        """Indices of the agents currently in ``state``."""
-        return tuple(i for i, s in enumerate(self._states) if s == state)
-
     def histogram(self) -> Dict[State, int]:
         """A plain ``dict`` mapping each present state to its multiplicity."""
         return dict(self._cached_multiset())
@@ -145,18 +136,6 @@ class Configuration:
     def project(self, projection: Callable[[State], State]) -> "Configuration":
         """Apply ``projection`` to every agent state (e.g. ``pi_P`` of Section 2.4)."""
         return Configuration(projection(s) for s in self._states)
-
-    def permuted(self, permutation: Iterable[int]) -> "Configuration":
-        """Return the configuration with agent states permuted.
-
-        ``permutation[i]`` is the index in ``self`` whose state becomes the
-        state of agent ``i`` in the result.  Used for reasoning about closed
-        sets of configurations, which are invariant under permutation.
-        """
-        perm = tuple(permutation)
-        if sorted(perm) != list(range(len(self))):
-            raise ValueError("not a permutation of agent indices")
-        return Configuration(self._states[i] for i in perm)
 
     def same_multiset(self, other: "Configuration") -> bool:
         """``True`` when the two configurations are equal up to agent permutation."""
@@ -209,11 +188,6 @@ class MutableConfiguration:
 
     def __init__(self, states: Iterable[State]) -> None:
         self._states: list = list(states)
-
-    @classmethod
-    def from_configuration(cls, configuration: "Configuration") -> "MutableConfiguration":
-        """A mutable copy of an immutable configuration."""
-        return cls(configuration.states)
 
     # -- container protocol -------------------------------------------------
 
@@ -284,10 +258,6 @@ class MutableConfiguration:
     def count_if(self, predicate: Callable[[State], bool]) -> int:
         """Number of agents whose state satisfies ``predicate``."""
         return sum(1 for s in self._states if predicate(s))
-
-    def indices_of(self, state: State) -> Tuple[int, ...]:
-        """Indices of the agents currently in ``state``."""
-        return tuple(i for i, s in enumerate(self._states) if s == state)
 
     def histogram(self) -> Dict[State, int]:
         """A plain ``dict`` mapping each present state to its multiplicity."""
@@ -385,8 +355,3 @@ class StateInterner:
     def decode(self, code: int) -> State:
         """The state carrying ``code``."""
         return self._states[code]
-
-    def decode_all(self, codes: Iterable[int]) -> List[State]:
-        """Decode a sequence of codes back to states."""
-        states = self._states
-        return [states[code] for code in codes]

@@ -1,11 +1,10 @@
-"""Scheduling substrate: interactions, runs, schedulers and fairness diagnostics.
+"""Scheduling substrate: interactions, runs and schedulers.
 
 The PP model abstracts the passive mobility of the agents into an infinite
 sequence of pairwise interactions (a *run*).  This subpackage provides the
-datatypes for interactions and runs, several schedulers that generate them
-(uniform random — globally fair with probability 1 —, scripted, weighted),
-and statistical diagnostics approximating the global-fairness condition on
-the finite prefixes that an experiment actually executes.
+datatypes for interactions and runs and several schedulers that generate
+them (uniform random — globally fair with probability 1 —, scripted,
+weighted, round-robin and interaction-graph).
 """
 
 from repro.scheduling.runs import Interaction, Run
@@ -26,12 +25,6 @@ from repro.scheduling.graph_scheduler import (
     random_graph_scheduler,
     validate_interaction_graph,
 )
-from repro.scheduling.fairness import (
-    CoverageReport,
-    pair_coverage,
-    interaction_counts,
-    fairness_report,
-)
 
 __all__ = [
     "Interaction",
@@ -49,8 +42,4 @@ __all__ = [
     "star_scheduler",
     "random_graph_scheduler",
     "validate_interaction_graph",
-    "CoverageReport",
-    "pair_coverage",
-    "interaction_counts",
-    "fairness_report",
 ]

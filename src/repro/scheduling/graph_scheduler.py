@@ -168,14 +168,6 @@ class GraphScheduler(Scheduler):
         self._bind_rng()
         self._drop_array_kernel()
 
-    def ordered_pairs(self) -> List[Tuple[int, int]]:
-        """All ordered pairs this scheduler can ever produce."""
-        pairs = []
-        for first, second in self._edges:
-            pairs.append((first, second))
-            pairs.append((second, first))
-        return sorted(pairs)
-
 
 def complete_graph_scheduler(n: int, seed: Optional[int] = None) -> GraphScheduler:
     """The unrestricted case: every pair of agents may interact."""

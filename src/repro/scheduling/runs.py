@@ -10,7 +10,7 @@ them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -41,18 +41,9 @@ class Interaction:
         """The ordered (starter, reactor) pair."""
         return self.starter, self.reactor
 
-    @property
-    def unordered_pair(self) -> Tuple[int, int]:
-        """The unordered pair of participants (smaller index first)."""
-        return (self.starter, self.reactor) if self.starter < self.reactor else (self.reactor, self.starter)
-
     def involves(self, agent: int) -> bool:
         """Whether ``agent`` participates in this interaction."""
         return agent in (self.starter, self.reactor)
-
-    def with_omission(self, omission: Omission) -> "Interaction":
-        """A copy of this interaction with a different omission specification."""
-        return replace(self, omission=omission)
 
     def relabel(self, mapping: dict) -> "Interaction":
         """A copy with agent indices remapped through ``mapping`` (identity if absent)."""
@@ -139,10 +130,6 @@ class Run:
             seen.add(interaction.starter)
             seen.add(interaction.reactor)
         return tuple(sorted(seen))
-
-    def interactions_involving(self, agent: int) -> "Run":
-        """The sub-run of interactions in which ``agent`` participates."""
-        return Run(i for i in self._interactions if i.involves(agent))
 
     # -- editing ---------------------------------------------------------------------------
 

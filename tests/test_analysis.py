@@ -1,31 +1,25 @@
-"""Unit tests for the analysis helpers: results map, reporting and statistics."""
-
-import statistics
+"""Unit tests for the analysis helpers: results map and reporting."""
 
 import pytest
 
-from repro.analysis.reporting import format_results_map, format_table
+from repro.analysis.reporting import format_grid, format_results_map, format_table
 from repro.analysis.results_map import (
     ASSUMPTIONS,
     Feasibility,
     RESULTS_MAP,
     feasibility,
-    models_in_map,
     results_map,
 )
-from repro.analysis.statistics import (
-    correlation_with_log,
-    growth_ratio,
-    is_monotone_nondecreasing,
-    summarize_counts,
-)
+from repro.interaction.models import ALL_MODELS
+
+MODEL_NAMES = [model.name for model in ALL_MODELS]
 
 
 class TestResultsMap:
     def test_full_coverage_of_models_and_assumptions(self):
         cells = results_map()
-        assert len(cells) == len(models_in_map()) * len(ASSUMPTIONS)
-        for model in models_in_map():
+        assert len(cells) == len(MODEL_NAMES) * len(ASSUMPTIONS)
+        for model in MODEL_NAMES:
             for assumption in ASSUMPTIONS:
                 assert (model, assumption) in cells
 
@@ -80,54 +74,18 @@ class TestReporting:
         table = format_table(["x"], [])
         assert "x" in table
 
+    def test_format_grid_lays_out_rows_and_columns(self):
+        grid = format_grid("n", [2, 3], ["x", "y"], lambda row, col: f"{col}{row}")
+        lines = grid.splitlines()
+        assert [cell.strip() for cell in lines[0].strip("|").split("|")] == ["n", "x", "y"]
+        assert [cell.strip() for cell in lines[2].strip("|").split("|")] == ["2", "x2", "y2"]
+        assert [cell.strip() for cell in lines[3].strip("|").split("|")] == ["3", "x3", "y3"]
+
     def test_format_results_map_contains_all_models(self):
         rendered = format_results_map()
-        for model in models_in_map():
+        for model in MODEL_NAMES:
             assert model in rendered
 
     def test_format_results_map_overrides(self):
         rendered = format_results_map(overrides={("I3", "knowledge-of-omissions"): "CHECKED"})
         assert "CHECKED" in rendered
-
-
-class TestStatistics:
-    def test_summarize_counts(self):
-        stats = summarize_counts([1, 2, 3, 4])
-        assert stats.count == 4
-        assert stats.mean == 2.5
-        assert stats.median == 2.5
-        assert stats.minimum == 1
-        assert stats.maximum == 4
-        assert "mean=" in str(stats)
-
-    def test_summarize_empty(self):
-        assert summarize_counts([]) is None
-
-    def test_stdev_is_sample_standard_deviation(self):
-        stats = summarize_counts([1, 2, 3, 4])
-        assert stats.stdev == pytest.approx(statistics.stdev([1, 2, 3, 4]))
-        assert stats.stdev > statistics.pstdev([1, 2, 3, 4])
-
-    def test_stdev_of_single_measurement_is_zero(self):
-        stats = summarize_counts([7])
-        assert stats.count == 1
-        assert stats.stdev == 0.0
-
-    def test_growth_ratio(self):
-        assert growth_ratio([1, 2, 4, 8]) == pytest.approx(2.0)
-        assert growth_ratio([5]) is None
-        assert growth_ratio([0, 1]) is None
-
-    def test_monotone(self):
-        assert is_monotone_nondecreasing([1, 1, 2, 3])
-        assert not is_monotone_nondecreasing([1, 3, 2])
-        assert is_monotone_nondecreasing([3, 2.95, 4], tolerance=0.1)
-
-    def test_correlation_with_log(self):
-        import math
-
-        sizes = [4, 8, 16, 32, 64]
-        values = [math.log2(size) for size in sizes]
-        assert correlation_with_log(values, sizes) == pytest.approx(1.0)
-        assert correlation_with_log([1, 2], [1, 2]) is None
-        assert correlation_with_log([1, 1, 1], [2, 4, 8]) is None

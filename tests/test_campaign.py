@@ -346,7 +346,7 @@ class TestResultStore:
     def test_empty_file_is_reinitialised(self, tmp_path):
         path = str(tmp_path / "s.jsonl")
         open(path, "w").close()
-        assert ResultStore.open_or_create(path, "c", "hash1").completed_ids() == set()
+        assert ResultStore.open(path, "c", "hash1").completed_ids() == set()
 
     def test_foreign_file_is_not_overwritten(self, tmp_path):
         path = str(tmp_path / "notes.txt")

@@ -111,10 +111,11 @@ class TestStoreKinds:
         assert not pool.register_campaign("camp", "h1", ["bbb", "aaa"])
         # A changed grid supersedes; the dropped cell becomes an orphan.
         assert pool.register_campaign("camp", "h2", ["aaa"])
-        assert pool.orphaned_ids() == {"bbb"}
+        assert pool.completed_ids() - pool.referenced_ids() == {"bbb"}
         reopened = SharedResultStore.open(pool.path)
-        assert reopened.registration_for("camp")["campaign_hash"] == "h2"
-        assert reopened.orphaned_ids() == {"bbb"}
+        assert reopened.completed_ids() - reopened.referenced_ids() == {"bbb"}
+        # The reopened pool holds the h2 registration: repeating it is a no-op.
+        assert not reopened.register_campaign("camp", "h2", ["aaa"])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +320,8 @@ class TestCompaction:
 
         reopened = SharedResultStore.open(path)
         assert reopened.completed_ids() == {"aaa", "bbb"}
-        assert reopened.registration_for("camp")["campaign_hash"] == "h2"
+        assert reopened.referenced_ids() == {"aaa", "bbb"}
+        assert not reopened.register_campaign("camp", "h2", ["aaa", "bbb"])
 
     def test_compaction_output_is_canonically_ordered(self, tmp_path):
         path = self.populated_pool(tmp_path)
@@ -424,9 +426,13 @@ class TestSharedStoreCLI:
         assert main(["campaign", "status", second, "--store", pool]) == 0
         assert "| done      | 6" in capsys.readouterr().out
 
-        # Both campaigns are registered in the pool.
-        reopened = SharedResultStore.open(pool)
-        assert sorted(reopened.registrations) == ["first", "second"]
+        # Both campaigns are registered in the pool: running either again
+        # appends no registration (and no cell).
+        before = store_bytes(pool)
+        for spec in (first, second):
+            assert main(["campaign", "run", spec, "--store", pool,
+                         "--quiet"]) == 0
+        assert store_bytes(pool) == before
 
     def test_shared_flag_on_an_exclusive_store_fails_loudly(self, tmp_path):
         spec = self.write_spec(tmp_path, small_campaign(), "grid.json")

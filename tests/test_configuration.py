@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols.state import Configuration, MutableConfiguration, state_multiset
+from repro.protocols.state import Configuration, MutableConfiguration
 
 
 class TestConstruction:
@@ -72,9 +72,6 @@ class TestViews:
         config = Configuration(["a", "b", "a"])
         assert config.multiset() == {"a": 2, "b": 1}
 
-    def test_state_multiset_helper(self):
-        assert state_multiset(["x", "x", "y"]) == {"x": 2, "y": 1}
-
     def test_count(self):
         config = Configuration(["a", "b", "a"])
         assert config.count("a") == 2
@@ -83,11 +80,6 @@ class TestViews:
     def test_count_if(self):
         config = Configuration([1, 2, 3, 4])
         assert config.count_if(lambda value: value % 2 == 0) == 2
-
-    def test_indices_of(self):
-        config = Configuration(["a", "b", "a"])
-        assert config.indices_of("a") == (0, 2)
-        assert config.indices_of("z") == ()
 
     def test_histogram(self):
         config = Configuration(["a", "a", "b"])
@@ -147,23 +139,11 @@ class TestFunctionalUpdates:
         config = Configuration([1, 2, 3])
         assert config.project(lambda value: value * 10) == Configuration([10, 20, 30])
 
-    def test_permuted(self):
-        config = Configuration(["a", "b", "c"])
-        assert config.permuted([2, 0, 1]) == Configuration(["c", "a", "b"])
-
-    def test_permuted_invalid(self):
-        with pytest.raises(ValueError):
-            Configuration(["a", "b"]).permuted([0, 0])
-
-    def test_permutation_preserves_multiset(self):
-        config = Configuration(["a", "b", "c"])
-        assert config.permuted([1, 2, 0]).same_multiset(config)
-
 
 class TestMutableConfiguration:
     def test_round_trip_through_freeze(self):
         config = Configuration(["a", "b", "c"])
-        buffer = MutableConfiguration.from_configuration(config)
+        buffer = MutableConfiguration(config.states)
         assert len(buffer) == 3
         assert list(buffer) == ["a", "b", "c"]
         assert buffer.freeze() == config
@@ -192,7 +172,6 @@ class TestMutableConfiguration:
         assert buffer.count_if(lambda s: s == "b") == 1
         assert buffer.multiset() == {"a": 2, "b": 1}
         assert buffer.histogram() == {"a": 2, "b": 1}
-        assert buffer.indices_of("a") == (0, 2)
         assert buffer.project(str.upper) == Configuration(["A", "B", "A"])
         assert buffer.same_multiset(Configuration(["b", "a", "a"]))
 

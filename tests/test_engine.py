@@ -161,7 +161,7 @@ class TestReplay:
         trace = engine.replay(Configuration([INFORMED, SUSCEPTIBLE]), run)
         assert len(trace) == 2
         # The omissive observation does not inform agent 1; the second one does.
-        assert trace.configuration_at(1) == Configuration([INFORMED, SUSCEPTIBLE])
+        assert list(trace.configurations())[1] == Configuration([INFORMED, SUSCEPTIBLE])
         assert trace.final_configuration == Configuration([INFORMED, INFORMED])
 
 

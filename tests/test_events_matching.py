@@ -73,7 +73,6 @@ class TestGreedyMatching:
         matching = Matching.greedy(protocol, events)
         assert matching.pairs == [(1, 0)]
         assert matching.unmatched == []
-        assert matching.matched_event_count() == 2
 
     def test_events_without_keys_stay_unmatched(self, protocol):
         events = [reactor_event(1, "c", "cs", "p", key=None)]

@@ -127,15 +127,11 @@ class TestNetworkxStaysUnloaded:
 class TestGraphScheduler:
     def test_only_graph_edges_are_scheduled(self):
         scheduler = ring_scheduler(5, seed=0)
-        allowed = set(scheduler.ordered_pairs())
+        ring = {(i, (i + 1) % 5) for i in range(5)}
+        allowed = ring | {(r, s) for s, r in ring}
         for step in range(500):
             interaction = scheduler.next_interaction(step)
             assert interaction.pair in allowed
-
-    def test_ring_ordered_pairs(self):
-        scheduler = ring_scheduler(4, seed=0)
-        assert set(scheduler.ordered_pairs()) == {
-            (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (0, 3), (3, 0)}
 
     def test_star_centre_participates_in_everything(self):
         scheduler = star_scheduler(5, seed=1)

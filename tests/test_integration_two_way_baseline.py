@@ -9,11 +9,13 @@ import pytest
 from repro.core.trivial import TrivialTwoWaySimulator
 from repro.engine.convergence import run_until_stable
 from repro.engine.engine import SimulationEngine
+from repro.engine.experiment import run_spec
 from repro.interaction.models import TW
 from repro.problems.leader_election import LeaderElectionProblem
 from repro.problems.majority import MajorityProblem
 from repro.problems.pairing import PairingProblem
 from repro.problems.threshold import ThresholdProblem
+from repro.protocols.catalog import CATALOG
 from repro.protocols.catalog.averaging import AveragingProtocol
 from repro.protocols.catalog.counting import ModuloCountingProtocol, ThresholdProtocol
 from repro.protocols.catalog.epidemic import EpidemicProtocol
@@ -21,6 +23,7 @@ from repro.protocols.catalog.leader_election import LeaderElectionProtocol
 from repro.protocols.catalog.majority import ApproximateMajorityProtocol, ExactMajorityProtocol
 from repro.protocols.catalog.pairing import PairingProtocol
 from repro.protocols.catalog.predicates import AndProtocol, OrProtocol, ParityProtocol
+from repro.protocols.registry import ExperimentSpec
 from repro.protocols.state import Configuration
 from repro.scheduling.scheduler import RandomScheduler
 
@@ -114,3 +117,16 @@ class TestCatalogUnderTW:
         initial = EpidemicProtocol.initial_configuration(1, 7)
         result = converge(protocol, initial, EpidemicProtocol.all_informed, seed=11)
         assert result.converged
+
+
+class TestRegistryDefaultsUnderTW:
+    """``repro run``'s defaults: the registry's initial configuration and
+    stable-output predicate for each catalog protocol meet under plain TW."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_default_run_reaches_the_stable_output(self, name):
+        spec = ExperimentSpec(protocol=name, population=8)
+        result = run_spec(spec, run_index=0, base_seed=12, max_steps=MAX_STEPS,
+                          stability_window=WINDOW, trace_policy="counts-only")
+        assert result.converged
+        assert len(result.final_configuration) == 8

@@ -572,6 +572,18 @@ class TestSelfHost:
         assert completed.returncode == 0, completed.stdout + completed.stderr
         assert "files clean" in completed.stdout
 
+    def test_every_rule_scope_names_a_module_under_src(self):
+        # A prefix naming a deleted module silently scopes its rule to nothing.
+        stale = []
+        for rule in all_rules():
+            for prefix in rule.scope or ():
+                path = REPO_SRC.parent.joinpath(*prefix.rstrip(".").split("."))
+                is_package = (path / "__init__.py").is_file()
+                if not (is_package or (not prefix.endswith(".")
+                                       and path.with_suffix(".py").is_file())):
+                    stale.append(f"{rule.code} {prefix}")
+        assert stale == []
+
     def test_every_function_has_a_return_annotation(self):
         # Level 1 of the mypy ratchet (mypy.ini / docs/invariants.md):
         # mypy runs only in CI, so the annotation floor is pinned here.

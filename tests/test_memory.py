@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.memory import (
-    configuration_bits,
     max_bits_per_agent,
     sid_state_bound_bits,
     skno_state_bound_bits,
@@ -53,10 +52,6 @@ class TestStateBits:
 
 
 class TestConfigurationBits:
-    def test_sum_over_agents(self):
-        config = Configuration(["ab", "ab"])
-        assert configuration_bits(config) == 2 * state_bits("ab")
-
     def test_max_bits_per_agent(self):
         configs = [Configuration(["a", "abc"]), Configuration(["a", "a"])]
         assert max_bits_per_agent(configs) == state_bits("abc")

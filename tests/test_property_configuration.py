@@ -21,13 +21,6 @@ class TestConfigurationProperties:
         config = Configuration(values)
         assert sum(config.count(s) for s in set(values)) == len(config)
 
-    @given(state_lists, states)
-    def test_indices_of_are_exactly_matching_positions(self, values, target):
-        config = Configuration(values)
-        indices = config.indices_of(target)
-        assert all(values[i] == target for i in indices)
-        assert len(indices) == values.count(target)
-
     @given(state_lists, st.integers(min_value=0, max_value=11), states)
     def test_replace_changes_exactly_one_position(self, values, index, new_state):
         config = Configuration(values)
@@ -35,13 +28,6 @@ class TestConfigurationProperties:
         updated = config.replace(index, new_state)
         assert updated[index] == new_state
         assert all(updated[i] == config[i] for i in range(len(values)) if i != index)
-
-    @given(state_lists, st.randoms(use_true_random=False))
-    def test_permutation_preserves_multiset(self, values, rng):
-        config = Configuration(values)
-        permutation = list(range(len(values)))
-        rng.shuffle(permutation)
-        assert config.permuted(permutation).same_multiset(config)
 
     @given(state_lists)
     def test_equal_configurations_hash_equal(self, values):

@@ -100,7 +100,7 @@ class TestTokenInvariants:
         """No run of tokens <q, *> (or change tokens) ever has more than o+1
         distinct indices in circulation."""
         simulator, _, trace = run_scenario(*scenario)
-        run_length = simulator.run_length
+        run_length = simulator.omission_bound + 1
         for configuration in trace.configurations():
             index_sets = {}
             for token in all_tokens(configuration):

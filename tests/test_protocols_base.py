@@ -8,7 +8,6 @@ from repro.protocols.protocol import (
     ProtocolError,
     RuleBasedOneWayProtocol,
     RuleBasedProtocol,
-    two_way_from_functions,
 )
 
 
@@ -94,13 +93,6 @@ class TestPopulationProtocolHelpers:
         asymmetric = RuleBasedProtocol(rules={("L", "L"): ("F", "L")})
         assert not asymmetric.is_symmetric_on("L", "L")
 
-    def test_is_silent_on(self, toggle_protocol):
-        assert not toggle_protocol.is_silent_on(0, 0)
-        silent = RuleBasedProtocol(rules={})
-        # With no states inferred there is nothing to check, so build one:
-        silent2 = RuleBasedProtocol(rules={("a", "b"): ("a", "b")})
-        assert silent2.is_silent_on("a", "b")
-
     def test_enumerate_transitions_covers_all_pairs(self, toggle_protocol):
         table = toggle_protocol.enumerate_transitions()
         assert len(table) == 4
@@ -122,17 +114,6 @@ class TestPopulationProtocolHelpers:
 
     def test_repr_mentions_name(self, toggle_protocol):
         assert "toggle" in repr(toggle_protocol)
-
-
-class TestFunctionalProtocol:
-    def test_two_way_from_functions(self):
-        protocol = two_way_from_functions(
-            fs=lambda s, r: s + r,
-            fr=lambda s, r: s - r,
-            name="arith",
-        )
-        assert protocol.delta(5, 3) == (8, 2)
-        assert protocol.name == "arith"
 
 
 class TestOneWayProtocol:

@@ -24,20 +24,11 @@ class TestInteraction:
         interaction = Interaction(0, 1, omission=REACTOR_OMISSION)
         assert interaction.is_omissive
 
-    def test_unordered_pair(self):
-        assert Interaction(3, 1).unordered_pair == (1, 3)
-        assert Interaction(1, 3).unordered_pair == (1, 3)
-
     def test_involves(self):
         interaction = Interaction(2, 5)
         assert interaction.involves(2)
         assert interaction.involves(5)
         assert not interaction.involves(3)
-
-    def test_with_omission(self):
-        interaction = Interaction(0, 1).with_omission(REACTOR_OMISSION)
-        assert interaction.is_omissive
-        assert interaction.pair == (0, 1)
 
     def test_relabel(self):
         interaction = Interaction(0, 1, omission=REACTOR_OMISSION)
@@ -59,12 +50,10 @@ class TestInteraction:
 class TestOmission:
     def test_no_omission_properties(self):
         assert not NO_OMISSION.is_omissive
-        assert not NO_OMISSION.is_full
 
     def test_full_omission(self):
         omission = Omission(True, True)
         assert omission.is_omissive
-        assert omission.is_full
 
     def test_str(self):
         assert str(NO_OMISSION) == "no-omission"
@@ -97,10 +86,6 @@ class TestRun:
     def test_agents(self):
         run = Run.from_pairs([(0, 3), (3, 5)])
         assert run.agents() == (0, 3, 5)
-
-    def test_interactions_involving(self):
-        run = Run.from_pairs([(0, 1), (1, 2), (2, 3)])
-        assert len(run.interactions_involving(1)) == 2
 
     def test_append_and_extend_are_pure(self):
         run = Run.from_pairs([(0, 1)])

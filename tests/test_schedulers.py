@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from repro.interaction.omissions import REACTOR_OMISSION
 from repro.scheduling.runs import Interaction, Run
 from repro.scheduling.scheduler import (
     RandomScheduler,
@@ -82,6 +83,12 @@ class TestScriptedScheduler:
         assert scheduler.next_interaction(0).pair == (0, 1)
         assert scheduler.next_interaction(1).pair == (0, 1)  # round-robin's first pair
         assert scheduler.next_interaction(2).pair == (0, 2)
+
+    def test_replays_omissions(self):
+        run = Run([Interaction(0, 1, omission=REACTOR_OMISSION), Interaction(1, 0)])
+        scheduler = ScriptedScheduler(run)
+        assert [scheduler.next_interaction(i) for i in range(2)] == list(run)
+        assert scheduler.next_interaction(0).omission is REACTOR_OMISSION
 
     def test_iteration_stops_at_exhaustion(self):
         scheduler = ScriptedScheduler(Run.from_pairs([(0, 1), (1, 0)]))

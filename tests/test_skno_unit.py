@@ -18,6 +18,11 @@ from repro.protocols.catalog.pairing import PairingProtocol
 from repro.protocols.state import Configuration
 
 
+def jokers(state):
+    """Number of joker tokens in ``state``'s sending queue."""
+    return sum(type(token) is JokerToken for token in state.sending)
+
+
 @pytest.fixture
 def protocol():
     return PairingProtocol()
@@ -41,18 +46,13 @@ class TestConstruction:
         with pytest.raises(SimulatorError):
             SKnOSimulator("not a protocol")
 
-    def test_run_length(self, protocol):
-        assert SKnOSimulator(protocol, omission_bound=0).run_length == 1
-        assert SKnOSimulator(protocol, omission_bound=3).run_length == 4
-
     def test_compatible_models(self, protocol):
         assert "IT" in SKnOSimulator(protocol, omission_bound=0).compatible_models
         assert SKnOSimulator(protocol, omission_bound=2).compatible_models == ("I3",)
         assert SKnOSimulator(protocol, omission_bound=2, variant="I4").compatible_models == ("I4",)
 
-    def test_name_and_describe(self, simulator):
+    def test_name(self, simulator):
         assert "SKnO" in simulator.name
-        assert "pairing" in simulator.describe()
 
     def test_initial_state(self, simulator):
         state = simulator.initial_state("c")
@@ -159,15 +159,49 @@ class TestReactorBehaviour:
         reactor = SKnOState(sim="cs", phase=AVAILABLE, sending=(), owed=(StateToken("p", 1),))
         after = simulator.f(starter, reactor)
         assert after.owed == ()
-        assert after.joker_count() == 1
+        assert jokers(after) == 1
         assert StateToken("p", 1) not in after.sending
+
+
+class TestRunLength:
+    """A run is ``o + 1`` tokens: one more than the omissions it must survive."""
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
+    def test_available_starter_emits_a_run_of_bound_plus_one_tokens(self, protocol, bound):
+        simulator = SKnOSimulator(protocol, omission_bound=bound)
+        state = simulator.initial_state("p")
+        sent = [simulator.outgoing_token(state)]
+        state = simulator.g(state)
+        while state.sending:
+            sent.append(simulator.outgoing_token(state))
+            state = simulator.g(state)
+        assert sent == [StateToken("p", index) for index in range(1, bound + 2)]
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
+    def test_last_token_of_the_run_commits(self, protocol, bound):
+        simulator = SKnOSimulator(protocol, omission_bound=bound)
+        starter = SKnOState(sim="p", phase=PENDING,
+                            sending=(StateToken("p", bound + 1),))
+        held = tuple(StateToken("p", index) for index in range(1, bound + 1))
+        reactor = SKnOState(sim="c", phase=AVAILABLE, sending=held)
+        assert simulator.f(starter, reactor).sim == "cs"
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_one_token_short_does_not_commit(self, protocol, bound):
+        simulator = SKnOSimulator(protocol, omission_bound=bound)
+        starter = SKnOState(sim="p", phase=PENDING, sending=(StateToken("p", bound),))
+        held = tuple(StateToken("p", index) for index in range(1, bound))
+        reactor = SKnOState(sim="c", phase=AVAILABLE, sending=held)
+        after = simulator.f(starter, reactor)
+        assert after.sim == "c"
+        assert StateToken("p", bound) in after.sending
 
 
 class TestOmissionHandling:
     def test_i3_reactor_omission_creates_joker(self, simulator):
         reactor = simulator.initial_state("c")
         after = simulator.on_reactor_omission(reactor)
-        assert after.joker_count() == 1
+        assert jokers(after) == 1
 
     def test_i3_starter_omission_handler_is_identity(self, simulator):
         starter = simulator.initial_state("p")
@@ -177,7 +211,7 @@ class TestOmissionHandling:
         simulator = SKnOSimulator(protocol, omission_bound=1, variant="I4")
         starter = SKnOState(sim="p", phase=PENDING, sending=(StateToken("p", 2),))
         after = simulator.on_starter_omission(starter)
-        assert after.joker_count() == 1
+        assert jokers(after) == 1
         assert StateToken("p", 2) in after.sending
 
     def test_i4_reactor_omission_handler_is_identity(self, protocol):
@@ -192,7 +226,7 @@ class TestOmissionHandling:
         reactor = simulator.initial_state("c")
         new_starter, new_reactor = model.apply(simulator, starter, reactor, REACTOR_OMISSION)
         assert new_starter.phase == PENDING          # it tried to send
-        assert new_reactor.joker_count() == 1        # the loss was detected
+        assert jokers(new_reactor) == 1        # the loss was detected
 
     def test_token_conservation_under_i3_omission(self, simulator):
         """(real tokens in flight) + (jokers) per run never exceeds o + 1."""
@@ -203,8 +237,8 @@ class TestOmissionHandling:
         remaining = sum(
             1 for token in new_starter.sending if isinstance(token, StateToken)
         )
-        jokers = new_reactor.joker_count()
-        assert remaining + jokers == simulator.run_length
+        joker_tokens = jokers(new_reactor)
+        assert remaining + joker_tokens == simulator.omission_bound + 1
 
 
 class TestEventExtraction:

@@ -30,7 +30,6 @@ class TestReportFields:
         trace = engine.run(config, max_steps=0)
         report = verify_simulation(simulator, trace)
         assert report.ok
-        assert not report.made_progress
         assert report.matched_pairs == 0
         assert report.event_count == 0
 
@@ -63,7 +62,7 @@ class TestPositiveVerification:
         trace = engine.run(config, max_steps=4_000)
         report = verify_simulation(simulator, trace)
         assert report.ok
-        assert report.made_progress
+        assert report.matched_pairs > 0
 
     def test_skno_long_random_run_verifies(self, protocol):
         simulator = SKnOSimulator(protocol, omission_bound=1)
@@ -72,7 +71,7 @@ class TestPositiveVerification:
         trace = engine.run(config, max_steps=6_000)
         report = verify_simulation(simulator, trace)
         assert report.ok
-        assert report.made_progress
+        assert report.matched_pairs > 0
 
     def test_trivial_simulator_verifies(self, protocol):
         simulator = TrivialTwoWaySimulator(protocol)
