@@ -37,13 +37,13 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.constructions import Lemma1Construction, no1_liveness_attack
-from repro.analysis.reporting import format_results_map
 from repro.analysis.results_map import (
     Feasibility,
     KNOWLEDGE_OF_N,
     KNOWLEDGE_OF_OMISSIONS,
     INFINITE_MEMORY,
     UNIQUE_IDS,
+    format_results_map,
     results_map,
 )
 from repro.core.verification import verify_simulation

@@ -8,14 +8,7 @@ This module keeps that formatting in one place.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Sequence, Tuple
-
-from repro.analysis.results_map import (
-    ASSUMPTIONS,
-    ResultCell,
-    results_map,
-)
-from repro.interaction.models import ALL_MODELS
+from typing import Callable, Iterable, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -55,21 +48,3 @@ def format_grid(
     headers = [corner] + [str(key) for key in col_keys]
     rows = [[str(row)] + [cell(row, col) for col in col_keys] for row in row_keys]
     return format_table(headers, rows)
-
-
-def format_results_map(overrides: Dict[Tuple[str, str], str] = None) -> str:
-    """Render the Figure 4 map as a table.
-
-    ``overrides`` optionally replaces the label of specific cells — the
-    Figure 4 benchmark uses it to mark cells whose empirical check passed or
-    failed.
-    """
-    overrides = overrides or {}
-    cells = results_map()
-
-    def cell_label(model_name: str, assumption: str) -> str:
-        cell: ResultCell = cells[(model_name, assumption)]
-        return overrides.get((model_name, assumption), cell.label())
-
-    return format_grid(
-        "model", [model.name for model in ALL_MODELS], ASSUMPTIONS, cell_label)

@@ -18,9 +18,10 @@ additional assumption, whether every two-way protocol can be simulated:
   least as strong.
 
 This module encodes the map as data, records which theorem backs each cell,
-and marks the cells that the benchmark suite validates *empirically* (by
+marks the cells that the benchmark suite validates *empirically* (by
 running the corresponding simulator and verifying the simulation, or by
-running the corresponding attack construction and exhibiting the violation).
+running the corresponding attack construction and exhibiting the
+violation), and renders the map as a table for ``repro map``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Tuple
+
+from repro.analysis.reporting import format_grid
+from repro.interaction.models import ALL_MODELS
 
 
 class Feasibility(Enum):
@@ -143,3 +147,21 @@ def feasibility(model: str, assumption: str) -> Feasibility:
 def assumptions() -> Tuple[str, ...]:
     """The assumption columns of Figure 4, in order."""
     return ASSUMPTIONS
+
+
+def format_results_map(overrides: Dict[Tuple[str, str], str] = None) -> str:
+    """Render the Figure 4 map as a table.
+
+    ``overrides`` optionally replaces the label of specific cells — the
+    Figure 4 benchmark uses it to mark cells whose empirical check passed or
+    failed.
+    """
+    overrides = overrides or {}
+    cells = results_map()
+
+    def cell_label(model_name: str, assumption: str) -> str:
+        key = (model_name, assumption)
+        return overrides.get(key, cells[key].label())
+
+    return format_grid(
+        "model", [model.name for model in ALL_MODELS], ASSUMPTIONS, cell_label)

@@ -282,7 +282,7 @@ def run_campaign(
     the lane, and selects nothing: ``"process"`` is accepted at any
     ``jobs``, ``"thread"`` only at ``jobs == 1`` (at ``jobs > 1`` it is a
     :class:`ValueError`, raised before any cell runs).  It is forwarded
-    nowhere; ROADMAP item 5 deletes it.  ``result_transport`` stays for
+    nowhere; ROADMAP item 3(d) deletes it.  ``result_transport`` stays for
     the same reason and selects nothing either: every process batch ships
     its results one way (:mod:`repro.engine.transport`); ``"pickle"``,
     ``"shm"`` and ``"auto"`` are accepted, anything else is a

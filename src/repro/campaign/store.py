@@ -30,8 +30,16 @@ for ``ok`` cells, the infeasibility reason under ``"reason"`` for
 ``na`` cells, and the failure message under ``"error"`` for ``error``
 cells.
 
-Atomicity and crash recovery
-----------------------------
+Reading and crash recovery
+--------------------------
+
+One private loader, ``_load``, decodes the format for both ``open``s,
+:func:`open_store`, :func:`store_kind` and :func:`compact_store`.  It
+reads the file once, keeps every complete line before a torn tail,
+classifies the store kind from the manifest (a manifest line torn during
+``create`` by its byte prefix), checks the version, and folds the records
+latest-wins by cell id and campaign name.  It writes nothing: only a
+recovering open truncates a torn tail or re-initialises a torn manifest.
 
 Appends are atomic at record granularity and durable per **group**.
 Outside a group, ``append_cell`` writes its record as a single
@@ -50,14 +58,12 @@ granularity, never inside a record.
 
 A crash can lose the records of the group in flight — the records
 buffered since the last ``fsync``, whose progress lines have not been
-printed yet — and never corrupts a finished one.  If the process dies
-mid-write, the file ends in a torn (unparseable or unterminated) tail
-line, possibly after some complete lines of the torn group; ``open``
-keeps every complete line, truncates the store back to the last one, and
-resumes from there.  Records are keyed by content-addressed ``cell_id``,
-so replaying a lost cell appends an identical record and the folded view
-of the store is unchanged — which is what makes interrupted-and-resumed
-campaigns render byte-identical reports.
+printed yet — and never corrupts a finished one: the next recovering
+open keeps the complete lines of a torn group and drops its torn tail.
+Records are keyed by content-addressed ``cell_id``, so replaying a lost
+cell appends an identical record and the folded view of the store is
+unchanged — which is what makes interrupted-and-resumed campaigns render
+byte-identical reports.
 
 Record order on disk is **not** part of the contract: a parallel
 executor appends cells in completion order, which may differ run to run.
@@ -65,22 +71,8 @@ Every consumer folds the record *set* — ``cell_records`` returns records
 keyed and ordered by sorted ``cell_id``, and reports look cells up by id
 in plan order — so two stores holding the same records in any order are
 equivalent (the fold-equivalence restatement of the resume pin, see
-``docs/invariants.md``).
-
-Compaction
-----------
-
-:func:`compact_store` rewrites a store in canonical order — manifest,
-then (shared stores) the latest registration per campaign sorted by
-name, then one record per live cell id sorted by id — dropping
-duplicate records, superseded registrations, torn tails, and (shared
-stores) orphaned cells no registered campaign references.  The rewrite
-is crash-safe: the canonical bytes go to a temporary file in the same
-directory, flushed and ``fsync``-ed, then ``os.replace``-d over the
-store, so a crash leaves either the old file or the new one, never a
-mix.  Compaction is idempotent (``compact(compact(s)) == compact(s)``
-byte for byte) and invisible to folds: the record set is preserved, so
-reports render byte-identically before and after.
+``docs/invariants.md``).  :func:`compact_store` rewrites a store in that
+canonical order, atomically, dropping every record no fold reads.
 """
 
 from __future__ import annotations
@@ -89,8 +81,8 @@ import json
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 MANIFEST_KIND = "campaign-manifest"
 SHARED_MANIFEST_KIND = "shared-store-manifest"
@@ -98,28 +90,53 @@ CAMPAIGN_KIND = "campaign"
 CELL_KIND = "cell"
 STORE_VERSION = 1
 
+#: Store kind by manifest ``kind``.
+_STORE_KINDS = {MANIFEST_KIND: "exclusive", SHARED_MANIFEST_KIND: "shared"}
 #: The byte prefixes a torn manifest line is recognised by (the
 #: ``sort_keys`` JSON dumps of the two manifest kinds).  A torn first
 #: line matching neither is a foreign file and is never overwritten.
-_EXCLUSIVE_MANIFEST_PREFIX = b'{"campaign'
-_SHARED_MANIFEST_PREFIX = b'{"kind": "shared-store-manifest"'
+_MANIFEST_PREFIXES = {"exclusive": b'{"campaign',
+                      "shared": b'{"kind": "shared-store-manifest"'}
+#: What an opener of the other kind is told about a store of each kind.
+_WRONG_KIND = {
+    "exclusive": "is an exclusive single-campaign store, not a shared "
+                 "pool; drop --shared or pick another --store path",
+    "shared": "is a shared multi-campaign store; open it with "
+              "SharedResultStore (the CLI auto-detects this)",
+}
 
 
 class StoreError(Exception):
     """The store file is missing, corrupt, or belongs to another campaign."""
 
 
-def _read_lines(path: str) -> Tuple[List[Dict[str, Any]], int]:
-    """Parse the store, tolerating a torn tail.
+@dataclass
+class _StoreFile:
+    """One read of a store file, classified and folded (see ``_load``)."""
 
-    Returns ``(records, good_size)`` where ``good_size`` is the byte offset
-    just past the last complete record — the truncation point for recovery.
-    A torn line anywhere but the tail is corruption and raises.
+    path: str
+    kind: Optional[str]  # None: an empty file, which either kind may claim
+    manifest: Optional[Dict[str, Any]]  # None: the manifest line is torn
+    cells: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    registrations: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    duplicates: int = 0  # cell records a later one replaced
+    superseded: int = 0  # registrations a later one replaced
+    good_size: int = 0  # just past the last complete record
+    size: int = 0
+
+
+def _load(path: str) -> _StoreFile:
+    """Read, classify and fold a store file, tolerating a torn tail.
+
+    A torn line anywhere but the tail is corruption and raises, as do a
+    foreign file, another store version and an unknown record kind.
     """
-    records: List[Dict[str, Any]] = []
-    good_size = 0
+    if not os.path.exists(path):
+        raise StoreError(f"no result store at {path!r}; run the campaign first")
     with open(path, "rb") as handle:
         data = handle.read()
+    records: List[Dict[str, Any]] = []
+    stored = _StoreFile(path, None, None, size=len(data))
     offset = 0
     for line in data.splitlines(keepends=True):
         end = offset + len(line)
@@ -132,16 +149,49 @@ def _read_lines(path: str) -> Tuple[List[Dict[str, Any]], int]:
                     raise StoreError(
                         f"store {path!r} is corrupt: unparseable record at byte "
                         f"{offset} is not the torn tail of an interrupted write")
-                return records, good_size  # torn tail: recoverable
+                break  # torn tail: recoverable
             if not line.endswith(b"\n") and end == len(data):
                 # Complete JSON but no terminator: the write was cut exactly
                 # at the payload boundary.  Treat as torn — the record will
                 # be regenerated identically on resume.
-                return records, good_size
+                break
             records.append(record)
-            good_size = end
+            stored.good_size = end
         offset = end
-    return records, good_size
+    if not records:
+        # No complete record at all: either an empty file or a manifest
+        # line torn by a crash during create().  The torn bytes are
+        # classified by prefix; anything else is not a campaign store.
+        for kind, prefix in _MANIFEST_PREFIXES.items():
+            if data.startswith(prefix):
+                stored.kind = kind
+        if data and stored.kind is None:
+            raise StoreError(f"store {path!r} has no campaign manifest line")
+        return stored
+    manifest = stored.manifest = records[0]
+    stored.kind = _STORE_KINDS.get(manifest.get("kind"))
+    if stored.kind is None:
+        raise StoreError(f"store {path!r} has no campaign manifest line")
+    if manifest.get("version") != STORE_VERSION:
+        raise StoreError(
+            f"store {path!r} is version {manifest.get('version')!r}; "
+            f"this build reads version {STORE_VERSION}")
+    for record in records[1:]:
+        kind = record.get("kind")
+        if kind == CELL_KIND:
+            stored.duplicates += record["cell_id"] in stored.cells
+            stored.cells[record["cell_id"]] = record
+        elif kind == CAMPAIGN_KIND and stored.kind == "shared":
+            stored.superseded += record["campaign"] in stored.registrations
+            stored.registrations[record["campaign"]] = record  # latest wins
+        else:
+            raise StoreError(
+                f"store {path!r} holds an unknown record kind {kind!r}")
+    return stored
+
+
+def _manifest(kind: str, **campaign: str) -> Dict[str, Any]:
+    return {"kind": kind, "version": STORE_VERSION, **campaign}
 
 
 def _record_line(record: Dict[str, Any]) -> bytes:
@@ -171,16 +221,65 @@ def _append_lines(path: str, data: bytes) -> None:
 class _BaseStore:
     """State and record plumbing shared by the exclusive and shared stores."""
 
-    def __init__(self, path: str, manifest: Dict[str, Any],
-                 cell_records: Dict[str, Dict[str, Any]]) -> None:
-        self.path = path
-        self.manifest = manifest
-        self._cells = cell_records
+    #: The store kind this class opens: ``"exclusive"`` or ``"shared"``.
+    KIND = ""
+
+    def __init__(self, stored: _StoreFile) -> None:
+        self.path = stored.path
+        self.manifest = stored.manifest
+        self._cells = stored.cells
         #: Serialises in-process appenders (the campaign scheduler appends
         #: from its draining thread, but library callers need not).
         self._lock = threading.Lock()
         #: Lines buffered by the open :meth:`group_commit` block, if any.
         self._group: Optional[List[bytes]] = None
+
+    # -- opening ----------------------------------------------------------------
+
+    @classmethod
+    def _write_manifest(cls, path: str, manifest: Dict[str, Any],
+                        mode: str = "xb") -> Any:
+        """Start the file with ``manifest``, fsync-ed, and open it empty:
+        mode ``"xb"`` creates a store, ``"wb"`` re-initialises a torn one."""
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, mode) as handle:
+            handle.write(_record_line(manifest))
+            handle.flush()
+            os.fsync(handle.fileno())
+        return cls(_StoreFile(path, cls.KIND, manifest))
+
+    @classmethod
+    def _open(cls, stored: _StoreFile, recover: bool,
+              manifest: Dict[str, Any]) -> Any:
+        """Open a loaded store file as this kind, recovering unless read-only.
+
+        ``manifest`` is the one this opener creates.  A torn or empty
+        manifest line is re-initialised to it — no cell had been persisted,
+        so nothing is lost — but only by a recovering open, and only when
+        the torn bytes are this kind's own manifest.  An exclusive store
+        whose grid hash differs from it belongs to another campaign (a
+        shared manifest has no hash).  A torn tail is truncated back to
+        the last complete record, so appends start on a clean boundary.
+        """
+        path = stored.path
+        if stored.manifest is None:
+            if not recover or stored.kind not in (None, cls.KIND):
+                raise StoreError(f"store {path!r} has no campaign manifest line")
+            return cls._write_manifest(path, manifest, "wb")
+        if stored.kind != cls.KIND:
+            raise StoreError(f"store {path!r} {_WRONG_KIND[stored.kind]}")
+        found = stored.manifest
+        if found.get("campaign_hash") != manifest.get("campaign_hash"):
+            raise StoreError(
+                f"store {path!r} belongs to campaign {found.get('campaign')!r} "
+                f"with grid hash {found.get('campaign_hash')}, not to "
+                f"{manifest['campaign']!r} with grid hash "
+                f"{manifest['campaign_hash']}; "
+                "the campaign spec changed since this store was written")
+        if recover and stored.good_size < stored.size:
+            with open(path, "r+b") as handle:
+                handle.truncate(stored.good_size)
+        return cls(stored)
 
     # -- reading ----------------------------------------------------------------
 
@@ -248,29 +347,15 @@ class _BaseStore:
 class ResultStore(_BaseStore):
     """Append-only JSONL store bound to one campaign's grid."""
 
+    KIND = "exclusive"
+
     # -- opening ----------------------------------------------------------------
 
     @classmethod
     def create(cls, path: str, campaign_name: str, campaign_hash: str) -> "ResultStore":
         """Create a fresh store (the file must not already hold records)."""
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "x", encoding="utf-8") as handle:
-            manifest = cls._write_manifest(handle, campaign_name, campaign_hash)
-        return cls(path, manifest, {})
-
-    @staticmethod
-    def _write_manifest(handle, campaign_name: str, campaign_hash: str) -> Dict[str, Any]:
-        manifest = {
-            "kind": MANIFEST_KIND,
-            "version": STORE_VERSION,
-            "campaign": campaign_name,
-            "campaign_hash": campaign_hash,
-        }
-        handle.write(json.dumps(manifest, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-        return manifest
+        return cls._write_manifest(path, _manifest(
+            MANIFEST_KIND, campaign=campaign_name, campaign_hash=campaign_hash))
 
     @classmethod
     def open(cls, path: str, campaign_name: str, campaign_hash: str, *,
@@ -283,53 +368,8 @@ class ResultStore(_BaseStore):
         repair a file.  Recovery writes happen only on ``run``/``resume``
         opens.
         """
-        if not os.path.exists(path):
-            raise StoreError(f"no result store at {path!r}; run the campaign first")
-        records, good_size = _read_lines(path)
-        if not records:
-            # No complete record at all: either an empty file or a manifest
-            # line torn by a crash during create().  Nothing is lost (no
-            # cell had been persisted), so re-initialise in place — but only
-            # if the torn bytes are recognisably our own manifest; anything
-            # else is not a campaign store and must not be overwritten.
-            with open(path, "rb") as handle:
-                leftover = handle.read()
-            if not recover or (leftover and not leftover.startswith(
-                    _EXCLUSIVE_MANIFEST_PREFIX)):
-                raise StoreError(f"store {path!r} has no campaign manifest line")
-            with open(path, "w", encoding="utf-8") as handle:
-                manifest = cls._write_manifest(handle, campaign_name, campaign_hash)
-            return cls(path, manifest, {})
-        if records[0].get("kind") == SHARED_MANIFEST_KIND:
-            raise StoreError(
-                f"store {path!r} is a shared multi-campaign store; open it "
-                "with SharedResultStore (the CLI auto-detects this)")
-        if records[0].get("kind") != MANIFEST_KIND:
-            raise StoreError(f"store {path!r} has no campaign manifest line")
-        manifest = records[0]
-        if manifest.get("version") != STORE_VERSION:
-            raise StoreError(
-                f"store {path!r} is version {manifest.get('version')!r}; "
-                f"this build reads version {STORE_VERSION}")
-        if manifest.get("campaign_hash") != campaign_hash:
-            raise StoreError(
-                f"store {path!r} belongs to campaign {manifest.get('campaign')!r} "
-                f"with grid hash {manifest.get('campaign_hash')}, not to "
-                f"{campaign_name!r} with grid hash {campaign_hash}; "
-                "the campaign spec changed since this store was written")
-        if recover and good_size < os.path.getsize(path):
-            # Torn tail from an interrupted write: truncate back to the last
-            # complete record so future appends start on a clean boundary.
-            with open(path, "r+b") as handle:
-                handle.truncate(good_size)
-        cells: Dict[str, Dict[str, Any]] = {}
-        for record in records[1:]:
-            if record.get("kind") != CELL_KIND:
-                raise StoreError(
-                    f"store {path!r} holds an unknown record kind "
-                    f"{record.get('kind')!r}")
-            cells[record["cell_id"]] = record
-        return cls(path, manifest, cells)
+        return cls._open(_load(path), recover, _manifest(
+            MANIFEST_KIND, campaign=campaign_name, campaign_hash=campaign_hash))
 
 
 class SharedResultStore(_BaseStore):
@@ -343,72 +383,23 @@ class SharedResultStore(_BaseStore):
     wins, and compaction drops cells no registered campaign references.
     """
 
-    def __init__(self, path: str, manifest: Dict[str, Any],
-                 cell_records: Dict[str, Dict[str, Any]],
-                 registrations: Dict[str, Dict[str, Any]]) -> None:
-        super().__init__(path, manifest, cell_records)
-        self._registrations = registrations
+    KIND = "shared"
+
+    def __init__(self, stored: _StoreFile) -> None:
+        super().__init__(stored)
+        self._registrations = stored.registrations
 
     # -- opening ----------------------------------------------------------------
 
     @classmethod
     def create(cls, path: str) -> "SharedResultStore":
         """Create a fresh shared pool (the file must not already exist)."""
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "x", encoding="utf-8") as handle:
-            manifest = cls._write_manifest(handle)
-        return cls(path, manifest, {}, {})
-
-    @staticmethod
-    def _write_manifest(handle) -> Dict[str, Any]:
-        manifest = {"kind": SHARED_MANIFEST_KIND, "version": STORE_VERSION}
-        handle.write(json.dumps(manifest, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-        return manifest
+        return cls._write_manifest(path, _manifest(SHARED_MANIFEST_KIND))
 
     @classmethod
     def open(cls, path: str, *, recover: bool = True) -> "SharedResultStore":
         """Open an existing pool; recover torn tails unless read-only."""
-        if not os.path.exists(path):
-            raise StoreError(f"no result store at {path!r}; run the campaign first")
-        records, good_size = _read_lines(path)
-        if not records:
-            with open(path, "rb") as handle:
-                leftover = handle.read()
-            if not recover or (leftover and not leftover.startswith(
-                    _SHARED_MANIFEST_PREFIX)):
-                raise StoreError(f"store {path!r} has no campaign manifest line")
-            with open(path, "w", encoding="utf-8") as handle:
-                manifest = cls._write_manifest(handle)
-            return cls(path, manifest, {}, {})
-        if records[0].get("kind") == MANIFEST_KIND:
-            raise StoreError(
-                f"store {path!r} is an exclusive single-campaign store, not "
-                "a shared pool; drop --shared or pick another --store path")
-        if records[0].get("kind") != SHARED_MANIFEST_KIND:
-            raise StoreError(f"store {path!r} has no campaign manifest line")
-        manifest = records[0]
-        if manifest.get("version") != STORE_VERSION:
-            raise StoreError(
-                f"store {path!r} is version {manifest.get('version')!r}; "
-                f"this build reads version {STORE_VERSION}")
-        if recover and good_size < os.path.getsize(path):
-            with open(path, "r+b") as handle:
-                handle.truncate(good_size)
-        cells: Dict[str, Dict[str, Any]] = {}
-        registrations: Dict[str, Dict[str, Any]] = {}
-        for record in records[1:]:
-            kind = record.get("kind")
-            if kind == CELL_KIND:
-                cells[record["cell_id"]] = record
-            elif kind == CAMPAIGN_KIND:
-                registrations[record["campaign"]] = record  # latest wins
-            else:
-                raise StoreError(
-                    f"store {path!r} holds an unknown record kind {kind!r}")
-        return cls(path, manifest, cells, registrations)
+        return cls._open(_load(path), recover, _manifest(SHARED_MANIFEST_KIND))
 
     # -- campaign registrations --------------------------------------------------
 
@@ -446,30 +437,31 @@ class SharedResultStore(_BaseStore):
         return referenced
 
 
+def open_store(path: str, campaign_name: str, campaign_hash: str, *,
+               recover: bool = True, shared: bool = False,
+               ) -> Union[ResultStore, SharedResultStore]:
+    """Open an existing store as the kind its manifest names, in one read.
+
+    ``shared=True`` accepts only a shared pool; an empty file opens as an
+    exclusive store otherwise.
+    """
+    stored = _load(path)
+    if shared or stored.kind == "shared":
+        return SharedResultStore._open(
+            stored, recover, _manifest(SHARED_MANIFEST_KIND))
+    return ResultStore._open(stored, recover, _manifest(
+        MANIFEST_KIND, campaign=campaign_name, campaign_hash=campaign_hash))
+
+
 def store_kind(path: str) -> str:
     """``"exclusive"`` or ``"shared"``, from an existing store's manifest.
 
     A store whose manifest line itself is torn is classified by its byte
-    prefix (each kind's recovery path can then re-initialise it); a file
-    that is neither raises, so foreign files are never claimed.
+    prefix (each kind's recovery path can then re-initialise it), and an
+    empty file as exclusive; a file that is neither raises, so foreign
+    files are never claimed.
     """
-    if not os.path.exists(path):
-        raise StoreError(f"no result store at {path!r}; run the campaign first")
-    records, _ = _read_lines(path)
-    if records:
-        kind = records[0].get("kind")
-        if kind == MANIFEST_KIND:
-            return "exclusive"
-        if kind == SHARED_MANIFEST_KIND:
-            return "shared"
-        raise StoreError(f"store {path!r} has no campaign manifest line")
-    with open(path, "rb") as handle:
-        leftover = handle.read()
-    if leftover.startswith(_SHARED_MANIFEST_PREFIX):
-        return "shared"
-    if not leftover or leftover.startswith(_EXCLUSIVE_MANIFEST_PREFIX):
-        return "exclusive"
-    raise StoreError(f"store {path!r} has no campaign manifest line")
+    return _load(path).kind or "exclusive"
 
 
 @dataclass(frozen=True)
@@ -500,78 +492,48 @@ class CompactionStats:
 def compact_store(path: str) -> CompactionStats:
     """Rewrite a store in canonical order, dropping dead records.
 
-    Works on both store kinds (dispatching on the manifest): the output is
-    the manifest line, then — for shared pools — the latest registration
-    per campaign (sorted by name), then one record per live cell id
-    (sorted by id).  Dropped: duplicate cell records (later appends win,
-    as on load), superseded registrations, torn tails, and — shared pools
-    only — orphaned cells referenced by no registered campaign.
+    The output is the manifest line, then — for shared pools — the latest
+    registration per campaign (sorted by name), then the latest record of
+    each live cell id (sorted by id).  Dropped: duplicate cell records,
+    superseded registrations, torn tails, and — shared pools only —
+    orphaned cells referenced by no registered campaign.
 
     Crash-safe via write-temp-then-rename: the canonical bytes are written
-    to ``<path>.compact.tmp`` in the same directory, flushed and fsync'd,
-    then atomically ``os.replace``-d over the store.  Idempotent — the
-    output is a pure function of the record set, so compacting twice
-    yields byte-identical files — and fold-invisible: the record set (and
-    hence every report) is unchanged.
+    to ``<path>.compact.tmp`` in the same directory, fsync'd, then
+    ``os.replace``-d over the store.  Idempotent (the output is a pure
+    function of the record set) and invisible to every report.
     """
-    kind = store_kind(path)
-    records, _ = _read_lines(path)
-    if not records:
+    stored = _load(path)
+    if stored.manifest is None:
         raise StoreError(
             f"store {path!r} has no complete manifest line; run the campaign "
             "(which recovers it) before compacting")
-    manifest = records[0]
+    live_ids = sorted(stored.cells)
+    if stored.kind == "shared":
+        referenced = SharedResultStore(stored).referenced_ids()
+        live_ids = [cell_id for cell_id in live_ids if cell_id in referenced]
 
-    cells: Dict[str, Dict[str, Any]] = {}
-    registrations: Dict[str, Dict[str, Any]] = {}
-    duplicates = 0
-    superseded = 0
-    for record in records[1:]:
-        record_kind = record.get("kind")
-        if record_kind == CELL_KIND:
-            if record["cell_id"] in cells:
-                duplicates += 1
-            cells[record["cell_id"]] = record
-        elif record_kind == CAMPAIGN_KIND and kind == "shared":
-            if record["campaign"] in registrations:
-                superseded += 1
-            registrations[record["campaign"]] = record
-        else:
-            raise StoreError(
-                f"store {path!r} holds an unknown record kind {record_kind!r}")
+    lines: List[bytes] = [_record_line(stored.manifest)]
+    lines.extend(_record_line(stored.registrations[name])
+                 for name in sorted(stored.registrations))
+    lines.extend(_record_line(stored.cells[cell_id]) for cell_id in live_ids)
+    data = b"".join(lines)
 
-    orphans = 0
-    if kind == "shared":
-        referenced = set()
-        for name in sorted(registrations):
-            referenced.update(registrations[name].get("cells", []))
-        live_ids = [cell_id for cell_id in sorted(cells)
-                    if cell_id in referenced]
-        orphans = len(cells) - len(live_ids)
-    else:
-        live_ids = sorted(cells)
-
-    lines: List[bytes] = [_record_line(manifest)]
-    lines.extend(_record_line(registrations[name])
-                 for name in sorted(registrations))
-    lines.extend(_record_line(cells[cell_id]) for cell_id in live_ids)
-
-    bytes_before = os.path.getsize(path)
     temp_path = path + ".compact.tmp"
     with open(temp_path, "wb") as handle:
-        handle.write(b"".join(lines))
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp_path, path)
     _fsync_directory(os.path.dirname(os.path.abspath(path)))
     return CompactionStats(
-        kind=kind,
+        kind=stored.kind,
         cells_kept=len(live_ids),
-        duplicates_dropped=duplicates,
-        orphans_dropped=orphans,
-        registrations_dropped=superseded,
-        bytes_before=bytes_before,
-        bytes_after=os.path.getsize(path),
+        duplicates_dropped=stored.duplicates,
+        orphans_dropped=len(stored.cells) - len(live_ids),
+        registrations_dropped=stored.superseded,
+        bytes_before=stored.size,
+        bytes_after=len(data),
     )
 
 

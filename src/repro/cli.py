@@ -75,8 +75,8 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Tuple, Union
 
-from repro.adversary.constructions import Lemma1Construction, no1_liveness_attack
-from repro.analysis.reporting import format_results_map, format_table
+from repro.analysis.reporting import format_table
+from repro.analysis.results_map import format_results_map
 from repro.campaign.planner import CampaignPlan, plan_campaign
 from repro.campaign.report import render_report
 from repro.campaign.runner import backend_summary, campaign_status, run_campaign
@@ -86,7 +86,7 @@ from repro.campaign.store import (
     SharedResultStore,
     StoreError,
     compact_store,
-    store_kind,
+    open_store,
 )
 from repro.core.verification import verify_simulation
 from repro.engine.backends import (
@@ -99,7 +99,6 @@ from repro.engine.backends import (
 from repro.engine.experiment import repeat_experiment, run_spec
 from repro.interaction.hierarchy import HIERARCHY_EDGES, topological_order
 from repro.interaction.models import MODELS_BY_NAME, get_model
-from repro.lint.cli import add_lint_arguments, command_lint
 from repro.obs import (
     JsonlSink,
     MetricsRecorder,
@@ -349,6 +348,8 @@ def _run_repeated(args, spec) -> int:
 
 
 def _command_attack(args) -> int:
+    from repro.adversary.constructions import Lemma1Construction, no1_liveness_attack
+
     # The target is SKnO as the registry builds it for the attacked model:
     # the I3/I4 variant, wrapped one-way-as-two-way under T1-T3.
     protocol = PairingProtocol()
@@ -375,6 +376,12 @@ def _command_attack(args) -> int:
         max_steps=args.max_steps, seed=args.seed)
     print(result.summary())
     return 0 if (result.liveness_violated or result.safety_violated) else 1
+
+
+def _command_lint(args) -> int:
+    from repro.lint.cli import main as lint_main
+
+    return lint_main(args.lint_args, prog="repro lint")
 
 
 def _default_store_path(spec_path: str) -> str:
@@ -419,22 +426,12 @@ def _open_campaign_store(args, plan: CampaignPlan,
     """
     campaign = plan.campaign
     writable = args.action in ("run", "resume")
-    if not os.path.exists(store_path):
-        if args.action != "run":
-            raise SystemExit(
-                f"no result store at {store_path!r}; run the campaign first")
+    if args.action == "run" and not os.path.exists(store_path):
         if args.shared:
             return SharedResultStore.create(store_path)
         return ResultStore.create(store_path, campaign.name, plan.campaign_hash)
-    kind = store_kind(store_path)
-    if args.shared and kind != "shared":
-        raise SystemExit(
-            f"store {store_path!r} is an exclusive single-campaign store, "
-            "not a shared pool; drop --shared or pick another --store path")
-    if kind == "shared":
-        return SharedResultStore.open(store_path, recover=writable)
-    return ResultStore.open(store_path, campaign.name, plan.campaign_hash,
-                            recover=writable)
+    return open_store(store_path, campaign.name, plan.campaign_hash,
+                      recover=writable, shared=args.shared)
 
 
 def _command_campaign_metrics(path: str) -> int:
@@ -788,11 +785,14 @@ def build_parser() -> argparse.ArgumentParser:
                      "schedulers, adversaries and backends")
     list_parser.set_defaults(handler=_command_list)
 
+    # ``repro lint`` hands its arguments to the linter's own parser, so
+    # other commands never import the linter: no option prefix here.
     lint_parser = subparsers.add_parser(
-        "lint", help="run the determinism-contracts static-analysis pass "
-                     "(RPL001-RPL007) over the package sources")
-    add_lint_arguments(lint_parser)
-    lint_parser.set_defaults(handler=command_lint)
+        "lint", add_help=False, prefix_chars="\0",
+        help="run the determinism-contracts static-analysis pass "
+             "(RPL001-RPL007) over the package sources")
+    lint_parser.add_argument("lint_args", nargs="*")
+    lint_parser.set_defaults(handler=_command_lint)
 
     attack_parser = subparsers.add_parser("attack", help="execute an impossibility construction")
     attack_parser.add_argument("kind", choices=("lemma1", "no1"))

@@ -42,7 +42,18 @@ def _parse_codes(raw: Optional[str], option: str) -> Optional[List[str]]:
     return codes
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+def run_lint(paths: Sequence[str], *, select: Optional[str] = None,
+             ignore: Optional[str] = None) -> LintResult:
+    """Programmatic entry point mirroring the CLI semantics."""
+    return lint_files(list(paths) or default_paths(),
+                      select=_parse_codes(select, "--select"),
+                      ignore=_parse_codes(ignore, "--ignore"))
+
+
+def main(argv: Optional[List[str]] = None, prog: str = "repro-lint") -> int:
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="determinism-contracts static analysis for the repro tree")
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint "
                              "(default: the repro package sources)")
@@ -53,17 +64,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "(e.g. RPL001,RPL003)")
     parser.add_argument("--ignore", default=None, metavar="CODES",
                         help="comma-separated rule codes to skip")
-
-
-def run_lint(paths: Sequence[str], *, select: Optional[str] = None,
-             ignore: Optional[str] = None) -> LintResult:
-    """Programmatic entry point mirroring the CLI semantics."""
-    return lint_files(list(paths) or default_paths(),
-                      select=_parse_codes(select, "--select"),
-                      ignore=_parse_codes(ignore, "--ignore"))
-
-
-def command_lint(args: argparse.Namespace) -> int:
+    args = parser.parse_args(argv)
     try:
         result = run_lint(args.paths, select=args.select, ignore=args.ignore)
     except (OSError, ValueError) as error:
@@ -72,11 +73,3 @@ def command_lint(args: argparse.Namespace) -> int:
     rendered = render_json(result) if args.format == "json" else render_text(result)
     print(rendered, end="")
     return 0 if result.clean else 1
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="determinism-contracts static analysis for the repro tree")
-    add_lint_arguments(parser)
-    return command_lint(parser.parse_args(argv))

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.analysis.reporting import format_grid, format_results_map, format_table
+from repro.analysis.reporting import format_grid, format_table
 from repro.analysis.results_map import (
     ASSUMPTIONS,
     Feasibility,
     RESULTS_MAP,
     feasibility,
+    format_results_map,
     results_map,
 )
 from repro.interaction.models import ALL_MODELS

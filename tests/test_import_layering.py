@@ -50,8 +50,13 @@ OFF_CAMPAIGN_PATH = (
     "repro.adversary.constructions",
     "repro.adversary.ftt",
     "repro.analysis.reachability",
+    "repro.analysis.results_map",
     "repro.lint",
 )
+
+#: Modules only ``repro lint`` and ``repro attack`` run, so ``repro.cli``
+#: imports them inside those commands.
+OFF_CLI_IMPORT = ("repro.adversary.constructions", "repro.lint")
 
 
 def run_python(*args):
@@ -72,8 +77,18 @@ def test_every_module_imports_without_the_package_facade():
     assert lines[:-1] == []
 
 
+def loaded_by(module):
+    """The modules a fresh interpreter holds after importing ``module``."""
+    return run_python(
+        "-c", f"import sys, {module}; print('\\n'.join(sys.modules))",
+    ).splitlines()
+
+
 def test_campaign_import_loads_no_attack_analysis_or_lint_module():
-    loaded = run_python(
-        "-c", "import sys, repro.campaign; print('\\n'.join(sys.modules))")
-    assert [module for module in loaded.splitlines()
+    assert [module for module in loaded_by("repro.campaign")
             if module.startswith(OFF_CAMPAIGN_PATH)] == []
+
+
+def test_cli_import_loads_neither_the_linter_nor_the_attacks():
+    assert [module for module in loaded_by("repro.cli")
+            if module.startswith(OFF_CLI_IMPORT)] == []
