@@ -36,16 +36,18 @@ class TrivialTwoWaySimulator(TwoWaySimulator):
         return p_state
 
     def initial_configuration(self, p_configuration: Configuration, **knowledge) -> Configuration:
-        """Validate each distinct state once and wrap the same state tuple.
+        """Validate each distinct state once and return the configuration itself.
 
-        Validation walks the distinct states in first-occurrence order, so
-        the first invalid agent state raises, as a per-agent scan would.
+        Composite states are the protocol states, so the protocol
+        configuration (in either form) is the composite one.  Validation
+        walks the distinct states in first-occurrence order, so the first
+        invalid agent state raises, as a per-agent scan would.
         """
-        states = (p_configuration.states if isinstance(p_configuration, Configuration)
-                  else tuple(p_configuration))
-        for state in dict.fromkeys(states):
+        if not isinstance(p_configuration, Configuration):
+            p_configuration = Configuration(p_configuration)
+        for state in p_configuration.histogram():
             self.initial_state(state)
-        return Configuration(states)
+        return p_configuration
 
     def project(self, state: State) -> State:
         return state

@@ -845,20 +845,17 @@ def _run_columnar(
 # ---------------------------------------------------------------------------
 
 
-#: Per-process memo of compiled programs and encoded initial configurations,
-#: keyed by object identity with ``is``-verification on lookup (entries hold
-#: strong references to their key objects, so a cached id can never be
-#: recycled while its entry is live).  Program, model and initial
-#: configuration are shared across the runs of one built experiment (see
-#: ``repro.protocols.registry.build_cached``), so a process executing many
-#: runs of the same spec tabulates transitions and interns the O(n) initial
-#: configuration once instead of per run — on short runs at large n those
-#: were the dominant per-run cost.  :func:`probe_compile` compiles through
-#: the same memo, so the ``auto`` planner's compile is the one the runs of
-#: the cell use, here and in every process forked after planning.  One
-#: entry per compiled program (or encoded configuration) per process.
+#: Per-process memo of compiled programs, keyed by object identity with
+#: ``is``-verification on lookup (entries hold strong references to their
+#: key objects, so a cached id can never be recycled while its entry is
+#: live).  Program and model are shared across the runs of one built
+#: experiment (see ``repro.protocols.registry.build_cached``), so a process
+#: executing many runs of the same spec tabulates transitions once instead
+#: of per run.  :func:`probe_compile` compiles through the same memo, so
+#: the ``auto`` planner's compile is the one the runs of the cell use, here
+#: and in every process forked after planning.  One entry per compiled
+#: program per process.
 _COMPILE_CACHE: "Dict[int, Tuple[Any, Any, CompiledProgram]]" = {}
-_INITIAL_CODES_CACHE: "Dict[int, Tuple[Any, CompiledProgram, np.ndarray]]" = {}
 
 
 def _compile_cached(program: Any, model: Any) -> CompiledProgram:
@@ -907,31 +904,32 @@ def _set_up_run(
     if kernel is None:
         kernel = compile_scheduler(scheduler)
         scheduler._array_kernel = kernel
-    entry = _INITIAL_CODES_CACHE.get(id(initial_configuration))
-    if entry is not None and entry[0] is initial_configuration \
-            and entry[1] is compiled:
-        pristine = entry[2]
-    else:
-        try:
-            pristine = np.asarray(
-                compiled.interner.encode_all(initial_configuration),
-                dtype=np.int32,
-            )
-        except InterningError as error:
-            raise BackendCompileError(
-                f"initial configuration cannot be interned for the array "
-                f"backend: {error}; run it with --engine-backend python"
-            ) from None
-        _INITIAL_CODES_CACHE[id(initial_configuration)] = (
-            initial_configuration, compiled, pristine)
+    # The run's own code array, which the run mutates in place.  The run
+    # form every catalog input takes costs one encode and one slice fill
+    # per run; a configuration held per agent is encoded per agent.
+    runs = initial_configuration.runs()
+    interner = compiled.interner
+    try:
+        if runs is None:
+            codes = np.asarray(interner.encode_all(initial_configuration),
+                               dtype=np.int32)
+        else:
+            codes = np.empty(len(initial_configuration), dtype=np.int32)
+            start = 0
+            for state, count in runs:
+                codes[start:start + count] = interner.encode(state)
+                start += count
+    except InterningError as error:
+        raise BackendCompileError(
+            f"initial configuration cannot be interned for the array "
+            f"backend: {error}; run it with --engine-backend python"
+        ) from None
     compiled_adversary = compile_adversary(adversary, program, model, compiled)
     log = make_step_log(
         trace_policy, ring_size, interner=compiled.interner,
         omissions=(NO_OMISSION,) if compiled_adversary is None
         else compiled_adversary.kind_omissions)
-    # Runs mutate their code array in place; every run gets its own copy
-    # of the pristine encoding.
-    return budget, compiled, kernel, pristine.copy(), compiled_adversary, log
+    return budget, compiled, kernel, codes, compiled_adversary, log
 
 
 def _freeze(codes: np.ndarray, interner: StateInterner) -> Configuration:

@@ -82,9 +82,8 @@ class ThresholdProtocol(PopulationProtocol):
 
     def initial_configuration(self, ones: int, zeros: int) -> Configuration:
         """Initial configuration with ``ones`` agents holding 1 and ``zeros`` holding 0."""
-        return Configuration(
-            [self.initial_state(1)] * ones + [self.initial_state(0)] * zeros
-        )
+        return Configuration.from_runs(
+            ((self.initial_state(1), ones), (self.initial_state(0), zeros)))
 
     def expected_output(self, ones: int) -> bool:
         """The predicate value the population should stabilise to."""
@@ -153,9 +152,8 @@ class ModuloCountingProtocol(PopulationProtocol):
         return ("collector", input_bit % self.modulus)
 
     def initial_configuration(self, ones: int, zeros: int) -> Configuration:
-        return Configuration(
-            [self.initial_state(1)] * ones + [self.initial_state(0)] * zeros
-        )
+        return Configuration.from_runs(
+            ((self.initial_state(1), ones), (self.initial_state(0), zeros)))
 
     def expected_output(self, ones: int) -> bool:
         return ones % self.modulus == self.target

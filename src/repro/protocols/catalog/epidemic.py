@@ -44,7 +44,7 @@ class EpidemicProtocol(PopulationProtocol):
 
     @staticmethod
     def initial_configuration(informed: int, susceptible: int) -> Configuration:
-        return Configuration([INFORMED] * informed + [SUSCEPTIBLE] * susceptible)
+        return Configuration.from_runs(((INFORMED, informed), (SUSCEPTIBLE, susceptible)))
 
     @staticmethod
     def expected_output(informed: int) -> bool:

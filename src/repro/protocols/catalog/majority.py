@@ -77,7 +77,7 @@ class ApproximateMajorityProtocol(PopulationProtocol):
     @staticmethod
     def initial_configuration(count_a: int, count_b: int, undecided: int = 0) -> Configuration:
         """Initial configuration with the given opinion counts."""
-        return Configuration([A] * count_a + [B] * count_b + [UNDECIDED] * undecided)
+        return Configuration.from_runs(((A, count_a), (B, count_b), (UNDECIDED, undecided)))
 
     @staticmethod
     def is_consensus(configuration: Configuration) -> bool:
@@ -148,7 +148,7 @@ class ExactMajorityProtocol(PopulationProtocol):
     @staticmethod
     def initial_configuration(count_a: int, count_b: int) -> Configuration:
         """Initial configuration with ``count_a`` strong-A and ``count_b`` strong-B agents."""
-        return Configuration([A] * count_a + [B] * count_b)
+        return Configuration.from_runs(((A, count_a), (B, count_b)))
 
     @staticmethod
     def majority_opinion(count_a: int, count_b: int) -> Optional[State]:

@@ -71,7 +71,7 @@ class PairingProtocol(PopulationProtocol):
         """An initial configuration with the given number of consumers and producers."""
         if consumers < 0 or producers < 0:
             raise ValueError("population counts must be non-negative")
-        return Configuration([CONSUMER] * consumers + [PRODUCER] * producers)
+        return Configuration.from_runs(((CONSUMER, consumers), (PRODUCER, producers)))
 
     @staticmethod
     def critical_count(configuration: Configuration) -> int:

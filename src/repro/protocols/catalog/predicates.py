@@ -35,7 +35,7 @@ class OrProtocol(PopulationProtocol):
 
     @staticmethod
     def initial_configuration(ones: int, zeros: int) -> Configuration:
-        return Configuration([1] * ones + [0] * zeros)
+        return Configuration.from_runs(((1, ones), (0, zeros)))
 
     @staticmethod
     def expected_output(ones: int) -> bool:
@@ -62,7 +62,7 @@ class AndProtocol(PopulationProtocol):
 
     @staticmethod
     def initial_configuration(ones: int, zeros: int) -> Configuration:
-        return Configuration([1] * ones + [0] * zeros)
+        return Configuration.from_runs(((1, ones), (0, zeros)))
 
     @staticmethod
     def expected_output(ones: int, zeros: int) -> bool:

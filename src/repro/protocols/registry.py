@@ -152,14 +152,16 @@ def default_initial_configuration(protocol, population: int,
 
     ``ones`` overrides the number of agents with input 1 for the
     threshold/modulo/OR/AND/parity families; the other protocols ignore it.
+    Every input is a few constant blocks, held in run form
+    (:meth:`Configuration.from_runs`), except averaging's per-agent values.
     """
     name = protocol.name
     majority_a = population // 2 + 1
     if name == "pairing":
         consumers = population // 2
-        return Configuration(["c"] * consumers + ["p"] * (population - consumers))
+        return Configuration.from_runs((("c", consumers), ("p", population - consumers)))
     if name == "leader-election":
-        return Configuration(["L"] * population)
+        return Configuration.uniform("L", population)
     if name in ("exact-majority", "approximate-majority"):
         return protocol.initial_configuration(majority_a, population - majority_a)
     if name.startswith("threshold") or name.startswith("mod-") or name == "parity":
@@ -171,7 +173,7 @@ def default_initial_configuration(protocol, population: int,
     if name.startswith("averaging"):
         return Configuration([(i * 3) % (protocol.max_value + 1) for i in range(population)])
     if name == "epidemic":
-        return Configuration(["I"] + ["S"] * (population - 1))
+        return Configuration.from_runs((("I", 1), ("S", population - 1)))
     raise KeyError(f"no default initial configuration for protocol {name!r}")
 
 

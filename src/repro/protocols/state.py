@@ -6,7 +6,9 @@ semantics of a protocol only depends on the *multiset* of states; the
 :class:`Configuration` class therefore exposes both the indexed view (needed
 to apply interactions, which are ordered pairs of agent indices) and the
 multiset view (needed for closed-set / fairness reasoning and for comparing
-configurations up to agent permutation).
+configurations up to agent permutation).  An input made of a few constant
+blocks, as every catalog input is, is held run-length
+(:meth:`Configuration.from_runs`) until an indexed view is asked for.
 
 Configurations are immutable and hashable so that they can be used as keys
 in reachability searches (e.g. the FTT breadth-first search of
@@ -24,13 +26,27 @@ extra.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Tuple
+from itertools import chain, repeat
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 State = Hashable
 
 
 class Configuration:
-    """An immutable n-tuple of agent states.
+    """An immutable n-tuple of agent states, held in one of two forms.
+
+    ``Configuration(states)`` holds the per-agent tuple.
+    :meth:`from_runs` holds the run-length form ``((state, count), ...)``
+    in agent order, so a configuration of a few constant blocks (every
+    catalog input) costs O(runs) memory instead of O(n).  ``len``,
+    :meth:`count`, :meth:`count_if`, :meth:`histogram` and
+    :meth:`multiset` are answered from the runs; the per-agent tuple is
+    built, once, and kept only when :attr:`states`, iteration, indexing,
+    ``repr``, ``hash``, ``==`` (other than between equal runs) or a
+    per-agent update needs it.
+
+    The two forms are one value: they compare, hash, ``repr`` and pickle
+    round-trip exactly as the per-agent tuple of the same states does.
 
     Parameters
     ----------
@@ -39,50 +55,92 @@ class Configuration:
         ``0 .. n-1``.
     """
 
-    __slots__ = ("_states", "_hash", "_multiset")
+    __slots__ = ("_states", "_runs", "_len", "_hash", "_multiset")
 
     def __init__(self, states: Iterable[State]) -> None:
-        self._states: Tuple[State, ...] = tuple(states)
-        self._hash = None
-        self._multiset = None
+        self._states: Optional[Tuple[State, ...]] = tuple(states)
+        self._runs: Optional[Tuple[Tuple[State, int], ...]] = None
+        self._len = len(self._states)
+        self._hash: Optional[int] = None
+        self._multiset: Optional[Counter] = None
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[Tuple[State, int]]) -> "Configuration":
+        """The configuration of ``count`` agents in ``state`` per run, in order.
+
+        Empty runs are dropped; a negative count raises ``ValueError``.
+        """
+        kept = []
+        for state, count in runs:
+            if count < 0:
+                raise ValueError(f"negative multiplicity for state {state!r}")
+            if count:
+                kept.append((state, count))
+        configuration = cls.__new__(cls)
+        configuration._states = None
+        configuration._runs = tuple(kept)
+        configuration._len = sum(count for _, count in kept)
+        configuration._hash = None
+        configuration._multiset = None
+        return configuration
 
     # -- basic container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._states)
+        return self._len
 
     def __iter__(self) -> Iterator[State]:
-        return iter(self._states)
+        return iter(self.states)
 
     def __getitem__(self, index: int) -> State:
-        return self._states[index]
+        return self.states[index]
 
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, Configuration):
-            return self._states == other._states
+            if self._runs is not None and self._runs == other._runs:
+                return True
+            return self._len == other._len and self.states == other.states
         if isinstance(other, tuple):
-            return self._states == other
+            return self._len == len(other) and self.states == other
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._states)
+            self._hash = hash(self.states)
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Configuration({list(self._states)!r})"
+        return f"Configuration({list(self)!r})"
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        if self._runs is not None:
+            return type(self).from_runs, (self._runs,)
+        return type(self), (self._states,)
 
     # -- views ---------------------------------------------------------------------
 
     @property
     def states(self) -> Tuple[State, ...]:
-        """The underlying tuple of states."""
+        """The per-agent tuple of states (built once from the runs)."""
+        if self._states is None:
+            self._states = tuple(chain.from_iterable(
+                repeat(state, count) for state, count in self._runs))
         return self._states
+
+    def runs(self) -> Optional[Tuple[Tuple[State, int], ...]]:
+        """The ``((state, count), ...)`` runs in agent order of the run
+        form, or ``None`` for a configuration held per agent."""
+        return self._runs
 
     def _cached_multiset(self) -> Counter:
         """The lazily built state Counter; callers must not mutate it."""
         if self._multiset is None:
-            self._multiset = Counter(self._states)
+            if self._runs is None:
+                self._multiset = Counter(self._states)
+            else:
+                self._multiset = Counter()
+                for state, count in self._runs:
+                    self._multiset[state] += count
         return self._multiset
 
     def multiset(self) -> Counter:
@@ -100,6 +158,8 @@ class Configuration:
 
     def count_if(self, predicate: Callable[[State], bool]) -> int:
         """Number of agents whose state satisfies ``predicate``."""
+        if self._runs is not None:
+            return sum(count for state, count in self._runs if predicate(state))
         return sum(1 for s in self._states if predicate(s))
 
     def histogram(self) -> Dict[State, int]:
@@ -110,15 +170,15 @@ class Configuration:
 
     def replace(self, index: int, new_state: State) -> "Configuration":
         """Return a new configuration with agent ``index`` set to ``new_state``."""
-        if not 0 <= index < len(self._states):
+        if not 0 <= index < self._len:
             raise IndexError(f"agent index {index} out of range for n={len(self)}")
-        states = list(self._states)
+        states = list(self)
         states[index] = new_state
         return Configuration(states)
 
     def replace_many(self, updates: Dict[int, State]) -> "Configuration":
         """Return a new configuration applying several indexed updates at once."""
-        states = list(self._states)
+        states = list(self)
         for index, new_state in updates.items():
             if not 0 <= index < len(states):
                 raise IndexError(f"agent index {index} out of range for n={len(self)}")
@@ -135,7 +195,7 @@ class Configuration:
 
     def project(self, projection: Callable[[State], State]) -> "Configuration":
         """Apply ``projection`` to every agent state (e.g. ``pi_P`` of Section 2.4)."""
-        return Configuration(projection(s) for s in self._states)
+        return Configuration(projection(s) for s in self)
 
     def same_multiset(self, other: "Configuration") -> bool:
         """``True`` when the two configurations are equal up to agent permutation."""
@@ -148,7 +208,7 @@ class Configuration:
         """A configuration of ``n`` agents, all in ``state``."""
         if n < 0:
             raise ValueError("population size must be non-negative")
-        return cls([state] * n)
+        return cls.from_runs(((state, n),))
 
     @classmethod
     def from_counts(cls, counts: Dict[State, int]) -> "Configuration":
@@ -158,12 +218,7 @@ class Configuration:
         agents are anonymous this ordering is semantically irrelevant, but it
         is deterministic, which keeps experiments reproducible.
         """
-        states = []
-        for state, count in counts.items():
-            if count < 0:
-                raise ValueError(f"negative multiplicity for state {state!r}")
-            states.extend([state] * count)
-        return cls(states)
+        return cls.from_runs(counts.items())
 
 
 class MutableConfiguration:

@@ -37,7 +37,6 @@ def fresh_caches(monkeypatch):
     monkeypatch.setattr(registry, "_BUILD_CACHE", {})
     monkeypatch.setattr(registry, "_RESOLUTION_CACHE", {})
     monkeypatch.setattr(array_backend, "_COMPILE_CACHE", {})
-    monkeypatch.setattr(array_backend, "_INITIAL_CODES_CACHE", {})
 
 
 def forbid_setup(monkeypatch):
