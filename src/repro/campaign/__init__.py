@@ -16,9 +16,9 @@ Pipeline (one module each)::
     store     ResultStore           append-only JSONL, atomic per-cell writes
               SharedResultStore     one cell pool shared by many campaigns
               compact_store         canonical rewrite, atomic via rename
-    runner    run_campaign          one campaign's run: a one-entry queue drain
+    runner    run_campaign          one campaign's run: validate, then drain
               build_cell_record     one cell through repeat_experiment
-    executor  CampaignQueue         the one scheduler: prioritised, deduplicating,
+    executor  drain                 one plan's pending cells into one store,
                                     inline at width 1, pooled (``--cell-jobs``)
     report    render_report         fold the store into verdict grids + tables
 
@@ -37,7 +37,6 @@ resume semantics, and ``examples/figure4_omission_sweep.json`` for a
 shipped campaign reproducing a Figure-4 omission-budget sweep slice.
 """
 
-from repro.campaign.executor import CampaignQueue, QueuedCampaign
 from repro.campaign.planner import CampaignPlan, PlannedCell, plan_campaign
 from repro.campaign.report import render_report
 from repro.campaign.runner import CampaignRunStatus, campaign_status, run_campaign
@@ -54,12 +53,10 @@ from repro.campaign.store import (
 __all__ = [
     "CampaignError",
     "CampaignPlan",
-    "CampaignQueue",
     "CampaignRunStatus",
     "CampaignSpec",
     "CompactionStats",
     "PlannedCell",
-    "QueuedCampaign",
     "ResultStore",
     "SharedResultStore",
     "StoreError",

@@ -10,12 +10,12 @@ the fan-out.
 :func:`build_cell_record` is that per-cell computation, with no store
 access.
 
-:func:`run_campaign` drains a one-entry
-:class:`~repro.campaign.executor.CampaignQueue`, the one campaign
-scheduler: it skips every cell the store already holds, computes the
-first ``max_cells`` pending cells in plan order — inline at
-``cell_jobs=1``, across a worker pool otherwise — and persists the
-records in group commits: each drain wake's records go out as one
+:func:`run_campaign` validates its arguments and hands the plan and its
+store to :func:`~repro.campaign.executor.drain`, which skips every cell
+the store already holds, computes the first ``max_cells`` pending cells
+in plan order — inline at ``cell_jobs=1``, across a worker pool
+otherwise — and persists the records in group commits: each drain
+wake's records go out as one
 ``os.write`` of complete lines and one ``fsync``, and a cell's progress
 line is printed only after that ``fsync``.  Killing the run loses at
 most the cells in flight and the records of the unflushed group — never
@@ -36,7 +36,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.campaign.planner import CampaignPlan, PlannedCell
 from repro.campaign.store import CELL_KIND, ResultStore
 from repro.engine.backends import BackendError
-from repro.engine.experiment import repeat_experiment
+from repro.engine.experiment import check_fanout, repeat_experiment
 from repro.obs.recorder import NULL_RECORDER, Recorder, get_recorder
 
 
@@ -201,13 +201,13 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
     """The persistent record for one planned cell: ``n/a`` or executed.
 
     A pure function of (cell, seed block, fan-out knobs) with no store
-    access — which is what lets the campaign scheduler
+    access — which is what lets the campaign drain
     (:mod:`repro.campaign.executor`) call it from worker threads while a
     single writer owns the store.  ``pool`` is the
     drain's process pool, which a process fan-out submits its batches to
     (:func:`~repro.engine.experiment.repeat_experiment`'s ``pool=``).
 
-    This is also the one per-cell observability seam: the scheduler
+    This is also the one per-cell observability seam: the drain
     funnels every computed cell through here, inline or on a pool thread,
     so per-cell wall time and verdicts are recorded exactly once per
     computed cell.  Telemetry is write-only: the returned record never
@@ -286,10 +286,12 @@ def run_campaign(
     the same reason and selects nothing either: every process batch ships
     its results one way (:mod:`repro.engine.transport`); ``"pickle"``,
     ``"shm"`` and ``"auto"`` are accepted, anything else is a
-    :class:`ValueError`.
+    :class:`ValueError`.  Every invalid argument — these two, a ``jobs``,
+    ``run_chunk``, ``cell_jobs`` or ``max_cells`` below 1 — raises before
+    any cell runs, so none is persisted as a sticky ``error`` verdict.
     """
-    # Deferred: the scheduler imports this module's per-cell seam.
-    from repro.campaign.executor import CampaignQueue
+    # Deferred: the drain imports this module's per-cell seam.
+    from repro.campaign.executor import drain
 
     if jobs_backend not in (None, "thread", "process"):
         raise ValueError(f"unknown jobs_backend {jobs_backend!r}; "
@@ -300,14 +302,17 @@ def run_campaign(
     if result_transport not in (None, "pickle", "shm", "auto"):
         raise ValueError(f"unknown result_transport {result_transport!r}; "
                          "expected 'pickle', 'shm' or 'auto'")
-    queue = CampaignQueue()
-    queue.submit(plan, store, jobs=jobs, run_chunk=run_chunk)
+    check_fanout(jobs, run_chunk)
+    if cell_jobs < 1:
+        raise ValueError("cell_jobs must be at least 1")
+    if max_cells is not None and max_cells < 1:
+        raise ValueError("max_cells must be at least 1")
     obs = get_recorder()
     begin = 0.0 if obs is NULL_RECORDER else time.perf_counter()
     if obs is not NULL_RECORDER:
         record_campaign_planned(obs, plan)
-    status, = queue.drain(cell_jobs=cell_jobs, max_cells=max_cells,
-                          progress=progress)
+    status = drain(plan, store, jobs=jobs, run_chunk=run_chunk,
+                   cell_jobs=cell_jobs, max_cells=max_cells, progress=progress)
     if obs is not NULL_RECORDER:
         _record_campaign_done(obs, plan, status,
                               time.perf_counter() - begin)

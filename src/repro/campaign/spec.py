@@ -22,11 +22,6 @@ with no third-party dependencies — declaring a *grid* of experiments:
 ``report``
     Optional ``{"rows": <axis>, "cols": <axis>}`` choosing which two axes
     span the report's verdict grids (default: the first two).
-``priority``
-    Optional integer (default 0) ranking this campaign when several drain
-    through one :class:`~repro.campaign.executor.CampaignQueue` — larger
-    runs first.  Pure scheduling metadata: it is **not** part of any
-    cell's identity hash, so re-prioritising never re-runs cells.
 
 Example (the shipped Figure-4 omission sweep slice, abridged)::
 
@@ -67,7 +62,7 @@ SPEC_FIELDS: Tuple[str, ...] = tuple(
 #: Top-level campaign keys beyond ``base``/``axes``.
 _TOP_LEVEL_KEYS = frozenset(
     {"name", "description", "base", "axes", "runs", "base_seed", "max_steps",
-     "stability_window", "report", "priority"})
+     "stability_window", "report"})
 
 
 class CampaignError(Exception):
@@ -97,8 +92,6 @@ class CampaignSpec:
     max_steps: int = 100_000
     stability_window: int = 0
     description: str = ""
-    #: Queue scheduling rank (larger drains first); never hashed into cells.
-    priority: int = 0
     report_rows: Optional[str] = None
     report_cols: Optional[str] = None
     #: The dict this spec was parsed from (kept for provenance; not hashed).
@@ -202,9 +195,6 @@ def campaign_from_dict(data: Dict[str, Any]) -> CampaignSpec:
     base_seed = data.get("base_seed", 0)
     if not isinstance(base_seed, int):
         raise CampaignError("'base_seed' must be an integer")
-    priority = data.get("priority", 0)
-    if not isinstance(priority, int):
-        raise CampaignError("'priority' must be an integer")
 
     report = data.get("report", {})
     if not isinstance(report, dict):
@@ -225,7 +215,6 @@ def campaign_from_dict(data: Dict[str, Any]) -> CampaignSpec:
         max_steps=max_steps,
         stability_window=stability_window,
         description=str(data.get("description", "")),
-        priority=priority,
         report_rows=report.get("rows"),
         report_cols=report.get("cols"),
         source=data,

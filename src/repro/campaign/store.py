@@ -47,7 +47,7 @@ Outside a group, ``append_cell`` writes its record as a single
 ``fsync``-s it before returning.  Inside a :meth:`_BaseStore.group_commit`
 block, ``append_cell`` only buffers the line; closing the block writes
 every buffered line with one ``os.write`` and one ``fsync``.  The
-campaign scheduler opens one group per drain wake (see
+campaign drain opens one group per drain wake (see
 :mod:`repro.campaign.executor`), so a run of cheap ``n/a`` verdicts, or
 every record a worker pool finished while the drain was busy, costs one
 ``fsync`` instead of one each.  ``O_APPEND`` plus one ``write`` of
@@ -228,7 +228,7 @@ class _BaseStore:
         self.path = stored.path
         self.manifest = stored.manifest
         self._cells = stored.cells
-        #: Serialises in-process appenders (the campaign scheduler appends
+        #: Serialises in-process appenders (the campaign drain appends
         #: from its draining thread, but library callers need not).
         self._lock = threading.Lock()
         #: Lines buffered by the open :meth:`group_commit` block, if any.

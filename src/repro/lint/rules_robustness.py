@@ -26,7 +26,7 @@ all-or-nothing.  Any other write path inside
 flags, ``Path.write_text`` — could interleave partial lines or skip the
 fsync and silently void crash recovery, so constructing a writable file
 handle outside the sanctioned writer modules is a finding.  The campaign
-scheduler (:mod:`repro.campaign.executor`) deliberately holds no write
+drain (:mod:`repro.campaign.executor`) deliberately holds no write
 path of its own: workers return records, and the store appends them.  The
 result transport (:mod:`repro.engine.transport`) is scoped in for the
 same reason: it moves results *between* processes, and the single-writer

@@ -454,6 +454,10 @@ class ExperimentSpec:
             raise ValueError("a population needs at least two agents to interact")
         if self.omissions < 0 or self.omission_bound < 0:
             raise ValueError("omission counts must be non-negative")
+        if self.ones is not None and not 0 <= self.ones <= self.population:
+            raise ValueError(
+                f"ones must lie in 0..population, got ones={self.ones} "
+                f"with population={self.population}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
         validate_backend(self.backend)

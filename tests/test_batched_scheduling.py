@@ -314,6 +314,17 @@ class TestExperimentSpec:
             ExperimentSpec(
                 protocol="exact-majority", population=4, omissions=1).build()
 
+    @pytest.mark.parametrize("ones", [-1, 5])
+    def test_ones_must_lie_within_the_population(self, ones):
+        with pytest.raises(ValueError,
+                           match=f"ones={ones} with population=4"):
+            ExperimentSpec(protocol="or", population=4, ones=ones)
+
+    @pytest.mark.parametrize("ones", [0, 4])
+    def test_ones_may_reach_either_end_of_the_population(self, ones):
+        built = ExperimentSpec(protocol="or", population=4, ones=ones).build()
+        assert len(built.initial_configuration) == 4
+
     def test_build_cache_returns_same_object(self):
         spec = ExperimentSpec(protocol="epidemic", population=5)
         assert build_cached(spec) is build_cached(spec)

@@ -87,6 +87,7 @@ class TestCampaignSpec:
         (lambda d: d.update(axes={}), "axes"),
         (lambda d: d.update(runs=0), "runs"),
         (lambda d: d.update(unknown_key=1), "unknown campaign key"),
+        (lambda d: d.update(priority=3), "unknown campaign key"),
         (lambda d: d["axes"].update(bogus_field=[1, 2]), "unknown experiment field"),
         (lambda d: d["axes"].update(scheduler=["random", "random"]), "duplicate"),
         (lambda d: d.update(report={"rows": "not-an-axis"}), "not an axis"),
@@ -109,25 +110,6 @@ class TestCampaignSpec:
     def test_report_axes_default_to_first_two(self):
         campaign = campaign_from_dict(small_campaign())
         assert campaign.report_axes() == ("scheduler", "population")
-
-    def test_priority_parses_and_defaults_to_zero(self):
-        assert campaign_from_dict(small_campaign()).priority == 0
-        prioritised = small_campaign()
-        prioritised["priority"] = 3
-        assert campaign_from_dict(prioritised).priority == 3
-        prioritised["priority"] = "high"
-        with pytest.raises(CampaignError, match="'priority'"):
-            campaign_from_dict(prioritised)
-
-    def test_priority_is_scheduling_metadata_not_identity(self):
-        # Re-prioritising a campaign must never re-run cells: neither the
-        # grid fingerprint nor any cell id may depend on `priority`.
-        baseline = plan_campaign(campaign_from_dict(small_campaign()))
-        prioritised_data = small_campaign()
-        prioritised_data["priority"] = 9
-        prioritised = plan_campaign(campaign_from_dict(prioritised_data))
-        assert prioritised.campaign_hash == baseline.campaign_hash
-        assert prioritised.cell_ids() == baseline.cell_ids()
 
     def test_partial_report_section_never_collapses_two_axes(self):
         # Setting only rows (or only cols) to an axis the other side would
@@ -218,6 +200,15 @@ class TestPlanner:
         data = small_campaign()
         data["axes"]["population"] = [4, 1]  # population 1 cannot interact
         with pytest.raises(CampaignError, match="invalid experiment spec"):
+            plan_campaign(campaign_from_dict(data))
+
+    def test_ones_outside_the_population_fails_at_plan_time(self):
+        data = small_campaign()
+        data["base"] = {"protocol": "or"}
+        data["axes"]["ones"] = [1, 6]  # six ones cannot fit in four agents
+        with pytest.raises(CampaignError,
+                           match="invalid experiment spec: ones must lie in "
+                                 "0..population, got ones=6 with population=4"):
             plan_campaign(campaign_from_dict(data))
 
     def test_unknown_registry_keys_fail_at_plan_time(self):

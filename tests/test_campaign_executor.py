@@ -1,5 +1,4 @@
-"""Concurrency-equivalence tests for the parallel campaign executor and
-the multi-campaign queue.
+"""Concurrency-equivalence tests for the campaign drain.
 
 The pin under test is **fold-equivalence**: ``report(records)`` is a pure
 function of the record *set* — identical across the serial runner and the
@@ -18,12 +17,11 @@ import threading
 
 import pytest
 
-from repro.campaign.executor import CampaignQueue
 from repro.campaign.planner import plan_campaign
 from repro.campaign.report import render_report
 from repro.campaign.runner import campaign_status, run_campaign
 from repro.campaign.spec import campaign_from_dict
-from repro.campaign.store import ResultStore, SharedResultStore
+from repro.campaign.store import ResultStore
 from repro.cli import main
 
 
@@ -99,14 +97,6 @@ class TestParallelEquivalence:
         assert status.complete
         assert canonical_records(store) == expected_records
         assert render_report(plan, store.cell_records) == expected_report
-
-    def test_cell_jobs_must_be_positive(self, tmp_path):
-        plan = plan_campaign(campaign_from_dict(small_campaign()))
-        store = fresh_store(tmp_path, plan)
-        with pytest.raises(ValueError):
-            run_campaign(plan, store, cell_jobs=0)
-        with pytest.raises(ValueError):
-            run_campaign(plan, store, cell_jobs=0)
 
     @pytest.mark.parametrize("interrupt_after", [1, 2, 3])
     def test_array_backend_parallel_matches_serial(self, tmp_path,
@@ -324,12 +314,12 @@ class TestStatusOrderIndependence:
 
 
 # ---------------------------------------------------------------------------
-# the multi-campaign queue
+# the drain: arguments, fan-out knobs, max_cells, width-1 dispatch, progress
 # ---------------------------------------------------------------------------
 
 
 def counting_build(monkeypatch):
-    """Count (and order) the cells the queue actually computes."""
+    """Count (and order) the cells the drain actually computes."""
     import repro.campaign.executor as executor_module
     real = executor_module.build_cell_record
     executed = []
@@ -342,22 +332,45 @@ def counting_build(monkeypatch):
     return executed
 
 
-class TestCampaignQueue:
-    @pytest.mark.parametrize("fanout, message", [
+def recording_build(monkeypatch):
+    """Record the kwargs and calling thread of every computed cell."""
+    import repro.campaign.executor as executor_module
+    real = executor_module.build_cell_record
+    calls = []
+
+    def recorded(cell, plan, **kwargs):
+        calls.append((cell.cell_id, kwargs, threading.get_ident()))
+        return real(cell, plan, **kwargs)
+
+    monkeypatch.setattr(executor_module, "build_cell_record", recorded)
+    return calls
+
+
+def six_cell_plan():
+    """``small_campaign()`` widened to three populations: six cells."""
+    data = small_campaign(name="six-cells")
+    data["axes"]["population"] = [4, 6, 8]
+    return plan_campaign(campaign_from_dict(data))
+
+
+class TestArguments:
+    @pytest.mark.parametrize("arguments, message", [
         ({"jobs": 0}, "jobs must be at least 1"),
         ({"run_chunk": 0}, "run_chunk must be at least 1"),
+        ({"cell_jobs": 0}, "cell_jobs must be at least 1"),
+        ({"max_cells": 0}, "max_cells must be at least 1"),
     ])
-    def test_invalid_fanout_settings_are_rejected_before_any_cell_runs(
-            self, tmp_path, fanout, message):
-        """A bad fan-out setting is the caller's error, not a cell's: it
-        must never be persisted as a sticky ``error`` verdict that every
-        later resume would skip."""
+    def test_invalid_settings_are_rejected_before_any_cell_runs(
+            self, tmp_path, monkeypatch, arguments, message):
+        """A bad setting is the caller's error, not a cell's: it must never
+        be persisted as a sticky ``error`` verdict that every later resume
+        would skip."""
         plan = plan_campaign(campaign_from_dict(small_campaign()))
         store = fresh_store(tmp_path, plan)
+        executed = counting_build(monkeypatch)
         with pytest.raises(ValueError, match=message):
-            CampaignQueue().submit(plan, store, **fanout)
-        with pytest.raises(ValueError, match=message):
-            run_campaign(plan, store, max_cells=2, **fanout)
+            run_campaign(plan, store, **arguments)
+        assert executed == []
         assert store.cell_records == {}
         reopened = ResultStore.open(str(tmp_path / "store.jsonl"),
                                     plan.campaign.name, plan.campaign_hash)
@@ -414,151 +427,6 @@ class TestCampaignQueue:
         assert canonical_records(store) == expected_records
         assert render_report(plan, store.cell_records) == expected_report
 
-    def overlapping_plans(self):
-        first = small_campaign(name="first")
-        second = small_campaign(name="second")
-        second["axes"]["population"] = [4, 6, 8]  # superset: 2 extra cells
-        return (plan_campaign(campaign_from_dict(first)),
-                plan_campaign(campaign_from_dict(second)))
-
-    def test_overlapping_campaigns_compute_each_cell_once(self, tmp_path,
-                                                          monkeypatch):
-        plan_a, plan_b = self.overlapping_plans()
-        executed = counting_build(monkeypatch)
-
-        queue = CampaignQueue()
-        store_a = fresh_store(tmp_path, plan_a, name="a.jsonl")
-        store_b = fresh_store(tmp_path, plan_b, name="b.jsonl")
-        queue.submit(plan_a, store_a)
-        queue.submit(plan_b, store_b)
-        statuses = queue.drain(cell_jobs=2)
-
-        shared = set(plan_a.cell_ids()) & set(plan_b.cell_ids())
-        assert len(shared) == 4
-        assert sorted(executed) == sorted(set(plan_a.cell_ids())
-                                          | set(plan_b.cell_ids()))
-        assert all(status.complete for status in statuses)
-
-        # Each store is record-identical to running its campaign alone.
-        for plan, store in ((plan_a, store_a), (plan_b, store_b)):
-            isolated = fresh_store(tmp_path, plan,
-                                   name=f"isolated-{plan.campaign.name}.jsonl")
-            run_campaign(plan, isolated)
-            assert canonical_records(store) == canonical_records(isolated)
-            assert render_report(plan, store.cell_records) == render_report(
-                plan, isolated.cell_records)
-
-    def test_prepopulated_store_satisfies_other_campaigns(self, tmp_path,
-                                                          monkeypatch):
-        plan_a, plan_b = self.overlapping_plans()
-        store_a = fresh_store(tmp_path, plan_a, name="a.jsonl")
-        run_campaign(plan_a, store_a)  # the pool the queue may reuse
-
-        executed = counting_build(monkeypatch)
-        queue = CampaignQueue()
-        store_b = fresh_store(tmp_path, plan_b, name="b.jsonl")
-        queue.submit(plan_a, store_a)
-        queue.submit(plan_b, store_b)
-        status_a, status_b = queue.drain(cell_jobs=2)
-
-        # Only the set-difference cells were computed; the overlap came
-        # from the first campaign's finished store.
-        assert sorted(executed) == sorted(
-            set(plan_b.cell_ids()) - set(plan_a.cell_ids()))
-        assert status_a.complete and status_a.executed_now == 0
-        assert status_b.complete
-        assert status_b.executed_now == len(executed)
-
-        isolated = fresh_store(tmp_path, plan_b, name="isolated-b.jsonl")
-        run_campaign(plan_b, isolated)
-        assert canonical_records(store_b) == canonical_records(isolated)
-
-    def test_priority_orders_the_schedule(self, tmp_path, monkeypatch):
-        plan_a, plan_b = self.overlapping_plans()
-        executed = counting_build(monkeypatch)
-
-        queue = CampaignQueue()
-        store_a = fresh_store(tmp_path, plan_a, name="a.jsonl")
-        store_b = fresh_store(tmp_path, plan_b, name="b.jsonl")
-        queue.submit(plan_a, store_a, priority=0)
-        queue.submit(plan_b, store_b, priority=10)
-        queue.drain(cell_jobs=1)  # one worker: execution order == schedule
-
-        # Every cell of the high-priority campaign runs before any cell
-        # exclusive to the low-priority one (here the overlap is owned by
-        # the high-priority campaign, so its whole grid goes first).
-        assert executed == [cell.cell_id for cell in plan_b.cells]
-
-    def test_priority_defaults_to_the_spec_field(self, tmp_path):
-        data = small_campaign()
-        data["priority"] = 7
-        plan = plan_campaign(campaign_from_dict(data))
-        queue = CampaignQueue()
-        entry = queue.submit(plan, fresh_store(tmp_path, plan))
-        assert entry.priority == 7
-        override = queue.submit(plan, fresh_store(tmp_path, plan,
-                                                  name="other.jsonl"),
-                                priority=-1)
-        assert override.priority == -1
-
-    def test_queue_into_one_shared_store_appends_each_cell_once(
-            self, tmp_path):
-        plan_a, plan_b = self.overlapping_plans()
-        pool = SharedResultStore.create(str(tmp_path / "pool.jsonl"))
-        queue = CampaignQueue()
-        queue.submit(plan_a, pool)
-        queue.submit(plan_b, pool)
-        statuses = queue.drain(cell_jobs=2)
-        assert all(status.complete for status in statuses)
-        union = set(plan_a.cell_ids()) | set(plan_b.cell_ids())
-        assert pool.completed_ids() == union
-        with open(pool.path, "r", encoding="utf-8") as handle:
-            cell_lines = [line for line in handle if '"kind": "cell"' in line]
-        assert len(cell_lines) == len(union)
-
-    def test_drain_is_idempotent(self, tmp_path, monkeypatch):
-        plan_a, plan_b = self.overlapping_plans()
-        queue = CampaignQueue()
-        store_a = fresh_store(tmp_path, plan_a, name="a.jsonl")
-        store_b = fresh_store(tmp_path, plan_b, name="b.jsonl")
-        queue.submit(plan_a, store_a)
-        queue.submit(plan_b, store_b)
-        queue.drain(cell_jobs=2)
-        before = (canonical_records(store_a), canonical_records(store_b))
-        executed = counting_build(monkeypatch)
-        statuses = queue.drain(cell_jobs=2)
-        assert executed == []
-        assert all(status.complete and status.executed_now == 0
-                   for status in statuses)
-        assert (canonical_records(store_a),
-                canonical_records(store_b)) == before
-
-    def test_drain_rejects_nonpositive_cell_jobs(self, tmp_path):
-        plan = plan_campaign(campaign_from_dict(small_campaign()))
-        queue = CampaignQueue()
-        queue.submit(plan, fresh_store(tmp_path, plan))
-        with pytest.raises(ValueError):
-            queue.drain(cell_jobs=0)
-
-
-# ---------------------------------------------------------------------------
-# the one scheduler: transport, max_cells, width-1 dispatch, progress lines
-# ---------------------------------------------------------------------------
-
-
-def recording_build(monkeypatch):
-    """Record the kwargs and calling thread of every computed cell."""
-    import repro.campaign.executor as executor_module
-    real = executor_module.build_cell_record
-    calls = []
-
-    def recorded(cell, plan, **kwargs):
-        calls.append((cell.cell_id, kwargs, threading.get_ident()))
-        return real(cell, plan, **kwargs)
-
-    monkeypatch.setattr(executor_module, "build_cell_record", recorded)
-    return calls
-
 
 #: ``run_campaign(plan, store, progress=lines.append)`` for
 #: ``small_campaign()``, recorded before the schedulers were unified.
@@ -570,83 +438,38 @@ SMALL_CAMPAIGN_PROGRESS = [
 ]
 
 
-class TestOneScheduler:
-    def overlapping_plans(self):
-        return TestCampaignQueue().overlapping_plans()
-
-    def test_submitted_fanout_knobs_reach_every_cell(self, tmp_path,
-                                                     monkeypatch):
+class TestDrain:
+    def test_fanout_knobs_reach_every_cell(self, tmp_path, monkeypatch):
         plan = plan_campaign(campaign_from_dict(small_campaign()))
         calls = recording_build(monkeypatch)
-        queue = CampaignQueue()
-        entry = queue.submit(plan, fresh_store(tmp_path, plan), run_chunk=3)
-        assert entry.run_chunk == 3
-        status, = queue.drain()
+        status = run_campaign(plan, fresh_store(tmp_path, plan), run_chunk=3)
         assert status.complete
         assert len(calls) == plan.total
         assert all(kwargs == {"jobs": 1, "run_chunk": 3, "pool": None}
                    for _cell_id, kwargs, _thread in calls)
 
-    def test_process_drain_of_overlapping_campaigns_matches_serial(
-            self, tmp_path):
-        plan_a, plan_b = self.overlapping_plans()
-        queue = CampaignQueue()
-        stores = []
-        for plan in (plan_a, plan_b):
-            store = fresh_store(tmp_path, plan,
-                                name=f"{plan.campaign.name}.jsonl")
-            queue.submit(plan, store, jobs=2)
-            stores.append((plan, store))
-        statuses = queue.drain(cell_jobs=2)
-        assert all(status.complete for status in statuses)
-        for plan, store in stores:
-            isolated = fresh_store(tmp_path, plan,
-                                   name=f"isolated-{plan.campaign.name}.jsonl")
-            run_campaign(plan, isolated)
-            assert canonical_records(store) == canonical_records(isolated)
-
     @pytest.mark.parametrize("max_cells", [1, 3, 5])
     @pytest.mark.parametrize("cell_jobs", [1, 2])
-    def test_drain_max_cells_computes_the_schedule_prefix(
+    def test_max_cells_computes_the_plan_order_prefix(
             self, tmp_path, monkeypatch, max_cells, cell_jobs):
-        plan_a, plan_b = self.overlapping_plans()
-        queue = CampaignQueue()
-        store_a = fresh_store(tmp_path, plan_a, name="a.jsonl")
-        store_b = fresh_store(tmp_path, plan_b, name="b.jsonl")
-        queue.submit(plan_a, store_a, priority=0)
-        queue.submit(plan_b, store_b, priority=10)
+        plan = six_cell_plan()
+        store = fresh_store(tmp_path, plan)
         calls = recording_build(monkeypatch)
-        statuses = queue.drain(cell_jobs=cell_jobs, max_cells=max_cells)
-
-        # Schedule order: the high-priority campaign's grid, then nothing
-        # (the low-priority grid is a subset of it).
-        schedule = [cell.cell_id for cell in plan_b.cells]
+        partial = run_campaign(plan, store, cell_jobs=cell_jobs,
+                               max_cells=max_cells)
         assert sorted(cell_id for cell_id, _kwargs, _thread in calls) == \
-            sorted(schedule[:max_cells])
-        for status in statuses:
-            assert status.interrupted == (status.pending > 0)
-            assert not status.keyboard_interrupt
-        assert statuses[1].interrupted
+            sorted(cell.cell_id for cell in plan.cells[:max_cells])
+        assert partial.executed_now == max_cells
+        assert partial.interrupted and not partial.keyboard_interrupt
+        assert partial.pending_cells == plan.cells[max_cells:]
 
         monkeypatch.undo()
-        final = queue.drain(cell_jobs=cell_jobs)
-        assert all(status.complete and not status.interrupted
-                   for status in final)
-        for plan, store in ((plan_a, store_a), (plan_b, store_b)):
-            isolated = fresh_store(tmp_path, plan,
-                                   name=f"isolated-{plan.campaign.name}.jsonl")
-            run_campaign(plan, isolated)
-            assert canonical_records(store) == canonical_records(isolated)
-
-    def test_drain_rejects_nonpositive_max_cells(self, tmp_path):
-        plan = plan_campaign(campaign_from_dict(small_campaign()))
-        queue = CampaignQueue()
-        queue.submit(plan, fresh_store(tmp_path, plan))
-        with pytest.raises(ValueError):
-            queue.drain(max_cells=0)
-        with pytest.raises(ValueError):
-            run_campaign(plan, fresh_store(tmp_path, plan, name="b.jsonl"),
-                         max_cells=0)
+        final = run_campaign(plan, store, cell_jobs=cell_jobs)
+        assert final.complete and not final.interrupted
+        assert final.executed_now == plan.total - max_cells
+        isolated = fresh_store(tmp_path, plan, name="isolated.jsonl")
+        run_campaign(plan, isolated)
+        assert canonical_records(store) == canonical_records(isolated)
 
     def test_width_one_runs_every_cell_on_the_calling_thread(
             self, tmp_path, monkeypatch):
@@ -678,18 +501,3 @@ class TestOneScheduler:
         run_campaign(plan, fresh_store(tmp_path, plan, name="pooled.jsonl"),
                      cell_jobs=2, progress=pooled.append)
         assert sorted(pooled) == sorted(SMALL_CAMPAIGN_PROGRESS)
-
-    def test_multi_campaign_progress_lines_carry_the_campaign_name(
-            self, tmp_path):
-        plan_a, plan_b = self.overlapping_plans()
-        queue = CampaignQueue()
-        queue.submit(plan_a, fresh_store(tmp_path, plan_a, name="a.jsonl"))
-        queue.submit(plan_b, fresh_store(tmp_path, plan_b, name="b.jsonl"))
-        lines = []
-        queue.drain(progress=lines.append)
-        assert len(lines) == plan_a.total + plan_b.total
-        assert sum(line.startswith("[first] cell ") for line in lines) == \
-            plan_a.total
-        assert sum(line.startswith("[second] cell ") for line in lines) == \
-            plan_b.total
-        assert "[first] " + SMALL_CAMPAIGN_PROGRESS[0] in lines

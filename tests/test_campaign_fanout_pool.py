@@ -1,10 +1,11 @@
 """One process pool per campaign drain.
 
-``CampaignQueue.drain`` forks the run fan-out's workers once, on the
-draining thread and before any cell thread starts, and every cell's
-process fan-out submits its batches to that pool.  These tests pin:
+The campaign drain (``repro.campaign.executor.drain``, behind
+``run_campaign``) forks the run fan-out's workers once, on the draining
+thread and before any cell thread starts, and every cell's process
+fan-out submits its batches to that pool.  These tests pin:
 
-* fork discipline — ``max(jobs) × width`` forks per drain that runs
+* fork discipline — ``jobs × width`` forks per drain that runs
   process cells, all on the draining thread, and none for resume or
   ``n/a``-only drains (counted with ``os.register_at_fork``);
 * records — identical to the serial, sequential reference;

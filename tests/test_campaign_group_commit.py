@@ -1,7 +1,7 @@
 """Group-committed store appends: one ``fsync`` per drain wake.
 
-The campaign drain buffers the records of one wake inside the stores'
-``group_commit`` blocks and makes them durable together.  These tests pin
+The campaign drain buffers the records of one wake inside the store's
+``group_commit`` block and makes them durable together.  These tests pin
 what that may and may not change:
 
 * the gain — an inline drain fsyncs once per executable cell (``n/a``
@@ -26,7 +26,6 @@ import pytest
 
 import repro.campaign.executor as executor_module
 import repro.campaign.store as store_module
-from repro.campaign.executor import CampaignQueue
 from repro.campaign.planner import plan_campaign
 from repro.campaign.report import render_report
 from repro.campaign.runner import INTERRUPT_MESSAGE, run_campaign
@@ -40,11 +39,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def mixed_campaign(name: str = "mixed-grid") -> dict:
+def mixed_campaign() -> dict:
     """Six cells in plan order: executable, n/a, n/a, executable, n/a, n/a
     (omissions on TW are infeasible)."""
     return {
-        "name": name,
+        "name": "mixed-grid",
         "base": {"protocol": "epidemic", "model": "TW", "omission_bound": 2},
         "axes": {"population": [4, 6], "omissions": [0, 1, 2]},
         "runs": 2,
@@ -201,22 +200,6 @@ class TestFsyncsPerDrain:
         assert len(fsyncs) == 1
         assert uninterrupted_report(tmp_path, plan) \
             == render_report(plan, store.cell_records)
-
-    def test_a_drain_feeding_two_stores_fsyncs_once_per_store(
-            self, tmp_path, monkeypatch):
-        first = plan_of(mixed_campaign("first"))
-        second = plan_of(mixed_campaign("second"))
-        monkeypatch.setattr(executor_module, "_completed_in_order",
-                            completed_then([0, 1, 2, 3, 4, 5]))
-        first_store = fresh_store(tmp_path, first, "first.jsonl")
-        second_store = fresh_store(tmp_path, second, "second.jsonl")
-        fsyncs = count_store_fsyncs(monkeypatch)
-        queue = CampaignQueue()
-        queue.submit(first, first_store)
-        queue.submit(second, second_store)
-        statuses = queue.drain(cell_jobs=2)
-        assert all(status.complete for status in statuses)
-        assert sorted(fsyncs) == sorted([first_store.path, second_store.path])
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,20 @@ class TestRunCommand:
         assert completed.stderr.strip().splitlines() == [
             "a population needs at least two agents to interact"]
 
+    @pytest.mark.parametrize("ones", ["6", "-1"])
+    def test_ones_outside_the_population_is_a_one_line_error(self, ones):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--protocol", "or",
+             "-n", "4", "--ones", ones],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert completed.returncode != 0
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.strip().splitlines() == [
+            f"ones must lie in 0..population, got ones={ones} "
+            "with population=4"]
+
     @pytest.mark.parametrize("extra", [
         [],
         ["--engine-backend", "auto"],

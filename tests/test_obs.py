@@ -16,7 +16,6 @@ import threading
 
 import pytest
 
-from repro.campaign.executor import CampaignQueue
 from repro.campaign.planner import plan_campaign
 from repro.campaign.report import render_report
 from repro.campaign.runner import build_cell_record, run_campaign
@@ -526,36 +525,27 @@ class TestCampaignSeam:
                   if r["kind"] == "event"}
         assert {"campaign.start", "campaign.end"} <= events
 
-    def test_queue_records_depth_and_cache_hits(self, tmp_path):
-        plan = self._plan()
-        store = ResultStore.create(str(tmp_path / "store.jsonl"),
-                                   plan.campaign.name, plan.campaign_hash)
-        run_campaign(plan, store)
-        queue = CampaignQueue()
-        queue.submit(plan, store)
-        recorder = MetricsRecorder()
-        with recording(recorder):
-            queue.drain()
-        # Everything was already persisted: nothing enqueued, no cache
-        # deliveries needed — the gauges still record the drain's shape.
-        assert recorder.snapshot()["gauges"]["queue.campaigns"] == 1
-        assert recorder.snapshot()["gauges"]["queue.depth"] == 0
-
-    def test_run_campaign_records_the_scheduler_metrics(self, tmp_path):
+    def test_run_campaign_records_the_drain_metrics(self, tmp_path):
         plan = self._plan()
         store = ResultStore.create(str(tmp_path / "store.jsonl"),
                                    plan.campaign.name, plan.campaign_hash)
         recorder = MetricsRecorder()
         with recording(recorder):
-            status = run_campaign(plan, store, cell_jobs=2)
+            run_campaign(plan, store, cell_jobs=2)
         snapshot = recorder.snapshot()
         assert snapshot["gauges"]["campaign.pool_width"] == 2
-        assert snapshot["gauges"]["queue.campaigns"] == 1
-        assert snapshot["gauges"]["queue.depth"] == plan.total
-        assert snapshot["counters"]["queue.executed"] == status.executed_now
-        assert snapshot["counters"]["queue.delivered"] == status.executed_now
-        assert snapshot["counters"]["queue.cache_hits"] == 0
         assert "campaign.cells.submitted" not in snapshot["counters"]
+
+        resumed = MetricsRecorder()
+        with recording(resumed):
+            run_campaign(plan, store, cell_jobs=2)  # nothing left to compute
+        assert resumed.snapshot()["gauges"]["campaign.pool_width"] == 0
+
+        names = [name for metrics in (snapshot, resumed.snapshot())
+                 for kind in ("counters", "gauges", "timers")
+                 for name in metrics[kind]]
+        assert "store.group_records" in names
+        assert not [name for name in names if name.startswith("queue.")]
 
 
 # ---------------------------------------------------------------------------
