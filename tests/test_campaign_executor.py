@@ -21,7 +21,7 @@ from repro.campaign.planner import plan_campaign
 from repro.campaign.report import render_report
 from repro.campaign.runner import campaign_status, run_campaign
 from repro.campaign.spec import campaign_from_dict
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, SharedResultStore
 from repro.cli import main
 
 
@@ -346,11 +346,24 @@ def recording_build(monkeypatch):
     return calls
 
 
-def six_cell_plan():
+def six_cell_plan(name: str = "six-cells"):
     """``small_campaign()`` widened to three populations: six cells."""
-    data = small_campaign(name="six-cells")
+    data = small_campaign(name=name)
     data["axes"]["population"] = [4, 6, 8]
     return plan_campaign(campaign_from_dict(data))
+
+
+def overlapping_plans():
+    """Two campaigns sharing four cells; the second has two more."""
+    return (plan_campaign(campaign_from_dict(small_campaign(name="first"))),
+            six_cell_plan(name="second"))
+
+
+def drain_into_pool(plan, pool, **kwargs):
+    """One drain of ``plan`` into the shared pool ``pool``."""
+    pool.register_campaign(plan.campaign.name, plan.campaign_hash,
+                           plan.cell_ids())
+    return run_campaign(plan, pool, **kwargs)
 
 
 class TestArguments:
@@ -501,3 +514,82 @@ class TestDrain:
         run_campaign(plan, fresh_store(tmp_path, plan, name="pooled.jsonl"),
                      cell_jobs=2, progress=pooled.append)
         assert sorted(pooled) == sorted(SMALL_CAMPAIGN_PROGRESS)
+
+    def test_drain_is_idempotent(self, tmp_path, monkeypatch):
+        plan = six_cell_plan()
+        store = fresh_store(tmp_path, plan)
+        run_campaign(plan, store, cell_jobs=2)
+        before = canonical_records(store)
+        executed = counting_build(monkeypatch)
+        lines = []
+        status = run_campaign(plan, store, cell_jobs=2, progress=lines.append)
+        assert executed == [] and lines == []
+        assert status.complete and status.executed_now == 0
+        assert canonical_records(store) == before
+
+
+# ---------------------------------------------------------------------------
+# one drain per campaign, several campaigns on one shared pool
+# ---------------------------------------------------------------------------
+
+
+class TestDrainsOnASharedPool:
+    def test_overlapping_campaigns_compute_each_cell_once(self, tmp_path,
+                                                          monkeypatch):
+        plan_a, plan_b = overlapping_plans()
+        pool = SharedResultStore.create(str(tmp_path / "pool.jsonl"))
+        executed = counting_build(monkeypatch)
+        statuses = [drain_into_pool(plan, pool, cell_jobs=2)
+                    for plan in (plan_a, plan_b)]
+        assert all(status.complete for status in statuses)
+        union = set(plan_a.cell_ids()) | set(plan_b.cell_ids())
+        assert len(set(plan_a.cell_ids()) & set(plan_b.cell_ids())) == 4
+        assert sorted(executed) == sorted(union)
+
+        # Each campaign reports as if it had run alone.
+        monkeypatch.undo()
+        for plan in (plan_a, plan_b):
+            isolated = fresh_store(tmp_path, plan,
+                                   name=f"isolated-{plan.campaign.name}.jsonl")
+            run_campaign(plan, isolated)
+            assert render_report(plan, pool.cell_records) == render_report(
+                plan, isolated.cell_records)
+
+    def test_one_shared_store_appends_each_cell_once(self, tmp_path):
+        plan_a, plan_b = overlapping_plans()
+        pool = SharedResultStore.create(str(tmp_path / "pool.jsonl"))
+        for plan in (plan_a, plan_b):
+            assert drain_into_pool(plan, pool, cell_jobs=2).complete
+        union = set(plan_a.cell_ids()) | set(plan_b.cell_ids())
+        assert pool.completed_ids() == union
+        with open(pool.path, "r", encoding="utf-8") as handle:
+            cell_lines = [line for line in handle if '"kind": "cell"' in line]
+        assert len(cell_lines) == len(union)
+
+    def test_process_drain_of_overlapping_campaigns_matches_serial(
+            self, tmp_path):
+        plan_a, plan_b = overlapping_plans()
+        pool = SharedResultStore.create(str(tmp_path / "pool.jsonl"))
+        for plan in (plan_a, plan_b):
+            assert drain_into_pool(plan, pool, jobs=2, cell_jobs=2).complete
+        for plan in (plan_a, plan_b):
+            isolated = fresh_store(tmp_path, plan,
+                                   name=f"isolated-{plan.campaign.name}.jsonl")
+            run_campaign(plan, isolated)
+            assert render_report(plan, pool.cell_records) == render_report(
+                plan, isolated.cell_records)
+
+    def test_progress_lines_carry_no_campaign_name(self, tmp_path):
+        plan_a, plan_b = overlapping_plans()
+        isolated = []
+        run_campaign(plan_b, fresh_store(tmp_path, plan_b),
+                     progress=isolated.append)
+        pool = SharedResultStore.create(str(tmp_path / "pool.jsonl"))
+        drain_into_pool(plan_a, pool)
+        lines = []
+        drain_into_pool(plan_b, pool, progress=lines.append)
+        # Only the two cells the first campaign lacked are computed, and
+        # their lines are the isolated run's, unprefixed.
+        assert lines == [line for line in isolated
+                         if "population=8" in line]
+        assert len(lines) == 2

@@ -30,7 +30,7 @@ from repro.campaign.planner import plan_campaign
 from repro.campaign.report import render_report
 from repro.campaign.runner import INTERRUPT_MESSAGE, run_campaign
 from repro.campaign.spec import campaign_from_dict
-from repro.campaign.store import ResultStore, StoreError
+from repro.campaign.store import ResultStore, SharedResultStore, StoreError
 from repro.obs import MetricsRecorder, recording
 
 from test_campaign_shared_store import arm_torn_write
@@ -200,6 +200,20 @@ class TestFsyncsPerDrain:
         assert len(fsyncs) == 1
         assert uninterrupted_report(tmp_path, plan) \
             == render_report(plan, store.cell_records)
+
+    def test_a_drain_into_a_shared_pool_fsyncs_once(self, tmp_path,
+                                                    monkeypatch):
+        plan = plan_of(mixed_campaign())
+        monkeypatch.setattr(executor_module, "_completed_in_order",
+                            completed_then([0, 1, 2, 3, 4, 5]))
+        pool = SharedResultStore.create(str(tmp_path / "pool.jsonl"))
+        pool.register_campaign(plan.campaign.name, plan.campaign_hash,
+                               plan.cell_ids())
+        fsyncs = count_store_fsyncs(monkeypatch)
+        assert run_campaign(plan, pool, cell_jobs=2).complete
+        assert fsyncs == [pool.path]
+        assert uninterrupted_report(tmp_path, plan) \
+            == render_report(plan, pool.cell_records)
 
 
 # ---------------------------------------------------------------------------
