@@ -51,7 +51,7 @@ correctness-preserving; see DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.base import SimulatorError, TwoWaySimulator
 from repro.core.events import REACTOR_ROLE, STARTER_ROLE, SimulationEvent
@@ -118,9 +118,13 @@ RunIndex = Dict[int, int]
 # ---------------------------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SKnOState:
-    """Composite state of one agent running ``SKnO``.
+class SKnOState(NamedTuple):
+    """Composite state of one agent running ``SKnO``: a tuple record.
+
+    Equal to, and hashing like, the plain tuple ``(sim, phase, sending,
+    owed)``; its ``repr`` names the fields.  The ordering it inherits from
+    ``tuple`` is not part of its contract: nothing orders states by value
+    (``docs/invariants.md``).
 
     Attributes
     ----------
@@ -142,25 +146,12 @@ class SKnOState:
     owed: Tuple = ()
 
 
-_new = object.__new__
+_new = tuple.__new__
 
 
 def _state(sim: State, phase: str, sending: Tuple, owed: Tuple) -> SKnOState:
-    """``SKnOState(sim, phase, sending, owed)``, built on the hot path.
-
-    Fills the instance ``__dict__`` directly, in field order, instead of
-    going through the frozen ``__init__`` (one ``object.__setattr__`` per
-    field).  The result is indistinguishable from the constructor's: equal,
-    same hash, repr and pickle.  This holds only while :class:`SKnOState`
-    has no ``__post_init__`` (``docs/invariants.md``).
-    """
-    state = _new(SKnOState)
-    fields = state.__dict__
-    fields["sim"] = sim
-    fields["phase"] = phase
-    fields["sending"] = sending
-    fields["owed"] = owed
-    return state
+    """``SKnOState(sim, phase, sending, owed)`` without the keyword-binding ``__new__``."""
+    return _new(SKnOState, (sim, phase, sending, owed))
 
 
 def _without(queue: Tuple, positions: Sequence[int]) -> Tuple:
@@ -231,7 +222,7 @@ class SKnOSimulator(TwoWaySimulator):
     def initial_state(self, p_state: State, **knowledge) -> SKnOState:
         """Composite initial state: available, empty queue, no jokers owed."""
         self.protocol.validate_initial_state(p_state)
-        return SKnOState(sim=p_state)
+        return _state(p_state, AVAILABLE, (), ())
 
     def project(self, state: SKnOState) -> State:
         return state.sim
@@ -261,7 +252,15 @@ class SKnOSimulator(TwoWaySimulator):
     # -- reactor behaviour (function f) -------------------------------------------------------------
 
     def f(self, starter: SKnOState, reactor: SKnOState) -> SKnOState:
-        return self._receive(reactor, self.outgoing_token(starter))[0]
+        # outgoing_token, inlined: f runs on nearly every step.
+        queue = starter.sending
+        if queue:
+            token = queue[0]
+        elif starter.phase == AVAILABLE:
+            token = self._state_run(starter.sim)[0]
+        else:
+            token = None
+        return self._receive(reactor, token)
 
     # -- omission handlers -------------------------------------------------------------------------
 
@@ -269,28 +268,31 @@ class SKnOSimulator(TwoWaySimulator):
         """``h`` for the ``I3`` variant: enqueue a joker, then run the usual checks."""
         if self.variant != VARIANT_I3:
             return reactor
-        return self._receive(reactor, JOKER)[0]
+        return self._receive(reactor, JOKER)
 
     def on_starter_omission(self, starter: SKnOState) -> SKnOState:
         """``o`` for the ``I4`` variant: keep the queue intact and enqueue a joker."""
         if self.variant != VARIANT_I4:
             return starter
-        return SKnOState(starter.sim, starter.phase, starter.sending + (JOKER,), starter.owed)
+        return _state(starter.sim, starter.phase, starter.sending + (JOKER,), starter.owed)
 
     # -- token reception and consumption ----------------------------------------------------------------
 
     def _receive(
-        self, reactor: SKnOState, token: Optional[object]
-    ) -> Tuple[SKnOState, Sequence[SimulationEvent]]:
+        self,
+        reactor: SKnOState,
+        token: Optional[object],
+        events: Optional[List[SimulationEvent]] = None,
+    ) -> SKnOState:
         """Process a received token (or joker, or nothing) and run the check pipeline.
 
         The pipeline is: enqueue the token (with the joker bookkeeping of
         the paper), then the preliminary check of a pending agent, then the
-        core check.  Returns the new state together with the simulation
-        events generated, so the same code path serves both execution
-        (events discarded) and post-hoc event extraction.  The event objects
-        carry ``step=-1`` and ``agent=-1``; the trace-level extractor fills
-        those fields in.
+        core check.  Returns the new state, and appends the simulation
+        event of a consumed run to ``events`` when a list is given, so the
+        same code path serves both execution and post-hoc event
+        extraction.  The event objects carry ``step=-1`` and ``agent=-1``;
+        the trace-level extractor fills those fields in.
         """
         sim = reactor.sim
         phase = reactor.phase
@@ -328,10 +330,9 @@ class SKnOSimulator(TwoWaySimulator):
                         relevant += 1
         if relevant < needed:
             if token is None:
-                return reactor, ()
-            return _state(sim, phase, queue, owed), ()
+                return reactor
+            return _state(sim, phase, queue, owed)
 
-        events: Sequence[SimulationEvent] = ()
         state_runs, change_runs, jokers = self._index(queue, sim)
 
         if phase == PENDING:
@@ -348,53 +349,37 @@ class SKnOSimulator(TwoWaySimulator):
 
         # Core check.  When several runs could complete, the one needing the
         # fewest jokers (ties broken by repr) is consumed, so executions
-        # stay deterministic.
+        # stay deterministic.  ``partner`` is the simulated state of the
+        # other side of the interaction: the starter's ``q`` for a reactor,
+        # the reactor's old state for a pending starter.
         if phase == AVAILABLE:
             best = self._best_run(state_runs, len(jokers))
             if best is not None:
-                q, present, missing = best
-                old_sim = sim
-                sim = self.delta(q, old_sim)[1]
+                partner, present, missing = best
                 queue, owed = self._consume(
-                    queue, owed, present, jokers, missing, self._state_run(q)
+                    queue, owed, present, jokers, missing, self._state_run(partner)
                 )
-                queue += self._change_run(q, old_sim)
-                events = (
-                    SimulationEvent(
-                        step=-1,
-                        agent=-1,
-                        role=REACTOR_ROLE,
-                        pre_sim=old_sim,
-                        post_sim=sim,
-                        partner_pre_sim=q,
-                        key=(q, old_sim),
-                    ),
-                )
+                queue += self._change_run(partner, sim)
+                role, key, post_sim = REACTOR_ROLE, (partner, sim), self.delta(partner, sim)[1]
         else:
             best = self._best_run(change_runs, len(jokers))
             if best is not None:
-                reactor_old, present, missing = best
-                old_sim = sim
-                sim = self.delta(old_sim, reactor_old)[0]
+                partner, present, missing = best
                 queue, owed = self._consume(
-                    queue, owed, present, jokers, missing, self._change_run(old_sim, reactor_old)
+                    queue, owed, present, jokers, missing, self._change_run(sim, partner)
                 )
                 phase = AVAILABLE
-                events = (
-                    SimulationEvent(
-                        step=-1,
-                        agent=-1,
-                        role=STARTER_ROLE,
-                        pre_sim=old_sim,
-                        post_sim=sim,
-                        partner_pre_sim=reactor_old,
-                        key=(old_sim, reactor_old),
-                    ),
-                )
+                role, key, post_sim = STARTER_ROLE, (sim, partner), self.delta(sim, partner)[0]
+        if best is not None:
+            if events is not None:
+                events.append(SimulationEvent(
+                    step=-1, agent=-1, role=role, pre_sim=sim, post_sim=post_sim,
+                    partner_pre_sim=partner, key=key))
+            sim = post_sim
 
-        if token is None and phase == reactor.phase and not events:
-            return reactor, events  # nothing received, nothing consumed
-        return _state(sim, phase, queue, owed), events
+        if token is None and best is None and phase == reactor.phase:
+            return reactor  # nothing received, nothing consumed
+        return _state(sim, phase, queue, owed)
 
     # .. run-completion search ..................................................................
 
@@ -487,4 +472,6 @@ class SKnOSimulator(TwoWaySimulator):
             token = JOKER
         else:
             return ()
-        return self._receive(step.reactor_pre, token)[1]
+        events: List[SimulationEvent] = []
+        self._receive(step.reactor_pre, token, events)
+        return events

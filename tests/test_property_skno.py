@@ -5,13 +5,13 @@ properties of tokens and jokers; these tests check them over randomly
 generated executions with randomly placed (bounded) omissions.
 """
 
-import dataclasses
 import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import REACTOR_ROLE, STARTER_ROLE, SimulationEvent
+from repro.core.memory import state_bits
 from repro.core.skno import (
     AVAILABLE,
     JOKER,
@@ -24,6 +24,7 @@ from repro.core.skno import (
     _state,
 )
 from repro.engine.engine import SimulationEngine
+from repro.engine.trace import TraceStep
 from repro.interaction.models import get_model
 from repro.interaction.omissions import NO_OMISSION, REACTOR_OMISSION
 from repro.protocols.catalog.pairing import PairingProtocol
@@ -262,17 +263,32 @@ def receive_scenario(draw):
     return simulator, SKnOState(sim, phase, queue, owed), token
 
 
+def sender_of(token):
+    """A starter whose outgoing token is ``token`` (``None``: nothing to send)."""
+    return SKnOState("p", PENDING, () if token is None else (token,), ())
+
+
 class TestReceiveEarlyExit:
     @given(receive_scenario())
     @settings(max_examples=600, deadline=None)
     def test_receive_equals_the_full_pipeline(self, scenario):
         simulator, reactor, token = scenario
-        state, events = simulator._receive(reactor, token)
+        events = []
+        state = simulator._receive(reactor, token, events)
         expected_state, expected_events = full_receive(simulator, reactor, token)
         assert state == expected_state
         assert repr(state) == repr(expected_state)
         assert tuple(events) == tuple(expected_events)
         assert (state is reactor) == (expected_state is reactor)
+        # The same state without an events list, and through the two
+        # public entry points: f (execution) and step_events (extraction).
+        for received in (simulator._receive(reactor, token),
+                         simulator.f(sender_of(token), reactor)):
+            assert received == expected_state
+            assert repr(received) == repr(expected_state)
+            assert (received is reactor) == (expected_state is reactor)
+        step = TraceStep(0, Interaction(0, 1), sender_of(token), None, reactor, None)
+        assert tuple(simulator.step_events(step)) == tuple(expected_events)
 
 
 # ---------------------------------------------------------------------------------------------
@@ -280,17 +296,20 @@ class TestReceiveEarlyExit:
 # ---------------------------------------------------------------------------------------------
 
 
+STATE_FIELDS = dict(
+    sim=st.sampled_from(STATES),
+    phase=st.sampled_from([AVAILABLE, PENDING]),
+    sending=st.lists(st.one_of(
+        st.builds(StateToken, st.sampled_from(STATES), st.integers(1, 3)),
+        st.just(JOKER))).map(tuple),
+    owed=st.lists(st.builds(
+        ChangeToken, st.sampled_from(STATES), st.sampled_from(STATES),
+        st.integers(1, 3))).map(tuple),
+)
+
+
 class TestFastStateConstructor:
-    @given(
-        sim=st.sampled_from(STATES),
-        phase=st.sampled_from([AVAILABLE, PENDING]),
-        sending=st.lists(st.one_of(
-            st.builds(StateToken, st.sampled_from(STATES), st.integers(1, 3)),
-            st.just(JOKER))).map(tuple),
-        owed=st.lists(st.builds(
-            ChangeToken, st.sampled_from(STATES), st.sampled_from(STATES),
-            st.integers(1, 3))).map(tuple),
-    )
+    @given(**STATE_FIELDS)
     @settings(max_examples=60, deadline=None)
     def test_state_is_the_constructor(self, sim, phase, sending, owed):
         fast = _state(sim, phase, sending, owed)
@@ -301,13 +320,13 @@ class TestFastStateConstructor:
         assert repr(fast) == repr(built)
         assert pickle.dumps(fast) == pickle.dumps(built)
         assert pickle.loads(pickle.dumps(fast)) == built
-        assert dataclasses.replace(fast, phase=PENDING) == dataclasses.replace(
-            built, phase=PENDING)
-        assert dataclasses.replace(fast) == built
+        assert fast._replace(phase=PENDING) == built._replace(phase=PENDING)
+        assert fast._replace() == built
 
-    def test_state_has_no_post_init(self):
-        """``_state`` skips ``__init__``; a ``__post_init__`` would be skipped too."""
-        assert not hasattr(SKnOState, "__post_init__")
+    def test_state_is_a_tuple_in_field_order(self):
+        """``_state`` passes the fields positionally, so their order is the contract."""
+        assert issubclass(SKnOState, tuple)
+        assert SKnOState._fields == ("sim", "phase", "sending", "owed")
 
 
 class TestMemoisedRuns:
@@ -327,3 +346,27 @@ class TestMemoisedRuns:
         assert first._change_run("p", "c") is not second._change_run("p", "c")
         assert SKnOSimulator(protocol, omission_bound=0)._state_run("p") == (
             StateToken("p", 1),)
+
+
+# ---------------------------------------------------------------------------------------------
+# The tuple record contract
+# ---------------------------------------------------------------------------------------------
+
+
+class TestTupleRecord:
+    @given(**STATE_FIELDS)
+    @settings(max_examples=60, deadline=None)
+    def test_hash_and_bits_are_the_dataclass_values(self, sim, phase, sending, owed):
+        """A state hashes as its field tuple, like the frozen dataclass it
+        replaced, and its structural size is the same sum over its fields."""
+        state = _state(sim, phase, sending, owed)
+        assert hash(state) == hash((state.sim, state.phase, state.sending, state.owed))
+        assert state == (sim, phase, sending, owed)
+        assert state_bits(state) == 2 + sum(
+            2 + state_bits(value) for value in (sim, phase, sending, owed))
+
+    def test_bits_of_the_golden_state(self):
+        state = SKnOState("c", "pending", (StateToken("p", 1), JokerToken()),
+                          (StateToken("p", 2),))
+        assert state_bits(state) == 119
+        assert state_bits(SKnOState("c")) == 94
